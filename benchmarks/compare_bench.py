@@ -3,13 +3,9 @@
 The CI ``bench-trend`` job regenerates ``BENCH_kernel.json`` with
 ``benchmarks/bench_kernel.py`` and runs this script against the committed
 snapshot.  Two hard gates, applied per architecture and per result section
-(scheduler sections ``results``/``results_saturation``/the wireless points,
-the vector-engine sections ``results_vector``/``results_vector_saturation``
-whose quotient is vector-vs-scalar instead of active-vs-dense, and the
-lane-batching sections ``results_vector_batched``/``results_large_mesh``
-whose quotient is batched-sweep-vs-solo-scalar-sweep and whose throughput
-is cross-task ``task-cycles/s``; engine and lane bit-parity itself is
-asserted inside the benchmark before any entry is written):
+(``results``, ``results_saturation`` and the two wireless saturation
+points; scheduler bit-parity itself is asserted inside the benchmark
+before any entry is written):
 
 * **speedup ratio** — the per-architecture active-vs-dense quotient is a
   same-machine, same-run ratio, so it transfers across hosts (unlike
@@ -41,11 +37,8 @@ DEFAULT_MAX_REGRESSION = 0.25
 DEFAULT_MAX_CPS_REGRESSION = 0.5
 
 #: Snapshot keys holding per-architecture result sections: (key, label,
-#: speedup entry key, cycles/s entry key).  The scheduler sections record
-#: the active/dense quotient; the vector sections record the honest
-#: vector/scalar quotient — currently below 1x at the bench's event rates,
-#: which is why the gate holds the *ratio against the committed baseline*
-#: rather than asserting any absolute speedup.
+#: speedup entry key, cycles/s entry key).  Every section records the
+#: active/dense quotient and the active scheduler's cycles/s.
 RESULT_SECTIONS = (
     ("results", "mid load", "speedup", "active_cycles_per_second"),
     ("results_saturation", "near saturation", "speedup", "active_cycles_per_second"),
@@ -60,36 +53,6 @@ RESULT_SECTIONS = (
         "8-channel control-packet wireless saturation",
         "speedup",
         "active_cycles_per_second",
-    ),
-    (
-        "results_vector",
-        "vector engine mid load",
-        "vector_speedup",
-        "vector_cycles_per_second",
-    ),
-    (
-        "results_vector_saturation",
-        "vector engine near saturation",
-        "vector_speedup",
-        "vector_cycles_per_second",
-    ),
-    (
-        "results_vector_batched",
-        "lane-batched vector mid load",
-        "batched_speedup",
-        "batched_task_cycles_per_second",
-    ),
-    (
-        "results_large_mesh",
-        "large mesh (1024 cores) lane-batched",
-        "batched_speedup",
-        "batched_task_cycles_per_second",
-    ),
-    (
-        "results_tail_cost",
-        "per-event allocation tail cost",
-        "tail_ratio",
-        "batched_events_per_second",
     ),
 )
 

@@ -22,7 +22,7 @@ Plus two constructors shared by the CLI, the fuzzer and the tests:
 
 Imports inside the functions are deliberate: the facade sits at the top of
 the package and must stay importable without dragging in the scenario
-layer, the service or NumPy, and without creating import cycles with the
+layer or the service, and without creating import cycles with the
 modules it fronts.
 """
 
@@ -58,10 +58,8 @@ def make_runner(
     use_cache: bool = True,
     show_progress: bool = False,
     profile: bool = False,
-    engine: str = "scalar",
     checkpoint_every_cycles: int = 0,
     checkpoint_dir: Optional[str] = None,
-    batch_lanes: int = 1,
 ) -> "ExperimentRunner":
     """A configured :class:`~repro.parallel.runner.ExperimentRunner`.
 
@@ -80,16 +78,12 @@ def make_runner(
         use_cache=use_cache,
         show_progress=show_progress,
         profile=profile,
-        engine=engine,
         checkpoint_every_cycles=checkpoint_every_cycles,
         checkpoint_dir=checkpoint_dir,
-        batch_lanes=batch_lanes,
     )
 
 
-def build_simulator(
-    task: "SimulationTask", profile: bool = False, engine: str = "scalar"
-) -> "Simulator":
+def build_simulator(task: "SimulationTask", profile: bool = False) -> "Simulator":
     """Build (but do not run) the fully wired simulator of one task.
 
     Exposed for instrumentation (``Simulator.instrument``,
@@ -99,12 +93,11 @@ def build_simulator(
     """
     from .parallel.runner import task_simulator
 
-    return task_simulator(task, profile=profile, engine=engine)
+    return task_simulator(task, profile=profile)
 
 
 def run(
     task: "SimulationTask",
-    engine: str = "scalar",
     profile: bool = False,
     checkpoint_every: int = 0,
     checkpoint_dir: str = "",
@@ -122,7 +115,6 @@ def run(
     payload = execute_task(
         task,
         profile=profile,
-        engine=engine,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
     )

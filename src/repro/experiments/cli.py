@@ -5,7 +5,6 @@ Usage::
     python -m repro.experiments fig2 [--fidelity fast|default|paper]
                                      [--jobs N] [--cache-dir DIR] [--no-cache]
                                      [--faults SCENARIO] [--fault-rate R]
-                                     [--engine scalar|vector] [--batch-lanes N]
                                      [--profile]
     python -m repro.experiments fig7 [--faults random-links] [--jobs N]
     python -m repro.experiments fig8 [--mac token] [--jobs N]
@@ -30,7 +29,6 @@ from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults.scenarios import available_fault_scenarios
-from ..noc.engine import ENGINES
 from ..traffic.registry import available_patterns
 from ..wireless.mac.registry import available_macs
 from . import (
@@ -193,29 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the result cache: neither read nor write cached tasks",
     )
     parser.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default="scalar",
-        help=(
-            "kernel execution path: 'scalar' is the pure-Python reference "
-            "loop, 'vector' the NumPy SoA fast path (bit-identical results; "
-            "wireless or faulted runs fall back to scalar transparently). "
-            "The result cache is shared between engines (default: scalar)"
-        ),
-    )
-    parser.add_argument(
-        "--batch-lanes",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "with --engine vector, fuse up to N compatible uncached tasks "
-            "(same architecture, wired, no faults) into one lane-batched "
-            "co-simulation per worker; results and cache keys are identical "
-            "to solo runs (default: 1, no batching)"
-        ),
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -234,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
             "socket (start one with 'python -m repro.service --socket "
             "SOCKET'); tasks are deduped against the daemon's shared "
             "cache and coalesced with other clients' in-flight work. "
-            "Local execution flags (--jobs/--cache-dir/--engine/--profile) "
+            "Local execution flags (--jobs/--cache-dir/--profile) "
             "do not apply: the daemon owns those settings"
         ),
     )
@@ -275,8 +250,6 @@ def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
         use_cache=not args.no_cache,
         show_progress=not args.quiet,
         profile=getattr(args, "profile", False),
-        engine=getattr(args, "engine", "scalar"),
-        batch_lanes=getattr(args, "batch_lanes", 1),
     )
 
 

@@ -17,7 +17,3 @@ warnings.warn(
 )
 
 from ..parallel.runner import *  # noqa: F401,F403  (re-export, see __all__ there)
-from ..parallel.runner import (  # noqa: F401  (private helpers some tests poke)
-    _execute_task_profiled,
-    _task_executor,
-)

@@ -177,11 +177,6 @@ class LoadPointSummary:
     mac_control_energy_pj: float = 0.0
     transceiver_static_energy_pj: float = 0.0
     channel_energy_pj: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    # Which engine actually executed the run ("scalar", "vector",
-    # "vector-batched"); provenance, not simulated behaviour, so excluded
-    # from equality — cached points from different engines stay equal.
-    # Empty on cache entries written before the field existed.
-    engine_used: str = field(default="", compare=False)
 
     @classmethod
     def from_result(
@@ -213,7 +208,6 @@ class LoadPointSummary:
                 str(channel_id): dict(components)
                 for channel_id, components in result.channel_energy_pj.items()
             },
-            engine_used=result.engine_used,
         )
 
     def acceptance_ratio(self) -> float:
@@ -229,7 +223,11 @@ class LoadPointSummary:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "LoadPointSummary":
-        """Rebuild a summary from its :meth:`as_dict` payload."""
+        """Rebuild a summary from its :meth:`as_dict` payload.
+
+        Unknown keys are ignored, so entries written by older versions
+        that stored extra provenance fields stay readable.
+        """
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in known})
 

@@ -1,6 +1,6 @@
 """Constant-memory streaming accumulators for per-packet samples.
 
-A saturated vectorised run delivers millions of packets; storing every
+A long saturated run delivers millions of packets; storing every
 latency/energy sample in the :class:`~repro.noc.stats.SimulationResult`
 lists makes memory grow linearly with simulated cycles.  When a run is
 configured with ``SimulationConfig(metrics="streaming")`` the kernel feeds

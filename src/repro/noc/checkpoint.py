@@ -14,12 +14,7 @@ the golden-fingerprint matrix.
 
 Checkpoints are taken at cycle boundaries only (after the cycle's phases
 and watchdog ran), so no phase-internal scratch state exists at capture
-time.  The engine that produced a checkpoint is recorded: a scalar
-checkpoint can be resumed under either engine request (a ``"vector"``
-request simply continues the scalar kernel, which is bit-identical by
-construction), but a vector checkpoint resumed under an explicit
-``"scalar"`` request raises :class:`CheckpointEngineMismatchError` — the
-scalar phases never maintained the VC object state the snapshot lacks.
+time.
 
 On-disk format: a single pickle of the :class:`KernelCheckpoint`
 dataclass, written atomically (tempfile + ``os.replace``) so a crash
@@ -40,7 +35,6 @@ from typing import Iterator, Union
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "CheckpointError",
-    "CheckpointEngineMismatchError",
     "KernelCheckpoint",
     "graph_pickling_limit",
     "load_checkpoint",
@@ -51,8 +45,9 @@ __all__ = [
 #: A version mismatch is a :class:`CheckpointError` at load time, never a
 #: silent misresume.  v2: the vector state's owner/rev dicts became flat
 #: claim-index lists and the arrivals dict became a calendar-wheel of
-#: preallocated arrays (PR 10) — v1 vector checkpoints cannot resume.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: preallocated arrays.  v3: the vector engine and the checkpoint's
+#: ``engine`` field are gone; every checkpoint is a scalar kernel graph.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -82,29 +77,14 @@ def graph_pickling_limit(num_switches: int) -> Iterator[None]:
         sys.setrecursionlimit(limit)
 
 
-class CheckpointEngineMismatchError(CheckpointError):
-    """A checkpoint was resumed under an engine that cannot continue it.
-
-    Raised when a vector-engine snapshot is restored by an explicit
-    ``engine="scalar"`` request: the scalar phases read per-VC object state
-    that the vector engine never maintained, so continuing would not be
-    bit-identical.  The converse direction is fine — a ``"vector"`` request
-    resumes a scalar checkpoint with the scalar phases, exactly like the
-    vector engine's transparent fallback on wireless or faulted runs.
-    """
-
-
 @dataclass(frozen=True)
 class KernelCheckpoint:
     """One resumable kernel snapshot.
 
-    ``engine`` is the engine that was *actually driving* the run
-    (``"scalar"`` or ``"vector"``) — after fallback, not as configured.
     ``cycle`` is the last fully executed cycle; resuming continues at
     ``cycle + 1``.  ``payload`` is the pickled kernel object graph.
     """
 
-    engine: str
     cycle: int
     payload: bytes
     version: int = CHECKPOINT_SCHEMA_VERSION

@@ -23,13 +23,8 @@ from .config import NetworkConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan
-from .checkpoint import (
-    CheckpointEngineMismatchError,
-    CheckpointError,
-    KernelCheckpoint,
-)
+from .checkpoint import CheckpointError, KernelCheckpoint
 from .kernel import (
-    ENGINES,
     METRICS_MODES,
     SCHEDULERS,
     KernelState,
@@ -41,10 +36,8 @@ from .network import Network
 from .stats import SimulationResult
 
 __all__ = [
-    "ENGINES",
     "METRICS_MODES",
     "SCHEDULERS",
-    "CheckpointEngineMismatchError",
     "CheckpointError",
     "KernelCheckpoint",
     "SimulationConfig",
@@ -99,9 +92,7 @@ class Simulator:
         bit-identical to an uninterrupted run (fingerprint-tested in
         ``tests/test_checkpoint.py``).  The configured topology, traffic
         and fault plan must of course describe the same run the checkpoint
-        came from; the engine request is validated (a vector checkpoint
-        under a scalar request raises
-        :class:`~repro.noc.checkpoint.CheckpointEngineMismatchError`).
+        came from.
         """
         if resume_from is not None:
             return self._resume(resume_from)
@@ -161,9 +152,7 @@ class Simulator:
 
     def _resume(self, checkpoint: KernelCheckpoint) -> SimulationResult:
         """Continue a checkpointed run to completion (see :meth:`run`)."""
-        kernel = SimulationKernel.resume(
-            checkpoint, engine=self.simulation_config.engine
-        )
+        kernel = SimulationKernel.resume(checkpoint)
         injector = kernel.fault_injector
         started = time.perf_counter()
         try:
@@ -203,14 +192,6 @@ class Simulator:
 
         result.energy = accountant.breakdown
         result.stalled = state.stalled
-        result.engine_used = state.engine_name
-        if config.profile_phases and getattr(state, "profile_alloc", False):
-            # Vector-engine runs split the allocation row so per-event
-            # tail costs are visible from the CLI: array dispatch
-            # (snapshot/grouping/eligibility) vs the per-event section
-            # (group loop, bulk epilogue, delivery replay).
-            result.phase_seconds["allocation/dispatch"] = state.alloc_dispatch_seconds
-            result.phase_seconds["allocation/events"] = state.alloc_event_seconds
         if result.num_cores and config.cycles:
             result.offered_load_packets_per_core_per_cycle = result.packets_offered / (
                 result.num_cores * config.cycles

@@ -69,11 +69,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 from ..energy import EnergyAccountant
 from ..routing.base import BaseRouter, RoutingError
 from ..traffic.base import TrafficModel, TrafficRequest
-from .checkpoint import (
-    CheckpointEngineMismatchError,
-    KernelCheckpoint,
-    graph_pickling_limit,
-)
+from .checkpoint import KernelCheckpoint, graph_pickling_limit
 from .config import NetworkConfig
 from .network import Network
 from .pool import FLIT_INDEX_BITS, FLIT_INDEX_MASK, PacketPool, PacketView
@@ -83,9 +79,6 @@ from .virtual_channel import VirtualChannel
 
 #: The scheduler names accepted by :class:`SimulationConfig`.
 SCHEDULERS = ("active", "dense")
-
-#: The execution-engine names accepted by :class:`SimulationConfig`.
-ENGINES = ("scalar", "vector")
 
 #: The per-packet metrics storage modes accepted by :class:`SimulationConfig`.
 METRICS_MODES = ("sampled", "streaming")
@@ -108,13 +101,6 @@ class SimulationConfig:
     #: or ``"dense"`` (visit every switch every cycle, the reference
     #: behaviour of the original engine).  Results are bit-identical.
     scheduler: str = "active"
-    #: Execution engine: ``"scalar"`` (the per-switch Python loops, the
-    #: bit-identical reference) or ``"vector"`` (the NumPy SoA fast path of
-    #: :mod:`repro.noc.vector`).  The vector engine applies to wired,
-    #: fault-free runs; wireless or faulted configurations transparently
-    #: fall back to the scalar phases, so results are bit-identical either
-    #: way (the ``scheduler`` knob is inert while the fast path is active).
-    engine: str = "scalar"
     #: Per-packet sample storage: ``"sampled"`` (exact per-packet lists,
     #: the default) or ``"streaming"`` (constant-memory accumulators, see
     #: :mod:`repro.metrics.streaming`).
@@ -144,9 +130,6 @@ class SimulationConfig:
         if self.scheduler not in SCHEDULERS:
             known = ", ".join(SCHEDULERS)
             raise ValueError(f"unknown scheduler {self.scheduler!r}; known: {known}")
-        if self.engine not in ENGINES:
-            known = ", ".join(ENGINES)
-            raise ValueError(f"unknown engine {self.engine!r}; known: {known}")
         if self.metrics not in METRICS_MODES:
             known = ", ".join(METRICS_MODES)
             raise ValueError(f"unknown metrics mode {self.metrics!r}; known: {known}")
@@ -303,12 +286,6 @@ class KernelState:
     arrays directly.
     """
 
-    #: Which engine's phases read this state class.  The vector engine's
-    #: :class:`~repro.noc.vector.VectorKernelState` overrides this; the
-    #: checkpoint layer records it so a snapshot can refuse an engine that
-    #: cannot continue it.
-    engine_name = "scalar"
-
     def __init__(
         self,
         network: Network,
@@ -319,7 +296,6 @@ class KernelState:
         config: SimulationConfig,
         net_config: NetworkConfig,
         scheduler: Scheduler,
-        pool_backend: str = "list",
     ) -> None:
         self.network = network
         self.router = router
@@ -329,7 +305,7 @@ class KernelState:
         self.config = config
         self.net_config = net_config
         self.scheduler = scheduler
-        self.pool = PacketPool(backend=pool_backend)
+        self.pool = PacketPool()
         self.cycle = 0
         self.stalled = False
         self.last_progress_cycle = 0
@@ -352,9 +328,7 @@ class KernelState:
         # pool grows them in place with ``extend``) and the breakdown is a
         # run-constant object behind an accountant property, so caching the
         # references here keeps the per-visit preludes to one attribute
-        # load each.  Only valid for the list pool backend: NumPy growth
-        # reallocates, so the vector engine (the sole numpy-pool user)
-        # never touches these caches and re-reads ``self.pool`` instead.
+        # load each.
         pool = self.pool
         self._pid = pool.pid
         self._length_flits = pool.length_flits
@@ -453,19 +427,6 @@ class KernelState:
             switches[route[i]].output_towards(route[i + 1])
             for i in range(len(route) - 1)
         ]
-
-    def recompile_route_ports(self) -> None:
-        """Rebuild the compiled per-hop output-port tables of every live packet.
-
-        A :meth:`~repro.noc.pool.PacketPool.restore` drops the
-        ``route_ports`` column (it holds object references into one network
-        instance); this pass re-derives it from the restored routes, the
-        same way fault recovery does after splicing a route.
-        """
-        route_ports = self.pool.route_ports
-        for handle in self.pool.live_handles():
-            if route_ports[handle] is None and self.pool.route[handle] is not None:
-                self.compile_route_ports(handle)
 
     # ------------------------------------------------------------------
     # Phase 3: injection.
@@ -826,44 +787,6 @@ class KernelState:
             raise SimulationStallError(message)
         self.stalled = True
 
-    # ------------------------------------------------------------------
-    # Checkpoint/restore.
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> bytes:
-        """Serialise the complete mutable state graph of this run.
-
-        Everything a cycle mutates is reachable from the state — the pool
-        arrays, VC rings, port arbitration state, scheduler wake sets,
-        traffic RNGs, the accountant and the result — and pickle's memo
-        preserves the aliasing between them (the hot caches stay views of
-        the pool's columns), so :meth:`restore` yields a state that
-        continues bit-identically.  Only valid at a cycle boundary: phase
-        scratch lists must be empty, which the kernel guarantees between
-        cycles.
-        """
-        with graph_pickling_limit(len(self.network.switches)):
-            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def restore(cls, payload: bytes) -> "KernelState":
-        """Deserialise a :meth:`snapshot` taken by exactly this state class.
-
-        Restoring a vector-engine snapshot through the scalar class (or
-        vice versa) raises
-        :class:`~repro.noc.checkpoint.CheckpointEngineMismatchError`: the
-        two engines maintain different run state, so the other engine's
-        phases could not continue it bit-identically.
-        """
-        state = pickle.loads(payload)
-        if type(state) is not cls:
-            raise CheckpointEngineMismatchError(
-                f"snapshot holds a {type(state).__name__} "
-                f"({getattr(state, 'engine_name', '?')} engine), "
-                f"cannot restore it as {cls.__name__}"
-            )
-        return state
-
 
 # ----------------------------------------------------------------------
 # Phases.
@@ -980,45 +903,12 @@ class SimulationKernel:
         scheduler: Optional[Scheduler] = None,
         fault_injector=None,
     ) -> None:
-        #: Whether the NumPy fast path actually drives this run.  The
-        #: vector engine covers wired fault-free configurations; wireless
-        #: fabrics and fault plans fall back to the scalar phases (which
-        #: are bit-identical by construction, so the fallback is purely a
-        #: performance decision).
-        self.vector_active = (
-            config.engine == "vector"
-            and fault_injector is None
-            and scheduler is None
-            and all(
-                not fabric.is_wireless and fabric.always_grants
-                for fabric in network.fabrics
-            )
-        )
         #: The run's fault injector (``None`` on fault-free runs).  Kept as
         #: an attribute so a restored kernel's caller can reach it for the
         #: end-of-run topology restore, exactly like a fresh run's.
         self.fault_injector = fault_injector
         switches = [network.switches[sid] for sid in sorted(network.switches)]
         injecting = [s for s in switches if s.endpoints]
-        if self.vector_active:
-            from .vector import InjectionTracker, VectorKernelState, vector_phases
-
-            self.scheduler = InjectionTracker()
-            self.scheduler.bind(switches, injecting)
-            self.state = VectorKernelState(
-                network=network,
-                router=router,
-                traffic=traffic,
-                accountant=accountant,
-                result=result,
-                config=config,
-                net_config=net_config,
-                scheduler=self.scheduler,
-            )
-            for fabric in network.fabrics:
-                fabric.bind_pool(self.state.pool)
-            self.phases: List[Phase] = vector_phases(self.state)
-            return
         self.scheduler = scheduler or make_scheduler(config.scheduler)
         self.scheduler.bind(switches, injecting)
         self.state = KernelState(
@@ -1044,11 +934,6 @@ class SimulationKernel:
             self.state.faults_active = True
             self.phases.insert(0, FaultPhase(self.state, fault_injector))
 
-    @property
-    def engine_name(self) -> str:
-        """The engine actually driving this run (after any fallback)."""
-        return "vector" if self.vector_active else "scalar"
-
     def snapshot(self) -> KernelCheckpoint:
         """Capture a resumable checkpoint of the whole run at this cycle.
 
@@ -1059,29 +944,14 @@ class SimulationKernel:
         """
         with graph_pickling_limit(len(self.state.network.switches)):
             payload = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        return KernelCheckpoint(
-            engine=self.engine_name,
-            cycle=self.state.cycle,
-            payload=payload,
-        )
+        return KernelCheckpoint(cycle=self.state.cycle, payload=payload)
 
     @classmethod
-    def resume(cls, checkpoint: KernelCheckpoint, engine: str = "scalar") -> "SimulationKernel":
-        """Reconstruct a kernel from a checkpoint, validating the engine.
+    def resume(cls, checkpoint: KernelCheckpoint) -> "SimulationKernel":
+        """Reconstruct a kernel from a checkpoint.
 
-        ``engine`` is the caller's configured engine request.  A scalar
-        checkpoint is acceptable under either request (the vector engine
-        falls back to the scalar phases transparently, bit-identically);
-        a vector checkpoint under an explicit scalar request raises
-        :class:`~repro.noc.checkpoint.CheckpointEngineMismatchError`.
         Continue with :meth:`run` at ``checkpoint.cycle + 1``.
         """
-        if checkpoint.engine == "vector" and engine != "vector":
-            raise CheckpointEngineMismatchError(
-                "checkpoint was taken by the vector engine; the scalar "
-                "phases cannot continue it bit-identically (request "
-                'engine="vector" to resume it)'
-            )
         return pickle.loads(checkpoint.payload)
 
     def run(

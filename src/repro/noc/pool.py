@@ -50,29 +50,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-import numpy
-
-#: Oldest NumPy this module's array backend is tested against.  The vector
-#: engine relies on stable fancy-indexing/``reduceat`` semantics that were
-#: settled by this release; failing at import time beats failing mid-run.
-NUMPY_MIN_VERSION = (1, 22)
-
-
-def _check_numpy_version() -> None:
-    try:
-        parts = tuple(int(p) for p in numpy.__version__.split(".")[:2])
-    except ValueError:  # pragma: no cover - exotic dev builds
-        return  # unparseable (dev/nightly) versions are assumed new enough
-    if parts < NUMPY_MIN_VERSION:
-        floor = ".".join(str(p) for p in NUMPY_MIN_VERSION)
-        raise ImportError(
-            f"repro.noc.pool requires numpy >= {floor}, "
-            f"found {numpy.__version__}"
-        )
-
-
-_check_numpy_version()
-
 #: Bits of a flit handle reserved for the flit index within its packet.
 FLIT_INDEX_BITS = 12
 #: Mask extracting the flit index from a flit handle.
@@ -82,48 +59,6 @@ MAX_PACKET_LENGTH_FLITS = 1 << FLIT_INDEX_BITS
 
 #: Handles are granted in chunks of this many records at a time.
 _GROWTH_CHUNK = 256
-
-#: The non-object parallel arrays captured by :meth:`PacketPool.snapshot`
-#: (``route``/``route_ports``/``traffic_class`` are object-valued and
-#: handled separately — ``route_ports`` holds live OutputPort references
-#: and is deliberately *not* part of a snapshot).
-_SNAPSHOT_FIELDS = (
-    "pid",
-    "src_endpoint",
-    "dst_endpoint",
-    "src_switch",
-    "dst_switch",
-    "length_flits",
-    "generation_cycle",
-    "injection_cycle",
-    "ejection_cycle",
-    "head_hop",
-    "energy_pj",
-    "flits_ejected",
-    "is_memory_access",
-    "is_reply",
-    "measured",
-)
-
-
-def _empty_int64() -> "numpy.ndarray":
-    return numpy.empty(0, dtype=numpy.int64)
-
-
-def _empty_float64() -> "numpy.ndarray":
-    return numpy.empty(0, dtype=numpy.float64)
-
-
-def _empty_bool() -> "numpy.ndarray":
-    return numpy.empty(0, dtype=numpy.bool_)
-
-
-def _grow_array(array: "numpy.ndarray", chunk: int, fill) -> "numpy.ndarray":
-    grown = numpy.empty(len(array) + chunk, dtype=array.dtype)
-    grown[: len(array)] = array
-    grown[len(array):] = fill
-    return grown
-
 
 class FlitPool:
     """Packed-integer flit handles over one :class:`PacketPool`.
@@ -175,29 +110,12 @@ class PacketPool:
     :meth:`repro.noc.kernel.KernelState.compile_route_ports`), so the
     allocation inner loop never resolves a neighbour dictionary.
 
-    Two backing-store backends share the same handle semantics:
-
-    * ``backend="list"`` (the default) keeps every field in a plain Python
-      list — the fastest representation for the scalar engine's one-record-
-      at-a-time access pattern (CPython list indexing beats NumPy scalar
-      indexing by ~3x).
-    * ``backend="numpy"`` keeps the scalar integer/float/bool fields in
-      NumPy ``int64``/``float64``/``bool_`` parallel arrays, which the
-      vector engine gathers with fancy indexing (zero-copy views over the
-      same storage the per-record accessors mutate).  The object-valued
-      fields (``route``, ``route_ports``, ``traffic_class``) stay Python
-      lists in both backends, and the optional cycle fields use ``-1`` as
-      the array spelling of ``None`` (translated back at the
-      :class:`PacketView` boundary).
-
-    Growth and recycling are backend-independent: capacity grows by
-    ``max(_GROWTH_CHUNK, capacity)`` records (amortised doubling) and the
-    new handles join the free list in descending order so allocation hands
-    them out ascending.  NumPy growth reallocates (arrays cannot extend in
-    place), so callers must re-read the array attributes after any call
-    that can allocate — the vector engine's batch passes only gather
-    records that existed before the pass, which stale pre-growth views
-    still cover.
+    Every field is a plain Python list — the fastest representation for
+    the kernel's one-record-at-a-time access pattern.  Capacity grows by
+    ``max(_GROWTH_CHUNK, capacity)`` records (amortised doubling), in
+    place with ``extend``, so references cached into the columns stay
+    valid; the new handles join the free list in descending order so
+    allocation hands them out ascending.
     """
 
     __slots__ = (
@@ -223,40 +141,26 @@ class PacketPool:
         "allocated_total",
         "freed_total",
         "flits",
-        "backend",
-        "_no_cycle",
     )
 
-    def __init__(self, backend: str = "list") -> None:
-        if backend not in ("list", "numpy"):
-            raise ValueError(f"unknown pool backend {backend!r}; known: list, numpy")
-        self.backend = backend
-        if backend == "numpy":
-            int_field = _empty_int64
-            float_field = _empty_float64
-            bool_field = _empty_bool
-            #: Array spelling of "no cycle recorded yet".
-            self._no_cycle: Optional[int] = -1
-        else:
-            int_field = float_field = bool_field = list
-            self._no_cycle = None
-        self.pid = int_field()
-        self.src_endpoint = int_field()
-        self.dst_endpoint = int_field()
-        self.src_switch = int_field()
-        self.dst_switch = int_field()
-        self.length_flits = int_field()
-        self.generation_cycle = int_field()
-        self.injection_cycle = int_field()
-        self.ejection_cycle = int_field()
+    def __init__(self) -> None:
+        self.pid: List[int] = []
+        self.src_endpoint: List[int] = []
+        self.dst_endpoint: List[int] = []
+        self.src_switch: List[int] = []
+        self.dst_switch: List[int] = []
+        self.length_flits: List[int] = []
+        self.generation_cycle: List[int] = []
+        self.injection_cycle: List[Optional[int]] = []
+        self.ejection_cycle: List[Optional[int]] = []
         self.route: List[Optional[List[int]]] = []
         self.route_ports: List[Optional[list]] = []
-        self.head_hop = int_field()
-        self.energy_pj = float_field()
-        self.flits_ejected = int_field()
-        self.is_memory_access = bool_field()
-        self.is_reply = bool_field()
-        self.measured = bool_field()
+        self.head_hop: List[int] = []
+        self.energy_pj: List[float] = []
+        self.flits_ejected: List[int] = []
+        self.is_memory_access: List[bool] = []
+        self.is_reply: List[bool] = []
+        self.measured: List[bool] = []
         self.traffic_class: List[str] = []
         #: Recycled handles, most recently freed last (LIFO reuse keeps the
         #: working set of array rows hot).
@@ -282,58 +186,27 @@ class PacketPool:
     def _grow(self) -> None:
         chunk = max(_GROWTH_CHUNK, self.capacity)
         start = self.capacity
-        if self.backend == "numpy":
-            for name in (
-                "pid",
-                "src_endpoint",
-                "dst_endpoint",
-                "src_switch",
-                "dst_switch",
-                "length_flits",
-                "generation_cycle",
-                "head_hop",
-                "flits_ejected",
-            ):
-                setattr(self, name, _grow_array(getattr(self, name), chunk, 0))
-            self.injection_cycle = _grow_array(self.injection_cycle, chunk, -1)
-            self.ejection_cycle = _grow_array(self.ejection_cycle, chunk, -1)
-            self.energy_pj = _grow_array(self.energy_pj, chunk, 0.0)
-            for name in ("is_memory_access", "is_reply", "measured"):
-                setattr(self, name, _grow_array(getattr(self, name), chunk, False))
-        else:
-            self.pid.extend([0] * chunk)
-            self.src_endpoint.extend([0] * chunk)
-            self.dst_endpoint.extend([0] * chunk)
-            self.src_switch.extend([0] * chunk)
-            self.dst_switch.extend([0] * chunk)
-            self.length_flits.extend([0] * chunk)
-            self.generation_cycle.extend([0] * chunk)
-            self.injection_cycle.extend([None] * chunk)
-            self.ejection_cycle.extend([None] * chunk)
-            self.head_hop.extend([0] * chunk)
-            self.energy_pj.extend([0.0] * chunk)
-            self.flits_ejected.extend([0] * chunk)
-            self.is_memory_access.extend([False] * chunk)
-            self.is_reply.extend([False] * chunk)
-            self.measured.extend([False] * chunk)
+        self.pid.extend([0] * chunk)
+        self.src_endpoint.extend([0] * chunk)
+        self.dst_endpoint.extend([0] * chunk)
+        self.src_switch.extend([0] * chunk)
+        self.dst_switch.extend([0] * chunk)
+        self.length_flits.extend([0] * chunk)
+        self.generation_cycle.extend([0] * chunk)
+        self.injection_cycle.extend([None] * chunk)
+        self.ejection_cycle.extend([None] * chunk)
+        self.head_hop.extend([0] * chunk)
+        self.energy_pj.extend([0.0] * chunk)
+        self.flits_ejected.extend([0] * chunk)
+        self.is_memory_access.extend([False] * chunk)
+        self.is_reply.extend([False] * chunk)
+        self.measured.extend([False] * chunk)
         self.route.extend([None] * chunk)
         self.route_ports.extend([None] * chunk)
         self.traffic_class.extend([""] * chunk)
         # Freshly grown handles join the free list in descending order so
         # allocation hands them out ascending (LIFO pop from the end).
         self.free_list.extend(range(start + chunk - 1, start - 1, -1))
-
-    def reserve(self, capacity: int) -> None:
-        """Pre-size the backing arrays to at least ``capacity`` records.
-
-        Lane-batched runs (:mod:`repro.noc.lanes`) push roughly N solo
-        runs' worth of live packets through one pool; reserving up front
-        collapses several growth steps — each of which, on the NumPy
-        backend, reallocates and copies every field array — into a few.
-        A no-op when the pool is already large enough.
-        """
-        while self.capacity < capacity:
-            self._grow()
 
     # ------------------------------------------------------------------
     # Handle lifecycle.
@@ -375,8 +248,8 @@ class PacketPool:
         self.dst_switch[handle] = dst_switch
         self.length_flits[handle] = length_flits
         self.generation_cycle[handle] = generation_cycle
-        self.injection_cycle[handle] = self._no_cycle
-        self.ejection_cycle[handle] = self._no_cycle
+        self.injection_cycle[handle] = None
+        self.ejection_cycle[handle] = None
         self.route[handle] = route
         self.route_ports[handle] = None
         self.head_hop[handle] = 0
@@ -402,67 +275,6 @@ class PacketPool:
         """All currently allocated handles (test/diagnostic use only)."""
         free = set(self.free_list)
         return (h for h in range(self.capacity) if h not in free)
-
-    # ------------------------------------------------------------------
-    # Checkpoint/restore.
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Capture every pooled record as plain, owned data.
-
-        The parallel arrays serialise trivially — the snapshot is deep
-        copies of the scalar arrays plus copies of the ``route`` and
-        ``traffic_class`` object columns and the free-list/counter state.
-        ``route_ports`` is deliberately excluded: it holds references to
-        live :class:`~repro.noc.port.OutputPort` objects of one network
-        instance, so a restored pool carries ``None`` there and the owner
-        must recompile the tables for live handles (the kernel does this
-        via :meth:`repro.noc.kernel.KernelState.recompile_route_ports`).
-        """
-        if self.backend == "numpy":
-            scalars = {name: getattr(self, name).copy() for name in _SNAPSHOT_FIELDS}
-        else:
-            scalars = {name: list(getattr(self, name)) for name in _SNAPSHOT_FIELDS}
-        return {
-            "backend": self.backend,
-            "scalars": scalars,
-            "route": [None if r is None else list(r) for r in self.route],
-            "traffic_class": list(self.traffic_class),
-            "free_list": list(self.free_list),
-            "allocated_total": self.allocated_total,
-            "freed_total": self.freed_total,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Restore the pool to a prior :meth:`snapshot`, in place.
-
-        Capacity reverts to the snapshot's (growth between snapshot and
-        restore is rolled back).  On the list backend the restore mutates
-        the existing list objects (``field[:] = ...``), so references the
-        kernel caches into the pool's columns stay valid across a restore;
-        the NumPy backend replaces the arrays wholesale, which is safe
-        because the vector engine re-reads the pool attributes every pass
-        by contract (growth reallocates there anyway).
-        """
-        if snapshot["backend"] != self.backend:
-            raise ValueError(
-                f"cannot restore a {snapshot['backend']!r}-backend snapshot "
-                f"into a {self.backend!r}-backend pool"
-            )
-        capacity = len(snapshot["route"])
-        if self.backend == "numpy":
-            for name in _SNAPSHOT_FIELDS:
-                setattr(self, name, snapshot["scalars"][name].copy())
-        else:
-            for name in _SNAPSHOT_FIELDS:
-                column = getattr(self, name)
-                column[:] = snapshot["scalars"][name]
-        self.route[:] = [None if r is None else list(r) for r in snapshot["route"]]
-        self.route_ports[:] = [None] * capacity
-        self.traffic_class[:] = snapshot["traffic_class"]
-        self.free_list[:] = snapshot["free_list"]
-        self.allocated_total = snapshot["allocated_total"]
-        self.freed_total = snapshot["freed_total"]
 
     def view(self, handle: int) -> "PacketView":
         """A legacy-shaped read view of one pooled packet record."""
@@ -496,54 +308,41 @@ class PacketView:
         self.pool = pool
         self.handle = handle
 
-    # Scalar fields are cast back to builtin int/float/bool so boundary
-    # consumers (JSON caches, equality against literals) never observe a
-    # NumPy scalar when the pool runs on the array backend; the optional
-    # cycle fields additionally translate the array sentinel -1 to None.
-
     @property
     def packet_id(self) -> int:
-        return int(self.pool.pid[self.handle])
+        return self.pool.pid[self.handle]
 
     @property
     def src_endpoint(self) -> int:
-        return int(self.pool.src_endpoint[self.handle])
+        return self.pool.src_endpoint[self.handle]
 
     @property
     def dst_endpoint(self) -> int:
-        return int(self.pool.dst_endpoint[self.handle])
+        return self.pool.dst_endpoint[self.handle]
 
     @property
     def src_switch(self) -> int:
-        return int(self.pool.src_switch[self.handle])
+        return self.pool.src_switch[self.handle]
 
     @property
     def dst_switch(self) -> int:
-        return int(self.pool.dst_switch[self.handle])
+        return self.pool.dst_switch[self.handle]
 
     @property
     def length_flits(self) -> int:
-        return int(self.pool.length_flits[self.handle])
+        return self.pool.length_flits[self.handle]
 
     @property
     def generation_cycle(self) -> int:
-        return int(self.pool.generation_cycle[self.handle])
+        return self.pool.generation_cycle[self.handle]
 
     @property
     def injection_cycle(self) -> Optional[int]:
-        value = self.pool.injection_cycle[self.handle]
-        if value is None:
-            return None
-        value = int(value)
-        return value if value >= 0 else None
+        return self.pool.injection_cycle[self.handle]
 
     @property
     def ejection_cycle(self) -> Optional[int]:
-        value = self.pool.ejection_cycle[self.handle]
-        if value is None:
-            return None
-        value = int(value)
-        return value if value >= 0 else None
+        return self.pool.ejection_cycle[self.handle]
 
     @property
     def route(self) -> List[int]:
@@ -551,27 +350,27 @@ class PacketView:
 
     @property
     def head_hop(self) -> int:
-        return int(self.pool.head_hop[self.handle])
+        return self.pool.head_hop[self.handle]
 
     @property
     def energy_pj(self) -> float:
-        return float(self.pool.energy_pj[self.handle])
+        return self.pool.energy_pj[self.handle]
 
     @property
     def flits_ejected(self) -> int:
-        return int(self.pool.flits_ejected[self.handle])
+        return self.pool.flits_ejected[self.handle]
 
     @property
     def is_memory_access(self) -> bool:
-        return bool(self.pool.is_memory_access[self.handle])
+        return self.pool.is_memory_access[self.handle]
 
     @property
     def is_reply(self) -> bool:
-        return bool(self.pool.is_reply[self.handle])
+        return self.pool.is_reply[self.handle]
 
     @property
     def measured(self) -> bool:
-        return bool(self.pool.measured[self.handle])
+        return self.pool.measured[self.handle]
 
     @property
     def traffic_class(self) -> str:

@@ -111,13 +111,6 @@ class SimulationResult:
     #: fabric, allocation, and faults on faulted runs).  Simulator-side
     #: cost, so excluded from equality comparisons like the wall clock.
     phase_seconds: Dict[str, float] = field(default_factory=dict, compare=False)
-    #: Which engine actually executed the run (``"scalar"``, ``"vector"``,
-    #: or ``"vector-batched"``), stamped at settle time — so a silent
-    #: vector-to-scalar fallback (wireless fabric, fault plan, custom
-    #: scheduler) is visible in the result.  Simulator-side provenance, not
-    #: simulated behaviour, so excluded from equality like the wall clock;
-    #: empty on results produced before the field existed.
-    engine_used: str = field(default="", compare=False)
 
     # ------------------------------------------------------------------
     # Per-packet sample recording.
@@ -130,7 +123,7 @@ class SimulationResult:
         energy_pj: float,
         hops: int,
     ) -> None:
-        """Record one measured packet's samples (both engines call this).
+        """Record one measured packet's samples.
 
         In ``"sampled"`` mode the samples land in the per-packet lists; in
         ``"streaming"`` mode they fold into the constant-memory

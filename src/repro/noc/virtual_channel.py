@@ -50,7 +50,6 @@ class VirtualChannel:
         "send_target",
         "source_packet",
         "source_flits_emitted",
-        "gid",
     )
 
     def __init__(self, port: "InputPort", index: int, ordinal: int, capacity: int) -> None:
@@ -85,9 +84,6 @@ class VirtualChannel:
         #: have been emitted.
         self.source_packet: Optional[int] = None
         self.source_flits_emitted = 0
-        #: Network-wide dense VC index assigned by the vector engine's
-        #: state build (-1 until then); row index into its SoA arrays.
-        self.gid = -1
 
     # ------------------------------------------------------------------
     # Occupancy / flow control.

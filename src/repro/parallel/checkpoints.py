@@ -9,11 +9,9 @@ where to look without any coordination — the same property the result
 cache builds on.  Files are written atomically and deleted when the task
 completes, so a populated store is exactly the set of interrupted runs.
 
-A corrupt or truncated file (e.g. the daemon was killed during an earlier
-schema's run) reads as "no checkpoint": the task cold-starts and
-overwrites it, never erroring out.  An engine-mismatched checkpoint, by
-contrast, *does* raise on resume — that is a configuration error, not
-damage (see :class:`~repro.noc.checkpoint.CheckpointEngineMismatchError`).
+A corrupt, truncated or older-schema file (e.g. the daemon was killed
+during an earlier schema's run) reads as "no checkpoint": the task
+cold-starts and overwrites it, never erroring out.
 """
 
 from __future__ import annotations

@@ -38,13 +38,12 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..core.config import Architecture, SystemConfig
+from ..core.config import SystemConfig
 from ..core.framework import MultichipSimulation
 from ..faults.scenarios import create_fault_plan, scenario_spec
 from ..metrics.report import format_simulator_throughput, format_table
 from ..metrics.saturation import LoadPointSummary, SweepSummary
-from ..noc.engine import ENGINES, SimulationConfig, SimulationStallError
-from ..noc.lanes import BatchIneligibleError, run_batched
+from ..noc.engine import SimulationConfig
 from ..traffic.rng import derive_seed
 from ..wireless.mac.registry import mac_spec
 from .cache import ResultCache
@@ -61,7 +60,6 @@ __all__ = [
     "assemble_sweep",
     "execute_task",
     "execute_task_batch",
-    "plan_batches",
     "replicated_tasks",
     "sweep_tasks",
     "task_simulator",
@@ -79,13 +77,10 @@ __all__ = [
 #: specs into these same tasks; the bump fences off pre-scenario cache
 #: entries so a spec run and its CLI-flag equivalent provably share
 #: entries written under one schema.
-#: v6: the execution engine (``--engine scalar|vector``) joined the runner.
-#: The engine is deliberately *not* part of the task content or the cache
-#: key: both engines are bit-identical by construction (pinned by the
-#: golden-fingerprint parity matrix and the fuzz battery), so an entry
-#: written by either engine serves both.  The bump only fences off entries
-#: written before the engine axis existed, so every v6 entry is known to
-#: be engine-agnostic.
+#: v6: an execution-engine choice briefly joined the runner.  It was never
+#: part of the task content or the cache key (every engine was
+#: bit-identical), and with one kernel left the v6 entries stay valid as
+#: they are.
 TASK_SCHEMA_VERSION = 6
 
 #: Default on-disk location of the per-task result cache (relative to the
@@ -316,9 +311,7 @@ def replicated_tasks(task: SimulationTask, replicas: int) -> List[SimulationTask
     ]
 
 
-def task_simulator(
-    task: SimulationTask, profile: bool = False, engine: str = "scalar"
-):
+def task_simulator(task: SimulationTask, profile: bool = False):
     """Build (but do not run) the fully wired simulator of one task.
 
     The single construction path behind :func:`execute_task`: the system
@@ -327,9 +320,7 @@ def task_simulator(
     through the traffic registry — exactly as a figure run would.  Exposed
     so the scenario fuzzer battery can attach instrumentation (the MAC
     grant-exclusivity probe) via ``Simulator.instrument`` and still run
-    bit-identically to the production path.  ``engine`` selects the kernel
-    execution path (``"scalar"`` or ``"vector"``); results are identical
-    either way, which is why it is not part of the task itself.
+    bit-identically to the production path.
     """
     simulation = MultichipSimulation.from_config(
         task.effective_config(),
@@ -337,7 +328,6 @@ def task_simulator(
             cycles=task.cycles,
             warmup_cycles=task.warmup_cycles,
             profile_phases=profile,
-            engine=engine,
         ),
     )
     fault_plan = None
@@ -366,7 +356,6 @@ def task_simulator(
 def execute_task(
     task: SimulationTask,
     profile: bool = False,
-    engine: str = "scalar",
     checkpoint_every: int = 0,
     checkpoint_dir: str = "",
 ) -> Dict[str, object]:
@@ -388,7 +377,7 @@ def execute_task(
     bit-identical to uninterrupted ones (``tests/test_checkpoint.py``);
     the knobs are execution-level and never part of the cache key.
     """
-    simulator = task_simulator(task, profile=profile, engine=engine)
+    simulator = task_simulator(task, profile=profile)
     store: Optional[CheckpointStore] = None
     checkpoint = None
     key = ""
@@ -414,135 +403,27 @@ def execute_task(
     return payload
 
 
-def _execute_task_profiled(task: SimulationTask) -> Dict[str, object]:
-    """Module-level (picklable) profiling variant of :func:`execute_task`."""
-    return execute_task(task, profile=True)
-
-
-# ----------------------------------------------------------------------
-# Lane batching: grouping compatible tasks into one fused vector run.
-# ----------------------------------------------------------------------
-
-
-def _task_batchable(task: SimulationTask) -> bool:
-    """Whether a task can ride a lane-batched vector run.
-
-    Mirrors the kernel's ``vector_active`` gate at the task level: wired
-    (no wireless fabric to arbitrate) and fault-free.  Everything else —
-    pattern, load, seed, run length — may differ freely between lanes.
-    """
-    return (
-        task.faults == "none"
-        and task.effective_config().architecture is not Architecture.WIRELESS
-    )
-
-
-def plan_batches(
-    tasks: Sequence[SimulationTask], lanes: int
-) -> List[List[SimulationTask]]:
-    """Group pending tasks into lane batches of up to ``lanes`` tasks.
-
-    Tasks sharing one effective system configuration (hence one topology
-    and network configuration) are bucketed together, in input order, and
-    every full bucket becomes one batch; unbatchable tasks (wireless,
-    faulted) and leftovers become singleton or short batches.  With
-    ``lanes <= 1`` every task is its own batch — the planner is then a
-    structural no-op and execution is exactly the unbatched path.
-    """
-    if lanes <= 1:
-        return [[task] for task in tasks]
-    batches: List[List[SimulationTask]] = []
-    buckets: Dict[SystemConfig, List[SimulationTask]] = {}
-    for task in tasks:
-        if not _task_batchable(task):
-            batches.append([task])
-            continue
-        key = task.effective_config()
-        bucket = buckets.setdefault(key, [])
-        bucket.append(task)
-        if len(bucket) >= lanes:
-            batches.append(bucket)
-            buckets[key] = []
-    for bucket in buckets.values():
-        if bucket:
-            batches.append(bucket)
-    return batches
-
-
 def execute_task_batch(
     tasks: Sequence[SimulationTask],
     profile: bool = False,
-    engine: str = "scalar",
     checkpoint_every: int = 0,
     checkpoint_dir: str = "",
 ) -> List[Dict[str, object]]:
-    """Run one planned batch of tasks; returns payloads in task order.
+    """Run a batch of tasks one after another; payloads in task order."""
+    return [execute_task(task, profile, checkpoint_every, checkpoint_dir) for task in tasks]
 
-    Multi-task batches under the vector engine are fused into one
-    lane-batched cycle loop (:func:`repro.noc.lanes.run_batched`); every
-    other shape — singletons, the scalar engine, profiling, checkpointing
-    — executes each task through :func:`execute_task`, so a one-task batch
-    is behaviourally identical to the unbatched runner (including the
-    checkpoint/resume path).  An ineligible or stalling batch falls back
-    to solo execution: a genuinely stalling task then re-raises from its
-    own solo run, exactly as it would have unbatched.
+
+def _batch_executor(profile: bool, checkpoint_every: int = 0, checkpoint_dir: str = ""):
+    """A picklable ``batch -> payloads`` callable for the worker pool.
+
+    ``functools.partial`` over the module-level :func:`execute_task_batch`
+    stays picklable (the partial ships the function by reference plus
+    plain keyword values), which is what lets the runner's checkpoint
+    knobs reach worker processes without joining the task objects.
     """
-    tasks = list(tasks)
-    solo = (
-        len(tasks) == 1
-        or profile
-        or engine != "vector"
-        or (checkpoint_every > 0 and bool(checkpoint_dir))
-    )
-    if not solo:
-        simulators = [task_simulator(task, engine="vector") for task in tasks]
-        try:
-            results = run_batched(simulators)
-        except (BatchIneligibleError, SimulationStallError):
-            solo = True
-        else:
-            payloads = []
-            for task, result in zip(tasks, results):
-                if task.kind == "synthetic":
-                    offered = task.load
-                else:
-                    offered = result.offered_load_packets_per_core_per_cycle
-                payloads.append(LoadPointSummary.from_result(offered, result).as_dict())
-            return payloads
-    return [
-        execute_task(task, profile, engine, checkpoint_every, checkpoint_dir)
-        for task in tasks
-    ]
-
-
-def _batch_executor(
-    profile: bool, engine: str, checkpoint_every: int = 0, checkpoint_dir: str = ""
-):
-    """A picklable ``batch -> payloads`` callable for the worker pool."""
     return partial(
         execute_task_batch,
         profile=profile,
-        engine=engine,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-    )
-
-
-def _task_executor(
-    profile: bool, engine: str, checkpoint_every: int = 0, checkpoint_dir: str = ""
-):
-    """A picklable ``task -> payload`` callable for the worker pool.
-
-    ``functools.partial`` over the module-level :func:`execute_task` stays
-    picklable (the partial ships the function by reference plus plain
-    keyword values), which is what lets the runner's ``engine`` and
-    checkpoint knobs reach worker processes without joining the task
-    objects themselves.
-    """
-    return partial(
-        execute_task,
-        profile=profile,
-        engine=engine,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
     )
@@ -588,28 +469,10 @@ class ExperimentRunner:
         use_cache: bool = True,
         show_progress: bool = False,
         profile: bool = False,
-        engine: str = "scalar",
         checkpoint_every_cycles: int = 0,
         checkpoint_dir: Optional[str] = None,
-        batch_lanes: int = 1,
     ) -> None:
         self.jobs = max(1, int(jobs))
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}"
-            )
-        #: Lane count for batched multi-task co-simulation (the CLI's
-        #: ``--batch-lanes``): under the vector engine, up to this many
-        #: compatible pending tasks fuse into one vector cycle loop (see
-        #: :mod:`repro.noc.lanes`).  ``1`` disables batching.  Results and
-        #: cache entries are bit-identical at any value — batching is
-        #: invisible to the cache, dedupe and figures.
-        self.batch_lanes = max(1, int(batch_lanes))
-        #: Kernel execution path for every task this runner simulates (the
-        #: CLI's ``--engine``).  Results are bit-identical across engines,
-        #: so the cache is shared: a vector run reads and writes the same
-        #: entries a scalar run would.
-        self.engine = engine
         #: Per-phase kernel profiling (the CLI's ``--profile``): every task
         #: runs with phase timing enabled and the per-task timings are
         #: accumulated into :attr:`phase_seconds`.  Profiling bypasses the
@@ -632,10 +495,6 @@ class ExperimentRunner:
         self.wall_clock_seconds = 0.0
         self.simulated_cycles = 0
         self.phase_seconds: Dict[str, float] = {}
-        #: Tasks that requested the vector engine but executed on the
-        #: scalar phases (wireless fabric or fault plan).  Backs the
-        #: summary note that makes the fallback visible instead of silent.
-        self.vector_fallbacks = 0
 
     # ------------------------------------------------------------------
     # Execution.
@@ -673,24 +532,12 @@ class ExperimentRunner:
                 0, len(pending), f"{len(unique)} tasks, {len(unique) - len(pending)} cached"
             )
 
-        # Lane batching engages only for the fused-eligible execution shape;
-        # everywhere else the plan degenerates to singletons and execution
-        # is exactly the unbatched path.  Cache keys, dedupe and the result
-        # mapping are per *task* in both shapes — batching stays invisible.
-        lanes = self.batch_lanes
-        if (
-            self.engine != "vector"
-            or self.profile
-            or (self.checkpoint_every_cycles and self.checkpoint_dir)
-        ):
-            lanes = 1
-        batches = plan_batches(pending, lanes)
-
+        # One task per pool item, so workers pick up work task by task.
+        batches = [[task] for task in pending]
         started = time.perf_counter()
         payload_lists = run_tasks(
             _batch_executor(
                 self.profile,
-                self.engine,
                 checkpoint_every=self.checkpoint_every_cycles,
                 checkpoint_dir=self.checkpoint_dir,
             ),
@@ -705,8 +552,6 @@ class ExperimentRunner:
             for task, payload in zip(batch, payloads):
                 for name, seconds in payload.get("phase_seconds", {}).items():
                     self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
-                if self.engine == "vector" and payload.get("engine_used") == "scalar":
-                    self.vector_fallbacks += 1
                 if self.cache is not None:
                     self.cache.put(
                         task.cache_key(),
@@ -785,12 +630,6 @@ class ExperimentRunner:
         throughput = self.throughput_line()
         if throughput:
             line = f"{line}\n[runner] {throughput}"
-        if self.vector_fallbacks:
-            line = (
-                f"{line}\n[runner] {self.vector_fallbacks} task(s) requested the "
-                "vector engine but ran on the scalar phases "
-                "(wireless fabric or fault plan; results are bit-identical)"
-            )
         return line
 
     def phase_report(self) -> str:
@@ -827,16 +666,10 @@ class ExperimentRunner:
             line += f" [aggregate across {self.jobs} workers]"
         return line
 
-    def _on_task_done(self, done: int, total: int, task: SimulationTask, _result) -> None:
-        self._progress_line(done, total, task.label)
-
     def _on_batch_done(
         self, done: int, total: int, batch: Sequence[SimulationTask], _result
     ) -> None:
-        label = batch[0].label
-        if len(batch) > 1:
-            label = f"{label} [+{len(batch) - 1} batched lane(s)]"
-        self._progress_line(done, total, label)
+        self._progress_line(done, total, batch[0].label)
 
     @staticmethod
     def _progress_line(done: int, total: int, detail: str) -> None:

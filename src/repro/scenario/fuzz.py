@@ -160,23 +160,16 @@ def random_scenario(seed: int) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 
 
-def check_task(
-    task,
-    scenario: Optional[Dict[str, object]] = None,
-    engine: str = "scalar",
-) -> Dict[str, object]:
+def check_task(task, scenario: Optional[Dict[str, object]] = None) -> Dict[str, object]:
     """Run one compiled task and assert all four kernel invariants.
 
-    ``engine`` selects the kernel execution path, so the same battery
-    exercises the NumPy fast path (wireless or faulted draws fall back to
-    scalar transparently, exactly as production runs do).  Returns a small
-    stats dict on success; raises :class:`InvariantViolation` listing
-    every broken invariant otherwise.
+    Returns a small stats dict on success; raises
+    :class:`InvariantViolation` listing every broken invariant otherwise.
     """
     from ..api import build_simulator
     from ..noc.engine import SimulationStallError
 
-    simulator = build_simulator(task, engine=engine)
+    simulator = build_simulator(task)
     observed: Dict[object, set] = {}
 
     def instrument(network) -> None:
@@ -257,11 +250,11 @@ def check_task(
     }
 
 
-def check_scenario(raw: Dict[str, object], engine: str = "scalar") -> Dict[str, object]:
+def check_scenario(raw: Dict[str, object]) -> Dict[str, object]:
     """Validate, compile and battery-test one raw scenario document."""
     spec: ScenarioSpec = parse_scenario(raw)
     tasks = compile_scenario(spec)
-    reports = [check_task(task, scenario=raw, engine=engine) for task in tasks]
+    reports = [check_task(task, scenario=raw) for task in tasks]
     return {
         "name": spec.name,
         "tasks": len(tasks),
@@ -274,7 +267,6 @@ def run_battery(
     count: int = 25,
     base_seed: int = DEFAULT_BATTERY_SEED,
     on_progress: Optional[Callable[[int, Dict[str, object]], None]] = None,
-    engine: str = "scalar",
 ) -> List[Dict[str, object]]:
     """Fuzz ``count`` scenarios derived from ``base_seed`` through the battery."""
     if count <= 0:
@@ -282,7 +274,7 @@ def run_battery(
     reports = []
     for index in range(count):
         raw = random_scenario(derive_seed(base_seed, "battery", index))
-        report = check_scenario(raw, engine=engine)
+        report = check_scenario(raw)
         reports.append(report)
         if on_progress is not None:
             on_progress(index, report)
@@ -309,17 +301,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help=f"base seed of the batch (default: {DEFAULT_BATTERY_SEED})",
     )
     parser.add_argument(
-        "--engine",
-        choices=("scalar", "vector"),
-        default="scalar",
-        help=(
-            "kernel execution path for every fuzzed task (default: scalar); "
-            "'vector' drives the NumPy SoA fast path through the same "
-            "battery — wireless or faulted draws fall back to scalar, as in "
-            "production runs"
-        ),
-    )
-    parser.add_argument(
         "--dump",
         default="failing-scenario.json",
         metavar="FILE",
@@ -340,9 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
 
     try:
-        reports = run_battery(
-            args.count, base_seed=args.seed, on_progress=progress, engine=args.engine
-        )
+        reports = run_battery(args.count, base_seed=args.seed, on_progress=progress)
     except InvariantViolation as violation:
         with open(args.dump, "w", encoding="utf-8") as handle:
             json.dump(

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.service --socket /tmp/repro.sock \
-        [--jobs N] [--cache-dir DIR] [--no-cache] [--engine scalar|vector] \
+        [--jobs N] [--cache-dir DIR] [--no-cache] \
         [--checkpoint-every CYCLES] [--checkpoint-dir DIR] [--verbose]
 
 The daemon serves the newline-delimited JSON protocol documented in
@@ -53,18 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the result cache (every submitted task runs)",
     )
     parser.add_argument(
-        "--engine", choices=("scalar", "vector"), default="scalar",
-        help="kernel execution path for every task (default: scalar)",
-    )
-    parser.add_argument(
-        "--batch-lanes", type=int, default=1, metavar="N",
-        help=(
-            "with --engine vector, fuse up to N compatible queued tasks "
-            "into one lane-batched co-simulation per pool slot "
-            "(default: 1, no batching)"
-        ),
-    )
-    parser.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="CYCLES",
         help=(
             "write a resumable kernel checkpoint every N executed cycles "
@@ -92,10 +80,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = ServiceConfig(
         jobs=max(1, args.jobs),
         cache_dir=None if args.no_cache else args.cache_dir,
-        engine=args.engine,
         checkpoint_every_cycles=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
-        batch_lanes=max(1, args.batch_lanes),
     )
     daemon = ServiceDaemon(args.socket, config, quiet=not args.verbose)
 

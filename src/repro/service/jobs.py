@@ -22,11 +22,7 @@ task's priority.
 
 Everything here runs on the event loop — submissions, dispatch and
 result fan-out are single-threaded, so there are no locks; only
-:func:`repro.parallel.runner.execute_task_batch` runs on pool workers
-(with ``batch_lanes > 1`` and the vector engine, one pool slot may
-lane-batch several compatible queued tasks into a single fused
-co-simulation — results stay bit-identical and cache keys unchanged).
-With
+:func:`repro.parallel.runner.execute_task` runs on pool workers.  With
 the checkpoint knobs set, workers persist resumable kernel checkpoints
 keyed by task (see :mod:`repro.parallel.checkpoints`), so a crashed or
 killed attempt's successor resumes from the last checkpoint
@@ -44,13 +40,7 @@ from functools import partial
 from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..parallel.cache import ResultCache
-from ..parallel.runner import (
-    TASK_SCHEMA_VERSION,
-    SimulationTask,
-    _task_batchable,
-    execute_task,
-    execute_task_batch,
-)
+from ..parallel.runner import TASK_SCHEMA_VERSION, SimulationTask, execute_task
 
 __all__ = [
     "JobEvent",
@@ -74,17 +64,10 @@ class ServiceConfig:
     #: Result-cache directory; ``None`` disables the cache (every task
     #: runs, and nothing is remembered between submissions).
     cache_dir: Optional[str] = None
-    #: Kernel execution path for every task (``"scalar"`` / ``"vector"``).
-    engine: str = "scalar"
     #: Checkpoint cadence in cycles; ``0`` disables checkpointing.
     checkpoint_every_cycles: int = 0
     #: Checkpoint-store directory; must be set for checkpointing to engage.
     checkpoint_dir: str = ""
-    #: Fuse up to this many compatible queued tasks into one lane-batched
-    #: vector execution per pool slot (see :mod:`repro.noc.lanes`).  Only
-    #: engages with ``engine="vector"`` and checkpointing off; ``1``
-    #: dispatches every task solo, exactly as before.
-    batch_lanes: int = 1
     #: Run tasks on worker *processes* (true parallelism) instead of the
     #: loop's thread pool.  ``None`` picks processes iff ``jobs > 1``.
     use_processes: Optional[bool] = None
@@ -228,8 +211,6 @@ class SweepService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
-        if self.config.engine not in ("scalar", "vector"):
-            raise ValueError(f"unknown engine {self.config.engine!r}")
         self.cache: Optional[ResultCache] = (
             ResultCache(self.config.cache_dir) if self.config.cache_dir else None
         )
@@ -353,7 +334,6 @@ class SweepService:
             "queued": len(self._inflight) - running,
             "running": running,
             "jobs": self.config.jobs,
-            "engine": self.config.engine,
             "executed": self.total_executed,
             "cached": self.total_cached,
             "coalesced": self.total_coalesced,
@@ -374,91 +354,37 @@ class SweepService:
                 rank, _seq, entry = heapq.heappop(self._heap)
                 if entry.state != "queued" or rank != entry.rank:
                     continue  # stale record of a promoted/started entry
-                batch = [entry]
-                batch.extend(self._gather_companions(entry))
-                for member in batch:
-                    member.state = "running"
-                self._running += 1  # a whole batch occupies one pool slot
-                asyncio.get_running_loop().create_task(self._execute_batch(batch))
+                entry.state = "running"
+                self._running += 1
+                asyncio.get_running_loop().create_task(self._execute(entry))
 
-    def _gather_companions(self, entry: _Entry) -> List[_Entry]:
-        """Queued entries fusable with ``entry`` into one lane batch.
-
-        Companions must share the leader's priority rank (an interactive
-        leader never drags bulk work into its slot, and vice versa) and
-        its effective system configuration, and be lane-batchable at all
-        (wired fabric, no fault plan).  Their stale heap records are left
-        in place; the pop-side state check skips them.
-        """
+    async def _execute(self, entry: _Entry) -> None:
         config = self.config
-        if (
-            config.batch_lanes <= 1
-            or config.engine != "vector"
-            or (config.checkpoint_every_cycles > 0 and config.checkpoint_dir)
-            or not _task_batchable(entry.task)
-        ):
-            return []
-        group = entry.task.effective_config()
-        companions: List[_Entry] = []
-        for rank, _seq, candidate in sorted(self._heap):
-            if len(companions) + 1 >= config.batch_lanes:
-                break
-            if (
-                candidate.state == "queued"
-                and rank == candidate.rank
-                and rank == entry.rank
-                and _task_batchable(candidate.task)
-                and candidate.task.effective_config() == group
-            ):
-                companions.append(candidate)
-        return companions
-
-    async def _execute_batch(self, batch: List[_Entry]) -> None:
-        loop = asyncio.get_running_loop()
-        config = self.config
-        if len(batch) == 1:
-            # Solo dispatch stays on execute_task so behaviour (and the
-            # checkpoint/resume path) is byte-for-byte the pre-batching one.
-            call = partial(
-                execute_task,
-                batch[0].task,
-                False,  # profile
-                config.engine,
-                config.checkpoint_every_cycles,
-                config.checkpoint_dir,
-            )
-        else:
-            call = partial(
-                execute_task_batch,
-                [entry.task for entry in batch],
-                False,  # profile
-                config.engine,
-                config.checkpoint_every_cycles,
-                config.checkpoint_dir,
-            )
+        call = partial(
+            execute_task,
+            entry.task,
+            checkpoint_every=config.checkpoint_every_cycles,
+            checkpoint_dir=config.checkpoint_dir,
+        )
         try:
-            result = await loop.run_in_executor(self._pool, call)
-            payloads = [result] if len(batch) == 1 else result
+            payload = await asyncio.get_running_loop().run_in_executor(self._pool, call)
         except Exception as error:  # noqa: BLE001 - forwarded to subscribers
             message = f"{type(error).__name__}: {error}"
-            for entry in batch:
-                self.total_failed += 1
-                for job in entry.jobs:
-                    job._fail(entry.key, entry.task.label, message)
+            self.total_failed += 1
+            for job in entry.jobs:
+                job._fail(entry.key, entry.task.label, message)
         else:
-            for entry, payload in zip(batch, payloads):
-                self._cache_put(entry.key, entry.task, payload)
-                for index, job in enumerate(entry.jobs):
-                    source = "run" if index == 0 else "coalesced"
-                    if index == 0:
-                        self.total_executed += 1
-                    else:
-                        self.total_coalesced += 1
-                    job._deliver(entry.key, entry.task.label, payload, source)
+            self._cache_put(entry.key, entry.task, payload)
+            for index, job in enumerate(entry.jobs):
+                source = "run" if index == 0 else "coalesced"
+                if index == 0:
+                    self.total_executed += 1
+                else:
+                    self.total_coalesced += 1
+                job._deliver(entry.key, entry.task.label, payload, source)
         finally:
             self._running -= 1
-            for entry in batch:
-                del self._inflight[entry.key]
+            del self._inflight[entry.key]
             if self._wake is not None:
                 self._wake.set()
 

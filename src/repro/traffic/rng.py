@@ -34,21 +34,6 @@ def derive_seed(base_seed: int, *components: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def lane_seeds(base_seed: int, lanes: int) -> list:
-    """Independent per-lane seeds for batched multi-seed co-simulation.
-
-    Lane 0 keeps ``base_seed`` itself (so a one-lane batch is seed-identical
-    to the solo run, mirroring :func:`repro.parallel.runner.replicated_tasks`)
-    and every further lane derives its own stream from the base seed and its
-    lane index via :func:`derive_seed`.
-    """
-    if lanes <= 0:
-        raise ValueError("lanes must be positive")
-    return [base_seed] + [
-        derive_seed(base_seed, "lane", index) for index in range(1, lanes)
-    ]
-
-
 def bernoulli(rng: random.Random, probability: float) -> bool:
     """One biased coin flip."""
     if not 0.0 <= probability <= 1.0:

@@ -208,6 +208,38 @@ class TestRunnerShim:
         assert output.stdout.strip() == "clean"
 
 
+class TestPurePython:
+    def test_simulating_a_task_never_imports_numpy(self):
+        """The simulator is pure Python: a whole run loads no numpy."""
+        script = (
+            "import sys\n"
+            "from dataclasses import dataclass\n"
+            "from repro import api\n"
+            "from repro.core.config import Architecture\n"
+            "from repro.parallel.runner import uniform_task\n"
+            "from repro.testing import small_system_config\n"
+            "@dataclass(frozen=True)\n"
+            "class Fidelity:\n"
+            "    cycles: int = 200\n"
+            "    warmup_cycles: int = 50\n"
+            "    seed: int = 3\n"
+            "task = uniform_task(\n"
+            "    small_system_config(Architecture.WIRELESS), Fidelity(), load=0.02\n"
+            ")\n"
+            "assert api.run(task).packets_delivered > 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        output = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+            check=True,
+        )
+        assert output.stdout.strip() == "False"
+
+
 # ----------------------------------------------------------------------
 # CLI routing.
 # ----------------------------------------------------------------------

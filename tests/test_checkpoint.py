@@ -1,4 +1,4 @@
-"""Checkpoint/restore: bit-identical resume, engine policy, the store.
+"""Checkpoint/restore: bit-identical resume and the store.
 
 The PR-8 contracts:
 
@@ -10,12 +10,8 @@ The PR-8 contracts:
   injector's event cursor and the recovery routing state round-trip too.
 * **Pool growth** — the packet pool grows between checkpoints and the
   later (larger-capacity) snapshots still resume bit-identically.
-* **Engine policy** — a scalar checkpoint resumes under either engine
-  request; a vector checkpoint under an explicit scalar request raises
-  :class:`CheckpointEngineMismatchError`, as does restoring a snapshot
-  through the wrong ``KernelState`` class.
 * **Store semantics** — atomic save/load round-trip, corrupt and
-  version-mismatched files fail loudly via :func:`load_checkpoint` but
+  version-mismatched files (including the previous schema's) fail loudly via :func:`load_checkpoint` but
   read as "no checkpoint" through :class:`CheckpointStore`, and
   :func:`execute_task` resumes from a planted checkpoint and deletes it
   on completion.
@@ -33,14 +29,10 @@ from repro.faults import create_fault_plan
 from repro.metrics.saturation import LoadPointSummary
 from repro.noc.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
-    CheckpointEngineMismatchError,
     CheckpointError,
-    KernelCheckpoint,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.noc.kernel import KernelState
-from repro.noc.vector import VectorKernelState
 from repro.parallel.checkpoints import CheckpointStore
 from repro.parallel.runner import execute_task, task_simulator, uniform_task
 from repro.testing import small_system_config
@@ -68,10 +60,10 @@ def _payload(task, result):
     return LoadPointSummary.from_result(task.load, result).as_dict()
 
 
-def _checkpointed_run(task, every, engine="scalar"):
+def _checkpointed_run(task, every):
     """Run ``task`` once, collecting a checkpoint every ``every`` cycles."""
     checkpoints = []
-    simulator = task_simulator(task, engine=engine)
+    simulator = task_simulator(task)
     simulator.simulation_config = replace(
         simulator.simulation_config, checkpoint_every_cycles=every
     )
@@ -80,8 +72,8 @@ def _checkpointed_run(task, every, engine="scalar"):
     return checkpoints, _payload(task, result)
 
 
-def _resume(task, checkpoint, engine="scalar"):
-    return _payload(task, task_simulator(task, engine=engine).run(resume_from=checkpoint))
+def _resume(task, checkpoint):
+    return _payload(task, task_simulator(task).run(resume_from=checkpoint))
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +96,6 @@ class TestGoldenResumeMatrix:
         # ...and the final cycle is never checkpointed (the run is done).
         assert [c.cycle for c in checkpoints] == [99, 199, 299]
         for checkpoint in checkpoints:
-            assert checkpoint.engine == "scalar"
             assert _resume(task, checkpoint) == baseline
 
     def test_faulted_checkpoints_land_mid_drain(self):
@@ -153,87 +144,6 @@ class TestGoldenResumeMatrix:
         assert _resume(task, grown) == baseline
 
 
-class TestWheelRoundTrip:
-    """The vector engine's calendar wheel (PR 10) pickles mid-flight.
-
-    A checkpoint lands at a cycle boundary, but flits already launched
-    onto multi-cycle links are still in the wheel — pending deliveries
-    spread over future slots.  Those snapshots must resume exactly: the
-    wheel slot arrays, counts and the pending total all round-trip.
-    """
-
-    @staticmethod
-    def _occupied_slots(checkpoint):
-        state = pickle.loads(checkpoint.payload).state
-        counts = [int(count) for count in state.wheel_count]
-        assert sum(counts) == state.wheel_pending
-        return [slot for slot, count in enumerate(counts) if count]
-
-    def test_mid_flight_wheel_checkpoint_resumes_exactly(self):
-        task = _task(Architecture.SUBSTRATE, load=0.08)
-        baseline = _payload(task, task_simulator(task).run())
-        baseline.pop("engine_used")
-        checkpoints, _ = _checkpointed_run(task, every=100, engine="vector")
-        in_flight = [c for c in checkpoints if len(self._occupied_slots(c)) >= 2]
-        # The substrate's inter-chip links take several cycles, so under
-        # this load some boundary must catch deliveries pending in at
-        # least two distinct future slots — otherwise this test would
-        # only cover an empty wheel and pass vacuously.
-        assert in_flight, "no checkpoint caught the wheel mid-flight"
-        for checkpoint in in_flight:
-            resumed = _resume(task, checkpoint, engine="vector")
-            assert resumed.pop("engine_used") == "vector"
-            assert resumed == baseline
-
-
-# ----------------------------------------------------------------------
-# Engine policy.
-# ----------------------------------------------------------------------
-
-
-class TestEnginePolicy:
-    def test_scalar_checkpoint_resumes_under_vector_request(self):
-        task = _task(Architecture.SUBSTRATE)
-        baseline = _payload(task, task_simulator(task).run())
-        checkpoints, _ = _checkpointed_run(task, every=150)
-        assert _resume(task, checkpoints[0], engine="vector") == baseline
-
-    def test_vector_checkpoint_resumes_under_vector_request(self):
-        task = _task(Architecture.SUBSTRATE)
-        baseline = _payload(task, task_simulator(task).run())
-        checkpoints, checkpointed = _checkpointed_run(task, every=150, engine="vector")
-        # The engine_used stamp records which path actually ran; every
-        # simulated quantity must still match the scalar baseline exactly.
-        assert checkpointed.pop("engine_used") == "vector"
-        assert baseline.pop("engine_used") == "scalar"
-        assert checkpointed == baseline
-        assert checkpoints[0].engine == "vector"
-        resumed = _resume(task, checkpoints[0], engine="vector")
-        assert resumed.pop("engine_used") == "vector"
-        assert resumed == baseline
-
-    def test_vector_checkpoint_rejected_by_scalar_request(self):
-        task = _task(Architecture.SUBSTRATE)
-        checkpoints, _ = _checkpointed_run(task, every=150, engine="vector")
-        with pytest.raises(CheckpointEngineMismatchError):
-            _resume(task, checkpoints[0], engine="scalar")
-
-    def test_state_restore_rejects_wrong_class(self):
-        task = _task(Architecture.SUBSTRATE, cycles=200)
-        scalar_kernel = pickle.loads(_checkpointed_run(task, every=100)[0][0].payload)
-        vector_kernel = pickle.loads(
-            _checkpointed_run(task, every=100, engine="vector")[0][0].payload
-        )
-        scalar_bytes = scalar_kernel.state.snapshot()
-        vector_bytes = vector_kernel.state.snapshot()
-        assert isinstance(KernelState.restore(scalar_bytes), KernelState)
-        assert isinstance(VectorKernelState.restore(vector_bytes), VectorKernelState)
-        with pytest.raises(CheckpointEngineMismatchError):
-            KernelState.restore(vector_bytes)
-        with pytest.raises(CheckpointEngineMismatchError):
-            VectorKernelState.restore(scalar_bytes)
-
-
 # ----------------------------------------------------------------------
 # On-disk format and the store.
 # ----------------------------------------------------------------------
@@ -264,11 +174,21 @@ class TestCheckpointFiles:
             load_checkpoint(path)
 
     def test_version_mismatch_raises(self, tmp_path):
-        stale = replace(self._checkpoint(), version=CHECKPOINT_SCHEMA_VERSION + 1)
-        path = tmp_path / "run.ckpt"
-        save_checkpoint(stale, path)
-        with pytest.raises(CheckpointError, match="schema"):
-            load_checkpoint(path)
+        """Older and newer schema files fail loudly but read as cold starts.
+
+        The previous schema's files also carry the retired ``engine``
+        field; unpickling tolerates it and the version check rejects them.
+        """
+        store = CheckpointStore(tmp_path)
+        for version in (CHECKPOINT_SCHEMA_VERSION - 1, CHECKPOINT_SCHEMA_VERSION + 1):
+            stale = replace(self._checkpoint(), version=version)
+            if version < CHECKPOINT_SCHEMA_VERSION:
+                object.__setattr__(stale, "engine", "scalar")
+            path = tmp_path / f"v{version}.ckpt"
+            save_checkpoint(stale, path)
+            with pytest.raises(CheckpointError, match="schema"):
+                load_checkpoint(path)
+            assert store.load(f"v{version}") is None
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(CheckpointError):

@@ -529,8 +529,7 @@ def test_empty_plan_is_bit_identical_to_no_plan():
 def test_task_schema_and_cache_keys():
     # v5 introduced the declarative scenario layer, which compiles
     # documents into these same tasks and shares their cache entries; v6
-    # fenced off pre-engine cache entries (the engine itself is not part
-    # of the key — both engines are bit-identical).
+    # entries stay valid now that one kernel is left.
     assert TASK_SCHEMA_VERSION == 6
     config = small_system_config(Architecture.SUBSTRATE)
     base = SimulationTask(

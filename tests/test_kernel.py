@@ -4,18 +4,22 @@ The central guarantee of the kernel refactor: the active-set scheduler
 (which skips idle switches) reproduces the dense reference scheduler (the
 original engine's visit-everything loop) *bit for bit* — same counters,
 same per-packet latency samples, same energy breakdown, same MAC
-statistics — on every architecture and under both synthetic and
-application traffic.
+statistics — on every architecture, under synthetic and application
+traffic, and through fault recovery.  The dense scheduler is the parity
+oracle of the one kernel the simulator has.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from repro.core.architectures import build_system
 from repro.core.config import Architecture, SystemConfig
 from repro.core.framework import MultichipSimulation
-from repro.noc.engine import SCHEDULERS, SimulationConfig, Simulator
+from repro.faults.scenarios import create_fault_plan
+from repro.noc.engine import METRICS_MODES, SCHEDULERS, SimulationConfig, Simulator
 from repro.noc.kernel import (
     ActiveSetScheduler,
     DenseScheduler,
@@ -69,17 +73,29 @@ def result_fingerprint(result):
     }
 
 
-def run_with_scheduler(config, traffic_factory, scheduler, cycles=500):
+def run_with_scheduler(
+    config, traffic_factory, scheduler, cycles=500, faults=None, metrics="sampled"
+):
     system = build_system(config)
     traffic = traffic_factory(system)
+    fault_plan = None
+    if faults is not None:
+        fault_plan = create_fault_plan(
+            faults, system.topology, fault_rate=0.15, seed=7, cycles=cycles
+        )
+        assert not fault_plan.is_empty
     simulator = Simulator(
         topology=system.topology,
         router=system.router,
         traffic=traffic,
         network_config=config.network,
         simulation_config=SimulationConfig(
-            cycles=cycles, warmup_cycles=cycles // 4, scheduler=scheduler
+            cycles=cycles,
+            warmup_cycles=cycles // 4,
+            scheduler=scheduler,
+            metrics=metrics,
         ),
+        fault_plan=fault_plan,
     )
     return simulator.run()
 
@@ -119,6 +135,14 @@ class TestKernelParity:
         config = ARCHITECTURES[name]()
         dense = run_with_scheduler(config, synfull_factory(), "dense")
         active = run_with_scheduler(config, synfull_factory(), "active")
+        assert result_fingerprint(dense) == result_fingerprint(active)
+
+    @pytest.mark.parametrize("name", sorted(ARCHITECTURES))
+    def test_faulted_parity_across_architectures(self, name):
+        """Recovery rerouting wakes switches through ``on_fault``: still exact."""
+        config = ARCHITECTURES[name]()
+        dense = run_with_scheduler(config, uniform_factory(), "dense", faults="random-links")
+        active = run_with_scheduler(config, uniform_factory(), "active", faults="random-links")
         assert result_fingerprint(dense) == result_fingerprint(active)
 
     def test_parity_with_memory_replies(self):
@@ -168,6 +192,48 @@ class TestSchedulerSelection:
 
     def test_default_is_active(self):
         assert SimulationConfig().scheduler == "active"
+
+
+class TestStreamingMetrics:
+    def test_streaming_matches_sampled_aggregates(self):
+        config = ARCHITECTURES["mesh"]()
+        sampled = run_with_scheduler(config, uniform_factory(), "active", cycles=360)
+        streaming = run_with_scheduler(
+            config, uniform_factory(), "active", cycles=360, metrics="streaming"
+        )
+        # Simulated behaviour is identical; only the sample storage differs.
+        assert streaming.packets_delivered == sampled.packets_delivered
+        assert streaming.flits_injected == sampled.flits_injected
+        assert streaming.energy.as_dict() == sampled.energy.as_dict()
+        assert streaming.latencies_cycles == []
+        assert streaming.packet_energies_pj == []
+        assert len(sampled.latencies_cycles) == streaming.latency_stream.count
+        assert math.isclose(
+            streaming.average_packet_latency_cycles(),
+            sampled.average_packet_latency_cycles(),
+            rel_tol=1e-12,
+        )
+        assert streaming.max_latency_cycles() == sampled.max_latency_cycles()
+        assert math.isclose(
+            streaming.average_packet_energy_pj(),
+            sampled.average_packet_energy_pj(),
+            rel_tol=1e-9,
+        )
+
+    def test_streaming_percentiles_are_tracked_only(self):
+        config = ARCHITECTURES["mesh"]()
+        streaming = run_with_scheduler(
+            config, uniform_factory(), "active", cycles=200, metrics="streaming"
+        )
+        # Tracked percentiles answer (an estimate); untracked ones raise.
+        assert streaming.latency_percentile_cycles(95.0) >= 0.0
+        with pytest.raises(ValueError, match="track only"):
+            streaming.latency_percentile_cycles(42.0)
+
+    def test_unknown_metrics_mode_rejected(self):
+        assert set(METRICS_MODES) == {"sampled", "streaming"}
+        with pytest.raises(ValueError, match="unknown metrics mode"):
+            SimulationConfig(metrics="exact")
 
 
 class TestActiveSetBookkeeping:

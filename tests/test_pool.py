@@ -151,6 +151,83 @@ class TestPacketPoolLifecycle:
             view.next_switch_after(99)
 
 
+#: One pool operation: ``("alloc", length)`` or ``("free", which)`` where
+#: ``which`` picks a live handle (modulo the live count, oldest first).
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=9)),
+        st.tuples(st.just("free"), st.integers(min_value=0, max_value=5)),
+    ),
+    min_size=1,
+    max_size=600,
+)
+
+
+def _apply_ops(pool, ops):
+    """Run one op sequence; returns {handle: expected record dict}."""
+    live = []
+    expected = {}
+    pid = 0
+    for op, value in ops:
+        if op == "alloc":
+            pid += 1
+            handle = pool.alloc(
+                pid=pid,
+                src_endpoint=pid % 7,
+                dst_endpoint=(pid + 3) % 7,
+                src_switch=1,
+                dst_switch=2,
+                length_flits=value,
+                generation_cycle=pid * 2,
+                route=[1, 2],
+                is_memory_access=bool(pid % 2),
+                is_reply=bool(pid % 3 == 0),
+                measured=bool(pid % 5),
+                traffic_class="request",
+            )
+            live.append(handle)
+            expected[handle] = {
+                "packet_id": pid,
+                "src_endpoint": pid % 7,
+                "dst_endpoint": (pid + 3) % 7,
+                "length_flits": value,
+                "generation_cycle": pid * 2,
+                "is_memory_access": bool(pid % 2),
+                "is_reply": bool(pid % 3 == 0),
+                "measured": bool(pid % 5),
+            }
+        elif live:
+            handle = live.pop(value % len(live))
+            pool.free(handle)
+            del expected[handle]
+    return expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_OPS)
+def test_pool_records_survive_grow_and_recycle(ops):
+    """Live records read back exactly as allocated at every pool size."""
+    pool = PacketPool()
+    expected = _apply_ops(pool, ops)
+    assert len(pool.free_list) + pool.live_count == pool.capacity
+    for handle, record in expected.items():
+        view = pool.view(handle)
+        for field_name, value in record.items():
+            assert getattr(view, field_name) == value
+        assert view.route == [1, 2]
+        assert view.injection_cycle is None
+        assert view.ejection_cycle is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=_OPS)
+def test_pool_conservation_invariant(ops):
+    pool = PacketPool()
+    expected = _apply_ops(pool, ops)
+    assert pool.allocated_total == pool.freed_total + pool.live_count
+    assert sorted(pool.live_handles()) == sorted(expected)
+
+
 def _run_kernel(architecture, rate, seed, cycles, faults=None, fault_rate=0.0):
     """Run one simulation through the kernel, returning (state, result)."""
     config = small_system_config(architecture)

@@ -170,6 +170,14 @@ class TestResultCache:
         assert first.tasks_executed == len(tasks)
         assert first.cache_hits == 0
 
+        # Entries written while the runner still stamped each payload with
+        # the engine that ran it stay valid hits: unknown keys are ignored.
+        cache = ResultCache(tmp_path)
+        for task in tasks:
+            entry = cache.get(task.cache_key())
+            entry["result"]["engine_used"] = "scalar"
+            cache.put(task.cache_key(), entry)
+
         second = ExperimentRunner(jobs=1, cache_dir=tmp_path)
         warm = second.run(tasks)
         assert second.cache_hits == len(tasks)

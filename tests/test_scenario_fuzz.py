@@ -148,7 +148,7 @@ def test_doctored_conservation_violation_is_caught(monkeypatch):
     monkeypatch.setattr(
         runner_module,
         "task_simulator",
-        lambda task, profile=False, engine="scalar": DoctoredSimulator(task),
+        lambda task, profile=False: DoctoredSimulator(task),
     )
     with pytest.raises(InvariantViolation) as excinfo:
         fuzz_module.check_task(tasks[0], scenario=raw)
@@ -160,7 +160,7 @@ def test_fuzz_cli_dumps_replayable_artifact(tmp_path, monkeypatch, capsys):
     """On a violation the CLI writes the offending document and exits 1."""
     from repro.scenario import fuzz as fuzz_module
 
-    def explode(count, base_seed, on_progress=None, engine="scalar"):
+    def explode(count, base_seed, on_progress=None):
         raise InvariantViolation(
             random_scenario(1), "task-x", ["flit conservation broken: cooked"]
         )

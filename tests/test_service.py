@@ -249,8 +249,6 @@ class TestSweepService:
             _run(_with_service(ServiceConfig(use_processes=False), unknown_priority))
         with pytest.raises(RuntimeError, match="not started"):
             _run(SweepService(ServiceConfig()).submit([_task(0.01)]))
-        with pytest.raises(ValueError, match="unknown engine"):
-            SweepService(ServiceConfig(engine="quantum"))
 
     def test_worker_failure_fails_only_that_task(self, tmp_path, monkeypatch):
         good, bad = _task(0.01), _task(0.02)
