@@ -69,7 +69,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 from ..energy import EnergyAccountant
 from ..routing.base import BaseRouter, RoutingError
 from ..traffic.base import TrafficModel, TrafficRequest
-from .checkpoint import KernelCheckpoint, graph_pickling_limit
+from .checkpoint import CheckpointError, KernelCheckpoint, graph_pickling_limit
 from .config import NetworkConfig
 from .network import Network
 from .pool import FLIT_INDEX_BITS, FLIT_INDEX_MASK, PacketPool, PacketView
@@ -950,9 +950,18 @@ class SimulationKernel:
     def resume(cls, checkpoint: KernelCheckpoint) -> "SimulationKernel":
         """Reconstruct a kernel from a checkpoint.
 
-        Continue with :meth:`run` at ``checkpoint.cycle + 1``.
+        Continue with :meth:`run` at ``checkpoint.cycle + 1``.  A payload
+        that does not unpickle to a :class:`SimulationKernel` (a bare
+        :class:`KernelState`, say) is a :class:`CheckpointError`, never a
+        half-restored run.
         """
-        return pickle.loads(checkpoint.payload)
+        kernel = pickle.loads(checkpoint.payload)
+        if not isinstance(kernel, cls):
+            raise CheckpointError(
+                f"checkpoint at cycle {checkpoint.cycle} holds a "
+                f"{type(kernel).__name__}, expected {cls.__name__}"
+            )
+        return kernel
 
     def run(
         self,
