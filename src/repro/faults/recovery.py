@@ -25,7 +25,7 @@ partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..routing.base import BaseRouter, RoutingError
 from ..routing.tree import SpanningTreeRouter
@@ -56,6 +56,11 @@ class RecoveryReport:
     #: Whether recovery switched to the spanning-tree route provider
     #: because the shortest-path recovery set had a dependency cycle.
     used_tree_fallback: bool = False
+    #: Switch -> index into ``components``, built on the first
+    #: :meth:`same_component` call; no part of equality or repr.
+    _component_of: Optional[Dict[int, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def partitioned(self) -> bool:
@@ -64,10 +69,14 @@ class RecoveryReport:
 
     def same_component(self, a: int, b: int) -> bool:
         """Whether two switches can still reach each other."""
-        for component in self.components:
-            if a in component:
-                return b in component
-        return False
+        if self._component_of is None:
+            self._component_of = {
+                switch: index
+                for index, component in enumerate(self.components)
+                for switch in component
+            }
+        index = self._component_of.get(a)
+        return index is not None and self._component_of.get(b) == index
 
 
 def connected_components(topology: TopologyGraph) -> List[List[int]]:
@@ -104,8 +113,18 @@ def rebuild_routes(
     connected and verified deadlock-free, connected with a reported
     dependency cycle, or partitioned (with the component list).
     """
+    return _rebuild(topology, router, connected_components(topology), verify_deadlock_freedom)
+
+
+def _rebuild(
+    topology: TopologyGraph,
+    router: BaseRouter,
+    components: List[List[int]],
+    verify_deadlock_freedom: bool,
+) -> RecoveryReport:
+    """:func:`rebuild_routes` given the in-service ``components``."""
     router.clear_cache()
-    report = RecoveryReport(components=connected_components(topology))
+    report = RecoveryReport(components=components)
     if not verify_deadlock_freedom:
         return report
     report.verified = True
@@ -143,13 +162,15 @@ def recover_routing(
     partition no fallback is attempted (per-island traffic keeps its
     shortest paths; the partition itself is the reported outcome).
     """
-    report = rebuild_routes(topology, router, verify_deadlock_freedom=True)
+    components = connected_components(topology)
+    report = _rebuild(topology, router, components, verify_deadlock_freedom=True)
     if report.partitioned or report.deadlock_free:
         return router, report
     tree = SpanningTreeRouter(topology)
-    tree_report = rebuild_routes(
+    tree_report = _rebuild(
         topology,
         tree,
+        components,
         verify_deadlock_freedom=topology.num_switches <= AUDIT_SWITCH_LIMIT,
     )
     tree_report.used_tree_fallback = True

@@ -47,7 +47,10 @@ __all__ = [
 #: claim-index lists and the arrivals dict became a calendar-wheel of
 #: preallocated arrays.  v3: the vector engine and the checkpoint's
 #: ``engine`` field are gone; every checkpoint is a scalar kernel graph.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: v4: the pickled topology graph carries its link index, the Dijkstra
+#: forests sorted predecessor tuples, and the shortest-path router its
+#: region table and XY-run memo.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 
 class CheckpointError(RuntimeError):

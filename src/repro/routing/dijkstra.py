@@ -38,18 +38,21 @@ class ShortestPathForest:
         self._graph = graph
         self._source = source
         self._distance: Dict[int, float] = {source: 0.0}
-        self._predecessors: Dict[int, List[int]] = {source: []}
-        self._run(weight)
+        # Sorted once here rather than on every :meth:`path_to` hop.
+        self._predecessors: Dict[int, Tuple[int, ...]] = {
+            node: tuple(sorted(nodes)) for node, nodes in self._run(weight).items()
+        }
 
     @property
     def source(self) -> int:
         """Source switch the forest is rooted at."""
         return self._source
 
-    def _run(self, weight: Callable[[LinkSpec], float]) -> None:
+    def _run(self, weight: Callable[[LinkSpec], float]) -> Dict[int, List[int]]:
+        """Fill the distances; return every node's equal-cost predecessors."""
         graph = self._graph
         distance = self._distance
-        predecessors = self._predecessors
+        predecessors: Dict[int, List[int]] = {self._source: []}
         visited = set()
         heap: List[Tuple[float, int]] = [(0.0, self._source)]
         while heap:
@@ -69,6 +72,7 @@ class ShortestPathForest:
                     heapq.heappush(heap, (candidate, neighbor))
                 elif abs(candidate - best) <= 1e-12 and node not in predecessors[neighbor]:
                     predecessors[neighbor].append(node)
+        return predecessors
 
     def distance_to(self, destination: int) -> float:
         """Weighted distance from the source to ``destination``."""
@@ -95,18 +99,24 @@ class ShortestPathForest:
                 f"switch {destination} unreachable from {self._source}"
             )
         seed = selector if selector is not None else destination
+        source = self._source
+        options_of = self._predecessors
+        limit = self._graph.num_switches + 1
         path = [destination]
         node = destination
-        while node != self._source:
-            options = sorted(self._predecessors[node])
+        while node != source:
+            options = options_of[node]
             if not options:
                 raise RoutingError(
-                    f"broken predecessor chain at switch {node} from {self._source}"
+                    f"broken predecessor chain at switch {node} from {source}"
                 )
-            choice = options[_stable_hash(self._source, seed, node) % len(options)]
+            if len(options) == 1:
+                choice = options[0]  # the tie-break hash could pick nothing else
+            else:
+                choice = options[_stable_hash(source, seed, node) % len(options)]
             path.append(choice)
             node = choice
-            if len(path) > self._graph.num_switches + 1:
+            if len(path) > limit:
                 raise RoutingError("predecessor chain contains a cycle")
         path.reverse()
         return path

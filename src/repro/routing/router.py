@@ -16,7 +16,7 @@ paths.  Two refinements keep the simulation well behaved:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from ..topology.graph import LinkKind, TopologyGraph
 from .base import BaseRouter, RoutingError
@@ -32,6 +32,10 @@ class ShortestPathRouter(BaseRouter):
         self._canonicalize_xy = canonicalize_xy
         self._forests: Dict[int, ShortestPathForest] = {}
         self._grid_index = RegionGridIndex(graph)
+        self._region_of: Dict[int, int] = {s.switch_id: s.region_id for s in graph.switches}
+        #: Canonical XY run per (run start, run end); ``None`` when the
+        #: rewrite was rejected (a disabled link or a missing grid position).
+        self._xy_runs: Dict[Tuple[int, int], Optional[List[int]]] = {}
 
     @property
     def canonicalize_xy(self) -> bool:
@@ -55,9 +59,10 @@ class ShortestPathRouter(BaseRouter):
         return path
 
     def clear_cache(self) -> None:
-        """Drop cached routes and shortest-path forests."""
+        """Drop cached routes, shortest-path forests and XY runs."""
         super().clear_cache()
         self._forests.clear()
+        self._xy_runs.clear()
 
     # ------------------------------------------------------------------
     # XY canonicalisation.
@@ -65,20 +70,19 @@ class ShortestPathRouter(BaseRouter):
 
     def _canonicalize(self, path: List[int]) -> List[int]:
         """Rewrite maximal same-region mesh runs into X-then-Y order."""
-        graph = self._graph
+        find_link = self._graph.find_link
+        region_of = self._region_of
+        mesh = LinkKind.MESH
         result: List[int] = [path[0]]
         run_start = 0
         index = 1
         while index < len(path):
             prev = path[index - 1]
             here = path[index]
-            link = graph.find_link(prev, here)
+            link = find_link(prev, here)
             if link is None:
                 raise RoutingError(f"route uses missing link ({prev}, {here})")
-            same_region = (
-                graph.switch(prev).region_id == graph.switch(here).region_id
-            )
-            if link.kind == LinkKind.MESH and same_region:
+            if link.kind == mesh and region_of[prev] == region_of[here]:
                 index += 1
                 continue
             # The mesh run path[run_start .. index-1] ends here; canonicalise
@@ -103,17 +107,27 @@ class ShortestPathRouter(BaseRouter):
         """
         if end <= start:
             return
-        try:
-            canonical = xy_path(self._graph, self._grid_index, path[start], path[end])
-        except RoutingError:
-            canonical = None
-        if canonical is not None and all(
-            self._graph.find_link(a, b) is not None
-            for a, b in zip(canonical, canonical[1:])
-        ):
+        key = (path[start], path[end])
+        if key in self._xy_runs:
+            canonical = self._xy_runs[key]
+        else:
+            canonical = self._canonical_run(*key)
+            self._xy_runs[key] = canonical
+        if canonical is not None:
             result.extend(canonical[1:])
         else:
             result.extend(path[start + 1 : end + 1])
+
+    def _canonical_run(self, src: int, dst: int) -> Optional[List[int]]:
+        """The XY path from ``src`` to ``dst`` if every link on it is in service."""
+        graph = self._graph
+        try:
+            canonical = xy_path(graph, self._grid_index, src, dst)
+        except RoutingError:
+            return None
+        if all(graph.find_link(a, b) is not None for a, b in zip(canonical, canonical[1:])):
+            return canonical
+        return None
 
 
 class MinimalHopRouter(ShortestPathRouter):

@@ -70,17 +70,21 @@ def find_channel_dependency_cycle(
     is the offending channel sequence (closed: first == last), so recovery
     code and tests can report precisely which dependency loop would deadlock.
     """
-    dependencies: Dict[Channel, Set[Channel]] = {}
+    # A dependency (a, b) -> (b, c) is one switch triple a, b, c of a route.
+    # Route sets share most of their triples, so collect the distinct ones
+    # first; a channel no route continues from gets no entry.
+    triples: Set[Tuple[int, int, int]] = set()
     for route in routes:
-        for i in range(len(route) - 2):
-            upstream: Channel = (route[i], route[i + 1])
-            downstream: Channel = (route[i + 1], route[i + 2])
-            dependencies.setdefault(upstream, set()).add(downstream)
-            dependencies.setdefault(downstream, set())
-    # Iterative DFS with colouring: 0 unvisited, 1 on stack, 2 done.
-    colour: Dict[Channel, int] = {channel: 0 for channel in dependencies}
+        triples.update(zip(route, route[1:], route[2:]))
+    dependencies: Dict[Channel, List[Channel]] = {}
+    for a, b, c in triples:
+        dependencies.setdefault((a, b), []).append((b, c))
+    # Iterative DFS with colouring: 0 unvisited, 1 on stack, 2 done.  A
+    # channel without an entry cannot lie on a cycle, so it is never a
+    # start; reached as a child, it is finished at once.
+    colour: Dict[Channel, int] = {}
     for start in sorted(dependencies):
-        if colour[start] != 0:
+        if colour.get(start, 0) != 0:
             continue
         stack: List[Tuple[Channel, Iterable[Channel]]] = [
             (start, iter(sorted(dependencies[start])))
@@ -98,7 +102,7 @@ def find_channel_dependency_cycle(
                 if state == 0:
                     colour[child] = 1
                     path.append(child)
-                    stack.append((child, iter(sorted(dependencies[child]))))
+                    stack.append((child, iter(sorted(dependencies.get(child, ())))))
                     advanced = True
                     break
             if not advanced:

@@ -143,6 +143,9 @@ class TopologyGraph:
         self._regions: Dict[int, RegionSpec] = {}
         self._links: Dict[int, LinkSpec] = {}
         self._adjacency: Dict[int, List[int]] = {}
+        #: Every link keyed by both (src, dst) and (dst, src), so
+        #: :meth:`find_link` is one dict lookup instead of an adjacency scan.
+        self._link_index: Dict[Tuple[int, int], LinkSpec] = {}
         self._switch_endpoints: Dict[int, List[int]] = {}
         self._disabled_links: set = set()
         self._next_switch_id = 0
@@ -229,7 +232,7 @@ class TopologyGraph:
             raise TopologyError(f"cannot link switch {src} to itself")
         if src not in self._switches or dst not in self._switches:
             raise TopologyError(f"unknown switch in link ({src}, {dst})")
-        if self.find_link(src, dst, include_disabled=True) is not None:
+        if (src, dst) in self._link_index:
             raise TopologyError(f"duplicate link between {src} and {dst}")
         link = LinkSpec(
             link_id=self._next_link_id,
@@ -241,6 +244,8 @@ class TopologyGraph:
         self._links[link.link_id] = link
         self._adjacency[src].append(link.link_id)
         self._adjacency[dst].append(link.link_id)
+        self._link_index[(src, dst)] = link
+        self._link_index[(dst, src)] = link
         self._next_link_id += 1
         return link
 
@@ -322,13 +327,10 @@ class TopologyGraph:
         ``include_disabled`` also finds links taken out of service by fault
         injection (used for structural queries on the physical topology).
         """
-        for link_id in self._adjacency.get(a, ()):
-            if not include_disabled and link_id in self._disabled_links:
-                continue
-            link = self._links[link_id]
-            if link.other(a) == b:
-                return link
-        return None
+        link = self._link_index.get((a, b))
+        if link is None or (not include_disabled and link.link_id in self._disabled_links):
+            return None
+        return link
 
     @property
     def switches(self) -> List[SwitchSpec]:

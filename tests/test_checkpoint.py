@@ -236,13 +236,13 @@ class TestCheckpointFiles:
     def test_version_mismatch_raises(self, tmp_path):
         """Older and newer schema files fail loudly but read as cold starts.
 
-        The previous schema's files also carry the retired ``engine``
-        field; unpickling tolerates it and the version check rejects them.
+        v2 files also carry the retired ``engine`` field; unpickling
+        tolerates it and the version check rejects them.
         """
         store = CheckpointStore(tmp_path)
-        for version in (CHECKPOINT_SCHEMA_VERSION - 1, CHECKPOINT_SCHEMA_VERSION + 1):
+        for version in (2, CHECKPOINT_SCHEMA_VERSION - 1, CHECKPOINT_SCHEMA_VERSION + 1):
             stale = replace(self._checkpoint(), version=version)
-            if version < CHECKPOINT_SCHEMA_VERSION:
+            if version == 2:
                 object.__setattr__(stale, "engine", "scalar")
             path = tmp_path / f"v{version}.ckpt"
             save_checkpoint(stale, path)

@@ -24,8 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.architectures import build_system
 from repro.core.config import Architecture
 from repro.core.framework import MultichipSimulation
+from repro.experiments.fig7_resilience import fig7_systems
 from repro.parallel.runner import (
     TASK_SCHEMA_VERSION,
     ExperimentRunner,
@@ -45,7 +47,7 @@ from repro.faults.plan import FaultPlanError
 from repro.noc.engine import SimulationConfig, Simulator
 from repro.noc.fabric import WiredFabric
 from repro.noc.flit import FlitType
-from repro.routing import ShortestPathRouter
+from repro.routing import RoutingError, ShortestPathRouter
 from repro.routing.validation import (
     find_channel_dependency_cycle,
     routes_are_deadlock_free,
@@ -476,6 +478,53 @@ def test_any_single_link_failure_recovers_or_reports(cols, rows, link_choice):
             for dst in (s.switch_id for s in graph.switches):
                 if src != dst:
                     assert provider.route(src, dst)
+
+
+def _all_routes(router, switches):
+    """Every ordered pair's route, ``None`` where the pair is cut off."""
+    routes = {}
+    for src in switches:
+        for dst in switches:
+            if src == dst:
+                continue
+            try:
+                routes[(src, dst)] = router.route(src, dst)
+            except RoutingError:
+                routes[(src, dst)] = None
+    return routes
+
+
+@pytest.mark.parametrize("label", sorted(fig7_systems()))
+def test_recovered_router_matches_a_fresh_one(label):
+    """No router memo (routes, forests, XY runs) outlives a topology change.
+
+    A router that has already routed every pair goes through link failures,
+    recovery passes and a penalty.  It must then route exactly like a router
+    built fresh on the degraded graph, and after the restore exactly like
+    it did on the pristine one.
+    """
+    system = build_system(fig7_systems()[label])
+    graph, router = system.topology, system.router
+    switches = [s.switch_id for s in graph.switches]
+    pristine = _all_routes(router, switches)
+    mesh = graph.links_of_kind(LinkKind.MESH)
+    failed = [mesh[len(mesh) // 2], mesh[len(mesh) // 3], graph.inter_region_links()[0]]
+    penalised = mesh[len(mesh) // 4]
+    try:
+        for link in failed:
+            graph.disable_link(link.link_id)
+            recover_routing(graph, router)
+        router.set_link_penalty(penalised.link_id, 3.0)
+        fresh = ShortestPathRouter(graph)
+        fresh.set_link_penalty(penalised.link_id, 3.0)
+        degraded = _all_routes(router, switches)
+        assert degraded == _all_routes(fresh, switches)
+        assert degraded != pristine
+    finally:
+        graph.enable_all_links()
+        router.clear_link_penalties()
+    router.clear_cache()
+    assert _all_routes(router, switches) == pristine
 
 
 # ----------------------------------------------------------------------

@@ -90,6 +90,45 @@ class TestTopologyGraph:
         graph, a, b = self._tiny_graph()
         with pytest.raises(TopologyError):
             graph.add_link(a.switch_id, b.switch_id, LinkKind.MESH)
+        with pytest.raises(TopologyError, match="duplicate"):
+            graph.add_link(b.switch_id, a.switch_id, LinkKind.MESH)
+        # Still rejected while the existing link is out of service.
+        graph.disable_link(graph.find_link(a.switch_id, b.switch_id).link_id)
+        with pytest.raises(TopologyError, match="duplicate"):
+            graph.add_link(a.switch_id, b.switch_id, LinkKind.MESH)
+
+    def test_find_link_semantics(self):
+        graph, a, b = self._tiny_graph()
+        region = graph.regions[0]
+        c = graph.add_switch(SwitchKind.CORE, region.region_id, 2, 0, (3.0, 1.0))
+        ab = graph.find_link(a.switch_id, b.switch_id)
+        bc = graph.add_link(b.switch_id, c.switch_id, LinkKind.MESH)
+        # Both directions resolve to the same link object.
+        assert graph.find_link(b.switch_id, a.switch_id) is ab
+        assert graph.find_link(c.switch_id, b.switch_id) is bc
+        # No link between a and c, and unknown switches find nothing.
+        assert graph.find_link(a.switch_id, c.switch_id) is None
+        assert graph.find_link(999, a.switch_id) is None
+        assert graph.find_link(a.switch_id, 999) is None
+        assert graph.find_link(998, 999, include_disabled=True) is None
+
+        def found(x, y):
+            return (
+                graph.find_link(x.switch_id, y.switch_id),
+                graph.find_link(x.switch_id, y.switch_id, include_disabled=True),
+            )
+
+        graph.disable_link(ab.link_id)
+        assert found(a, b) == found(b, a) == (None, ab)
+        assert found(b, c) == (bc, bc)
+        graph.disable_link(bc.link_id)
+        graph.enable_link(ab.link_id)
+        assert found(a, b) == found(b, a) == (ab, ab)
+        assert found(c, b) == (None, bc)
+        graph.disable_link(ab.link_id)
+        graph.enable_all_links()
+        assert found(b, a) == (ab, ab)
+        assert found(c, b) == (bc, bc)
 
     def test_self_link_rejected(self):
         graph, a, _ = self._tiny_graph()
