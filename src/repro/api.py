@@ -1,8 +1,7 @@
 """The supported programmatic entry surface of the reproduction.
 
 Four verbs cover every way of running simulations; everything else in the
-package is implementation detail that may move between releases (as
-``repro.experiments.runner`` already did):
+package is implementation detail that may move between releases:
 
 * :func:`run` — execute one :class:`~repro.parallel.runner.SimulationTask`
   synchronously and return its :class:`~repro.metrics.saturation.LoadPointSummary`.

@@ -24,19 +24,6 @@ from . import (
 from ..parallel.runner import ExperimentRunner, SimulationTask
 from .common import FIDELITIES, Fidelity, get_fidelity
 
-
-def __getattr__(name):
-    # ``repro.experiments.runner`` stays importable as an attribute of the
-    # package, but resolving it goes through the deprecation shim (and its
-    # one-time warning) instead of being imported eagerly above.  Resolved
-    # via importlib: a ``from . import runner`` here would re-enter this
-    # function through the import system's own hasattr probe.
-    if name == "runner":
-        import importlib
-
-        return importlib.import_module(".runner", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "ExperimentRunner",
     "FIDELITIES",
@@ -50,5 +37,4 @@ __all__ = [
     "fig7_resilience",
     "fig8_mac_study",
     "get_fidelity",
-    "runner",
 ]

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoids a cycle:
-    # noc.stats imports metrics.streaming, which initialises this package)
-    from ..noc.stats import SimulationResult
+from ..noc.stats import SimulationResult
 
 
 @dataclass(frozen=True)

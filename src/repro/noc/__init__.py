@@ -7,7 +7,7 @@ and an optional wireless fabric with MAC-arbitrated shared channels.
 """
 
 from .config import NetworkConfig, WirelessConfig
-from .engine import METRICS_MODES, SimulationConfig, SimulationStallError, Simulator
+from .engine import SimulationConfig, SimulationStallError, Simulator
 from .fabric import Fabric, FabricError, WiredFabric, WirelessFabric
 from .flit import Flit, FlitType, flit_type_for
 from .kernel import (
@@ -29,7 +29,6 @@ from .virtual_channel import VirtualChannel
 __all__ = [
     "ActiveSetScheduler",
     "DenseScheduler",
-    "METRICS_MODES",
     "Fabric",
     "FabricError",
     "Flit",

@@ -49,8 +49,9 @@ __all__ = [
 #: ``engine`` field are gone; every checkpoint is a scalar kernel graph.
 #: v4: the pickled topology graph carries its link index, the Dijkstra
 #: forests sorted predecessor tuples, and the shortest-path router its
-#: region table and XY-run memo.
-CHECKPOINT_SCHEMA_VERSION = 4
+#: region table and XY-run memo.  v5: the pickled simulation result lost its
+#: metrics mode and streaming accumulators.
+CHECKPOINT_SCHEMA_VERSION = 5
 
 
 class CheckpointError(RuntimeError):
@@ -121,6 +122,10 @@ def load_checkpoint(path: Union[str, Path]) -> KernelCheckpoint:
         raise CheckpointError(f"cannot read checkpoint {path}: {error}") from error
     except (pickle.UnpicklingError, EOFError, AttributeError, ValueError) as error:
         raise CheckpointError(f"corrupt checkpoint {path}: {error}") from error
+    except ImportError as error:
+        # The pickle names a module this build no longer has: written by an
+        # older build, so it can only be rejected, never resumed.
+        raise CheckpointError(f"checkpoint {path} is from another build: {error}") from error
     if not isinstance(checkpoint, KernelCheckpoint):
         raise CheckpointError(
             f"checkpoint {path} holds a {type(checkpoint).__name__}, "

@@ -25,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan
 from .checkpoint import CheckpointError, KernelCheckpoint
 from .kernel import (
-    METRICS_MODES,
     SCHEDULERS,
     KernelState,
     SimulationConfig,
@@ -36,7 +35,6 @@ from .network import Network
 from .stats import SimulationResult
 
 __all__ = [
-    "METRICS_MODES",
     "SCHEDULERS",
     "CheckpointError",
     "KernelCheckpoint",
@@ -118,7 +116,6 @@ class Simulator:
             clock_frequency_hz=net_config.technology.clock_frequency_hz,
             nominal_packet_length_flits=net_config.packet_length_flits,
             include_static_energy=net_config.include_static_energy,
-            metrics_mode=config.metrics,
         )
 
         injector = None

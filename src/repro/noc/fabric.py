@@ -12,10 +12,8 @@ channel inline and the MAC protocols never reach into the kernel.
 The hot-path methods (:meth:`grants`, :meth:`notify_sent`) are
 handle-based: they take the globally unique packet id and the head/tail
 booleans the kernel already derived from the packet pool, so no flit or
-packet object exists on the send path — and they are the *only* public
-spellings; the historical object-based wrappers live in
-:mod:`repro.testing.legacy`.  Two class flags let the kernel skip the
-calls entirely where they would be no-ops: ``always_grants`` (no
+packet object exists on the send path.  Two class flags let the kernel
+skip the calls entirely where they would be no-ops: ``always_grants`` (no
 admission control right now — true for an unfailed wired fabric) and
 ``tracks_sends`` (the medium needs the sent notification — only the
 wireless fabric does).
@@ -35,10 +33,7 @@ The wireless fabric doubles as the MAC protocols'
 :class:`~repro.wireless.mac.MacDataPlane`: :meth:`WirelessFabric.scan_pending`
 fills preallocated scratch arrays straight from the packet pool's parallel
 arrays and the per-WI occupied-VC ordinal sets — no dataclass, tuple or
-list is created per cycle.  Tests that want dataclass rows use
-:func:`repro.testing.legacy.pending_transmissions`; the wrapper-parity
-test matrix proves the object path and the hot path produce bit-identical
-simulations for every registered MAC.
+list is created per cycle.
 """
 
 from __future__ import annotations
@@ -342,7 +337,7 @@ class WirelessFabric(Fabric, MacDataPlane):
             count += 1
         return count
 
-    def record_control_energy(self, energy_pj: float, channel_id: int = -1) -> None:
+    def record_control_energy(self, energy_pj: float, channel_id: int) -> None:
         """Charge MAC control/token overhead to the current run's accountant."""
         if self._accountant is not None:
             self._accountant.record_mac_control(energy_pj)
@@ -483,15 +478,13 @@ class WirelessFabric(Fabric, MacDataPlane):
     def channel_energy_breakdown(self) -> Dict[int, Dict[str, float]]:
         """Per-channel energy attribution [pJ].
 
-        One entry per active channel (plus ``-1`` for control energy
-        recorded without a channel by legacy callers, if any): the data
-        energy of the flits that crossed the channel, the MAC
-        control/token overhead, and the static energy of the channel's
-        transceivers.  Each component sums exactly to its aggregate in the
-        run's :class:`~repro.energy.accounting.EnergyBreakdown`
-        (``wireless_pj``, ``mac_control_pj``, ``transceiver_static_pj``) —
-        the reconciliation the fig8 experiment and the wireless-plane tests
-        assert.
+        One entry per active channel: the data energy of the flits that
+        crossed the channel, the MAC control/token overhead, and the static
+        energy of the channel's transceivers.  Each component sums exactly
+        to its aggregate in the run's
+        :class:`~repro.energy.accounting.EnergyBreakdown` (``wireless_pj``,
+        ``mac_control_pj``, ``transceiver_static_pj``) — the reconciliation
+        the fig8 experiment and the wireless-plane tests assert.
         """
         cycle_time = self._config.technology.cycle_time_s
         channel_static: Dict[int, float] = {mac.channel_id: 0.0 for mac in self.macs}

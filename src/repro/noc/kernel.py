@@ -80,9 +80,6 @@ from .virtual_channel import VirtualChannel
 #: The scheduler names accepted by :class:`SimulationConfig`.
 SCHEDULERS = ("active", "dense")
 
-#: The per-packet metrics storage modes accepted by :class:`SimulationConfig`.
-METRICS_MODES = ("sampled", "streaming")
-
 
 class SimulationStallError(RuntimeError):
     """Raised when no flit has moved for ``watchdog_cycles`` cycles."""
@@ -101,10 +98,6 @@ class SimulationConfig:
     #: or ``"dense"`` (visit every switch every cycle, the reference
     #: behaviour of the original engine).  Results are bit-identical.
     scheduler: str = "active"
-    #: Per-packet sample storage: ``"sampled"`` (exact per-packet lists,
-    #: the default) or ``"streaming"`` (constant-memory accumulators, see
-    #: :mod:`repro.metrics.streaming`).
-    metrics: str = "sampled"
     #: When set, the kernel times each phase per cycle and publishes the
     #: accumulated per-phase wall clock as ``SimulationResult.phase_seconds``
     #: (see the experiment CLI's ``--profile``).  Off by default: the timed
@@ -130,9 +123,6 @@ class SimulationConfig:
         if self.scheduler not in SCHEDULERS:
             known = ", ".join(SCHEDULERS)
             raise ValueError(f"unknown scheduler {self.scheduler!r}; known: {known}")
-        if self.metrics not in METRICS_MODES:
-            known = ", ".join(METRICS_MODES)
-            raise ValueError(f"unknown metrics mode {self.metrics!r}; known: {known}")
         if self.checkpoint_every_cycles < 0:
             raise ValueError("checkpoint_every_cycles must be >= 0")
 

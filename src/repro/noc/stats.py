@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 
 from ..energy.accounting import EnergyBreakdown
 from ..energy.technology import CLOCK_FREQUENCY_HZ, FLIT_WIDTH_BITS
-from ..metrics.streaming import StreamingSampleStats
 
 
 @dataclass
@@ -37,34 +36,12 @@ class SimulationResult:
     flit_hops: int = 0
     wireless_flit_hops: int = 0
 
-    #: Per-packet sample storage mode.  ``"sampled"`` (the default) stores
-    #: every measured packet's samples in the four lists below — exact
-    #: percentiles, and the lists feed the golden-fingerprint tests.
-    #: ``"streaming"`` keeps the lists empty and folds each sample into the
-    #: constant-memory accumulators instead (mean/max exact, percentiles
-    #: P²-estimated), so long runs stay memory-flat.
-    metrics_mode: str = "sampled"
-
+    #: One sample per measured packet (exact means and percentiles; the
+    #: lists also feed the golden-fingerprint tests).
     latencies_cycles: List[int] = field(default_factory=list)
     network_latencies_cycles: List[int] = field(default_factory=list)
     packet_energies_pj: List[float] = field(default_factory=list)
     packet_hops: List[int] = field(default_factory=list)
-
-    #: Streaming accumulators (only fed in ``metrics_mode="streaming"``).
-    #: Simulator-side storage strategy, not simulated behaviour, so they
-    #: are excluded from equality like the wall clock.
-    latency_stream: StreamingSampleStats = field(
-        default_factory=StreamingSampleStats, compare=False, repr=False
-    )
-    network_latency_stream: StreamingSampleStats = field(
-        default_factory=StreamingSampleStats, compare=False, repr=False
-    )
-    energy_stream: StreamingSampleStats = field(
-        default_factory=StreamingSampleStats, compare=False, repr=False
-    )
-    hops_stream: StreamingSampleStats = field(
-        default_factory=StreamingSampleStats, compare=False, repr=False
-    )
 
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
     include_static_energy: bool = True
@@ -123,24 +100,12 @@ class SimulationResult:
         energy_pj: float,
         hops: int,
     ) -> None:
-        """Record one measured packet's samples.
-
-        In ``"sampled"`` mode the samples land in the per-packet lists; in
-        ``"streaming"`` mode they fold into the constant-memory
-        accumulators and the lists stay empty.
-        """
-        if self.metrics_mode == "streaming":
-            self.latency_stream.add(latency_cycles)
-            if network_latency_cycles is not None:
-                self.network_latency_stream.add(network_latency_cycles)
-            self.energy_stream.add(energy_pj)
-            self.hops_stream.add(hops)
-        else:
-            self.latencies_cycles.append(latency_cycles)
-            if network_latency_cycles is not None:
-                self.network_latencies_cycles.append(network_latency_cycles)
-            self.packet_energies_pj.append(energy_pj)
-            self.packet_hops.append(hops)
+        """Record one measured packet's samples in the per-packet lists."""
+        self.latencies_cycles.append(latency_cycles)
+        if network_latency_cycles is not None:
+            self.network_latencies_cycles.append(network_latency_cycles)
+        self.packet_energies_pj.append(energy_pj)
+        self.packet_hops.append(hops)
 
     # ------------------------------------------------------------------
     # Derived metrics.
@@ -153,50 +118,34 @@ class SimulationResult:
 
     def average_packet_latency_cycles(self) -> float:
         """Mean source-to-ejection latency of measured packets [cycles]."""
-        if self.metrics_mode == "streaming":
-            return self.latency_stream.mean
         if not self.latencies_cycles:
             return 0.0
         return sum(self.latencies_cycles) / len(self.latencies_cycles)
 
     def average_network_latency_cycles(self) -> float:
         """Mean injection-to-ejection latency of measured packets [cycles]."""
-        if self.metrics_mode == "streaming":
-            return self.network_latency_stream.mean
         if not self.network_latencies_cycles:
             return 0.0
         return sum(self.network_latencies_cycles) / len(self.network_latencies_cycles)
 
     def latency_percentile_cycles(self, percentile: float) -> float:
-        """Latency percentile (0-100) over measured packets [cycles].
-
-        Exact in ``"sampled"`` mode; in ``"streaming"`` mode a P² estimate,
-        available only for the tracked percentiles (50/95/99).
-        """
-        if self.metrics_mode == "streaming":
-            if self.latency_stream.count == 0:
-                return 0.0
-            return self.latency_stream.percentile(percentile)
-        if not self.latencies_cycles:
-            return 0.0
+        """Latency percentile (0-100) over measured packets [cycles]."""
         if not 0 <= percentile <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {percentile}")
+        if not self.latencies_cycles:
+            return 0.0
         ordered = sorted(self.latencies_cycles)
         index = int(round((percentile / 100.0) * (len(ordered) - 1)))
         return float(ordered[index])
 
     def max_latency_cycles(self) -> float:
         """Largest measured packet latency [cycles] (0.0 with no samples)."""
-        if self.metrics_mode == "streaming":
-            return self.latency_stream.max
         if not self.latencies_cycles:
             return 0.0
         return float(max(self.latencies_cycles))
 
     def average_hop_count(self) -> float:
         """Mean number of link traversals of measured packets."""
-        if self.metrics_mode == "streaming":
-            return self.hops_stream.mean
         if not self.packet_hops:
             return 0.0
         return sum(self.packet_hops) / len(self.packet_hops)
@@ -209,14 +158,9 @@ class SimulationResult:
         window, mirroring the paper's inclusion of "both dynamic and static
         power consumption".
         """
-        if self.metrics_mode == "streaming":
-            if self.energy_stream.count == 0:
-                return 0.0
-            dynamic = self.energy_stream.mean
-        elif not self.packet_energies_pj:
+        if not self.packet_energies_pj:
             return 0.0
-        else:
-            dynamic = sum(self.packet_energies_pj) / len(self.packet_energies_pj)
+        dynamic = sum(self.packet_energies_pj) / len(self.packet_energies_pj)
         if not self.include_static_energy:
             return dynamic
         packets = max(1, self.packets_delivered_measured)

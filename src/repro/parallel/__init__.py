@@ -14,8 +14,7 @@ sweep daemon) is built on:
 * :mod:`repro.parallel.runner` — the simulation task model
   (:class:`~repro.parallel.runner.SimulationTask`) and the
   :class:`~repro.parallel.runner.ExperimentRunner` tying the three
-  together (moved here from ``repro.experiments.runner``, which remains
-  as a deprecation shim).
+  together.
 * :mod:`repro.parallel.checkpoints` — on-disk store of resumable kernel
   checkpoints keyed by task cache key, used by checkpointed executions.
 """

@@ -26,8 +26,7 @@ them in one batch via :class:`ExperimentRunner`, and reassemble sweeps with
 :func:`assemble_sweep`.
 
 This module is the execution layer behind the :mod:`repro.api` facade and
-the sweep service (:mod:`repro.service`).  It historically lived at
-``repro.experiments.runner``; that path remains as a deprecation shim.
+the sweep service (:mod:`repro.service`).
 """
 
 from __future__ import annotations

@@ -6,14 +6,6 @@ cycle-accurate simulator, so a full run takes milliseconds.  They live in
 the package — rather than in a ``conftest.py`` — so the test suite, the
 orchestration-layer tests and the documentation examples can all import
 them unambiguously (``from repro.testing import small_system_config``).
-
-:mod:`repro.testing.legacy` holds the deprecated object-era spellings of
-the hot data-plane interfaces (``PendingTransmission`` dataclasses, the
-``MacAdapter`` protocol and its bridge, the ``may_send`` /
-``on_flit_sent`` wrapper helpers) for unit tests and external callers;
-production code speaks only the handle-based interfaces on
-:class:`repro.noc.fabric.Fabric` and
-:class:`repro.wireless.mac.MacProtocol`.
 """
 
 from __future__ import annotations

@@ -18,13 +18,6 @@ index the scratch arrays.  :class:`~repro.noc.fabric.WirelessFabric` is
 the production implementation.  Likewise, the per-flit admission methods
 are hot (:meth:`MacProtocol.grants` / :meth:`MacProtocol.notify_sent`,
 plain-int arguments).
-
-The historical object-era spellings — ``PendingTransmission``
-dataclasses, the ``MacAdapter`` protocol and its bridge, the
-``may_send`` / ``on_flit_sent`` wrappers — live in
-:mod:`repro.testing.legacy` (deprecated; unit tests and external callers
-only).  A legacy adapter handed to :class:`MacProtocol` is still bridged
-automatically, so scripted test adapters keep working.
 """
 
 from __future__ import annotations
@@ -70,12 +63,11 @@ class MacDataPlane(abc.ABC):
         """
 
     @abc.abstractmethod
-    def record_control_energy(self, energy_pj: float, channel_id: int = -1) -> None:
+    def record_control_energy(self, energy_pj: float, channel_id: int) -> None:
         """Charge the energy of a MAC control packet / token broadcast.
 
         ``channel_id`` attributes the overhead to one wireless channel for
-        the per-channel energy breakdown; ``-1`` leaves it unattributed
-        (legacy callers).
+        the per-channel energy breakdown.
         """
 
 
@@ -112,31 +104,22 @@ class MacProtocol(abc.ABC):
     wi_switch_ids:
         The WIs sharing the channel, in their fixed sequence order ("the WIs
         are numbered in a sequence", Section III-D).
-    adapter:
-        View into the simulator (pending traffic, energy accounting): a
-        :class:`MacDataPlane` (production, hot) or a legacy
-        :class:`repro.testing.legacy.MacAdapter` (tests; bridged
-        automatically).
+    plane:
+        The :class:`MacDataPlane` the protocol reads pending traffic from
+        and charges control energy to.
     """
 
     def __init__(
         self,
         channel_id: int,
         wi_switch_ids: Sequence[int],
-        adapter,
+        plane: MacDataPlane,
     ) -> None:
         if not wi_switch_ids:
             raise ValueError("a wireless channel needs at least one WI")
         self.channel_id = channel_id
         self.wi_switch_ids = list(wi_switch_ids)
-        self.adapter = adapter
-        #: The hot data plane the protocol logic reads.
-        if isinstance(adapter, MacDataPlane):
-            self.plane: MacDataPlane = adapter
-        else:
-            from ...testing.legacy import LegacyAdapterBridge
-
-            self.plane = LegacyAdapterBridge(adapter)
+        self.plane = plane
         self.stats = MacStatistics()
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ...energy.technology import WIRELESS_ENERGY_PJ_PER_BIT
-from .base import MacProtocol
+from .base import MacDataPlane, MacProtocol
 
 
 @dataclass
@@ -74,14 +74,14 @@ class ControlPacketMac(MacProtocol):
         self,
         channel_id: int,
         wi_switch_ids: Sequence[int],
-        adapter,
+        plane: MacDataPlane,
         control_packet_cycles: int = 3,
         control_packet_bits: int = 96,
         max_tuples: int = 8,
         cycles_per_flit: int = 1,
         hold_slack_cycles: int = 32,
     ) -> None:
-        super().__init__(channel_id, wi_switch_ids, adapter)
+        super().__init__(channel_id, wi_switch_ids, plane)
         if control_packet_cycles <= 0:
             raise ValueError("control_packet_cycles must be positive")
         if max_tuples <= 0:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from .base import MacProtocol
+from .base import MacDataPlane, MacProtocol
 
 
 class FdmaMac(MacProtocol):
@@ -30,9 +30,9 @@ class FdmaMac(MacProtocol):
         self,
         channel_id: int,
         wi_switch_ids: Sequence[int],
-        adapter,
+        plane: MacDataPlane,
     ) -> None:
-        super().__init__(channel_id, wi_switch_ids, adapter)
+        super().__init__(channel_id, wi_switch_ids, plane)
         self._owner_index = 0
         #: Per-WI packet id of the flit most recently sent on that WI's
         #: sub-band; a new packet id on a sub-band = one grant.  Per WI

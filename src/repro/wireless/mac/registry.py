@@ -138,7 +138,7 @@ def _build_token(context: MacBuildContext) -> MacProtocol:
     return TokenMac(
         context.channel_id,
         list(context.wi_switch_ids),
-        adapter=context.plane,
+        plane=context.plane,
         token_pass_latency_cycles=wireless.token_pass_latency_cycles,
         max_hold_cycles=4 * context.packet_length_flits * wireless.cycles_per_flit + 64,
     )
@@ -154,7 +154,7 @@ def _build_control_packet(context: MacBuildContext) -> MacProtocol:
     return ControlPacketMac(
         context.channel_id,
         list(context.wi_switch_ids),
-        adapter=context.plane,
+        plane=context.plane,
         control_packet_cycles=wireless.control_packet_cycles,
         control_packet_bits=wireless.control_packet_bits,
         max_tuples=wireless.max_control_tuples,
@@ -176,7 +176,7 @@ def _build_tdma(context: MacBuildContext) -> MacProtocol:
     return TdmaMac(
         context.channel_id,
         list(context.wi_switch_ids),
-        adapter=context.plane,
+        plane=context.plane,
         slot_cycles=slot_cycles,
         guard_cycles=wireless.tdma_guard_cycles,
     )
@@ -190,5 +190,5 @@ def _build_fdma(context: MacBuildContext) -> MacProtocol:
     return FdmaMac(
         context.channel_id,
         list(context.wi_switch_ids),
-        adapter=context.plane,
+        plane=context.plane,
     )

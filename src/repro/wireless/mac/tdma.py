@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .base import MacProtocol
+from .base import MacDataPlane, MacProtocol
 
 
 class TdmaMac(MacProtocol):
@@ -32,11 +32,11 @@ class TdmaMac(MacProtocol):
         self,
         channel_id: int,
         wi_switch_ids: Sequence[int],
-        adapter,
+        plane: MacDataPlane,
         slot_cycles: int = 64,
         guard_cycles: int = 1,
     ) -> None:
-        super().__init__(channel_id, wi_switch_ids, adapter)
+        super().__init__(channel_id, wi_switch_ids, plane)
         if slot_cycles <= 0:
             raise ValueError("slot_cycles must be positive")
         if not 0 <= guard_cycles < slot_cycles:

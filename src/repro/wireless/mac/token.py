@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ...energy.technology import WIRELESS_ENERGY_PJ_PER_BIT
-from .base import MacProtocol
+from .base import MacDataPlane, MacProtocol
 
 #: Size of the circulating token [bits]; only used for energy accounting.
 TOKEN_BITS = 8
@@ -30,11 +30,11 @@ class TokenMac(MacProtocol):
         self,
         channel_id: int,
         wi_switch_ids: Sequence[int],
-        adapter,
+        plane: MacDataPlane,
         token_pass_latency_cycles: int = 2,
         max_hold_cycles: int = 4096,
     ) -> None:
-        super().__init__(channel_id, wi_switch_ids, adapter)
+        super().__init__(channel_id, wi_switch_ids, plane)
         if token_pass_latency_cycles < 0:
             raise ValueError("token_pass_latency_cycles must be non-negative")
         if max_hold_cycles <= 0:

@@ -1,6 +1,6 @@
-"""The ``repro.api`` facade and the ``experiments.runner`` move.
+"""The ``repro.api`` facade.
 
-The PR-8 contracts:
+The contracts:
 
 * **Facade parity** — :func:`repro.api.run` / :func:`~repro.api.sweep`
   produce exactly what a directly constructed
@@ -11,9 +11,8 @@ The PR-8 contracts:
   parsed spec, a raw mapping, a built-in name and a document path, with
   a working fidelity override; :func:`~repro.api.compile_scenario` runs
   nothing and agrees with the scenario layer.
-* **Deprecation shim** — ``repro.experiments.runner`` still imports (one
-  :class:`DeprecationWarning`, warned once) and re-exports the *same*
-  objects now living in ``repro.parallel.runner``.
+* **Import hygiene** — importing ``repro.experiments`` and ``repro.api``
+  raises no :class:`DeprecationWarning`.
 * **CLI routing** — ``--service`` swaps in a
   :class:`~repro.service.client.ServiceRunner` and rejects
   ``--profile``; without it the CLI builds runners through the facade.
@@ -146,50 +145,13 @@ class TestScenarioForms:
 
 
 # ----------------------------------------------------------------------
-# The deprecation shim.
+# Import hygiene.
 # ----------------------------------------------------------------------
 
 
-class TestRunnerShim:
-    def test_shim_reexports_the_same_objects(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.experiments import runner as shim
-        from repro.parallel import runner as home
-
-        assert shim.ExperimentRunner is home.ExperimentRunner
-        assert shim.SimulationTask is home.SimulationTask
-        assert shim.execute_task is home.execute_task
-        assert home.ExperimentRunner.__module__ == "repro.parallel.runner"
-
-    def test_shim_warns_exactly_once(self):
-        """Run in a fresh interpreter: the warning fires on first import only."""
-        script = (
-            "import warnings\n"
-            "with warnings.catch_warnings(record=True) as caught:\n"
-            "    warnings.simplefilter('always')\n"
-            "    import repro.experiments.runner\n"
-            "    import repro.experiments.runner  # cached: no second warning\n"
-            "    from repro.experiments import runner  # lazy attr: still cached\n"
-            "relevant = [w for w in caught\n"
-            "            if issubclass(w.category, DeprecationWarning)\n"
-            "            and 'repro.experiments.runner' in str(w.message)]\n"
-            "print(len(relevant))\n"
-        )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        output = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
-            check=True,
-        )
-        assert output.stdout.strip() == "1"
-
-    def test_experiments_package_does_not_import_shim_eagerly(self):
-        """``import repro.experiments`` must stay deprecation-silent."""
+class TestImportHygiene:
+    def test_importing_experiments_and_api_raises_no_deprecation_warning(self):
+        """``import repro.experiments`` and ``import repro.api`` stay silent."""
         script = (
             "import warnings\n"
             "warnings.simplefilter('error', DeprecationWarning)\n"

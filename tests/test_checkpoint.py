@@ -233,6 +233,22 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="dict"):
             load_checkpoint(path)
 
+    def test_missing_module_raises_and_reads_as_cold_start(self, tmp_path):
+        """A pickle naming a module this build lacks is a CheckpointError.
+
+        Checkpoints written by an older build can reference modules that
+        were since deleted; unpickling them raises ``ModuleNotFoundError``,
+        which must not escape the typed error or the store's cold start.
+        """
+        store = CheckpointStore(tmp_path)
+        path = store.path_for("stale")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # Protocol-0 GLOBAL opcode: ``repro_retired_module.Gone``, then STOP.
+        path.write_bytes(b"crepro_retired_module\nGone\n.")
+        with pytest.raises(CheckpointError, match="repro_retired_module"):
+            load_checkpoint(path)
+        assert store.load("stale") is None
+
     def test_version_mismatch_raises(self, tmp_path):
         """Older and newer schema files fail loudly but read as cold starts.
 

@@ -11,15 +11,13 @@ oracle of the one kernel the simulator has.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core.architectures import build_system
 from repro.core.config import Architecture, SystemConfig
 from repro.core.framework import MultichipSimulation
 from repro.faults.scenarios import create_fault_plan
-from repro.noc.engine import METRICS_MODES, SCHEDULERS, SimulationConfig, Simulator
+from repro.noc.engine import SCHEDULERS, SimulationConfig, Simulator
 from repro.noc.kernel import (
     ActiveSetScheduler,
     DenseScheduler,
@@ -73,9 +71,7 @@ def result_fingerprint(result):
     }
 
 
-def run_with_scheduler(
-    config, traffic_factory, scheduler, cycles=500, faults=None, metrics="sampled"
-):
+def run_with_scheduler(config, traffic_factory, scheduler, cycles=500, faults=None):
     system = build_system(config)
     traffic = traffic_factory(system)
     fault_plan = None
@@ -93,7 +89,6 @@ def run_with_scheduler(
             cycles=cycles,
             warmup_cycles=cycles // 4,
             scheduler=scheduler,
-            metrics=metrics,
         ),
         fault_plan=fault_plan,
     )
@@ -192,48 +187,6 @@ class TestSchedulerSelection:
 
     def test_default_is_active(self):
         assert SimulationConfig().scheduler == "active"
-
-
-class TestStreamingMetrics:
-    def test_streaming_matches_sampled_aggregates(self):
-        config = ARCHITECTURES["mesh"]()
-        sampled = run_with_scheduler(config, uniform_factory(), "active", cycles=360)
-        streaming = run_with_scheduler(
-            config, uniform_factory(), "active", cycles=360, metrics="streaming"
-        )
-        # Simulated behaviour is identical; only the sample storage differs.
-        assert streaming.packets_delivered == sampled.packets_delivered
-        assert streaming.flits_injected == sampled.flits_injected
-        assert streaming.energy.as_dict() == sampled.energy.as_dict()
-        assert streaming.latencies_cycles == []
-        assert streaming.packet_energies_pj == []
-        assert len(sampled.latencies_cycles) == streaming.latency_stream.count
-        assert math.isclose(
-            streaming.average_packet_latency_cycles(),
-            sampled.average_packet_latency_cycles(),
-            rel_tol=1e-12,
-        )
-        assert streaming.max_latency_cycles() == sampled.max_latency_cycles()
-        assert math.isclose(
-            streaming.average_packet_energy_pj(),
-            sampled.average_packet_energy_pj(),
-            rel_tol=1e-9,
-        )
-
-    def test_streaming_percentiles_are_tracked_only(self):
-        config = ARCHITECTURES["mesh"]()
-        streaming = run_with_scheduler(
-            config, uniform_factory(), "active", cycles=200, metrics="streaming"
-        )
-        # Tracked percentiles answer (an estimate); untracked ones raise.
-        assert streaming.latency_percentile_cycles(95.0) >= 0.0
-        with pytest.raises(ValueError, match="track only"):
-            streaming.latency_percentile_cycles(42.0)
-
-    def test_unknown_metrics_mode_rejected(self):
-        assert set(METRICS_MODES) == {"sampled", "streaming"}
-        with pytest.raises(ValueError, match="unknown metrics mode"):
-            SimulationConfig(metrics="exact")
 
 
 class TestActiveSetBookkeeping:

@@ -1,25 +1,41 @@
-"""Unit tests of the wireless MAC protocols against a scripted adapter."""
+"""Unit tests of the wireless MAC protocols against a scripted data plane."""
 
 from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.testing.legacy import MacAdapter, PendingTransmission
-from repro.wireless.mac import ControlPacketMac, FdmaMac, TdmaMac, TokenMac
+from repro.wireless.mac import ControlPacketMac, FdmaMac, MacDataPlane, TdmaMac, TokenMac
 
 
-class ScriptedAdapter(MacAdapter):
-    """A MAC adapter whose pending traffic is set directly by the test."""
+class ScriptedAdapter(MacDataPlane):
+    """A MAC data plane whose pending traffic is set directly by the test.
+
+    Each scripted row is ``(dst, packet_id, buffered, length, remaining,
+    head)``, in the order of the ``pend_*`` scratch arrays.
+    """
 
     def __init__(self) -> None:
-        self.pending_by_wi: Dict[int, List[PendingTransmission]] = {}
+        self.pending_by_wi: Dict[int, List[Tuple[int, int, int, int, int, int]]] = {}
         self.space: Dict[Tuple[int, int], int] = {}
         self.control_energy_pj = 0.0
+        self.pend_dst: List[int] = []
+        self.pend_pid: List[int] = []
+        self.pend_buffered: List[int] = []
+        self.pend_length: List[int] = []
+        self.pend_remaining: List[int] = []
+        self.pend_head: List[int] = []
 
-    def pending(self, wi_switch_id: int) -> List[PendingTransmission]:
-        return list(self.pending_by_wi.get(wi_switch_id, []))
+    def scan_pending(self, wi_switch_id: int) -> int:
+        rows = self.pending_by_wi.get(wi_switch_id, [])
+        self.pend_dst = [row[0] for row in rows]
+        self.pend_pid = [row[1] for row in rows]
+        self.pend_buffered = [row[2] for row in rows]
+        self.pend_length = [row[3] for row in rows]
+        self.pend_remaining = [row[4] for row in rows]
+        self.pend_head = [row[5] for row in rows]
+        return len(rows)
 
-    def record_control_energy(self, energy_pj: float) -> None:
+    def record_control_energy(self, energy_pj: float, channel_id: int) -> None:
         self.control_energy_pj += energy_pj
 
     def acceptable_flits(self, dst_switch: int, packet_id: int, is_head: bool) -> int:
@@ -29,15 +45,15 @@ class ScriptedAdapter(MacAdapter):
 
     def set_pending(self, wi: int, dst: int, packet_id: int, buffered: int,
                     length: int, is_head: bool = True, remaining: int = None) -> None:
-        entry = PendingTransmission(
-            dst_switch=dst,
-            packet_id=packet_id,
-            buffered_flits=buffered,
-            packet_length_flits=length,
-            front_is_head=is_head,
-            remaining_flits=remaining if remaining is not None else length,
+        row = (
+            dst,
+            packet_id,
+            buffered,
+            length,
+            remaining if remaining is not None else length,
+            1 if is_head else 0,
         )
-        self.pending_by_wi.setdefault(wi, []).append(entry)
+        self.pending_by_wi.setdefault(wi, []).append(row)
 
     def clear(self, wi: int) -> None:
         self.pending_by_wi.pop(wi, None)

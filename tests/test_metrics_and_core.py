@@ -53,6 +53,10 @@ class TestSimulationResultMetrics:
         assert result.latency_percentile_cycles(50) == 200
         with pytest.raises(ValueError):
             result.latency_percentile_cycles(150)
+        empty = SimulationResult(cycles=100, warmup_cycles=10, num_cores=4)
+        assert empty.latency_percentile_cycles(50) == 0.0
+        with pytest.raises(ValueError):
+            empty.latency_percentile_cycles(150)
 
     def test_summary_keys(self):
         summary = _result().summary()

@@ -1,16 +1,10 @@
-"""Wireless data-plane tests: MAC registry, hot-path parity, channel energy.
+"""Wireless data-plane tests: MAC registry, grant exclusivity, channel energy.
 
-The PR-5 contracts:
+The contracts:
 
 * **Registry** — every shipped protocol is constructible by name, unknown
   names fail loudly at configuration time, and the registry metadata
   (whole-packet buffering) drives the WI buffer sizing.
-* **Wrapper parity** — for every registered MAC, a simulation whose
-  protocol instances read pending traffic through the deprecated object
-  spellings (``repro.testing.legacy``: the hot scan materialised into
-  ``PendingTransmission`` dataclasses and bridged back by
-  ``LegacyAdapterBridge``) is bit-identical to the handle-based hot path
-  (``scan_pending`` on pool arrays), across channel counts.
 * **Grant exclusivity** — property-tested: per wireless channel, at most
   one WI transmits in any cycle, for every MAC, seed and load.
 * **Per-channel energy** — the per-channel attribution sums exactly to the
@@ -30,13 +24,7 @@ from repro.noc.config import NetworkConfig, WirelessConfig
 from repro.noc.engine import SimulationConfig, Simulator
 from repro.testing import small_system_config
 from repro.traffic.registry import create_pattern
-from repro.testing.legacy import LegacyAdapterBridge
-from repro.wireless.mac import (
-    MacDataPlane,
-    available_macs,
-    mac_spec,
-    register_mac,
-)
+from repro.wireless.mac import available_macs, mac_spec, register_mac
 from repro.wireless.mac.registry import UnknownMacError
 
 ALL_MACS = ("control_packet", "fdma", "tdma", "token")
@@ -61,85 +49,6 @@ def _build_simulator(mac, channels, rate=0.08, seed=11, cycles=500):
         network_config=config.network,
         simulation_config=SimulationConfig(cycles=cycles, warmup_cycles=cycles // 4),
     )
-
-
-def _run_instrumented(simulator, instrument):
-    """Run a simulator through the kernel, letting ``instrument(network)``
-    rewire the wireless fabric between network construction and the run.
-
-    Mirrors ``Simulator.run`` (same accounting, same finalize sequence) so
-    the produced :class:`SimulationResult` is comparable bit for bit.
-    """
-    from repro.energy import EnergyAccountant
-    from repro.noc.kernel import SimulationKernel
-    from repro.noc.network import Network
-    from repro.noc.stats import SimulationResult
-
-    config = simulator.simulation_config
-    net_config = simulator.network_config
-    simulator.traffic.reset()
-    network = Network(simulator.topology, net_config)
-    accountant = EnergyAccountant(
-        technology=net_config.technology,
-        include_static=net_config.include_static_energy,
-    )
-    for fabric in network.fabrics:
-        fabric.bind_accountant(accountant)
-    instrument(network)
-    result = SimulationResult(
-        cycles=config.cycles,
-        warmup_cycles=config.warmup_cycles,
-        num_cores=len(simulator.topology.cores),
-        flit_width_bits=net_config.technology.flit_width_bits,
-        clock_frequency_hz=net_config.technology.clock_frequency_hz,
-        nominal_packet_length_flits=net_config.packet_length_flits,
-        include_static_energy=net_config.include_static_energy,
-    )
-    kernel = SimulationKernel(
-        network=network,
-        router=simulator.router,
-        traffic=simulator.traffic,
-        accountant=accountant,
-        result=result,
-        config=config,
-        net_config=net_config,
-    )
-    state = kernel.run()
-    accountant.record_static(
-        cycles=state.cycle + 1,
-        total_switch_static_mw=network.total_switch_static_power_mw,
-    )
-    for fabric in network.fabrics:
-        fabric.finalize(result, accountant)
-    result.energy = accountant.breakdown
-    result.stalled = state.stalled
-    return result
-
-
-def _bridge_all_macs(network):
-    """Swap every MAC's hot plane for the legacy object-wrapper bridge."""
-    fabric = network.wireless_fabric
-    assert fabric is not None
-    for mac_instance in fabric.macs:
-        assert isinstance(mac_instance.plane, MacDataPlane)
-        mac_instance.plane = LegacyAdapterBridge(fabric)
-
-
-def _fingerprint(result):
-    """Everything that must match between the hot and the wrapper path."""
-    return {
-        "packets_generated": result.packets_generated,
-        "packets_delivered": result.packets_delivered,
-        "flits_injected": result.flits_injected,
-        "flit_hops": result.flit_hops,
-        "wireless_flit_hops": result.wireless_flit_hops,
-        "latencies": tuple(result.latencies_cycles),
-        "packet_energies": tuple(result.packet_energies_pj),
-        "energy": result.energy.as_dict(),
-        "mac_statistics": result.mac_statistics,
-        "sleep_fraction": result.transceiver_sleep_fraction,
-        "stalled": result.stalled,
-    }
 
 
 class TestMacRegistry:
@@ -187,23 +96,6 @@ class TestMacRegistry:
             )
 
 
-class TestWrapperParity:
-    """Legacy object wrappers vs the handle-based hot path, bit for bit."""
-
-    @pytest.mark.parametrize("mac", ALL_MACS)
-    @pytest.mark.parametrize("channels", (1, 2))
-    def test_legacy_bridge_matches_hot_path(self, mac, channels):
-        hot = _build_simulator(mac, channels).run()
-        # Re-run with every MAC instance reading pending traffic through
-        # the deprecated object spelling: the bridge materialises the hot
-        # scan into PendingTransmission dataclasses and converts them back
-        # into scratch-array rows.  Outcomes must be bit-identical.
-        bridged = _run_instrumented(
-            _build_simulator(mac, channels), _bridge_all_macs
-        )
-        assert _fingerprint(hot) == _fingerprint(bridged)
-
-
 class TestGrantExclusivity:
     """Per channel, at most one WI puts a flit on the air in any cycle."""
 
@@ -232,7 +124,8 @@ class TestGrantExclusivity:
 
             fabric.notify_sent = probe
 
-        _run_instrumented(simulator, install_probe)
+        simulator.instrument = install_probe
+        simulator.run()
         overlaps = {
             key: senders for key, senders in observed.items() if len(senders) > 1
         }
@@ -292,7 +185,7 @@ class TestChannelEnergyAttribution:
 
 class TestMacTaskThreading:
     def test_mac_override_changes_cache_key_and_label(self):
-        from repro.experiments.runner import uniform_task
+        from repro.parallel.runner import uniform_task
 
         class _Fidelity:
             cycles = 400
@@ -311,7 +204,7 @@ class TestMacTaskThreading:
         assert base.effective_config() is config
 
     def test_unknown_mac_rejected_at_task_construction(self):
-        from repro.experiments.runner import uniform_task
+        from repro.parallel.runner import uniform_task
 
         class _Fidelity:
             cycles = 400
