@@ -66,4 +66,4 @@ def bench_pattern():
 @pytest.fixture
 def bench_runner():
     """Experiment runner for benchmarks: configurable jobs, cache disabled."""
-    return ExperimentRunner(jobs=BENCH_JOBS, cache_dir=None, use_cache=False)
+    return ExperimentRunner(jobs=BENCH_JOBS, cache_dir=None)

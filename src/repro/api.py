@@ -1,6 +1,6 @@
 """The supported programmatic entry surface of the reproduction.
 
-Four verbs cover every way of running simulations; everything else in the
+Three verbs cover every way of running simulations; everything else in the
 package is implementation detail that may move between releases:
 
 * :func:`run` — execute one :class:`~repro.parallel.runner.SimulationTask`
@@ -10,8 +10,6 @@ package is implementation detail that may move between releases:
 * :func:`compile_scenario` — turn a scenario document (path, mapping,
   built-in name or parsed :class:`~repro.scenario.ScenarioSpec`) into its
   ordered task list without running anything.
-* :func:`submit` — hand a sweep to a running :mod:`repro.service` daemon
-  over its local socket and collect the results as they stream back.
 
 Plus two constructors shared by the CLI, the fuzzer and the tests:
 :func:`make_runner` (a configured
@@ -21,8 +19,7 @@ Plus two constructors shared by the CLI, the fuzzer and the tests:
 
 Imports inside the functions are deliberate: the facade sits at the top of
 the package and must stay importable without dragging in the scenario
-layer or the service, and without creating import cycles with the
-modules it fronts.
+layer, and without creating import cycles with the modules it fronts.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ __all__ = [
     "make_runner",
     "resolve_scenario",
     "run",
-    "submit",
     "sweep",
 ]
 
@@ -54,7 +50,6 @@ ScenarioSource = Union["ScenarioSpec", Mapping, str, "os.PathLike[str]"]
 def make_runner(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    use_cache: bool = True,
     show_progress: bool = False,
     profile: bool = False,
     checkpoint_every_cycles: int = 0,
@@ -63,18 +58,18 @@ def make_runner(
     """A configured :class:`~repro.parallel.runner.ExperimentRunner`.
 
     The single construction path shared by :func:`sweep`, the experiments
-    CLI and the sweep service, so runner defaults cannot drift between
-    entry points.  Caching engages only when ``cache_dir`` is given (pass
-    :data:`repro.parallel.runner.DEFAULT_CACHE_DIR` for the CLI's
-    default); ``cache_dir=None`` — like ``use_cache=False`` — runs
-    uncached, matching a bare ``ExperimentRunner()``.
+    CLI and the end-to-end benchmark, so runner defaults cannot drift
+    between entry points.  Caching engages only when ``cache_dir`` is
+    given (pass :data:`repro.parallel.runner.DEFAULT_CACHE_DIR` for the
+    CLI's default); ``cache_dir=None`` runs uncached, matching a bare
+    ``ExperimentRunner()``.  With both checkpoint knobs set every task is
+    resumable after a crash (see :func:`run`).
     """
     from .parallel.runner import ExperimentRunner
 
     return ExperimentRunner(
         jobs=jobs,
         cache_dir=cache_dir,
-        use_cache=use_cache,
         show_progress=show_progress,
         profile=profile,
         checkpoint_every_cycles=checkpoint_every_cycles,
@@ -178,28 +173,9 @@ def compile_scenario(
     """Compile a scenario into its ordered simulation-task list.
 
     Accepts every form :func:`resolve_scenario` does and runs nothing:
-    the returned tasks feed :func:`sweep` or :func:`submit` and share the
-    result cache with the figure CLIs bit for bit.
+    the returned tasks feed :func:`sweep` and share the result cache with
+    the figure CLIs bit for bit.
     """
     from .scenario import compile_scenario as compile_spec
 
     return compile_spec(resolve_scenario(source, fidelity))
-
-
-def submit(
-    tasks: Sequence["SimulationTask"],
-    socket_path: str,
-    priority: str = "bulk",
-    timeout: Optional[float] = None,
-) -> Dict["SimulationTask", "LoadPointSummary"]:
-    """Run tasks on the sweep-service daemon listening at ``socket_path``.
-
-    Blocks until the job completes and returns results keyed by task,
-    exactly like :func:`sweep` — the service dedupes against its result
-    cache, coalesces tasks shared with in-flight jobs, and (with
-    ``priority="interactive"``) preempts queued bulk work.  Start a daemon
-    with ``python -m repro.service --socket PATH``.
-    """
-    from .service.client import submit_sync
-
-    return submit_sync(tasks, socket_path, priority=priority, timeout=timeout)

@@ -201,19 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--service",
-        default=None,
-        metavar="SOCKET",
-        help=(
-            "execute on the sweep-service daemon listening on this Unix "
-            "socket (start one with 'python -m repro.service --socket "
-            "SOCKET'); tasks are deduped against the daemon's shared "
-            "cache and coalesced with other clients' in-flight work. "
-            "Local execution flags (--jobs/--cache-dir/--profile) "
-            "do not apply: the daemon owns those settings"
-        ),
-    )
-    parser.add_argument(
         "--quiet",
         "-q",
         action="store_true",
@@ -226,28 +213,14 @@ def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
     """Build the experiment runner described by parsed CLI arguments.
 
     Goes through the :func:`repro.api.make_runner` facade — the same
-    constructor every other entry point (tests, fuzzer, sweep service)
-    uses — so CLI runs cannot drift from programmatic ones.  With
-    ``--service`` the returned runner ships its batches to the daemon
-    instead of executing locally.
+    constructor the programmatic :func:`repro.api.sweep` uses — so CLI
+    runs cannot drift from programmatic ones.
     """
-    if getattr(args, "service", None):
-        if getattr(args, "profile", False):
-            raise ValueError(
-                "--profile does not combine with --service: per-phase "
-                "timings cannot cross the daemon socket"
-            )
-        from ..service.client import ServiceRunner
-
-        return ServiceRunner(
-            socket_path=args.service, show_progress=not args.quiet
-        )
     from ..api import make_runner
 
     return make_runner(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
-        use_cache=not args.no_cache,
         show_progress=not args.quiet,
         profile=getattr(args, "profile", False),
     )
@@ -317,8 +290,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         runner = runner_from_args(args)
     except OSError as error:
         parser.error(f"cannot use cache directory {args.cache_dir!r}: {error}")
-    except ValueError as error:
-        parser.error(str(error))
     if args.fault_rate is not None and not 0.0 <= args.fault_rate <= 1.0:
         parser.error("--fault-rate must be in [0, 1]")
     if (

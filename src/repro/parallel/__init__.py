@@ -1,8 +1,7 @@
 """Parallel execution: hashing, caching, worker pools, the task runner.
 
 This package owns the orchestration machinery every execution surface
-(the figure CLIs, the :mod:`repro.api` facade, the :mod:`repro.service`
-sweep daemon) is built on:
+(the figure CLIs and the :mod:`repro.api` facade) is built on:
 
 * :mod:`repro.parallel.hashing` — canonical JSON serialisation and stable
   content hashes of task/configuration objects, used as cache keys.
@@ -16,7 +15,8 @@ sweep daemon) is built on:
   :class:`~repro.parallel.runner.ExperimentRunner` tying the three
   together.
 * :mod:`repro.parallel.checkpoints` — on-disk store of resumable kernel
-  checkpoints keyed by task cache key, used by checkpointed executions.
+  checkpoints keyed by task cache key, which makes a checkpointed run
+  resumable after a crash.
 """
 
 from .cache import ResultCache

@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Optional, Union
 
 
 class ResultCache:
@@ -64,25 +64,3 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
-    def keys(self) -> Iterator[str]:
-        """Keys of every entry currently stored."""
-        for path in sorted(self.directory.glob("*.json")):
-            yield path.stem
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed

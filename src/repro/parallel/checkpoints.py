@@ -1,7 +1,8 @@
 """On-disk store of resumable kernel checkpoints, keyed by task cache key.
 
-The sweep service (and any :func:`repro.parallel.runner.execute_task` call
-with checkpointing enabled) persists mid-run
+Any :func:`repro.parallel.runner.execute_task` call with checkpointing
+enabled (``ExperimentRunner(checkpoint_every_cycles=, checkpoint_dir=)``,
+or the same knobs on :func:`repro.api.sweep`) persists mid-run
 :class:`~repro.noc.checkpoint.KernelCheckpoint` snapshots here, one file
 per task at ``<directory>/<cache_key>.ckpt``.  Keying by the task's
 content hash means a preempted or crashed attempt and its retry agree on
@@ -9,7 +10,7 @@ where to look without any coordination — the same property the result
 cache builds on.  Files are written atomically and deleted when the task
 completes, so a populated store is exactly the set of interrupted runs.
 
-A corrupt, truncated or older-schema file (e.g. the daemon was killed
+A corrupt, truncated or older-schema file (e.g. the process was killed
 during an earlier schema's run) reads as "no checkpoint": the task
 cold-starts and overwrites it, never erroring out.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from functools import partial
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import Callable, Optional, Union
 
 from ..noc.checkpoint import (
     CheckpointError,
@@ -75,9 +76,3 @@ class CheckpointStore:
             self.path_for(key).unlink()
         except FileNotFoundError:
             pass
-
-    def keys(self) -> List[str]:
-        """Cache keys of every stored (i.e. interrupted) checkpoint."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(p.stem for p in self.directory.glob(f"*{_SUFFIX}"))

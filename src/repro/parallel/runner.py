@@ -25,8 +25,7 @@ task lists with :func:`sweep_tasks` / :func:`application_task`, execute
 them in one batch via :class:`ExperimentRunner`, and reassemble sweeps with
 :func:`assemble_sweep`.
 
-This module is the execution layer behind the :mod:`repro.api` facade and
-the sweep service (:mod:`repro.service`).
+This module is the execution layer behind the :mod:`repro.api` facade.
 """
 
 from __future__ import annotations
@@ -95,8 +94,7 @@ class SimulationTask:
     traffic pattern (``pattern``, see :mod:`repro.traffic.registry`; the
     default is uniform random traffic) at offered load ``load`` with the
     given memory-access fraction; ``"application"`` runs one PARSEC/SPLASH-2
-    profile (``application``) scaled by ``rate_scale``.  The legacy kind
-    name ``"uniform"`` is accepted as an alias of ``"synthetic"``.
+    profile (``application``) scaled by ``rate_scale``.
 
     ``faults`` names a registered fault scenario
     (:mod:`repro.faults.scenarios`) applied to the run at severity
@@ -129,9 +127,6 @@ class SimulationTask:
     mac: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind == "uniform":
-            # Legacy alias from the schema-v1 task format.
-            object.__setattr__(self, "kind", "synthetic")
         if self.kind not in ("synthetic", "application"):
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.kind == "synthetic":
@@ -445,11 +440,9 @@ class ExperimentRunner:
         Maximum worker processes; ``1`` (the default) runs everything
         inline.  Results are bit-identical at any value.
     cache_dir:
-        Directory of the per-task JSON result cache; ``None`` disables
-        caching entirely.
-    use_cache:
-        Master switch for the cache (the CLI's ``--no-cache``); when
-        ``False`` the cache is neither read nor written.
+        Directory of the per-task JSON result cache; ``None`` (the CLI's
+        ``--no-cache``) disables caching entirely: the cache is neither
+        read nor written.
     show_progress:
         When ``True``, prints a one-line progress update to stderr after
         each task completes.
@@ -465,7 +458,6 @@ class ExperimentRunner:
         self,
         jobs: int = 1,
         cache_dir: Optional[str] = None,
-        use_cache: bool = True,
         show_progress: bool = False,
         profile: bool = False,
         checkpoint_every_cycles: int = 0,
@@ -479,12 +471,12 @@ class ExperimentRunner:
         #: timings, and timed payloads must come from real simulation work.
         self.profile = profile
         self.cache: Optional[ResultCache] = (
-            ResultCache(cache_dir) if (cache_dir and use_cache and not profile) else None
+            ResultCache(cache_dir) if (cache_dir and not profile) else None
         )
         #: Checkpoint/restore knobs, forwarded to every
-        #: :func:`execute_task` call (the sweep service's preemption and
-        #: crash-recovery path; see :mod:`repro.parallel.checkpoints`).
-        #: Both must be set for checkpointing to engage.
+        #: :func:`execute_task` call (the crash-recovery path; see
+        #: :mod:`repro.parallel.checkpoints`).  Both must be set for
+        #: checkpointing to engage.
         self.checkpoint_every_cycles = max(0, int(checkpoint_every_cycles))
         self.checkpoint_dir = checkpoint_dir or ""
         self.show_progress = show_progress

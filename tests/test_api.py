@@ -13,9 +13,8 @@ The contracts:
   nothing and agrees with the scenario layer.
 * **Import hygiene** — importing ``repro.experiments`` and ``repro.api``
   raises no :class:`DeprecationWarning`.
-* **CLI routing** — ``--service`` swaps in a
-  :class:`~repro.service.client.ServiceRunner` and rejects
-  ``--profile``; without it the CLI builds runners through the facade.
+* **CLI routing** — the CLI builds its runner through the facade, so it
+  is a plain :class:`~repro.parallel.runner.ExperimentRunner`.
 """
 
 from __future__ import annotations
@@ -90,7 +89,6 @@ class TestFacadeParity:
     def test_make_runner_defaults_match_bare_runner(self, tmp_path):
         assert api.make_runner().cache is None  # uncached, like ExperimentRunner()
         assert api.make_runner(cache_dir=str(tmp_path)).cache is not None
-        assert api.make_runner(cache_dir=str(tmp_path), use_cache=False).cache is None
         assert api.make_runner(cache_dir=str(tmp_path), profile=True).cache is None
 
     def test_build_simulator_is_not_run(self):
@@ -208,31 +206,8 @@ class TestPurePython:
 
 
 class TestCliRouting:
-    def _args(self, *argv):
-        from repro.experiments.cli import build_parser
-
-        return build_parser().parse_args(["fig2", *argv])
-
-    def test_service_flag_builds_service_runner(self):
-        from repro.experiments.cli import runner_from_args
-        from repro.service.client import ServiceRunner
-
-        runner = runner_from_args(self._args("--service", "/tmp/svc.sock"))
-        assert isinstance(runner, ServiceRunner)
-        assert runner.socket_path == "/tmp/svc.sock"
-
-    def test_service_flag_rejects_profile(self):
-        from repro.experiments.cli import runner_from_args
-
-        with pytest.raises(ValueError, match="--profile"):
-            runner_from_args(
-                self._args("--service", "/tmp/svc.sock", "--profile")
-            )
-
     def test_default_path_is_an_experiment_runner(self):
-        from repro.experiments.cli import runner_from_args
-        from repro.service.client import ServiceRunner
+        from repro.experiments.cli import build_parser, runner_from_args
 
-        runner = runner_from_args(self._args())
+        runner = runner_from_args(build_parser().parse_args(["fig2"]))
         assert isinstance(runner, ExperimentRunner)
-        assert not isinstance(runner, ServiceRunner)

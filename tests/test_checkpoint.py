@@ -19,15 +19,26 @@ The PR-8 contracts:
   read as "no checkpoint" through :class:`CheckpointStore`, and
   :func:`execute_task` resumes from a planted checkpoint and deletes it
   on completion.
+* **Crash resume** — a checkpointed :func:`repro.api.sweep` in a child
+  process that is SIGKILLed mid-run leaves its checkpoint behind, and
+  re-running the sweep resumes from it bit-identically and consumes it.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import api
 from repro.core.config import Architecture
 from repro.faults import create_fault_plan
 from repro.metrics.saturation import LoadPointSummary
@@ -279,10 +290,11 @@ class TestCheckpointFiles:
         checkpoint = self._checkpoint()
         store.save("good", checkpoint)
         assert store.load("good") == checkpoint
-        assert store.keys() == ["broken", "good"]
+        assert store.path_for("good").exists()
         store.discard("good")
         store.discard("good")  # idempotent
-        assert store.keys() == ["broken"]
+        assert not store.path_for("good").exists()
+        assert store.path_for("broken").exists()
 
 
 class TestExecuteTaskResume:
@@ -311,3 +323,47 @@ class TestExecuteTaskResume:
         )
         assert payload == baseline
         assert not store.path_for(key).exists()
+
+    def test_sigkill_mid_run_resumes_bit_identically(self, tmp_path):
+        # Long enough that the kill always lands mid-run: the first
+        # checkpoint is written at cycle 400 of 12 000, about two seconds
+        # before the run would finish.
+        task = _task(Architecture.WIRELESS, cycles=12000)
+        store = CheckpointStore(tmp_path / "ckpt")
+        key = task.cache_key()
+        knobs = {"checkpoint_every_cycles": 400, "checkpoint_dir": str(store.directory)}
+        (tmp_path / "task.pickle").write_bytes(pickle.dumps(task))
+        script = (
+            "import pickle, sys\n"
+            "from repro import api\n"
+            "task = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            f"api.sweep([task], **{knobs!r})\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "task.pickle")],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not store.path_for(key).exists():
+                assert child.poll() is None, child.stderr.read().decode()
+                assert time.monotonic() < deadline, "no checkpoint before deadline"
+                time.sleep(0.02)
+            child.send_signal(signal.SIGKILL)
+            assert child.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            child.stderr.close()
+        # The kill left a resumable checkpoint, not a finished run.
+        assert store.load(key) is not None
+
+        resumed = api.sweep([task], **knobs)
+        assert resumed[task].as_dict() == execute_task(task)
+        assert not store.path_for(key).exists()  # consumed on success

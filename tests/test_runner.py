@@ -106,6 +106,8 @@ class TestCacheKeys:
         with pytest.raises(ValueError):
             SimulationTask(kind="bogus", config=config, cycles=100, warmup_cycles=10, seed=1)
         with pytest.raises(ValueError):
+            SimulationTask(kind="uniform", config=config, cycles=100, warmup_cycles=10, seed=1)
+        with pytest.raises(ValueError):
             uniform_task(config, TINY, load=-0.001)
         with pytest.raises(ValueError):
             application_task(config, TINY, "")
@@ -185,9 +187,15 @@ class TestResultCache:
         for task in tasks:
             assert warm[task].as_dict() == cold[task].as_dict()
 
-    def test_use_cache_false_never_touches_disk(self, tmp_path):
+    def test_use_cache_false_never_touches_disk(self, tmp_path, monkeypatch):
+        """``--no-cache`` builds a runner with no cache that writes nothing."""
+        monkeypatch.chdir(tmp_path)
         _, tasks = _tiny_tasks()
-        runner = ExperimentRunner(jobs=1, cache_dir=tmp_path, use_cache=False)
+        args = build_parser().parse_args(
+            ["fig2", "--cache-dir", str(tmp_path / "cache"), "--no-cache", "-q"]
+        )
+        runner = runner_from_args(args)
+        assert runner.cache is None
         runner.run(tasks[:1])
         assert list(tmp_path.iterdir()) == []
 

@@ -41,7 +41,7 @@ class RecordingRunner(ExperimentRunner):
     """
 
     def __init__(self):
-        super().__init__(jobs=1, cache_dir=None, use_cache=False, show_progress=False)
+        super().__init__(jobs=1, cache_dir=None, show_progress=False)
         self.tasks = None
 
     def run(self, tasks):
