@@ -10,9 +10,7 @@ from .applications import (
     APPLICATION_PROFILES,
     ApplicationPhase,
     ApplicationProfile,
-    default_application_set,
     get_profile,
-    profiles_for_suite,
 )
 from .base import TrafficModel, TrafficRequest, endpoint_region, offchip_fraction
 from .registry import (
@@ -23,7 +21,7 @@ from .registry import (
     pattern_spec,
     register_pattern,
 )
-from .rng import bernoulli, choose_other, make_rng, weighted_choice
+from .rng import bernoulli, choose_other, make_rng
 from .synfull import SynfullApplicationTraffic
 from .synthetic import (
     BitComplementTraffic,
@@ -56,14 +54,11 @@ __all__ = [
     "bernoulli",
     "choose_other",
     "create_pattern",
-    "default_application_set",
     "default_hotspots",
     "endpoint_region",
     "get_profile",
     "make_rng",
     "offchip_fraction",
     "pattern_spec",
-    "profiles_for_suite",
     "register_pattern",
-    "weighted_choice",
 ]

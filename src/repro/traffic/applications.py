@@ -14,7 +14,7 @@ smooth vs bursty).  See DESIGN.md section 3 for the substitution rationale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,16 @@ class ApplicationPhase:
     rate_scale: float
     #: Memory-access fraction during this phase.
     memory_fraction: float
+
+    def __post_init__(self) -> None:
+        if self.weight < 0:
+            raise ValueError(f"weight must be non-negative, got {self.weight}")
+        if self.rate_scale < 0:
+            raise ValueError(f"rate_scale must be non-negative, got {self.rate_scale}")
+        if not 0.0 <= self.memory_fraction <= 1.0:
+            raise ValueError(
+                f"memory_fraction must be in [0, 1], got {self.memory_fraction}"
+            )
 
 
 @dataclass(frozen=True)
@@ -147,23 +157,3 @@ def get_profile(name: str) -> ApplicationProfile:
     except KeyError:
         known = ", ".join(sorted(APPLICATION_PROFILES))
         raise KeyError(f"unknown application {name!r}; known: {known}") from None
-
-
-def profiles_for_suite(suite: str) -> List[ApplicationProfile]:
-    """All built-in profiles of one benchmark suite."""
-    return [p for p in APPLICATION_PROFILES.values() if p.suite == suite]
-
-
-def default_application_set() -> List[str]:
-    """The application mix used by the Fig. 6 reproduction."""
-    return [
-        "blackscholes",
-        "bodytrack",
-        "canneal",
-        "dedup",
-        "fluidanimate",
-        "fft",
-        "lu",
-        "radix",
-        "water",
-    ]

@@ -52,21 +52,3 @@ def choose_other(rng: random.Random, options: Sequence[T], excluded: T) -> T:
     if not candidates:
         raise ValueError("no candidate other than the excluded element")
     return rng.choice(candidates)
-
-
-def weighted_choice(rng: random.Random, options: Sequence[T], weights: Sequence[float]) -> T:
-    """Choose one option with the given (non-negative) weights."""
-    if len(options) != len(weights):
-        raise ValueError("options and weights must have the same length")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    pick = rng.random() * total
-    cumulative = 0.0
-    for option, weight in zip(options, weights):
-        if weight < 0:
-            raise ValueError("weights must be non-negative")
-        cumulative += weight
-        if pick <= cumulative:
-            return option
-    return options[-1]

@@ -99,7 +99,7 @@ class SynfullApplicationTraffic(TrafficModel):
         return self._phase_index
 
     # ------------------------------------------------------------------
-    # Phase / burst chains.
+    # Phase chain (the per-core burst chain runs inline in generate).
     # ------------------------------------------------------------------
 
     def _current_phase(self):
@@ -118,18 +118,6 @@ class SynfullApplicationTraffic(TrafficModel):
         if self._phase_elapsed >= duration:
             self._phase_elapsed = 0
             self._phase_index = (self._phase_index + 1) % len(phases)
-
-    def _core_rate(self, core: int) -> float:
-        phase = self._current_phase()
-        rate = self._profile.base_injection_rate * phase.rate_scale * self._rate_scale
-        remaining = self._burst_remaining.get(core, 0)
-        if remaining > 0:
-            self._burst_remaining[core] = remaining - 1
-            return min(1.0, rate * self._profile.burst_scale)
-        if bernoulli(self._rng, self._profile.burst_probability):
-            self._burst_remaining[core] = self._profile.burst_duration_cycles
-            return min(1.0, rate * self._profile.burst_scale)
-        return min(1.0, rate)
 
     # ------------------------------------------------------------------
     # Destination selection.
@@ -162,20 +150,54 @@ class SynfullApplicationTraffic(TrafficModel):
     # ------------------------------------------------------------------
 
     def generate(self, cycle: int) -> Iterator[TrafficRequest]:
+        """Burst chain, injection trial and destination per core.
+
+        Everything that depends only on the cycle (the phase, its memory
+        fraction, the plain and bursting injection rates) is computed once
+        per cycle, and the per-core coin flips are inlined (one bound
+        ``random()`` call against a hoisted threshold) instead of going
+        through :func:`repro.traffic.rng.bernoulli`.  The draw sequence is
+        bit-identical to the helper: a probability of exactly 0 or 1
+        consumes no draw, anything else consumes one ``random()`` per
+        trial.  Per core the draws come in a fixed order: burst entry
+        (only when no burst is running), injection, then memory or
+        coherence and the destination draws.
+        """
         self._advance_phase()
         phase = self._current_phase()
         memory_fraction = phase.memory_fraction
+        profile = self._profile
+        rate = profile.base_injection_rate * phase.rate_scale * self._rate_scale
+        plain_rate = min(1.0, rate)
+        burst_rate = min(1.0, rate * profile.burst_scale)
+        burst_probability = profile.burst_probability
+        burst_duration = profile.burst_duration_cycles
+        burst_remaining = self._burst_remaining
+        has_stacks = bool(self._stack_ids)
+        random = self._rng.random
         for core in self._cores:
-            rate = self._core_rate(core)
-            if rate <= 0 or not bernoulli(self._rng, rate):
+            remaining = burst_remaining.get(core, 0)
+            if remaining > 0:
+                burst_remaining[core] = remaining - 1
+                probability = burst_rate
+            elif burst_probability > 0 and (
+                burst_probability >= 1.0 or random() < burst_probability
+            ):
+                burst_remaining[core] = burst_duration
+                probability = burst_rate
+            else:
+                probability = plain_rate
+            if probability <= 0 or (probability < 1.0 and random() >= probability):
                 continue
-            if self._stack_ids and bernoulli(self._rng, memory_fraction):
+            if has_stacks and memory_fraction > 0 and (
+                memory_fraction >= 1.0 or random() < memory_fraction
+            ):
                 vault = self._pick_memory_vault(core)
-                is_read = bernoulli(self._rng, self._profile.read_fraction)
+                is_read = bernoulli(self._rng, profile.read_fraction)
                 length = (
-                    self._profile.request_length_flits
+                    profile.request_length_flits
                     if is_read
-                    else self._profile.data_length_flits
+                    else profile.data_length_flits
                 )
                 yield TrafficRequest(
                     src_endpoint=core,
@@ -190,9 +212,9 @@ class SynfullApplicationTraffic(TrafficModel):
                 yield TrafficRequest(
                     src_endpoint=core,
                     dst_endpoint=peer,
-                    length_flits=self._profile.data_length_flits
+                    length_flits=profile.data_length_flits
                     if long_message
-                    else self._profile.request_length_flits,
+                    else profile.request_length_flits,
                     traffic_class="coherence",
                 )
 

@@ -8,6 +8,8 @@ The PR-8 contracts:
   uninterrupted run.  The faulted runs place checkpoints after fault
   events fired, while affected packets are still draining, so the
   injector's event cursor and the recovery routing state round-trip too.
+  An application-traffic row does the same for the SynFull generator's
+  burst counters, phase index and RNG.
 * **Pool growth** — the packet pool grows between checkpoints and the
   later (larger-capacity) snapshots still resume bit-identically.
 * **Arrivals in flight** — checkpoints that catch flits pending on
@@ -50,7 +52,12 @@ from repro.noc.checkpoint import (
 )
 from repro.noc.kernel import KernelState, SimulationKernel
 from repro.parallel.checkpoints import CheckpointStore
-from repro.parallel.runner import execute_task, task_simulator, uniform_task
+from repro.parallel.runner import (
+    application_task,
+    execute_task,
+    task_simulator,
+    uniform_task,
+)
 from repro.testing import small_system_config
 
 
@@ -73,7 +80,11 @@ def _task(architecture, faults="none", cycles=400, load=0.05, seed=11):
 
 def _payload(task, result):
     """Exactly the fingerprint :func:`execute_task` caches and serves."""
-    return LoadPointSummary.from_result(task.load, result).as_dict()
+    if task.kind == "synthetic":
+        offered = task.load
+    else:
+        offered = result.offered_load_packets_per_core_per_cycle
+    return LoadPointSummary.from_result(offered, result).as_dict()
 
 
 def _checkpointed_run(task, every):
@@ -110,6 +121,23 @@ class TestGoldenResumeMatrix:
         # Checkpointing itself must not perturb the run...
         assert checkpointed == baseline
         # ...and the final cycle is never checkpointed (the run is done).
+        assert [c.cycle for c in checkpoints] == [99, 199, 299]
+        for checkpoint in checkpoints:
+            assert _resume(task, checkpoint) == baseline
+
+    def test_application_traffic_resumes_from_every_checkpoint(self):
+        """SynFull traffic round-trips its Markov state and RNG.
+
+        The burst counters, the phase index and the generator's RNG live
+        in the pickled traffic model; resuming from any checkpoint must
+        continue the request stream exactly where the run left it.
+        """
+        task = application_task(
+            small_system_config(Architecture.WIRELESS), _Fidelity(), "canneal"
+        )
+        baseline = _payload(task, task_simulator(task).run())
+        checkpoints, checkpointed = _checkpointed_run(task, every=100)
+        assert checkpointed == baseline
         assert [c.cycle for c in checkpoints] == [99, 199, 299]
         for checkpoint in checkpoints:
             assert _resume(task, checkpoint) == baseline

@@ -1,11 +1,19 @@
 """Tests of the traffic generators (uniform, synthetic patterns, applications)."""
 
+import hashlib
+
 import pytest
 
+from repro.core.architectures import build_system
+from repro.core.config import Architecture
+from repro.experiments.common import FIDELITIES
+from repro.testing import small_system_config
 from repro.topology import apply_wireless_overlay, build_multichip_base
 from repro.topology.wireless_overlay import WirelessOverlayConfig
 from repro.traffic import (
     APPLICATION_PROFILES,
+    ApplicationPhase,
+    ApplicationProfile,
     BitComplementTraffic,
     HotspotTraffic,
     NeighbourTraffic,
@@ -13,10 +21,8 @@ from repro.traffic import (
     TrafficRequest,
     TransposeTraffic,
     UniformRandomTraffic,
-    default_application_set,
     get_profile,
     offchip_fraction,
-    profiles_for_suite,
 )
 
 
@@ -160,13 +166,35 @@ class TestSyntheticPatterns:
 
 class TestApplicationProfiles:
     def test_builtin_profiles_cover_both_suites(self):
-        assert profiles_for_suite("PARSEC")
-        assert profiles_for_suite("SPLASH-2")
+        suites = {profile.suite for profile in APPLICATION_PROFILES.values()}
+        assert suites == {"PARSEC", "SPLASH-2"}
         assert len(APPLICATION_PROFILES) >= 9
 
-    def test_default_set_is_known(self):
-        for name in default_application_set():
-            assert name in APPLICATION_PROFILES
+    def test_every_fidelity_runs_builtin_applications(self):
+        for fidelity in FIDELITIES.values():
+            assert fidelity.applications
+            for name in fidelity.applications:
+                assert name in APPLICATION_PROFILES, (fidelity.name, name)
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        (
+            ("memory_fraction", {"memory_fraction": 1.5}),
+            ("memory_fraction", {"memory_fraction": -0.1}),
+            ("rate_scale", {"rate_scale": -1.0}),
+            ("weight", {"weight": -0.5}),
+        ),
+        ids=("memory-above-one", "memory-negative", "rate-negative", "weight-negative"),
+    )
+    def test_phase_rejects_out_of_range_fields(self, field, kwargs):
+        values = {"weight": 1.0, "rate_scale": 1.0, "memory_fraction": 0.5}
+        values.update(kwargs)
+        with pytest.raises(ValueError, match=field):
+            ApplicationPhase(name="bad", **values)
+
+    def test_phase_accepts_boundary_values(self):
+        ApplicationPhase(name="idle", weight=0.0, rate_scale=0.0, memory_fraction=0.0)
+        ApplicationPhase(name="storm", weight=2.0, rate_scale=50.0, memory_fraction=1.0)
 
     def test_unknown_profile_raises(self):
         with pytest.raises(KeyError):
@@ -177,7 +205,94 @@ class TestApplicationProfiles:
         assert get_profile("radix").memory_fraction > get_profile("water").memory_fraction
 
 
+def _custom_profile(name, burst_probability, phases=()):
+    return ApplicationProfile(
+        name=name,
+        suite="custom",
+        base_injection_rate=0.02,
+        memory_fraction=0.5,
+        burst_probability=burst_probability,
+        burst_scale=4.0,
+        burst_duration_cycles=15,
+        cross_thread_fraction=0.4,
+        read_fraction=0.6,
+        request_length_flits=8,
+        data_length_flits=64,
+        phases=phases,
+    )
+
+
+def _stream_digest(model, cycles=600):
+    digest = hashlib.sha256()
+    for cycle in range(cycles):
+        for request in model.generate(cycle):
+            record = (
+                cycle,
+                request.src_endpoint,
+                request.dst_endpoint,
+                request.length_flits,
+                request.traffic_class,
+                request.is_memory_access,
+            )
+            digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+#: A profile that always bursts and alternates two phases: a 50-cycle
+#: "storm" whose bursting rate clamps to 1 and whose memory fraction is 1
+#: (both coins take the no-draw path), then a 100-cycle "compute" phase.
+_PHASED = _custom_profile(
+    "phased",
+    1.0,
+    (
+        ApplicationPhase("storm", weight=0.05, rate_scale=15.0, memory_fraction=1.0),
+        ApplicationPhase("compute", weight=0.1, rate_scale=0.5, memory_fraction=0.2),
+    ),
+)
+
+
 class TestSynfullTraffic:
+    @pytest.mark.parametrize(
+        "make_model, expected",
+        (
+            pytest.param(
+                lambda topology: SynfullApplicationTraffic.from_name(
+                    topology, "canneal", seed=3
+                ),
+                "c32cc6493f473cbbe50c8d323c560c42c2a2ad057ca5f0f8a704d570d4fe8204",
+                id="canneal-seed3",
+            ),
+            pytest.param(
+                lambda topology: SynfullApplicationTraffic.from_name(
+                    topology, "blackscholes", seed=9
+                ),
+                "522a54f77270c3959ddf70d9b88a6170c4db3307a2ed3657fc05fefe0730c107",
+                id="blackscholes-seed9",
+            ),
+            pytest.param(
+                lambda topology: SynfullApplicationTraffic(topology, _PHASED, seed=5),
+                "38595e73375b6da0fd7de7e081d5acec9ca3b88f91c0b60d7b0a93a4f5382554",
+                id="always-burst-two-phases",
+            ),
+            pytest.param(
+                lambda topology: SynfullApplicationTraffic(
+                    topology, _custom_profile("never", 0.0), seed=5
+                ),
+                "3bf107b7fba8f18bc325ca5d7f0bc11f4eb19751ce714ef37844c20e04f9de3f",
+                id="never-burst",
+            ),
+        ),
+    )
+    def test_request_stream_is_pinned(self, make_model, expected):
+        """The generator's output over 600 cycles is pinned bit for bit.
+
+        Any change to the random draw sequence (an extra, missing or
+        reordered ``random()`` call) or to a hoisted rate changes the
+        digest.  A deliberate change of the stream must re-record these.
+        """
+        topology = build_system(small_system_config(Architecture.WIRELESS)).topology
+        assert _stream_digest(make_model(topology)) == expected
+
     def test_generates_coherence_and_memory_traffic(self):
         topology = _topology()
         model = SynfullApplicationTraffic.from_name(topology, "canneal", seed=3)
