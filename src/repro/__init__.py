@@ -26,14 +26,12 @@ from .core import (
     GainReport,
     MultichipSimulation,
     SystemConfig,
-    build_comparison_set,
     build_system,
     compare,
     paper_1c4m,
     paper_4c4m,
     paper_8c4m,
     percentage_gain,
-    simulate_config,
 )
 from .noc import (
     NetworkConfig,
@@ -50,7 +48,7 @@ from .traffic import (
     UniformRandomTraffic,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "APPLICATION_PROFILES",
@@ -70,12 +68,10 @@ __all__ = [
     "UniformRandomTraffic",
     "WirelessConfig",
     "__version__",
-    "build_comparison_set",
     "build_system",
     "compare",
     "paper_1c4m",
     "paper_4c4m",
     "paper_8c4m",
     "percentage_gain",
-    "simulate_config",
 ]

@@ -10,8 +10,6 @@ from .architectures import (
     BuiltSystem,
     UnknownArchitectureError,
     architecture_builder,
-    available_architectures,
-    build_comparison_set,
     build_system,
     register_architecture,
 )
@@ -28,7 +26,7 @@ from .config import (
     paper_4c4m,
     paper_8c4m,
 )
-from .framework import MultichipSimulation, simulate_config
+from .framework import MultichipSimulation
 
 __all__ = [
     "Architecture",
@@ -39,8 +37,6 @@ __all__ = [
     "SystemConfig",
     "UnknownArchitectureError",
     "architecture_builder",
-    "available_architectures",
-    "build_comparison_set",
     "build_system",
     "compare",
     "register_architecture",
@@ -48,5 +44,4 @@ __all__ = [
     "paper_4c4m",
     "paper_8c4m",
     "percentage_gain",
-    "simulate_config",
 ]

@@ -22,7 +22,7 @@ value the same way).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 from ..routing import BaseRouter, ShortestPathRouter
 from ..topology import (
@@ -35,7 +35,6 @@ from ..topology import (
     apply_substrate_overlay,
     apply_wireless_overlay,
     build_multichip_base,
-    channel_assignment,
     wireless_area_overhead_mm2,
 )
 from .config import Architecture, SystemConfig
@@ -68,26 +67,6 @@ class BuiltSystem:
     def num_wireless_interfaces(self) -> int:
         """Number of deployed WIs (0 for the wired architectures)."""
         return len(self.topology.wireless_switches)
-
-    @property
-    def num_wireless_channels(self) -> int:
-        """Configured orthogonal wireless channels (0 without WIs)."""
-        if not self.topology.wireless_switches:
-            return 0
-        return self.config.network.wireless.num_channels
-
-    def wireless_channel_assignment(self) -> Dict[int, List[int]]:
-        """Planned channel → WI grouping of this system (empty if wired).
-
-        Matches the wireless fabric's round-robin channel plan, so reports
-        built from the topology describe exactly the per-channel MAC
-        domains the simulator will arbitrate.
-        """
-        if not self.topology.wireless_switches:
-            return {}
-        return channel_assignment(
-            self.topology, self.config.network.wireless.num_channels
-        )
 
     def wireless_area_overhead_mm2(self) -> float:
         """Total transceiver area overhead of the system [mm^2]."""
@@ -143,11 +122,6 @@ def architecture_builder(name: str) -> OverlayBuilder:
         ) from None
 
 
-def available_architectures() -> List[str]:
-    """All registered architecture names, sorted."""
-    return sorted(_ARCHITECTURES)
-
-
 @register_architecture(Architecture.SUBSTRATE.value)
 def _apply_substrate(multichip: MultichipSystem, config: SystemConfig) -> None:
     apply_substrate_overlay(
@@ -174,23 +148,15 @@ def _apply_interposer(multichip: MultichipSystem, config: SystemConfig) -> None:
 def _apply_wireless(multichip: MultichipSystem, config: SystemConfig) -> None:
     apply_wireless_overlay(
         multichip,
-        WirelessOverlayConfig(
-            cores_per_wi=config.cores_per_wi,
-            num_channels=config.network.wireless.num_channels,
-        ),
+        WirelessOverlayConfig(cores_per_wi=config.cores_per_wi),
     )
 
 
-def build_system(
-    config: SystemConfig,
-    router_factory=None,
-) -> BuiltSystem:
+def build_system(config: SystemConfig) -> BuiltSystem:
     """Construct the topology and router for one system configuration.
 
-    ``router_factory`` may be supplied to route with something other than the
-    default :class:`~repro.routing.ShortestPathRouter` (e.g. the literal
-    spanning-tree router for ablations); it receives the topology graph and
-    must return a :class:`~repro.routing.BaseRouter`.
+    The router is a :class:`~repro.routing.ShortestPathRouter` over the
+    built topology.
     """
     multichip = build_multichip_base(
         num_chips=config.num_chips,
@@ -204,20 +170,5 @@ def build_system(
     builder(multichip, config)
 
     multichip.graph.validate()
-    if router_factory is None:
-        router = ShortestPathRouter(multichip.graph)
-    else:
-        router = router_factory(multichip.graph)
+    router = ShortestPathRouter(multichip.graph)
     return BuiltSystem(config=config, multichip=multichip, router=router)
-
-
-def build_comparison_set(
-    base_config: SystemConfig,
-    architectures: Optional[List[Architecture]] = None,
-) -> Dict[Architecture, BuiltSystem]:
-    """Build the same system under several interconnection architectures."""
-    selected = architectures or list(Architecture)
-    return {
-        architecture: build_system(base_config.with_architecture(architecture))
-        for architecture in selected
-    }

@@ -218,19 +218,3 @@ class MultichipSimulation:
             loads=loads, memory_access_fraction=memory_access_fraction, seed=seed
         )
         return sweep.peak_bandwidth_gbps_per_core()
-
-
-def simulate_config(
-    config: SystemConfig,
-    injection_rate: float,
-    memory_access_fraction: float = 0.2,
-    simulation_config: Optional[SimulationConfig] = None,
-    seed: int = 1,
-) -> SimulationResult:
-    """One-call convenience: build the system and run uniform traffic once."""
-    simulation = MultichipSimulation.from_config(config, simulation_config)
-    return simulation.run_uniform(
-        injection_rate=injection_rate,
-        memory_access_fraction=memory_access_fraction,
-        seed=seed,
-    )

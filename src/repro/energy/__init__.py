@@ -15,8 +15,7 @@ from .technology import (
     bits_per_cycle,
     cycles_per_flit,
 )
-from .wire import WireCharacteristics, WireModel, interposer_link_characteristics
-from .wireless_energy import WirelessEnergyModel, WirelessEnergyProfile
+from .wire import WireCharacteristics, WireModel
 
 __all__ = [
     "DEFAULT_TECHNOLOGY",
@@ -30,9 +29,6 @@ __all__ = [
     "WideIoModel",
     "WireCharacteristics",
     "WireModel",
-    "WirelessEnergyModel",
-    "WirelessEnergyProfile",
     "bits_per_cycle",
     "cycles_per_flit",
-    "interposer_link_characteristics",
 ]

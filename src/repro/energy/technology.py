@@ -217,11 +217,6 @@ class Technology:
         """Clock period in seconds."""
         return 1.0 / self.clock_frequency_hz
 
-    @property
-    def cycle_time_ns(self) -> float:
-        """Clock period in nanoseconds."""
-        return self.cycle_time_s * 1e9
-
     def flit_energy_pj(self, energy_pj_per_bit: float) -> float:
         """Energy to move one flit at a given per-bit energy [pJ]."""
         return energy_pj_per_bit * self.flit_width_bits

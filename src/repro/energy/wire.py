@@ -86,24 +86,3 @@ class WireModel:
         link lengths produced by the default geometry.
         """
         return self.characterize(length_mm).latency_cycles <= 1
-
-
-def interposer_link_characteristics(
-    span_mm: float,
-    technology: Technology = DEFAULT_TECHNOLOGY,
-) -> WireCharacteristics:
-    """Characterise an interposer link between two adjacent chips.
-
-    The energy is dominated by the fixed interposer trace + micro-bump cost
-    captured in ``interposer_link_energy_pj_per_bit``; the latency grows with
-    the physical span of the trace.
-    """
-    if span_mm < 0:
-        raise ValueError(f"span_mm must be non-negative, got {span_mm}")
-    energy = technology.interposer_link_energy_pj_per_bit * technology.flit_width_bits
-    latency = max(1, technology.wire_delay_cycles(span_mm))
-    return WireCharacteristics(
-        length_mm=span_mm,
-        energy_pj_per_flit=energy,
-        latency_cycles=latency,
-    )

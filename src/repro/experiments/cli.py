@@ -28,7 +28,7 @@ import argparse
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..faults.scenarios import available_fault_scenarios
+from ..faults.scenarios import DEFAULT_FAULT_RATE, available_fault_scenarios
 from ..traffic.registry import available_patterns
 from ..wireless.mac.registry import available_macs
 from . import (
@@ -67,9 +67,6 @@ FAULT_EXPERIMENTS = ("fig2", "fig3", "fig4", "fig7")
 #: Experiments that accept a wireless MAC override via ``--mac`` (fig8
 #: sweeps every registered MAC unless the flag pins one).
 MAC_EXPERIMENTS = ("fig2", "fig3", "fig4", "fig8")
-
-#: Severity used when ``--faults`` is given without ``--fault-rate``.
-DEFAULT_FAULT_RATE = 0.1
 
 
 def build_parser() -> argparse.ArgumentParser:

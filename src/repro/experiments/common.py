@@ -16,13 +16,10 @@ parameters, so results differ in noise, not in shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from ..core.comparison import ArchitectureMetrics
-from ..core.config import Architecture, SystemConfig
-from ..metrics.saturation import SweepSummary
+from ..core.config import Architecture
 from ..noc.engine import SimulationConfig
-from ..parallel.runner import ExperimentRunner
 
 
 @dataclass(frozen=True)
@@ -112,33 +109,6 @@ def get_fidelity(name: str) -> Fidelity:
     except KeyError:
         known = ", ".join(sorted(FIDELITIES))
         raise KeyError(f"unknown fidelity {name!r}; known: {known}") from None
-
-
-def sweep_architecture(
-    config: SystemConfig,
-    fidelity: Fidelity,
-    memory_access_fraction: float = 0.2,
-    loads: Optional[Sequence[float]] = None,
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-) -> Tuple[ArchitectureMetrics, SweepSummary]:
-    """Load-sweep one architecture and summarise it at sustainable saturation.
-
-    Goes through the task runner (serial, uncached by default), so passing a
-    configured :class:`~repro.parallel.runner.ExperimentRunner` gets
-    parallel execution and caching for free.  ``pattern`` selects any
-    registered synthetic traffic pattern (default: uniform random traffic).
-    """
-    active = runner if runner is not None else ExperimentRunner()
-    sweep = active.run_sweep(
-        config,
-        fidelity,
-        memory_access_fraction=memory_access_fraction,
-        loads=loads,
-        pattern=pattern,
-    )
-    metrics = ArchitectureMetrics.from_sweep_summary(config.name, sweep)
-    return metrics, sweep
 
 
 def architectures_for_comparison() -> List[Architecture]:

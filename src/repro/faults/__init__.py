@@ -20,9 +20,10 @@ Entry points:
 """
 
 from .injector import AUDIT_SWITCH_LIMIT, FaultInjectionError, FaultInjector
-from .plan import FaultEvent, FaultKind, FaultPlan, FaultPlanError, empty_plan
+from .plan import FaultEvent, FaultKind, FaultPlan, FaultPlanError
 from .recovery import RecoveryReport, connected_components, rebuild_routes
 from .scenarios import (
+    DEFAULT_FAULT_RATE,
     DEFAULT_SCENARIO,
     ScenarioSpec,
     UnknownScenarioError,
@@ -34,6 +35,7 @@ from .scenarios import (
 
 __all__ = [
     "AUDIT_SWITCH_LIMIT",
+    "DEFAULT_FAULT_RATE",
     "DEFAULT_SCENARIO",
     "FaultEvent",
     "FaultInjectionError",
@@ -47,7 +49,6 @@ __all__ = [
     "available_fault_scenarios",
     "connected_components",
     "create_fault_plan",
-    "empty_plan",
     "rebuild_routes",
     "register_fault_scenario",
     "scenario_spec",

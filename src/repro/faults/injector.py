@@ -89,11 +89,6 @@ class FaultInjector:
     # Kernel-facing entry points.
     # ------------------------------------------------------------------
 
-    @property
-    def pending_event_cycles(self) -> List[int]:
-        """Cycles with fault events not yet applied, sorted."""
-        return sorted(self._schedule)
-
     def advance(self, cycle: int, state: "KernelState") -> None:
         """Apply the events due this cycle and recover routing around them."""
         events = self._schedule.pop(cycle, None)

@@ -110,15 +110,3 @@ class FaultPlan:
         for event in self.events:
             grouped.setdefault(event.at_cycle, []).append(event)
         return grouped
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Number of events of each kind (for reports and tests)."""
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind.value] = counts.get(event.kind.value, 0) + 1
-        return counts
-
-
-def empty_plan(scenario: str = "none", fault_rate: float = 0.0, seed: int = 0) -> FaultPlan:
-    """A plan with no faults (the ``none`` scenario)."""
-    return FaultPlan(scenario=scenario, fault_rate=fault_rate, seed=seed, events=())

@@ -44,6 +44,10 @@ ScenarioFactory = Callable[..., FaultPlan]
 #: naming a scenario (the fig7 resilience sweep).
 DEFAULT_SCENARIO = "random-links"
 
+#: Severity used when a fault scenario is given without a rate (the CLI's
+#: bare ``--faults`` and the built-in scenario documents).
+DEFAULT_FAULT_RATE = 0.1
+
 
 class UnknownScenarioError(KeyError):
     """Raised when a fault-scenario name is not registered."""

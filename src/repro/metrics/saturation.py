@@ -64,14 +64,6 @@ class LoadSweepResult:
         """Peak accepted bandwidth per core over the sweep [Gb/s]."""
         return self.summary().peak_bandwidth_gbps_per_core()
 
-    def peak_accepted_flits_per_core_per_cycle(self) -> float:
-        """Peak accepted throughput in flits per core per cycle."""
-        if not self.points:
-            return 0.0
-        return max(
-            p.result.accepted_flits_per_core_per_cycle() for p in self.points
-        )
-
     def acceptance_ratio(self, point: LoadPoint) -> float:
         """Accepted / offered flit rate at one load point.
 
@@ -103,19 +95,6 @@ class LoadSweepResult:
         """
         return self.summary().sustainable_bandwidth_gbps_per_core(acceptance)
 
-    def result_at_sustainable_peak(self, acceptance: float = 0.9) -> SimulationResult:
-        """Simulation result at the sustainable-peak load point."""
-        index = self.summary().index_of_sustainable_peak(acceptance)
-        return self.points[index].result
-
-    def result_at_peak(self) -> SimulationResult:
-        """The simulation result of the highest-throughput point."""
-        if not self.points:
-            raise ValueError("load sweep has no points")
-        return max(
-            self.points, key=lambda p: p.bandwidth_gbps_per_core
-        ).result
-
     def latency_curve(self) -> List[Tuple[float, float]]:
         """(offered load, average packet latency) pairs, the Fig. 3 series."""
         return [(p.offered_load, p.average_latency_cycles) for p in self.points]
@@ -132,12 +111,6 @@ class LoadSweepResult:
         Returns ``None`` if the network never saturates within the sweep.
         """
         return self.summary().saturation_load(latency_factor)
-
-    def average_packet_energy_nj_at_peak(self) -> float:
-        """Average packet energy at the peak-throughput point [nJ]."""
-        if not self.points:
-            return 0.0
-        return self.result_at_peak().average_packet_energy_nj()
 
 
 @dataclass(frozen=True)

@@ -137,15 +137,6 @@ class OutputPort:
         #: kernel clears it before leaving the switch.
         self.request_scratch: List[VirtualChannel] = []
 
-    def is_available(self, cycle: int) -> bool:
-        """Whether the channel is free to start a new flit this cycle."""
-        return self.busy_until <= cycle
-
-    def occupy(self, cycle: int) -> None:
-        """Mark the channel busy for the serialisation time of one flit."""
-        cycles = self.link.cycles_per_flit if self.link is not None else 1
-        self.busy_until = cycle + cycles
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"OutputPort(switch={self.switch.switch_id}, key={self.key!r}, "

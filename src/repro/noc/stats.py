@@ -138,12 +138,6 @@ class SimulationResult:
         index = int(round((percentile / 100.0) * (len(ordered) - 1)))
         return float(ordered[index])
 
-    def max_latency_cycles(self) -> float:
-        """Largest measured packet latency [cycles] (0.0 with no samples)."""
-        if not self.latencies_cycles:
-            return 0.0
-        return float(max(self.latencies_cycles))
-
     def average_hop_count(self) -> float:
         """Mean number of link traversals of measured packets."""
         if not self.packet_hops:
@@ -220,12 +214,6 @@ class SimulationResult:
         """Accepted bandwidth per core [Gb/s]."""
         flits_per_cycle = self.accepted_flits_per_core_per_cycle()
         return flits_per_cycle * self.flit_width_bits * self.clock_frequency_hz / 1e9
-
-    def accepted_packets_per_core_per_cycle(self) -> float:
-        """Accepted packet rate per core per cycle (measured window)."""
-        if self.measurement_cycles == 0 or self.num_cores == 0:
-            return 0.0
-        return self.packets_delivered_measured / (self.measurement_cycles * self.num_cores)
 
     def delivery_ratio(self) -> float:
         """Delivered packets / generated packets over the whole run."""

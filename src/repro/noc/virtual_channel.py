@@ -94,10 +94,6 @@ class VirtualChannel:
         """Buffered plus in-flight flits (the space already spoken for)."""
         return self.count + self.in_flight
 
-    def has_space(self) -> bool:
-        """Whether one more flit may be sent towards this VC."""
-        return self.count + self.in_flight < self.capacity
-
     @property
     def is_free(self) -> bool:
         """Whether the VC can be allocated to a new packet."""

@@ -573,24 +573,6 @@ class ExperimentRunner:
         except (TypeError, ValueError):
             return None
 
-    def run_sweep(
-        self,
-        config: SystemConfig,
-        fidelity,
-        memory_access_fraction: float = 0.2,
-        loads: Optional[Sequence[float]] = None,
-        pattern: str = "uniform",
-    ) -> SweepSummary:
-        """Convenience: run one architecture's synthetic load sweep."""
-        tasks = sweep_tasks(
-            config,
-            fidelity,
-            memory_access_fraction=memory_access_fraction,
-            loads=loads,
-            pattern=pattern,
-        )
-        return assemble_sweep(self.run(tasks), tasks)
-
     def run_sweep_groups(
         self, groups: Mapping[object, Sequence[SimulationTask]]
     ) -> Dict[object, SweepSummary]:

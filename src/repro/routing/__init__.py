@@ -2,19 +2,17 @@
 
 Provides the default Dijkstra shortest-path router with XY-canonicalised
 intra-chip segments, the literal shortest-path-tree router described in the
-paper, destination-based table routing, and forwarding-table materialisation
-with consistency checks.
+paper, and route validation (including the channel-dependency deadlock
+test).
 """
 
 from .base import DEFAULT_LINK_WEIGHTS, BaseRouter, RoutingError
-from .dijkstra import ShortestPathForest, all_pairs_distance
-from .forwarding_table import ForwardingTable, TableRouter
-from .router import MinimalHopRouter, ShortestPathRouter
+from .dijkstra import ShortestPathForest
+from .router import ShortestPathRouter
 from .tree import SpanningTreeRouter
 from .validation import (
     find_channel_dependency_cycle,
     link_kinds_on_route,
-    routes_are_deadlock_free,
     validate_route,
     wireless_hop_count,
 )
@@ -23,19 +21,14 @@ from .xy import RegionGridIndex, is_xy_ordered, manhattan_distance, xy_path
 __all__ = [
     "DEFAULT_LINK_WEIGHTS",
     "BaseRouter",
-    "ForwardingTable",
-    "MinimalHopRouter",
     "RegionGridIndex",
     "RoutingError",
     "ShortestPathForest",
     "ShortestPathRouter",
     "SpanningTreeRouter",
-    "TableRouter",
-    "all_pairs_distance",
     "find_channel_dependency_cycle",
     "is_xy_ordered",
     "link_kinds_on_route",
-    "routes_are_deadlock_free",
     "manhattan_distance",
     "validate_route",
     "wireless_hop_count",

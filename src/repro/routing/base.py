@@ -116,23 +116,6 @@ class BaseRouter(abc.ABC):
         """Number of link traversals on the route."""
         return len(self.route(src_switch, dst_switch)) - 1
 
-    def average_distance(self) -> float:
-        """Average hop count over all ordered switch pairs.
-
-        This is the *minimum average distance* metric the WI placement
-        strategy optimises [15]; exposed for analysis and tests.
-        """
-        switches = [s.switch_id for s in self._graph.switches]
-        total = 0
-        pairs = 0
-        for src in switches:
-            for dst in switches:
-                if src == dst:
-                    continue
-                total += self.hop_count(src, dst)
-                pairs += 1
-        return total / pairs if pairs else 0.0
-
     def clear_cache(self) -> None:
         """Drop all cached routes (used after topology mutation)."""
         self._cache.clear()

@@ -74,19 +74,6 @@ class ShortestPathForest:
                     predecessors[neighbor].append(node)
         return predecessors
 
-    def distance_to(self, destination: int) -> float:
-        """Weighted distance from the source to ``destination``."""
-        try:
-            return self._distance[destination]
-        except KeyError:
-            raise RoutingError(
-                f"switch {destination} unreachable from {self._source}"
-            ) from None
-
-    def reachable(self, destination: int) -> bool:
-        """Whether the destination is reachable from the source."""
-        return destination in self._distance
-
     def path_to(self, destination: int, selector: Optional[int] = None) -> List[int]:
         """A shortest path from the source to ``destination``.
 
@@ -120,22 +107,3 @@ class ShortestPathForest:
                 raise RoutingError("predecessor chain contains a cycle")
         path.reverse()
         return path
-
-
-def all_pairs_distance(
-    graph: TopologyGraph, weight: Callable[[LinkSpec], float]
-) -> Dict[int, Dict[int, float]]:
-    """Weighted distance between every ordered pair of switches.
-
-    Convenience helper for analysis (average distance, WI placement studies)
-    and tests; O(V * (E log V)).
-    """
-    result: Dict[int, Dict[int, float]] = {}
-    for switch in graph.switches:
-        forest = ShortestPathForest(graph, switch.switch_id, weight)
-        result[switch.switch_id] = {
-            other.switch_id: forest.distance_to(other.switch_id)
-            for other in graph.switches
-            if forest.reachable(other.switch_id)
-        }
-    return result

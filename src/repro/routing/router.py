@@ -128,16 +128,3 @@ class ShortestPathRouter(BaseRouter):
         if all(graph.find_link(a, b) is not None for a, b in zip(canonical, canonical[1:])):
             return canonical
         return None
-
-
-class MinimalHopRouter(ShortestPathRouter):
-    """Shortest paths counted in hops, ignoring per-link costs.
-
-    Used by analyses that need the pure topological distance (e.g. the
-    minimum-average-distance WI placement study) rather than the latency-
-    weighted routes the simulator uses.
-    """
-
-    def __init__(self, graph: TopologyGraph, canonicalize_xy: bool = True) -> None:
-        uniform = {kind: 1.0 for kind in LinkKind}
-        super().__init__(graph, link_weights=uniform, canonicalize_xy=canonicalize_xy)

@@ -110,8 +110,3 @@ def find_channel_dependency_cycle(
                 path.pop()
                 stack.pop()
     return None
-
-
-def routes_are_deadlock_free(routes: Iterable[Sequence[int]]) -> bool:
-    """Whether the route set has an acyclic channel dependency graph."""
-    return find_channel_dependency_cycle(routes) is None

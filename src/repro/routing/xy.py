@@ -36,10 +36,6 @@ class RegionGridIndex:
                 f"no switch at grid {grid} in region {region_id}"
             ) from None
 
-    def has_switch(self, region_id: int, grid: Tuple[int, int]) -> bool:
-        """Whether a switch exists at the coordinates within the region."""
-        return grid in self._by_region.get(region_id, {})
-
 
 def xy_path(
     graph: TopologyGraph,

@@ -18,21 +18,17 @@ from typing import Dict, List, Optional
 
 from ..core.config import Architecture
 from ..experiments.common import architectures_for_comparison
-from ..faults.scenarios import DEFAULT_SCENARIO
+from ..faults.scenarios import DEFAULT_FAULT_RATE, DEFAULT_SCENARIO
 from .spec import ScenarioSpec, parse_scenario
 
 __all__ = ["BUILTIN_SCENARIOS", "builtin_scenario", "builtin_scenario_names"]
-
-#: Severity used when a fault scenario is given without a rate (mirrors
-#: the CLI's ``DEFAULT_FAULT_RATE`` without importing the CLI module).
-_DEFAULT_FAULT_RATE = 0.1
 
 
 def _fault_section(faults: str, fault_rate: Optional[float]) -> Dict[str, object]:
     """The fault section matching the CLI's flag-resolution rules."""
     if faults == "none":
         return {"scenario": "none", "rates": [0.0]}
-    rate = _DEFAULT_FAULT_RATE if fault_rate is None else fault_rate
+    rate = DEFAULT_FAULT_RATE if fault_rate is None else fault_rate
     return {"scenario": faults, "rates": [rate]}
 
 

@@ -39,9 +39,7 @@ from .substrate import SubstrateOverlayConfig, apply_substrate_overlay
 from .wireless_overlay import (
     WirelessOverlayConfig,
     apply_wireless_overlay,
-    channel_assignment,
     connect_wireless_interfaces,
-    max_wireless_distance_mm,
     wireless_area_overhead_mm2,
     wireless_interface_count,
 )
@@ -71,12 +69,10 @@ __all__ = [
     "build_memory_stack_die",
     "build_multichip_base",
     "build_processor_chip",
-    "channel_assignment",
     "cluster_centers",
     "connect_wireless_interfaces",
     "euclidean_mm",
     "evenly_spaced",
-    "max_wireless_distance_mm",
     "memory_anchor_switch",
     "mesh_shape_for_cores",
     "plan_package",

@@ -87,11 +87,6 @@ class PackageLayout:
         return self.chips[0].mesh_rows if self.chips else 0
 
 
-def switch_pitch_mm(edge_mm: float, mesh_cols: int, mesh_rows: int) -> float:
-    """Spacing between neighbouring switches on a die."""
-    return edge_mm / max(mesh_cols, mesh_rows)
-
-
 def switch_position_mm(
     origin_mm: Tuple[float, float],
     edge_mm: float,

@@ -50,12 +50,6 @@ class LinkKind(str, Enum):
     WIRELESS = "wireless"
 
 
-#: Link kinds that cross region (die) boundaries.
-INTER_REGION_LINK_KINDS = frozenset(
-    {LinkKind.SERIAL_IO, LinkKind.WIDE_IO, LinkKind.INTERPOSER, LinkKind.WIRELESS}
-)
-
-
 @dataclass
 class SwitchSpec:
     """One NoC switch (router)."""
@@ -118,11 +112,6 @@ class LinkSpec:
         if switch_id == self.dst:
             return self.src
         raise ValueError(f"switch {switch_id} is not an endpoint of link {self.link_id}")
-
-    @property
-    def is_inter_region(self) -> bool:
-        """Whether this link is meant to cross a die boundary."""
-        return self.kind in INTER_REGION_LINK_KINDS
 
 
 class TopologyError(ValueError):

@@ -82,8 +82,8 @@ def build_memory_stack_die(
     logic die carries a single NoC switch which terminates either the wide
     I/O channel (wired architectures) or the wireless interface (wireless
     architecture).  The DRAM channels/vaults appear as memory endpoints
-    attached to that switch; intra-stack TSV transfers are modelled by the
-    :mod:`repro.memory` subpackage and their energy is ignored by the paper.
+    attached to that switch; intra-stack TSV transfers are not simulated,
+    and the paper ignores their energy.
 
     Returns ``(region_id, switch_id)``.
     """

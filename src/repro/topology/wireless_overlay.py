@@ -17,9 +17,8 @@ WI port and enforces the shared-medium constraint through the MAC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from ..wireless.channel import assign_channels
 from .geometry import euclidean_mm
 from .graph import LinkKind, LinkSpec, TopologyGraph
 from .mesh import cluster_centers
@@ -42,12 +41,6 @@ class WirelessOverlayConfig:
     #: intra-chip traffic may then use the wireless shortcut when it reduces
     #: the path length, as observed for the 1C4M configuration.
     connect_same_region: bool = True
-    #: Orthogonal frequency channels the deployed WIs will be divided over
-    #: (mirrors :attr:`repro.noc.config.WirelessConfig.num_channels`; the
-    #: architecture registry threads the simulated value through so
-    #: topology-level planning — :func:`channel_assignment` — matches the
-    #: fabric's round-robin channel plan exactly).
-    num_channels: int = 1
 
 
 def apply_wireless_overlay(
@@ -57,8 +50,6 @@ def apply_wireless_overlay(
     """Deploy WIs and add pairwise wireless links; return created links."""
     if config.cores_per_wi <= 0:
         raise ValueError("cores_per_wi must be positive")
-    if config.num_channels <= 0:
-        raise ValueError("num_channels must be positive")
 
     graph = system.graph
 
@@ -111,24 +102,6 @@ def connect_wireless_interfaces(
     return created
 
 
-def channel_assignment(
-    graph: TopologyGraph, num_channels: int
-) -> Dict[int, List[int]]:
-    """Planned channel → WI-switch-id grouping of the deployed WIs.
-
-    Uses the same round-robin policy as the simulator's wireless fabric
-    (:func:`repro.wireless.channel.assign_channels`), so topology-level
-    reports and the fig8 channel sweep describe exactly the grouping the
-    MAC instances will arbitrate.  Channels left without a WI are omitted.
-    """
-    wi_ids = [spec.switch_id for spec in graph.wireless_switches]
-    return {
-        plan.channel_id: list(plan.wi_switch_ids)
-        for plan in assign_channels(wi_ids, num_channels)
-        if plan.wi_switch_ids
-    }
-
-
 def wireless_interface_count(graph: TopologyGraph) -> int:
     """Number of deployed WIs (used for area-overhead reporting)."""
     return len(graph.wireless_switches)
@@ -145,18 +118,3 @@ def wireless_area_overhead_mm2(
     if transceiver_area_mm2 < 0:
         raise ValueError("transceiver_area_mm2 must be non-negative")
     return wireless_interface_count(graph) * transceiver_area_mm2
-
-
-def max_wireless_distance_mm(graph: TopologyGraph) -> float:
-    """Longest WI-to-WI distance in the package [mm].
-
-    Used together with :mod:`repro.wireless.link_budget` to confirm that the
-    60 GHz link closes at package scale (the paper cites demonstrated links
-    of up to 10 m, far beyond package dimensions).
-    """
-    wireless = graph.wireless_switches
-    longest = 0.0
-    for i, first in enumerate(wireless):
-        for second in wireless[i + 1 :]:
-            longest = max(longest, euclidean_mm(first.position_mm, second.position_mm))
-    return longest

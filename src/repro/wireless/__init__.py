@@ -1,15 +1,12 @@
 """mm-wave wireless interconnect: physical layer and MAC protocols.
 
-Models the 60 GHz zig-zag antennas, the OOK transceivers (including the
-power-gated "sleepy" mode), the analytic link budget showing that the
-in-package link closes at the target BER, the channel organisation, and the
-two MAC protocols compared in the paper (baseline token passing and the
-proposed control-packet MAC with partial-packet transmission).
+Models the 60 GHz OOK transceivers (including the power-gated "sleepy"
+mode), the channel organisation, and the two MAC protocols compared in the
+paper (baseline token passing and the proposed control-packet MAC with
+partial-packet transmission).
 """
 
-from .antenna import SPEED_OF_LIGHT_M_PER_S, ZigZagAntenna
 from .channel import ChannelPlan, assign_channels
-from .link_budget import LinkBudget
 from .mac import (
     ControlPacketMac,
     MacProtocol,
@@ -22,15 +19,12 @@ from .transceiver import Transceiver, TransceiverSpec, TransceiverState
 __all__ = [
     "ChannelPlan",
     "ControlPacketMac",
-    "LinkBudget",
     "MacProtocol",
     "MacStatistics",
-    "SPEED_OF_LIGHT_M_PER_S",
     "TokenMac",
     "Transceiver",
     "TransceiverSpec",
     "TransceiverState",
     "TransmissionPlan",
-    "ZigZagAntenna",
     "assign_channels",
 ]

@@ -114,11 +114,6 @@ class ControlPacketMac(MacProtocol):
         plan = self._plan
         return plan is not None and wi_switch_id in plan.live_destinations
 
-    @property
-    def in_control_phase(self) -> bool:
-        """Whether the channel is currently carrying a control packet."""
-        return self._plan is not None and self._control_remaining > 0
-
     def update(self, cycle: int) -> None:
         """Advance the burst schedule at the beginning of a cycle."""
         if self._plan is not None:

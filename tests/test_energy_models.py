@@ -1,4 +1,4 @@
-"""Tests of the wire / switch / I/O / wireless energy models and accounting."""
+"""Tests of the wire / switch / I/O energy models and accounting."""
 
 import pytest
 
@@ -8,11 +8,11 @@ from repro.energy import (
     SwitchPowerModel,
     WideIoModel,
     WireModel,
-    WirelessEnergyModel,
-    interposer_link_characteristics,
 )
 from repro.energy.technology import DEFAULT_TECHNOLOGY
+from repro.noc.link import characterize_link
 from repro.noc.packet import Packet
+from repro.topology.graph import LinkKind, LinkSpec
 
 
 def _packet():
@@ -50,7 +50,9 @@ class TestWireModel:
 
     def test_interposer_link_energy_above_mesh_hop(self):
         mesh = WireModel().characterize(2.5)
-        interposer = interposer_link_characteristics(3.0)
+        interposer = characterize_link(
+            LinkSpec(link_id=0, src=0, dst=1, kind=LinkKind.INTERPOSER, length_mm=3.0)
+        )
         assert interposer.energy_pj_per_flit > mesh.energy_pj_per_flit
 
 
@@ -108,26 +110,11 @@ class TestIoModels:
 
 class TestWirelessEnergyModel:
     def test_per_flit_energy(self):
-        model = WirelessEnergyModel()
-        assert model.profile().energy_pj_per_flit == pytest.approx(2.3 * 32)
-        assert model.hop_energy_pj(10) == pytest.approx(10 * 2.3 * 32)
-
-    def test_sleep_saves_idle_energy(self):
-        model = WirelessEnergyModel()
-        awake = model.idle_energy_pj(1000, asleep=False)
-        asleep = model.idle_energy_pj(1000, asleep=True)
-        assert asleep < awake
-
-    def test_control_packet_energy(self):
-        model = WirelessEnergyModel()
-        assert model.control_packet_energy_pj(96) == pytest.approx(96 * 2.3)
-
-    def test_rejects_negative_inputs(self):
-        model = WirelessEnergyModel()
-        with pytest.raises(ValueError):
-            model.hop_energy_pj(-1)
-        with pytest.raises(ValueError):
-            model.idle_energy_pj(-5, asleep=True)
+        link = characterize_link(
+            LinkSpec(link_id=0, src=0, dst=1, kind=LinkKind.WIRELESS, length_mm=10.0)
+        )
+        # 2.3 pJ/bit over a 32-bit flit: the transceiver figure of the paper.
+        assert link.energy_pj_per_flit == pytest.approx(2.3 * 32)
 
 
 class TestEnergyAccountant:

@@ -1,16 +1,13 @@
-"""Tests of the routing algorithms and forwarding tables."""
+"""Tests of the routing algorithms and route validation."""
 
 import pytest
 
 from repro.core.architectures import build_system
 from repro.core.config import Architecture
 from repro.routing import (
-    ForwardingTable,
-    MinimalHopRouter,
     RoutingError,
     ShortestPathRouter,
     SpanningTreeRouter,
-    TableRouter,
     is_xy_ordered,
     link_kinds_on_route,
     manhattan_distance,
@@ -79,15 +76,6 @@ class TestShortestPathRouter:
         assert router.hop_count(0, 0) == 0
         assert router.route_weight(0, 1) == pytest.approx(1.0)
 
-    def test_minimal_hop_router_ignores_link_costs(self):
-        graph = _wireless_topology()
-        weighted = ShortestPathRouter(graph)
-        minimal = MinimalHopRouter(graph)
-        switches = [s.switch_id for s in graph.switches]
-        for src in switches[:3]:
-            for dst in switches[:8]:
-                assert minimal.hop_count(src, dst) <= weighted.hop_count(src, dst)
-
 
 class TestSpanningTreeRouter:
     def test_tree_routes_valid_and_loop_free(self):
@@ -118,36 +106,6 @@ class TestSpanningTreeRouter:
         router = SpanningTreeRouter(graph)
         with pytest.raises(RoutingError):
             router.parent(9999)
-
-
-class TestForwardingTables:
-    def test_table_router_is_consistent(self):
-        graph = _wireless_topology()
-        router = TableRouter(graph)
-        table = ForwardingTable.build(router)
-        assert table.conflicts == 0
-        table.validate()
-
-    def test_table_walk_matches_route(self):
-        graph = _mesh_topology()
-        router = TableRouter(graph)
-        table = ForwardingTable.build(router)
-        assert table.walk(0, 7) == router.route(0, 7)
-
-    def test_table_size_reporting(self):
-        graph = _mesh_topology()
-        table = ForwardingTable.build(TableRouter(graph))
-        assert table.total_entries() == graph.num_switches * (graph.num_switches - 1)
-        assert all(
-            count == graph.num_switches - 1
-            for count in table.entries_per_switch().values()
-        )
-
-    def test_lookup_at_destination_rejected(self):
-        graph = _mesh_topology()
-        table = ForwardingTable.build(TableRouter(graph))
-        with pytest.raises(RoutingError):
-            table.lookup(3, 3)
 
 
 class TestRouteValidation:

@@ -7,7 +7,6 @@ import pytest
 from repro.core.architectures import (
     UnknownArchitectureError,
     architecture_builder,
-    available_architectures,
     build_system,
     register_architecture,
 )
@@ -165,9 +164,8 @@ class TestPatternDistributions:
 
 class TestArchitectureRegistry:
     def test_builtin_architectures_registered(self):
-        names = available_architectures()
         for architecture in Architecture:
-            assert architecture.value in names
+            assert callable(architecture_builder(architecture.value))
 
     def test_unknown_architecture_raises_with_known_names(self):
         with pytest.raises(UnknownArchitectureError, match="wireless"):

@@ -3,59 +3,11 @@
 import pytest
 
 from repro.wireless import (
-    LinkBudget,
     Transceiver,
     TransceiverSpec,
     TransceiverState,
-    ZigZagAntenna,
     assign_channels,
 )
-
-
-class TestAntenna:
-    def test_wavelength_at_60ghz(self):
-        antenna = ZigZagAntenna()
-        assert antenna.wavelength_mm == pytest.approx(5.0, rel=0.01)
-
-    def test_zigzag_is_compact_and_omnidirectional(self):
-        antenna = ZigZagAntenna()
-        assert antenna.axial_length_mm < antenna.wavelength_mm / 4
-        assert not antenna.is_directional
-
-    def test_supports_16gbps_ook(self):
-        antenna = ZigZagAntenna()
-        assert antenna.supports_data_rate(16.0)
-        assert not antenna.supports_data_rate(100.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ZigZagAntenna(carrier_frequency_hz=0)
-
-
-class TestLinkBudget:
-    def test_link_closes_at_package_scale(self):
-        """A 60 GHz OOK link must close at multichip package distances."""
-        budget = LinkBudget()
-        assert budget.closes(50.0, data_rate_gbps=16.0, target_ber=1e-15)
-
-    def test_ber_degrades_with_distance(self):
-        budget = LinkBudget()
-        assert budget.bit_error_rate(10.0, 16.0) < budget.bit_error_rate(200.0, 16.0)
-
-    def test_path_loss_monotonic(self):
-        budget = LinkBudget()
-        assert budget.path_loss_db(10.0) < budget.path_loss_db(100.0)
-
-    def test_max_distance_beyond_package(self):
-        budget = LinkBudget()
-        assert budget.max_distance_mm(16.0) > 60.0
-
-    def test_invalid_inputs(self):
-        budget = LinkBudget()
-        with pytest.raises(ValueError):
-            budget.path_loss_db(0.0)
-        with pytest.raises(ValueError):
-            budget.noise_power_dbm(0.0)
 
 
 class TestTransceiver:
