@@ -32,7 +32,9 @@ flits_dropped_unroutable`` holds on every run, faulted or not
 Injector state that outlives the run (disabled graph links, router
 penalties) is undone by :meth:`FaultInjector.restore`, which the simulator
 calls in a ``finally`` block: the topology and router are shared across
-runs, and a faulted run must leave no trace on the next one.
+runs, and a faulted run must leave no trace on the next one.  The network
+is shared too, and its reset undoes the rest (degraded port links, failed
+hops, dead transceivers).
 """
 
 from __future__ import annotations
@@ -108,7 +110,12 @@ class FaultInjector:
         state.anchor_watchdog(cycle)
 
     def restore(self) -> None:
-        """Undo every change to state shared across runs (graph, router)."""
+        """Undo every change to state shared across runs (graph, router).
+
+        Degraded port links, dead transceivers and the MAC state belong to
+        the network, which :meth:`~repro.noc.network.Network.reset` returns
+        to its as-built state before it serves another run.
+        """
         for link_id in sorted(self._disabled_by_us):
             self.graph.enable_link(link_id)
         self._disabled_by_us.clear()

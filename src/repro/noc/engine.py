@@ -4,10 +4,11 @@ The actual per-cycle work lives in the phase-structured
 :mod:`repro.noc.kernel`; this module keeps the stable public surface —
 :class:`Simulator`, :class:`SimulationConfig` and
 :class:`SimulationStallError` — and owns the per-run plumbing around one
-kernel execution: building the :class:`~repro.noc.network.Network`,
-binding the fabrics to the run's :class:`~repro.energy.EnergyAccountant`,
-and settling the end-of-run accounting (static energy, fabric statistics,
-wall-clock self-throughput) into the :class:`SimulationResult`.
+kernel execution: building the :class:`~repro.noc.network.Network` (or
+resetting the one it was handed), binding the fabrics to the run's
+:class:`~repro.energy.EnergyAccountant`, and settling the end-of-run
+accounting (static energy, fabric statistics, wall-clock self-throughput)
+into the :class:`SimulationResult`.
 """
 
 from __future__ import annotations
@@ -65,7 +66,12 @@ class Simulator:
         #: empty or absent plan leaves the run bit-identical to a simulator
         #: without the fault subsystem.
         self.fault_plan = fault_plan
-        #: Optional instrumentation hook called with the freshly built
+        #: Optional :class:`~repro.noc.network.Network` to run on, built on
+        #: ``topology`` with ``network_config``; the runner hands in one it
+        #: keeps across tasks.  It is reset to its as-built state before the
+        #: run.  ``None`` (the default) builds a fresh network for every run.
+        self.network: Optional[Network] = None
+        #: Optional instrumentation hook called with the run's new or reset
         #: :class:`~repro.noc.network.Network` after the fabrics are bound
         #: to the energy accountant and before the kernel is constructed —
         #: the one safe window to wrap fabric callbacks (the MAC
@@ -83,11 +89,13 @@ class Simulator:
     def run(self, resume_from: Optional[KernelCheckpoint] = None) -> SimulationResult:
         """Execute the configured number of cycles and return the results.
 
-        With ``resume_from``, the freshly configured run is discarded in
-        favour of the checkpoint's restored kernel graph: the simulation
-        continues at ``resume_from.cycle + 1`` and the end-of-run
-        accounting settles into the *restored* result, producing output
-        bit-identical to an uninterrupted run (fingerprint-tested in
+        The run uses :attr:`network`, reset to its as-built state, or a
+        network built for it when none is set.  With ``resume_from``, the
+        freshly configured run is discarded in favour of the checkpoint's
+        restored kernel graph (so :attr:`network` is left untouched): the
+        simulation continues at ``resume_from.cycle + 1`` and the
+        end-of-run accounting settles into the *restored* result, producing
+        output bit-identical to an uninterrupted run (fingerprint-tested in
         ``tests/test_checkpoint.py``).  The configured topology, traffic
         and fault plan must of course describe the same run the checkpoint
         came from.
@@ -98,7 +106,11 @@ class Simulator:
         net_config = self.network_config
         self.traffic.reset()
 
-        network = Network(self.topology, net_config)
+        network = self.network
+        if network is None:
+            network = Network(self.topology, net_config)
+        else:
+            network.reset()
         accountant = EnergyAccountant(
             technology=net_config.technology,
             include_static=net_config.include_static_energy,

@@ -11,9 +11,13 @@ when the topology deploys wireless interfaces, a
 output port carries a reference to its fabric, so the simulation kernel
 addresses all media uniformly.
 
-A ``Network`` is cheap to build and holds mutable per-run state (buffers,
-arbitration pointers, transceiver residency counters), so the simulation
-engine constructs a fresh one for every run.
+A ``Network`` holds mutable per-run state (buffers, arbitration pointers,
+transceiver residency counters), and building one costs thousands of VC
+objects.  :meth:`Network.reset` returns every piece of that state to its
+as-built value in place, so one network serves many runs of the same
+topology and :class:`~repro.noc.config.NetworkConfig`: the simulation
+engine resets the network it is handed before each run, and builds a fresh
+one only when it is handed none.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ class Network:
         self.wired_fabric = WiredFabric()
         self._build_switches()
         self._build_wired_links()
-        self.wireless_fabric: Optional[WirelessFabric] = self._build_wireless()
+        self._wi_switches = self._build_wireless_ports()
+        self.wireless_fabric: Optional[WirelessFabric] = self._new_wireless_fabric()
         #: Dense network-wide port tables, indexed by ``port_id`` (assigned
         #: in ascending switch-id order, construction order within a
         #: switch).  The kernel and the fault injector address ports through
@@ -56,6 +61,11 @@ class Network:
         self.input_port_table: List = []
         self.output_port_table: List = []
         self._compile_port_tables()
+        #: Every VC and the as-built link of every output port, in port-id
+        #: order: what :meth:`reset` walks and restores (fault injection
+        #: degrades ports by replacing their link).
+        self._vcs = tuple(vc for port in self.input_port_table for vc in port.vcs)
+        self._built_links = tuple(port.link for port in self.output_port_table)
         self._profile_power()
 
     # ------------------------------------------------------------------
@@ -106,10 +116,10 @@ class Network:
             src_out.fabric = self.wired_fabric
             dst_out.fabric = self.wired_fabric
 
-    def _build_wireless(self) -> Optional[WirelessFabric]:
+    def _build_wireless_ports(self) -> List[Switch]:
         wireless_specs = self.topology.wireless_switches
         if not wireless_specs:
-            return None
+            return []
         settings = WirelessLinkSettings(
             cycles_per_flit=self.config.wireless.cycles_per_flit,
             extra_latency_cycles=self.config.wireless.extra_latency_cycles,
@@ -126,8 +136,14 @@ class Network:
             switch = self.switches[spec.switch_id]
             switch.add_wireless_port(characteristics, buffer_depth=self.config.wi_buffer_depth)
             wi_switches.append(switch)
-        fabric = WirelessFabric(wi_switches, self.config)
-        for switch in wi_switches:
+        return wi_switches
+
+    def _new_wireless_fabric(self) -> Optional[WirelessFabric]:
+        """A fresh shared medium (MACs, transceivers) behind the WI ports."""
+        if not self._wi_switches:
+            return None
+        fabric = WirelessFabric(self._wi_switches, self.config)
+        for switch in self._wi_switches:
             switch.wireless_output.fabric = fabric
         return fabric
 
@@ -153,6 +169,65 @@ class Network:
             )
             total += profile.static_power_mw
         self._static_power_mw = total
+
+    # ------------------------------------------------------------------
+    # Reuse across runs.
+    # ------------------------------------------------------------------
+
+    def reset(self) -> None:
+        """Return all per-run state to its as-built value, in place.
+
+        Empties every VC and occupied set, rewinds every output port's
+        channel occupancy and round-robin pointer, restores the as-built
+        link of every port a fault degraded, returns failed wired hops to
+        service, and replaces the wireless fabric with a fresh one (new
+        MACs, transceivers and channel counters; dead WIs revived).  A
+        reset network is indistinguishable from a newly built one
+        (``tests/test_build_memo.py``), and the reset allocates nothing
+        per VC.
+        """
+        for switch in self.switches.values():
+            switch.occupied.clear()
+        for vc in self._vcs:
+            vc.reset()
+        for port, link in zip(self.output_port_table, self._built_links):
+            port.link = link
+            port.busy_until = 0
+            port.rr_pointer = 0
+        self.wired_fabric.clear_failures()
+        self._drop_wireless_fabric()
+        self.wireless_fabric = self._new_wireless_fabric()
+
+    def _drop_wireless_fabric(self) -> None:
+        """Cut the MACs' back references to the wireless fabric.
+
+        The fabric and its MACs point at each other; cut, the dropped
+        fabric (and the switches it holds) is freed by reference counting
+        as soon as nothing else refers to it.
+        """
+        if self.wireless_fabric is not None:
+            for mac in self.wireless_fabric.macs:
+                mac.plane = None
+            self.wireless_fabric = None
+
+    def dispose(self) -> None:
+        """Break the network's reference cycles; it is unusable afterwards.
+
+        Switches, ports, VCs and the wireless fabric's MACs point back at
+        each other, so a dropped network is cyclic garbage that only a full
+        pass of the cycle collector frees.  A holder that drops networks
+        one after another (the runner's memo) calls this first, and
+        reference counting then frees the network as soon as it is dropped.
+        """
+        for vc in self._vcs:
+            vc.reset()
+            vc.port = None
+        for port in self.input_port_table:
+            port.switch = None
+        for port in self.output_port_table:
+            port.switch = None
+            port.fabric = None
+        self._drop_wireless_fabric()
 
     # ------------------------------------------------------------------
     # Queries used by the engine and by experiments.

@@ -177,6 +177,23 @@ class VirtualChannel:
         self.downstream_port = None
         self.downstream_switch = None
 
+    def reset(self) -> None:
+        """Return the VC to its as-built state (network reuse across runs).
+
+        The ring keeps its storage: only the cursors move back, so the
+        stale slots behind them are unreadable and nothing is allocated.
+        """
+        self.head = 0
+        self.count = 0
+        self.in_flight = 0
+        self.allocated_packet_id = None
+        self.current_output = None
+        self.downstream_port = None
+        self.downstream_switch = None
+        self.send_target = None
+        self.source_packet = None
+        self.source_flits_emitted = 0
+
     def reset_routing(self) -> None:
         """Clear cached routing decisions (used when reconfiguring)."""
         self.current_output = None

@@ -32,16 +32,22 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..core import framework
+from ..core.architectures import BuiltSystem
 from ..core.config import SystemConfig
-from ..core.framework import MultichipSimulation
 from ..faults.scenarios import create_fault_plan, scenario_spec
 from ..metrics.report import format_simulator_throughput, format_table
 from ..metrics.saturation import LoadPointSummary, SweepSummary
+from ..noc import engine
+from ..noc.config import NetworkConfig
 from ..noc.engine import SimulationConfig
+from ..noc.network import Network
+from ..topology.graph import TopologyGraph
 from ..traffic.rng import derive_seed
 from ..wireless.mac.registry import mac_spec
 from .cache import ResultCache
@@ -50,6 +56,7 @@ from .executor import run_tasks
 from .hashing import stable_hash
 
 __all__ = [
+    "BuildMemo",
     "DEFAULT_CACHE_DIR",
     "ExperimentRunner",
     "SimulationTask",
@@ -305,19 +312,110 @@ def replicated_tasks(task: SimulationTask, replicas: int) -> List[SimulationTask
     ]
 
 
+#: The ``network`` field every topology key carries: :func:`build_system`
+#: never reads it, so configs differing only there share one topology.
+_ANY_NETWORK = NetworkConfig()
+
+
+class BuildMemo:
+    """Bounded memo of built systems and their networks, for one process.
+
+    A figure simulates a few systems at many loads, so consecutive tasks
+    mostly share a system.  The memo keeps the :attr:`SYSTEMS` most recently
+    used built systems (topology plus router, with the router's warm route
+    and forest caches) and the :attr:`NETWORKS` most recently used
+    networks, and hands them out again instead of rebuilding.  Systems are keyed by the configuration
+    without its ``network`` field, which :func:`build_system` never reads;
+    networks by the system's topology and the network configuration.  The
+    simulator resets a network before each run, and a faulted run restores
+    the topology and router it mutated, so a served object is
+    indistinguishable from a fresh build (``tests/test_build_memo.py``).
+
+    Builds go through ``framework.build_system`` and ``engine.Network``,
+    looked up at call time.  The least recently used entry is evicted before
+    a build, and an evicted network is disposed of, so reference counting
+    frees it at once.  Nothing in the kernel graph refers back to the memo,
+    so checkpoints do not pickle it.
+    """
+
+    #: Entries kept of each kind.  Two catch the reuse of every figure:
+    #: tasks arrive grouped by configuration, and the interleaved ones
+    #: (fig5, fig6) alternate between two.  A sweeps regeneration then
+    #: builds 10 systems and 25 networks for its 100 tasks, against 7 and
+    #: 23 with no bound at all.
+    SYSTEMS = 2
+    NETWORKS = 2
+
+    def __init__(self) -> None:
+        self._systems: "OrderedDict[SystemConfig, BuiltSystem]" = OrderedDict()
+        self._networks: "OrderedDict[Tuple[TopologyGraph, NetworkConfig], Network]" = (
+            OrderedDict()
+        )
+
+    def system(self, config: SystemConfig) -> BuiltSystem:
+        """The built system of ``config``.
+
+        It carries ``config`` itself, because a simulation reads its network
+        configuration from there.
+        """
+        key = replace(config, network=_ANY_NETWORK)
+        built = self._systems.get(key)
+        if built is None:
+            if len(self._systems) >= self.SYSTEMS:
+                _, evicted = self._systems.popitem(last=False)
+                for stale in [k for k in self._networks if k[0] is evicted.topology]:
+                    self._networks.pop(stale).dispose()
+            built = framework.build_system(config)
+            self._systems[key] = built
+        else:
+            self._systems.move_to_end(key)
+        return BuiltSystem(config=config, multichip=built.multichip, router=built.router)
+
+    def network(self, topology: TopologyGraph, config: NetworkConfig) -> Network:
+        """A network on ``topology`` (a memoised system's) under ``config``.
+
+        The network is shared with later tasks: the caller runs it through
+        a :class:`~repro.noc.engine.Simulator`, which resets it first, and
+        keeps it no longer than that run.
+        """
+        key = (topology, config)
+        network = self._networks.get(key)
+        if network is None:
+            if len(self._networks) >= self.NETWORKS:
+                self._networks.popitem(last=False)[1].dispose()
+            network = engine.Network(topology, config)
+            self._networks[key] = network
+        else:
+            self._networks.move_to_end(key)
+        return network
+
+    def clear(self) -> None:
+        """Drop every memoised system and network."""
+        self._systems.clear()
+        while self._networks:
+            self._networks.popitem()[1].dispose()
+
+
+#: The memo behind :func:`task_simulator` and :func:`execute_task`.
+_BUILD_MEMO = BuildMemo()
+
+
 def task_simulator(task: SimulationTask, profile: bool = False):
     """Build (but do not run) the fully wired simulator of one task.
 
     The single construction path behind :func:`execute_task`: the system
-    is built from the task's effective configuration, the fault plan (if
-    any) is derived from the task seed, and the traffic model is resolved
-    through the traffic registry — exactly as a figure run would.  Exposed
-    so the scenario fuzzer battery can attach instrumentation (the MAC
-    grant-exclusivity probe) via ``Simulator.instrument`` and still run
+    of the task's effective configuration comes from the process's
+    :class:`BuildMemo`, the fault plan (if any) is derived from the task
+    seed, and the traffic model is resolved through the traffic registry —
+    exactly as a figure run would.  The simulator builds a fresh network
+    when run; :func:`execute_task` hands it a memoised one instead.
+    Exposed so the scenario fuzzer battery can attach instrumentation (the
+    MAC grant-exclusivity probe) via ``Simulator.instrument`` and still run
     bit-identically to the production path.
     """
-    simulation = MultichipSimulation.from_config(
-        task.effective_config(),
+    system = _BUILD_MEMO.system(task.effective_config())
+    simulation = framework.MultichipSimulation(
+        system,
         SimulationConfig(
             cycles=task.cycles,
             warmup_cycles=task.warmup_cycles,
@@ -355,10 +453,10 @@ def execute_task(
 ) -> Dict[str, object]:
     """Run one task and return its JSON-serialisable result payload.
 
-    This is the function shipped to worker processes; it rebuilds the
-    system from the task's configuration, runs the cycle-accurate
-    simulator, and summarises the run as a
-    :class:`repro.metrics.saturation.LoadPointSummary` dict.  With
+    This is the function shipped to worker processes; it takes the system
+    and network for the task's configuration from the process's
+    :class:`BuildMemo`, runs the cycle-accurate simulator, and summarises
+    the run as a :class:`repro.metrics.saturation.LoadPointSummary` dict.  With
     ``profile`` set the kernel times each phase and the payload carries a
     ``phase_seconds`` entry (the CLI's ``--profile`` table; profiled runs
     bypass the result cache, so the timings always come from real work).
@@ -372,6 +470,7 @@ def execute_task(
     the knobs are execution-level and never part of the cache key.
     """
     simulator = task_simulator(task, profile=profile)
+    simulator.network = _BUILD_MEMO.network(simulator.topology, simulator.network_config)
     store: Optional[CheckpointStore] = None
     checkpoint = None
     key = ""

@@ -51,6 +51,7 @@ from repro.noc.checkpoint import (
     save_checkpoint,
 )
 from repro.noc.kernel import KernelState, SimulationKernel
+from repro.parallel import runner as runner_module
 from repro.parallel.checkpoints import CheckpointStore
 from repro.parallel.runner import (
     application_task,
@@ -87,10 +88,11 @@ def _payload(task, result):
     return LoadPointSummary.from_result(offered, result).as_dict()
 
 
-def _checkpointed_run(task, every):
+def _checkpointed_run(task, every, network=None):
     """Run ``task`` once, collecting a checkpoint every ``every`` cycles."""
     checkpoints = []
     simulator = task_simulator(task)
+    simulator.network = network
     simulator.simulation_config = replace(
         simulator.simulation_config, checkpoint_every_cycles=every
     )
@@ -338,6 +340,31 @@ class TestExecuteTaskResume:
         )
         assert payload == baseline
         assert not store.path_for(key).exists()
+
+    def test_memo_served_run_resumes_bit_identically(self, tmp_path):
+        """Checkpoints of a run on a reused system and network resume exactly.
+
+        The memo serves the task the network an earlier, congested task
+        left mid-flight, and the router that task warmed.  Checkpointing
+        the run must not perturb it, and each checkpoint must resume
+        through :func:`execute_task` to the payload of a fresh build.
+        """
+        task = _task(Architecture.WIRELESS, cycles=300)
+        runner_module._BUILD_MEMO.clear()
+        baseline = execute_task(task)
+        execute_task(_task(Architecture.WIRELESS, cycles=300, load=0.4, seed=5))
+        system = runner_module._BUILD_MEMO.system(task.effective_config())
+        assert system.router._cache, "the earlier task must have warmed the router"
+        network = runner_module._BUILD_MEMO.network(system.topology, system.config.network)
+        checkpoints, checkpointed = _checkpointed_run(task, every=100, network=network)
+        assert checkpointed == baseline
+        store = CheckpointStore(tmp_path)
+        key = task.cache_key()
+        for checkpoint in checkpoints:
+            store.save(key, checkpoint)
+            payload = execute_task(task, checkpoint_every=100, checkpoint_dir=str(tmp_path))
+            assert payload == baseline
+            assert not store.path_for(key).exists()
 
     def test_cold_starts_over_corrupt_checkpoint(self, tmp_path):
         task = _task(Architecture.WIRELESS, cycles=300)

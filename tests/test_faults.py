@@ -27,11 +27,14 @@ from hypothesis import strategies as st
 from repro.core.architectures import build_system
 from repro.core.config import Architecture
 from repro.core.framework import MultichipSimulation
+from repro.experiments.common import Fidelity
 from repro.experiments.fig7_resilience import fig7_systems
+from repro.parallel import runner as runner_module
 from repro.parallel.runner import (
     TASK_SCHEMA_VERSION,
     ExperimentRunner,
     SimulationTask,
+    execute_task,
     uniform_task,
 )
 from repro.faults import (
@@ -497,9 +500,11 @@ def test_recovered_router_matches_a_fresh_one(label):
     A router that has already routed every pair goes through link failures,
     recovery passes and a penalty.  It must then route exactly like a router
     built fresh on the degraded graph, and after the restore exactly like
-    it did on the pristine one.
+    it did on the pristine one.  The same holds for the router the runner's
+    memo shares across tasks, once a faulted task's ``restore()`` has run.
     """
-    system = build_system(fig7_systems()[label])
+    config = fig7_systems()[label]
+    system = build_system(config)
     graph, router = system.topology, system.router
     switches = [s.switch_id for s in graph.switches]
     pristine = _all_routes(router, switches)
@@ -521,6 +526,15 @@ def test_recovered_router_matches_a_fresh_one(label):
         router.clear_link_penalties()
     router.clear_cache()
     assert _all_routes(router, switches) == pristine
+
+    runner_module._BUILD_MEMO.clear()
+    fidelity = Fidelity("tiny", cycles=40, warmup_cycles=10, load_points=(), applications=())
+    execute_task(uniform_task(config, fidelity, load=0.05))
+    faulted = uniform_task(config, fidelity, load=0.05, faults="random-links", fault_rate=0.05)
+    assert execute_task(faulted)["links_failed"] > 0
+    memo_system = runner_module._BUILD_MEMO.system(config)
+    assert memo_system.topology.disabled_links == []
+    assert _all_routes(memo_system.router, switches) == pristine
 
 
 # ----------------------------------------------------------------------

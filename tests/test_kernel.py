@@ -24,6 +24,7 @@ from repro.noc.kernel import (
     SimulationStallError,
     make_scheduler,
 )
+from repro.parallel.runner import BuildMemo
 from repro.testing import small_network_config, small_system_config
 from repro.traffic.base import TrafficModel, TrafficRequest
 from repro.traffic.registry import create_pattern
@@ -71,8 +72,14 @@ def result_fingerprint(result):
     }
 
 
-def run_with_scheduler(config, traffic_factory, scheduler, cycles=500, faults=None):
-    system = build_system(config)
+def run_with_scheduler(config, traffic_factory, scheduler, cycles=500, faults=None, memo=None):
+    """One run on a fresh build, or on the system and network ``memo`` serves."""
+    network = None
+    if memo is None:
+        system = build_system(config)
+    else:
+        system = memo.system(config)
+        network = memo.network(system.topology, config.network)
     traffic = traffic_factory(system)
     fault_plan = None
     if faults is not None:
@@ -92,6 +99,7 @@ def run_with_scheduler(config, traffic_factory, scheduler, cycles=500, faults=No
         ),
         fault_plan=fault_plan,
     )
+    simulator.network = network
     return simulator.run()
 
 
@@ -171,6 +179,39 @@ class TestKernelParity:
         dense = run_with_scheduler(config, uniform_factory(), "dense")
         active = run_with_scheduler(config, uniform_factory(), "active")
         assert result_fingerprint(dense) == result_fingerprint(active)
+
+
+class TestWarmMemo:
+    """The fingerprint matrix does not depend on what ran before it.
+
+    Every cell runs once on a fresh build, then twice through one memo:
+    forwards, and in reverse.  All but the first cell of each architecture
+    run on a network the previous cell left mid-flight, and route on a
+    router earlier cells (faulted ones included) warmed.
+    """
+
+    CELLS = [
+        (name, traffic, faults, scheduler)
+        for name in sorted(ARCHITECTURES)
+        for traffic, faults in (("uniform", None), ("synfull", None), ("uniform", "random-links"))
+        for scheduler in SCHEDULERS
+    ]
+
+    @staticmethod
+    def _fingerprint(cell, memo=None):
+        name, traffic, faults, scheduler = cell
+        factory = uniform_factory() if traffic == "uniform" else synfull_factory()
+        config = ARCHITECTURES[name]()
+        return result_fingerprint(
+            run_with_scheduler(config, factory, scheduler, faults=faults, memo=memo)
+        )
+
+    def test_matrix_is_unchanged_through_a_warm_memo_in_both_orders(self):
+        fresh = {cell: self._fingerprint(cell) for cell in self.CELLS}
+        memo = BuildMemo()
+        for order in (self.CELLS, self.CELLS[::-1]):
+            for cell in order:
+                assert self._fingerprint(cell, memo) == fresh[cell], cell
 
 
 class TestSchedulerSelection:
