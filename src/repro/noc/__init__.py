@@ -24,7 +24,7 @@ from .pool import FlitPool, PacketPool, PacketView
 from .port import LOCAL_PORT, WIRELESS_PORT, InputPort, OutputPort
 from .stats import SimulationResult
 from .switch import Switch, SwitchConfigError
-from .virtual_channel import VirtualChannel
+from .virtual_channel import KernelInvariantError, VirtualChannel
 
 __all__ = [
     "ActiveSetScheduler",
@@ -35,6 +35,7 @@ __all__ = [
     "FlitPool",
     "FlitType",
     "InputPort",
+    "KernelInvariantError",
     "LOCAL_PORT",
     "LinkCharacteristics",
     "Network",

@@ -36,17 +36,29 @@ created, hashed, or attribute-chased anywhere on the per-flit path.  The
 legacy object API remains at the boundary: traffic delivery callbacks
 receive a :class:`~repro.noc.pool.PacketView`.
 
-The injection and allocation phases take their per-cycle work lists from a
-:class:`Scheduler`.  The :class:`DenseScheduler` visits every switch every
-cycle — a faithful transliteration of the original monolithic engine loop —
-while the :class:`ActiveSetScheduler` maintains *wake sets* of switches
-that can possibly make progress (buffered flits for allocation, queued or
-partially serialised packets for injection) and skips everything else.
-Skipped switches are exactly those for which the dense pass would be a
-no-op, so the two schedulers are bit-identical (the parity tests in
-``tests/test_kernel.py`` prove it); the active-set scheduler is simply
-several times faster at the low and mid loads that dominate every figure
-sweep.
+The injection and allocation phase loops are run by a :class:`Scheduler`
+(``run_injection`` / ``run_allocation``), which calls the per-switch
+:meth:`KernelState.inject` and :meth:`KernelState.allocate` bodies.  The
+:class:`DenseScheduler` visits every switch every cycle — a faithful
+transliteration of the original monolithic engine loop — while the
+:class:`ActiveSetScheduler` keeps *wake sets* of switches that can possibly
+make progress (buffered flits for allocation, queued or partially
+serialised packets for injection), iterates them in switch-id order and
+lets a drained switch sleep at the end of its visit.  A switch whose
+allocation visit was blocked (every request waiting on a busy output or on
+downstream buffer space) sleeps as well, until the output frees or a
+downstream pop makes room.  Skipped switches are exactly those for which
+the dense pass would be a no-op, so the two schedulers are bit-identical
+(the parity tests in ``tests/test_kernel.py`` prove it); the active-set
+scheduler is simply several times faster at the low and mid loads that
+dominate every figure sweep.
+
+Wormhole allocation keeps per-VC routing state: a VC's head flit computes
+its output port and downstream input port once, claims a free VC there, and
+the body flits behind it reuse that downstream VC (``send_target``) until
+the tail leaves.  Any inconsistency in this state — a flit delivered
+without a reservation, a VC handed to two packets, a head off its route —
+raises :class:`~repro.noc.virtual_channel.KernelInvariantError`.
 
 A watchdog aborts the run if no flit makes progress for a configurable
 number of cycles while traffic is still in flight, so routing or protocol
@@ -61,10 +73,11 @@ anchor, so fast-cycling phases can never mask a genuine deadlock.
 from __future__ import annotations
 
 import pickle
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..energy import EnergyAccountant
 from ..routing.base import BaseRouter, RoutingError
@@ -75,7 +88,7 @@ from .network import Network
 from .pool import FLIT_INDEX_BITS, FLIT_INDEX_MASK, PacketPool, PacketView
 from .stats import SimulationResult
 from .switch import Switch
-from .virtual_channel import VirtualChannel
+from .virtual_channel import KernelInvariantError, VirtualChannel
 
 #: The scheduler names accepted by :class:`SimulationConfig`.
 SCHEDULERS = ("active", "dense")
@@ -133,48 +146,59 @@ class SimulationConfig:
 
 
 class Scheduler:
-    """Decides which switches each phase visits in a given cycle.
+    """Runs the injection and allocation phase loops over the switches.
 
-    The kernel notifies the scheduler of every event that can wake a
-    switch (a flit buffered into one of its VCs, a packet queued at one of
-    its endpoints) and of every opportunity to let one sleep again (a
-    visited switch that drained, an injector with nothing left to
-    serialise).  Candidate lists are always produced in ascending
-    switch-id order, matching the dense iteration order, so arbitration
-    outcomes are identical under both schedulers.
+    :meth:`run_injection` and :meth:`run_allocation` visit, in ascending
+    switch-id order (the dense iteration order, so arbitration outcomes are
+    identical under every scheduler), each switch the phase could change
+    this cycle.  The kernel notifies the scheduler of every event that can
+    wake a switch: a VC of it going from empty to holding a flit, a packet
+    queued at one of its endpoints, buffer space opening at a downstream
+    port it waits on, a fault-recovery pass touching it.
     """
 
     name = "scheduler"
+
+    def __init__(self) -> None:
+        #: Input port -> ids of switches sleeping until buffer space opens
+        #: there.  The kernel reads it on every send to decide whether a pop
+        #: must call :meth:`on_space_freed`; a scheduler that never lets a
+        #: blocked switch sleep leaves it empty.
+        self.space_waiters: Dict[object, set] = {}
 
     def bind(self, switches: List[Switch], injecting: List[Switch]) -> None:
         """Attach the (sorted) switch lists of the network being run."""
         raise NotImplementedError
 
-    def allocation_candidates(self) -> Iterable[Switch]:
-        """Switches the allocation phase must visit this cycle."""
+    def run_injection(self, state: "KernelState", cycle: int) -> None:
+        """Run the injection phase of ``cycle`` over the switches."""
         raise NotImplementedError
 
-    def injection_candidates(self) -> Iterable[Switch]:
-        """Switches the injection phase must visit this cycle."""
+    def run_allocation(self, state: "KernelState", cycle: int) -> None:
+        """Run the allocation phase of ``cycle`` over the switches."""
         raise NotImplementedError
 
     def on_flit_buffered(self, switch: Switch) -> None:
-        """A flit entered one of ``switch``'s VC buffers.
+        """A VC of ``switch`` went from empty to holding one flit.
 
-        There is no per-flit drain notification: buffer occupancy is read
-        from the switch's ``occupied`` VC set (maintained by the kernel's
-        ring operations) when the visit finishes (:meth:`after_allocation`),
-        so draining costs the schedulers nothing per flit.
+        Flits joining a non-empty VC need no notification: they change
+        neither the switch's ``occupied`` VC set (maintained by the kernel's
+        ring operations) nor the front flit a visit arbitrates for, and a
+        scheduler lets a switch holding flits sleep only on a condition of
+        those front flits (see :meth:`on_space_freed`), so draining and
+        refilling cost the schedulers nothing per flit.
         """
 
     def on_packet_queued(self, switch: Switch) -> None:
         """A packet joined a source queue of one of ``switch``'s endpoints."""
 
-    def after_allocation(self, switch: Switch) -> None:
-        """The allocation phase finished visiting ``switch`` this cycle."""
+    def on_space_freed(self, port, switch_id: int) -> None:
+        """A VC of ``port`` popped a flit out of a full buffer or sent its
+        packet's tail while switches wait in ``space_waiters[port]``.
 
-    def after_injection(self, switch: Switch, has_work: bool) -> None:
-        """The injection phase finished visiting ``switch`` this cycle."""
+        Called from the allocation visit of switch ``switch_id``, which
+        owns ``port``.
+        """
 
     def on_fault(self, switch: Switch) -> None:
         """A fault-recovery pass touched ``switch`` (topology changed).
@@ -195,11 +219,15 @@ class DenseScheduler(Scheduler):
         self._switches = switches
         self._injecting = injecting
 
-    def allocation_candidates(self) -> Iterable[Switch]:
-        return self._switches
+    def run_injection(self, state: "KernelState", cycle: int) -> None:
+        inject = state.inject
+        for switch in self._injecting:
+            inject(switch, cycle)
 
-    def injection_candidates(self) -> Iterable[Switch]:
-        return self._injecting
+    def run_allocation(self, state: "KernelState", cycle: int) -> None:
+        allocate = state.allocate
+        for switch in self._switches:
+            allocate(switch, cycle)
 
 
 class ActiveSetScheduler(Scheduler):
@@ -210,7 +238,19 @@ class ActiveSetScheduler(Scheduler):
     packets or a local VC is mid-serialisation.  Both conditions are
     exactly the preconditions under which the dense pass can mutate state,
     so skipping inactive switches never changes a simulation outcome —
-    only the wall-clock cost of reaching it.
+    only the wall-clock cost of reaching it.  The wake sets hold switch
+    ids; a visited switch that has drained leaves its set at the end of
+    its visit.
+
+    A switch whose allocation visit found every request blocked — on an
+    output still serialising an earlier flit, or on a full or taken VC
+    downstream — sleeps too, since until one of those conditions changes
+    the dense pass would find it blocked again.  It wakes at the cycle its
+    earliest busy output frees, when a VC of a downstream port it waits on
+    pops a flit out of a full buffer or sends a tail (:meth:`on_space_freed`),
+    when one of its empty VCs receives a flit, or on any fault.  A pop wakes
+    a waiter with a higher id within the same pass, as the dense id-order
+    pass would reach it after the popping switch.
     """
 
     name = "active"
@@ -219,14 +259,79 @@ class ActiveSetScheduler(Scheduler):
         self._switch_of = {s.switch_id: s for s in switches}
         self._alloc_active: set = set()
         self._inject_active: set = set()
+        #: Cycle -> ids of blocked switches whose earliest busy output frees
+        #: then.
+        self._timed_wakes: Dict[int, List[int]] = {}
+        #: Visit order of the allocation pass while it runs (``None``
+        #: between passes); :meth:`on_space_freed` inserts into it.
+        self._pass: Optional[List[int]] = None
 
-    def allocation_candidates(self) -> Iterable[Switch]:
+    def run_injection(self, state: "KernelState", cycle: int) -> None:
+        active = self._inject_active
+        if not active:
+            return
         switch_of = self._switch_of
-        return [switch_of[sid] for sid in sorted(self._alloc_active)]
+        inject = state.inject
+        has_work = state.has_injection_work
+        for switch_id in sorted(active):
+            switch = switch_of[switch_id]
+            inject(switch, cycle)
+            if not has_work(switch):
+                active.discard(switch_id)
 
-    def injection_candidates(self) -> Iterable[Switch]:
+    def run_allocation(self, state: "KernelState", cycle: int) -> None:
+        active = self._alloc_active
+        due = self._timed_wakes.pop(cycle, None)
+        if due is not None:
+            active.update(due)
+        if not active:
+            return
         switch_of = self._switch_of
-        return [switch_of[sid] for sid in sorted(self._inject_active)]
+        allocate = state.allocate
+        # A list iterator reads the list by index, so switches that
+        # on_space_freed inserts past the current one are visited this pass.
+        order = self._pass = sorted(active)
+        for switch_id in order:
+            switch = switch_of[switch_id]
+            if allocate(switch, cycle):
+                active.discard(switch_id)
+                self._sleep(switch, cycle)
+            elif not switch.occupied:
+                # The switch's occupied-VC set is authoritative: empty means
+                # the dense pass would find nothing here either.
+                active.discard(switch_id)
+        self._pass = None
+
+    def _sleep(self, switch: Switch, cycle: int) -> None:
+        """Register a blocked switch's wake-up conditions.
+
+        Every occupied VC of a blocked switch is routed to a non-ejection
+        output: it waits for that output's ``busy_until`` or, with the
+        output free, for space at its downstream port.
+        """
+        switch_id = switch.switch_id
+        waiters = self.space_waiters
+        wake = 0
+        vc_by_ordinal = switch.vc_by_ordinal
+        for ordinal in switch.occupied:
+            vc = vc_by_ordinal[ordinal]
+            busy_until = vc.current_output.busy_until
+            if busy_until > cycle:
+                if not wake or busy_until < wake:
+                    wake = busy_until
+                continue
+            port = vc.downstream_port
+            waiting = waiters.get(port)
+            if waiting is None:
+                waiters[port] = {switch_id}
+            else:
+                waiting.add(switch_id)
+        if wake:
+            timed = self._timed_wakes.get(wake)
+            if timed is None:
+                self._timed_wakes[wake] = [switch_id]
+            else:
+                timed.append(switch_id)
 
     def on_flit_buffered(self, switch: Switch) -> None:
         self._alloc_active.add(switch.switch_id)
@@ -234,21 +339,29 @@ class ActiveSetScheduler(Scheduler):
     def on_packet_queued(self, switch: Switch) -> None:
         self._inject_active.add(switch.switch_id)
 
-    def after_allocation(self, switch: Switch) -> None:
-        # The switch's occupied-VC set is authoritative: empty means the
-        # dense pass would find nothing here either, so the switch sleeps.
-        if not switch.occupied:
-            self._alloc_active.discard(switch.switch_id)
-
-    def after_injection(self, switch: Switch, has_work: bool) -> None:
-        if not has_work:
-            self._inject_active.discard(switch.switch_id)
+    def on_space_freed(self, port, switch_id: int) -> None:
+        active = self._alloc_active
+        order = self._pass
+        for waiter in self.space_waiters.pop(port):
+            if waiter not in active:
+                active.add(waiter)
+                if waiter > switch_id:
+                    insort(order, waiter)
 
     def on_fault(self, switch: Switch) -> None:
+        # Recovery can purge buffers and reroute heads anywhere, so every
+        # sleeping switch re-examines its requests.
+        active = self._alloc_active
+        for waiting in self.space_waiters.values():
+            active.update(waiting)
+        for timed in self._timed_wakes.values():
+            active.update(timed)
+        self.space_waiters.clear()
+        self._timed_wakes.clear()
         if switch.occupied:
-            self._alloc_active.add(switch.switch_id)
+            active.add(switch.switch_id)
         # Let the next injection pass re-derive whether the switch has
-        # source work; an extra visit self-corrects via after_injection.
+        # source work; an extra visit self-corrects when it finds none.
         self._inject_active.add(switch.switch_id)
 
 
@@ -325,6 +438,7 @@ class KernelState:
         self._head_hop = pool.head_hop
         self._energy = pool.energy_pj
         self.breakdown = accountant.breakdown
+        self._space_waiters = scheduler.space_waiters
 
     # ------------------------------------------------------------------
     # Phase 1: arrivals.
@@ -338,15 +452,15 @@ class KernelState:
         for vc, flit in due:
             # Inline VirtualChannel.deliver on the ring.
             if vc.in_flight <= 0:
-                raise RuntimeError("deliver() without a matching reserve()")
+                raise KernelInvariantError("deliver() without a matching reserve()")
             vc.in_flight -= 1
             count = vc.count
             vc.buf[(vc.head + count) % vc.capacity] = flit
             vc.count = count + 1
-            switch = vc.port.switch
             if not count:
+                switch = vc.port.switch
                 switch.occupied.add(vc.ordinal)
-            scheduler.on_flit_buffered(switch)
+                scheduler.on_flit_buffered(switch)
         self.last_progress_cycle = cycle
 
     # ------------------------------------------------------------------
@@ -444,7 +558,7 @@ class KernelState:
             vc.count = count + 1
             if not count:
                 switch.occupied.add(vc.ordinal)
-            scheduler.on_flit_buffered(switch)
+                scheduler.on_flit_buffered(switch)
             vc.source_flits_emitted = index + 1
             result.flits_injected += 1
             budget -= 1
@@ -498,7 +612,7 @@ class KernelState:
     # Phase 5: switch allocation and traversal.
     # ------------------------------------------------------------------
 
-    def allocate(self, switch: Switch, cycle: int) -> None:
+    def allocate(self, switch: Switch, cycle: int) -> bool:
         """Arbitrate this switch's output ports and move the winning flits.
 
         One inlined pass over the compiled VC table: request collection
@@ -512,14 +626,20 @@ class KernelState:
         evaluated in VC-table order, and every float is accumulated in the
         same sequence — so results are bit-identical to the object-based
         engine, several times faster.
+
+        Returns whether the visit was *blocked*: nothing moved and every
+        request waits on a busy output or on buffer space downstream, so
+        another visit finds the same until one of those changes (see
+        :class:`ActiveSetScheduler`).  A request that reached a fabric
+        grant check, or an ejection request, never counts as blocked.
         """
         occupied = switch.occupied
         if not occupied:
-            return
+            return False
         req_outputs = None
         assign = self._assign_output
         vc_by_ordinal = switch.vc_by_ordinal
-        for ordinal in sorted(occupied):
+        for ordinal in occupied if len(occupied) == 1 else sorted(occupied):
             vc = vc_by_ordinal[ordinal]
             output = vc.current_output
             if output is None:
@@ -532,7 +652,7 @@ class KernelState:
                     req_outputs.append(output)
             scratch.append(vc)
         if req_outputs is None:
-            return
+            return False
         pool_pid = self._pid
         pool_length = self._length_flits
         pool_head_hop = self._head_hop
@@ -543,11 +663,14 @@ class KernelState:
         result = self.result
         rr_modulus = switch.rr_modulus
         switch_id = switch.switch_id
+        space_waiters = self._space_waiters
+        blocked = True
         try:
             for output in req_outputs:
                 vcs = output.request_scratch
                 if output.is_ejection:
                     self._serve_ejection(switch, output, vcs, cycle)
+                    blocked = False
                     continue
                 if output.busy_until > cycle:
                     continue
@@ -557,44 +680,48 @@ class KernelState:
                 for vc in vcs:
                     downstream = vc.downstream_port
                     if downstream is None:
+                        blocked = False
                         continue
                     flit = vc.buf[vc.head]
-                    handle = flit >> FLIT_INDEX_BITS
-                    pid = pool_pid[handle]
-                    target = None
-                    for tvc in downstream.vcs:
-                        if tvc.allocated_packet_id == pid:
-                            target = tvc
-                            break
-                    if target is None:
-                        if flit & FLIT_INDEX_MASK:
-                            continue  # body flit without an owned VC downstream
-                        for tvc in downstream.vcs:
-                            if (
-                                tvc.allocated_packet_id is None
-                                and tvc.count == 0
-                                and tvc.in_flight == 0
-                            ):
-                                target = tvc
-                                break
+                    if flit & FLIT_INDEX_MASK:
+                        # A body flit follows its head into the VC the head
+                        # was sent to.
+                        target = vc.send_target
                         if target is None:
+                            blocked = False
                             continue
-                    if target.count + target.in_flight >= target.capacity:
-                        continue
-                    if check_grant and not fabric.grants(
-                        switch_id,
-                        pid,
-                        vc.downstream_switch,
-                        not flit & FLIT_INDEX_MASK,
-                    ):
-                        continue
-                    vc.send_target = target
+                        if target.count + target.in_flight >= target.capacity:
+                            continue
+                    else:
+                        # A head flit needs a free VC: its packet owns none
+                        # at the next switch, since routes never revisit one.
+                        for target in downstream.vcs:
+                            if (
+                                target.allocated_packet_id is None
+                                and target.count == 0
+                                and target.in_flight == 0
+                            ):
+                                break
+                        else:
+                            continue
+                        vc.send_target = target
+                    if check_grant:
+                        # A grant can change with the fabric's own state.
+                        blocked = False
+                        if not fabric.grants(
+                            switch_id,
+                            pool_pid[flit >> FLIT_INDEX_BITS],
+                            vc.downstream_switch,
+                            not flit & FLIT_INDEX_MASK,
+                        ):
+                            continue
                     if eligible is None:
                         eligible = [vc]
                     else:
                         eligible.append(vc)
                 if eligible is None:
                     continue
+                blocked = False
                 # Round-robin winner (inline Switch.select_round_robin).
                 if len(eligible) == 1:
                     winner = eligible[0]
@@ -626,17 +753,26 @@ class KernelState:
                     winner.current_output = None
                     winner.downstream_port = None
                     winner.downstream_switch = None
+                    winner.send_target = None
+                if (
+                    space_waiters
+                    and (is_tail or winner.count + winner.in_flight + 1 >= winner.capacity)
+                    and winner.port in space_waiters
+                ):
+                    self.scheduler.on_space_freed(winner.port, switch_id)
                 pid = pool_pid[handle]
                 owner = target.allocated_packet_id
                 if is_head:
                     if owner is not None and owner != pid:
-                        raise RuntimeError(
+                        raise KernelInvariantError(
                             f"VC already allocated to packet {owner}, cannot "
                             f"accept head of packet {pid}"
                         )
                     target.allocated_packet_id = pid
                 elif owner != pid:
-                    raise RuntimeError(f"body flit of packet {pid} sent to VC owned by {owner}")
+                    raise KernelInvariantError(
+                        f"body flit of packet {pid} sent to VC owned by {owner}"
+                    )
                 target.in_flight += 1
                 link = output.link
                 arrival_cycle = cycle + link.latency_cycles
@@ -663,6 +799,7 @@ class KernelState:
         finally:
             for output in req_outputs:
                 output.request_scratch.clear()
+        return blocked
 
     def _assign_output(self, switch: Switch, vc: VirtualChannel):
         """Route the head flit at the front of ``vc`` (first visit only)."""
@@ -670,7 +807,9 @@ class KernelState:
         flit = vc.buf[vc.head]
         handle = flit >> FLIT_INDEX_BITS
         if flit & FLIT_INDEX_MASK:
-            raise RuntimeError(f"VC {vc!r} has no routing state but its front flit is not a head")
+            raise KernelInvariantError(
+                f"VC {vc!r} has no routing state but its front flit is not a head"
+            )
         if switch.switch_id == pool.dst_switch[handle]:
             output = switch.ejection_port
             vc.current_output = output
@@ -681,7 +820,7 @@ class KernelState:
         route = pool.route[handle]
         expected = route[hop]
         if expected != switch.switch_id:
-            raise RuntimeError(
+            raise KernelInvariantError(
                 f"packet {pool.pid[handle]} head expected at switch {expected} "
                 f"but found at {switch.switch_id}"
             )
@@ -696,6 +835,12 @@ class KernelState:
         return output
 
     def _serve_ejection(self, switch: Switch, output, vcs, cycle: int) -> None:
+        if len(vcs) == 1:
+            # One requester (always buffered): it wins the round-robin.
+            winner = vcs[0]
+            output.rr_pointer = (winner.ordinal + 1) % switch.rr_modulus
+            self._eject(switch, winner, cycle)
+            return
         budget = output.width
         candidates = [vc for vc in vcs if vc.count]
         while budget > 0 and candidates:
@@ -717,6 +862,13 @@ class KernelState:
         is_tail = index == pool.length_flits[handle] - 1
         if is_tail:
             vc.release()
+        space_waiters = self._space_waiters
+        if (
+            space_waiters
+            and (is_tail or vc.count + vc.in_flight + 1 >= vc.capacity)
+            and vc.port in space_waiters
+        ):
+            self.scheduler.on_space_freed(vc.port, switch.switch_id)
         switch_energy = self.switch_energy_pj
         self.breakdown.switch_dynamic_pj += switch_energy
         pool.energy_pj[handle] += switch_energy
@@ -839,11 +991,7 @@ class InjectionPhase(Phase):
     name = "injection"
 
     def run(self, cycle: int) -> None:
-        state = self.state
-        scheduler = state.scheduler
-        for switch in scheduler.injection_candidates():
-            state.inject(switch, cycle)
-            scheduler.after_injection(switch, state.has_injection_work(switch))
+        self.state.scheduler.run_injection(self.state, cycle)
 
 
 class FabricPhase(Phase):
@@ -866,11 +1014,7 @@ class AllocationPhase(Phase):
     name = "allocation"
 
     def run(self, cycle: int) -> None:
-        state = self.state
-        scheduler = state.scheduler
-        for switch in scheduler.allocation_candidates():
-            state.allocate(switch, cycle)
-            scheduler.after_allocation(switch)
+        self.state.scheduler.run_allocation(self.state, cycle)
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,9 @@ class Switch:
         self.input_ports: Dict[object, InputPort] = {}
         self.output_ports: Dict[object, OutputPort] = {}
         self._ordinal_base = 0
+        #: Modulus of the round-robin rank arithmetic (``max(1, #VCs)``),
+        #: kept current as input ports are added.
+        self.rr_modulus = 1
 
         self.local_input = self._add_input_port(LOCAL_PORT, buffer_depth)
         self.ejection_port = OutputPort(
@@ -75,8 +78,6 @@ class Switch:
         #: ascending ordinal order, which equals the historical full-table
         #: scan order — instead of scanning every (mostly empty) buffer.
         self.occupied: set = set()
-        #: Modulus of the round-robin rank arithmetic (``max(1, #VCs)``).
-        self.rr_modulus = 1
 
     # ------------------------------------------------------------------
     # Construction (called by the network builder).
@@ -88,6 +89,7 @@ class Switch:
         depth = buffer_depth if buffer_depth is not None else self.buffer_depth
         port = InputPort(self, key, self.num_vcs, depth, self._ordinal_base)
         self._ordinal_base += self.num_vcs
+        self.rr_modulus = max(1, self._ordinal_base)
         self.input_ports[key] = port
         return port
 
@@ -144,7 +146,6 @@ class Switch:
         # Ordinals are assigned densely in port-construction order, so the
         # vc_list is already ordinal-sorted and doubles as the lookup table.
         self.vc_by_ordinal = self.vc_list
-        self.rr_modulus = max(1, self._ordinal_base)
 
     # ------------------------------------------------------------------
     # Per-cycle helpers used by the engine.
@@ -192,7 +193,7 @@ class Switch:
         """Pick the next winner for an output port among eligible VCs."""
         if not candidates:
             raise SwitchConfigError("select_round_robin called with no candidates")
-        total = max(1, self._ordinal_base)
+        total = self.rr_modulus
         best = None
         best_rank = None
         pointer = output.rr_pointer

@@ -31,6 +31,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from .port import InputPort, OutputPort
 
 
+class KernelInvariantError(RuntimeError):
+    """A flow-control or routing invariant of the kernel was violated.
+
+    Raised when VC ownership, reservation or per-packet routing state is
+    inconsistent (a flit delivered without a reservation, a VC handed to
+    two packets, a head flit at a switch off its route).  These never
+    happen on a healthy run, so one means a kernel bug or corrupted state.
+    """
+
+
 class VirtualChannel:
     """One VC buffer of an input port."""
 
@@ -76,8 +86,11 @@ class VirtualChannel:
         #: Switch id of the next hop (needed for wireless ports whose
         #: destination differs per packet).
         self.downstream_switch: Optional[int] = None
-        #: Downstream VC picked during the eligibility scan of the current
-        #: allocation visit (kernel scratch; meaningless between visits).
+        #: Downstream VC the current packet flows into.  The head flit's
+        #: eligibility scan picks a free one; once the head is sent there,
+        #: the body flits behind it reuse it instead of re-scanning the
+        #: downstream port.  Cleared at the tail send and by :meth:`release`,
+        #: :meth:`reset_routing` and :meth:`reset`.
         self.send_target: Optional["VirtualChannel"] = None
         #: Injection state (local/source VCs only): pool handle of the
         #: packet being serialised into this VC and how many of its flits
@@ -111,16 +124,16 @@ class VirtualChannel:
     def reserve(self, packet_id: int, is_head: bool) -> None:
         """Reserve space for a flit that has just been sent towards this VC."""
         if self.count + self.in_flight >= self.capacity:
-            raise RuntimeError("reserve() called on a full virtual channel")
+            raise KernelInvariantError("reserve() called on a full virtual channel")
         if is_head:
             if self.allocated_packet_id is not None and self.allocated_packet_id != packet_id:
-                raise RuntimeError(
+                raise KernelInvariantError(
                     f"VC already allocated to packet {self.allocated_packet_id}, "
                     f"cannot accept head of packet {packet_id}"
                 )
             self.allocated_packet_id = packet_id
         elif self.allocated_packet_id != packet_id:
-            raise RuntimeError(
+            raise KernelInvariantError(
                 f"body flit of packet {packet_id} sent to VC owned by "
                 f"{self.allocated_packet_id}"
             )
@@ -129,7 +142,7 @@ class VirtualChannel:
     def deliver(self, flit) -> None:
         """A previously reserved flit arrives into the buffer."""
         if self.in_flight <= 0:
-            raise RuntimeError("deliver() without a matching reserve()")
+            raise KernelInvariantError("deliver() without a matching reserve()")
         self.in_flight -= 1
         self.buf[(self.head + self.count) % self.capacity] = flit
         self.count += 1
@@ -176,6 +189,7 @@ class VirtualChannel:
         self.current_output = None
         self.downstream_port = None
         self.downstream_switch = None
+        self.send_target = None
 
     def reset(self) -> None:
         """Return the VC to its as-built state (network reuse across runs).
@@ -199,6 +213,7 @@ class VirtualChannel:
         self.current_output = None
         self.downstream_port = None
         self.downstream_switch = None
+        self.send_target = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -1,34 +1,52 @@
 """Parity and scheduling tests for the phase-structured simulation kernel.
 
 The central guarantee of the kernel refactor: the active-set scheduler
-(which skips idle switches) reproduces the dense reference scheduler (the
-original engine's visit-everything loop) *bit for bit* — same counters,
-same per-packet latency samples, same energy breakdown, same MAC
-statistics — on every architecture, under synthetic and application
-traffic, and through fault recovery.  The dense scheduler is the parity
+(which skips idle and blocked switches) reproduces the dense reference
+scheduler (the original engine's visit-everything loop) *bit for bit* —
+same counters, same per-packet latency samples, same energy breakdown,
+same MAC statistics — on every architecture, under synthetic and
+application traffic, and through fault recovery.  The dense scheduler is the parity
 oracle of the one kernel the simulator has.
+
+The kernel's per-VC allocation state is pinned too: body flits follow the
+downstream VC their head claimed (``send_target``), and corrupted VC
+ownership or routing state ends a run in a ``KernelInvariantError``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 from repro.core.architectures import build_system
 from repro.core.config import Architecture, SystemConfig
 from repro.core.framework import MultichipSimulation
+from repro.energy import EnergyAccountant
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.faults.scenarios import create_fault_plan
+from repro.noc import KernelInvariantError
 from repro.noc.engine import SCHEDULERS, SimulationConfig, Simulator
 from repro.noc.kernel import (
     ActiveSetScheduler,
     DenseScheduler,
+    SimulationKernel,
     SimulationStallError,
     make_scheduler,
 )
-from repro.parallel.runner import BuildMemo
+from repro.noc.network import Network
+from repro.noc.pool import FLIT_INDEX_BITS, FLIT_INDEX_MASK
+from repro.noc.stats import SimulationResult
+from repro.parallel.runner import BuildMemo, task_simulator
+from repro.scenario.compiler import compile_scenario
+from repro.scenario.fuzz import random_scenario
+from repro.scenario.spec import parse_scenario
 from repro.testing import small_network_config, small_system_config
 from repro.traffic.base import TrafficModel, TrafficRequest
 from repro.traffic.registry import create_pattern
 from repro.traffic.synfull import SynfullApplicationTraffic
+from repro.wireless.mac.registry import available_macs
 
 #: The four comparison systems: a single-chip mesh baseline plus the
 #: paper's three multichip interconnect architectures.
@@ -123,6 +141,30 @@ def synfull_factory(application="canneal", seed=5):
         )
 
     return make
+
+
+def make_kernel(system, config, traffic, sim_config, scheduler=None):
+    """A kernel over a fresh network of ``system``, driven directly."""
+    network = Network(system.topology, config.network)
+    accountant = EnergyAccountant(technology=config.network.technology)
+    for fabric in network.fabrics:
+        fabric.bind_accountant(accountant)
+    result = SimulationResult(
+        cycles=sim_config.cycles,
+        warmup_cycles=sim_config.warmup_cycles,
+        num_cores=8,
+    )
+    kernel = SimulationKernel(
+        network=network,
+        router=system.router,
+        traffic=traffic,
+        accountant=accountant,
+        result=result,
+        config=sim_config,
+        net_config=config.network,
+        scheduler=scheduler,
+    )
+    return kernel, result
 
 
 class TestKernelParity:
@@ -237,38 +279,21 @@ class TestActiveSetBookkeeping:
         system = build_system(config)
         traffic = uniform_factory(rate=0.0)(system)
         scheduler = ActiveSetScheduler()
-        simulator = Simulator(
-            topology=system.topology,
-            router=system.router,
-            traffic=traffic,
-            network_config=config.network,
-            simulation_config=SimulationConfig(cycles=200, warmup_cycles=50),
-        )
-        # Run through the kernel directly so we can inspect the scheduler.
-        from repro.energy import EnergyAccountant
-        from repro.noc.kernel import SimulationKernel
-        from repro.noc.network import Network
-        from repro.noc.stats import SimulationResult
-
-        network = Network(system.topology, config.network)
-        accountant = EnergyAccountant(technology=config.network.technology)
-        for fabric in network.fabrics:
-            fabric.bind_accountant(accountant)
-        result = SimulationResult(cycles=200, warmup_cycles=50, num_cores=8)
-        kernel = SimulationKernel(
-            network=network,
-            router=system.router,
-            traffic=traffic,
-            accountant=accountant,
-            result=result,
-            config=simulator.simulation_config,
-            net_config=config.network,
+        kernel, _ = make_kernel(
+            system,
+            config,
+            traffic,
+            SimulationConfig(cycles=200, warmup_cycles=50),
             scheduler=scheduler,
         )
         traffic.reset()
+        visited = []
+        kernel.state.allocate = lambda switch, cycle: visited.append(switch)
+        kernel.state.inject = lambda switch, cycle: visited.append(switch)
         kernel.run()
-        assert not list(scheduler.allocation_candidates())
-        assert not list(scheduler.injection_candidates())
+        assert not visited
+        assert not scheduler._alloc_active
+        assert not scheduler._inject_active
 
     def test_wake_sets_drain_after_traffic_stops(self):
         """Once all packets deliver, every switch goes back to sleep."""
@@ -280,65 +305,235 @@ class TestActiveSetBookkeeping:
 
         config = small_system_config(Architecture.INTERPOSER)
         system = build_system(config)
-        traffic = OneShotTraffic(system.topology)
         scheduler = ActiveSetScheduler()
-
-        from repro.energy import EnergyAccountant
-        from repro.noc.kernel import SimulationKernel
-        from repro.noc.network import Network
-        from repro.noc.stats import SimulationResult
-
-        network = Network(system.topology, config.network)
-        accountant = EnergyAccountant(technology=config.network.technology)
-        for fabric in network.fabrics:
-            fabric.bind_accountant(accountant)
-        result = SimulationResult(cycles=400, warmup_cycles=0, num_cores=8)
-        kernel = SimulationKernel(
-            network=network,
-            router=system.router,
-            traffic=traffic,
-            accountant=accountant,
-            result=result,
-            config=SimulationConfig(cycles=400, warmup_cycles=0),
-            net_config=config.network,
+        kernel, result = make_kernel(
+            system,
+            config,
+            OneShotTraffic(system.topology),
+            SimulationConfig(cycles=400, warmup_cycles=0),
             scheduler=scheduler,
         )
         kernel.run()
         assert result.packets_delivered == 1
-        assert not list(scheduler.allocation_candidates())
-        assert not list(scheduler.injection_candidates())
+        assert not scheduler._alloc_active
+        assert not scheduler._inject_active
+        assert not _registered_sleepers(scheduler)
+        switches = kernel.state.network.switches.values()
+        assert not any(switch.occupied for switch in switches)
+
+
+def _saturated_kernel(architecture, cycles=300):
+    """A kernel stopped after ``cycles`` of saturating load, flits in flight."""
+    config = small_system_config(architecture)
+    system = build_system(config)
+    traffic = create_pattern(
+        "uniform", system.topology, injection_rate=0.5, memory_access_fraction=0.3, seed=5
+    )
+    kernel, _ = make_kernel(
+        system, config, traffic, SimulationConfig(cycles=cycles, warmup_cycles=50)
+    )
+    kernel.run()
+    assert kernel.state.residual_flits() > 0
+    return kernel
+
+
+def _continue(kernel, cycles):
+    """Run ``cycles`` more cycles of a kernel that finished its run."""
+    state = kernel.state
+    state.config = replace(state.config, cycles=state.config.cycles + cycles)
+    kernel.run(start_cycle=state.cycle + 1)
+
+
+def _front_flits(network):
+    """``(vc, handle, index)`` for every VC holding a flit."""
+    for switch in network.switches.values():
+        for vc in switch.vc_list:
+            if vc.count:
+                flit = vc.buf[vc.head]
+                yield vc, flit >> FLIT_INDEX_BITS, flit & FLIT_INDEX_MASK
+
+
+def assert_send_targets_consistent(state):
+    """Body flits know their downstream VC; unowned VCs cache nothing."""
+    pid = state.pool.pid
+    bodies = 0
+    for vc, handle, index in _front_flits(state.network):
+        if index and vc.downstream_port is not None:
+            assert vc.send_target is not None
+            assert vc.send_target.allocated_packet_id == pid[handle]
+            assert vc.send_target.port is vc.downstream_port
+            bodies += 1
+    for vc in state.network._vcs:
+        if vc.allocated_packet_id is None:
+            assert vc.send_target is None
+    return bodies
+
+
+def _registered_sleepers(scheduler):
+    """Ids of switches with a registered wake-up condition."""
+    ids = set()
+    for waiting in scheduler.space_waiters.values():
+        ids |= waiting
+    for timed in scheduler._timed_wakes.values():
+        ids.update(timed)
+    return ids
+
+
+class TestBlockedSwitchesSleep:
+    """A switch whose every request is blocked sleeps until a wake event."""
+
+    @pytest.mark.parametrize("architecture", [Architecture.SUBSTRATE, Architecture.WIRELESS])
+    def test_every_buffering_switch_is_awake_or_waiting(self, architecture):
+        kernel = _saturated_kernel(architecture)
+        scheduler = kernel.scheduler
+        switches = kernel.state.network.switches.values()
+        slept = 0
+        for _ in range(6):
+            buffering = {switch.switch_id for switch in switches if switch.occupied}
+            asleep = buffering - scheduler._alloc_active
+            assert asleep <= _registered_sleepers(scheduler)
+            slept += len(asleep)
+            _continue(kernel, 37)
+        assert slept
+
+    def test_a_fault_wakes_every_sleeper(self):
+        """A fault purge can free buffers anywhere, so no switch sleeps through it."""
+        kernel = _saturated_kernel(Architecture.SUBSTRATE)
+        scheduler = kernel.scheduler
+        sleepers = _registered_sleepers(scheduler) - scheduler._alloc_active
+        assert sleepers
+        scheduler.on_fault(kernel.state.network.switches[0])
+        assert sleepers <= scheduler._alloc_active
+        assert not _registered_sleepers(scheduler)
+
+    def test_blocked_visits_are_mostly_skipped(self):
+        blocked = {}
+        for scheduler in SCHEDULERS:
+            config = small_system_config(Architecture.SUBSTRATE)
+            system = build_system(config)
+            traffic = create_pattern(
+                "uniform", system.topology, injection_rate=0.5, memory_access_fraction=0.3, seed=5
+            )
+            kernel, _ = make_kernel(
+                system,
+                config,
+                traffic,
+                SimulationConfig(cycles=300, warmup_cycles=50, scheduler=scheduler),
+            )
+            allocate = kernel.state.allocate
+            outcomes = []
+
+            def counting(switch, cycle, allocate=allocate, outcomes=outcomes):
+                outcome = allocate(switch, cycle)
+                outcomes.append(outcome)
+                return outcome
+
+            kernel.state.allocate = counting
+            kernel.run()
+            blocked[scheduler] = sum(outcomes)
+        assert blocked["active"] * 3 < blocked["dense"]
+
+
+class TestSendTarget:
+    """The downstream VC a head flit claims is reused by its body flits."""
+
+    def test_body_flits_point_at_their_packets_downstream_vc(self):
+        kernel = _saturated_kernel(Architecture.WIRELESS)
+        assert assert_send_targets_consistent(kernel.state) > 0
+
+    def test_purge_and_reset_clear_the_target(self):
+        kernel = _saturated_kernel(Architecture.WIRELESS)
+        state = kernel.state
+        network = state.network
+        handle = next(
+            handle
+            for vc, handle, index in _front_flits(network)
+            if index and vc.send_target is not None
+        )
+        pid = state.pool.pid[handle]
+        holders = [vc for vc in network._vcs if vc.allocated_packet_id == pid]
+        assert any(vc.send_target is not None for vc in holders)
+        plan = FaultPlan(scenario="none", fault_rate=0.0, seed=0, events=())
+        injector = FaultInjector(plan, network, state.router, state.result)
+        injector._purge_packet(handle, state)
+        assert all(vc.send_target is None for vc in holders)
+        assert_send_targets_consistent(state)
+        network.reset()
+        assert all(vc.send_target is None for vc in network._vcs)
+
+
+class TestKernelInvariants:
+    """Corrupted live state ends the run in a typed error, not a stall."""
+
+    def test_body_flit_into_a_vc_owned_by_another_packet(self):
+        kernel = _saturated_kernel(Architecture.INTERPOSER)
+        vc = next(
+            vc
+            for vc, _, index in _front_flits(kernel.state.network)
+            if index and vc.send_target is not None
+        )
+        vc.send_target.allocated_packet_id = -1
+        with pytest.raises(KernelInvariantError, match="sent to VC owned by -1"):
+            _continue(kernel, 400)
+
+    def test_head_found_off_its_route(self):
+        kernel = _saturated_kernel(Architecture.INTERPOSER)
+        state = kernel.state
+        pool = state.pool
+        handle = next(
+            flit >> FLIT_INDEX_BITS
+            for entries in state.arrivals.values()
+            for target, flit in entries
+            if not flit & FLIT_INDEX_MASK
+            and target.port.switch.switch_id != pool.dst_switch[flit >> FLIT_INDEX_BITS]
+        )
+        pool.head_hop[handle] += 1
+        with pytest.raises(KernelInvariantError, match="head expected at switch"):
+            _continue(kernel, 10)
+
+
+class TestFuzzedParity:
+    """The fuzzer's scenarios also run identically under both schedulers.
+
+    The first 64 seeds (about 2 s of simulation) cross every MAC protocol,
+    multi-channel wireless fabrics, in-flight rerouting and fault purges,
+    which the hand-picked matrix above does not; the test asserts that
+    coverage so a generator change cannot quietly shrink it.
+    """
+
+    SEEDS = range(64)
+
+    def test_fuzzed_scenarios_match_across_schedulers(self):
+        macs, channels, rerouted, purged = set(), set(), 0, 0
+        for seed in self.SEEDS:
+            raw = random_scenario(seed)
+            macs.update(raw.get("macs", ()))
+            channels.update(raw.get("channels", ()))
+            for task in compile_scenario(parse_scenario(raw)):
+                cycles = min(task.cycles, 300)
+                task = replace(
+                    task, cycles=cycles, warmup_cycles=min(task.warmup_cycles, cycles // 4)
+                )
+                results = []
+                for scheduler in SCHEDULERS:
+                    simulator = task_simulator(task)
+                    simulator.simulation_config = replace(
+                        simulator.simulation_config, scheduler=scheduler
+                    )
+                    results.append(simulator.run())
+                first, second = (result_fingerprint(result) for result in results)
+                assert first == second, (seed, task.label)
+                rerouted += results[0].packets_rerouted
+                purged += results[0].flits_dropped_unroutable
+        assert macs == set(available_macs())
+        assert max(channels) > 1
+        assert rerouted and purged
 
 
 class TestWatchdog:
     def _kernel(self, traffic, config, sim_config):
-        from repro.energy import EnergyAccountant
-        from repro.noc.kernel import SimulationKernel
-        from repro.noc.network import Network
-        from repro.noc.stats import SimulationResult
-
         system = build_system(config)
-        network = Network(system.topology, config.network)
-        accountant = EnergyAccountant(technology=config.network.technology)
-        for fabric in network.fabrics:
-            fabric.bind_accountant(accountant)
-        result = SimulationResult(
-            cycles=sim_config.cycles,
-            warmup_cycles=sim_config.warmup_cycles,
-            num_cores=8,
-        )
-        traffic_model = traffic(system)
-        return (
-            SimulationKernel(
-                network=network,
-                router=system.router,
-                traffic=traffic_model,
-                accountant=accountant,
-                result=result,
-                config=sim_config,
-                net_config=config.network,
-            ),
-            result,
-        )
+        return make_kernel(system, config, traffic(system), sim_config)
 
     def test_watchdog_still_catches_real_stalls(self):
         """A packet parked forever in a source queue must still trip it."""
