@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from repro.experiments.common import get_fidelity
+from repro.scenario.fidelity import get_fidelity
 from repro.parallel.runner import ExperimentRunner
 from repro.traffic.registry import pattern_spec
 

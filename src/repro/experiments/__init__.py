@@ -5,10 +5,11 @@ module mapping) and can be run from the command line
 (``python -m repro.experiments fig4 --jobs 8``), from the pytest benchmarks
 in ``benchmarks/``, or programmatically via its ``run`` function.
 
-Execution goes through the parallel orchestration layer in
-:mod:`repro.parallel.runner`: every figure decomposes into independent,
-deterministically seeded simulation tasks that fan out across worker
-processes and are cached on disk keyed by a content hash of the task.
+Every figure compiles its built-in scenario document
+(:mod:`repro.scenario.builtin`) into independent, deterministically
+seeded simulation tasks, which the parallel orchestration layer in
+:mod:`repro.parallel.runner` fans out across worker processes and caches
+on disk keyed by a content hash of the task.
 The supported programmatic entry surface is the :mod:`repro.api` facade.
 """
 
@@ -22,7 +23,7 @@ from . import (
     fig8_mac_study,
 )
 from ..parallel.runner import ExperimentRunner, SimulationTask
-from .common import FIDELITIES, Fidelity, get_fidelity
+from ..scenario.fidelity import FIDELITIES, Fidelity, get_fidelity
 
 __all__ = [
     "ExperimentRunner",

@@ -29,6 +29,14 @@ from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults.scenarios import DEFAULT_FAULT_RATE, available_fault_scenarios
+from ..scenario import (
+    BUILTIN_SCENARIOS,
+    ScenarioError,
+    builtin_scenario,
+    format_scenario_report,
+    load_scenario,
+    run_scenario,
+)
 from ..traffic.registry import available_patterns
 from ..wireless.mac.registry import available_macs
 from . import (
@@ -43,9 +51,9 @@ from . import (
 from ..parallel.runner import DEFAULT_CACHE_DIR, ExperimentRunner
 
 #: Experiment name -> runner registry.  Every entry accepts
-#: ``(fidelity, runner, pattern)`` — plus ``faults`` / ``fault_rate`` for
-#: the fault-capable experiments and ``mac`` for the MAC-capable ones —
-#: and returns the formatted report text.
+#: ``(fidelity, runner)`` — plus ``pattern`` for the pattern-capable
+#: experiments, ``faults`` / ``fault_rate`` for the fault-capable ones and
+#: ``mac`` for the MAC-capable ones — and returns the formatted report text.
 EXPERIMENTS: Dict[str, Callable[..., str]] = {
     "fig2": fig2_uniform.main,
     "fig3": fig3_latency.main,
@@ -103,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run a declarative scenario document (YAML/JSON; see "
             "EXPERIMENTS.md) instead of a named figure — or a built-in "
-            "scenario name (fig2..fig8) to run that figure's spec form; "
-            "compiled tasks share the result cache with the flag-form "
-            "figures bit for bit"
+            "scenario name (fig2..fig8) to run that figure's document; "
+            "the named figures compile the same documents, so both "
+            "forms share the result cache bit for bit"
         ),
     )
     parser.add_argument(
@@ -232,18 +240,8 @@ def _run_scenario(
 
     The workload lives in the document, so the per-figure workload flags
     are rejected here; ``--fidelity`` alone carries over and overrides the
-    document's own level.  Imported lazily so plain figure runs never pay
-    for (or depend on) the scenario layer.
+    document's own level.
     """
-    from ..scenario import (
-        BUILTIN_SCENARIOS,
-        ScenarioError,
-        builtin_scenario,
-        format_scenario_report,
-        load_scenario,
-        run_scenario,
-    )
-
     if args.experiment is not None:
         parser.error("give an experiment name or --scenario, not both")
     for flag, given in (
@@ -339,7 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{args.experiment} has no wireless MAC to swap"
             )
     for name in names:
-        kwargs = {"pattern": args.pattern}
+        kwargs = {"pattern": args.pattern} if name in PATTERN_EXPERIMENTS else {}
         if name in MAC_EXPERIMENTS and args.mac is not None:
             kwargs["mac"] = args.mac
         if name == "fig7":

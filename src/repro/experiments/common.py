@@ -1,119 +1,70 @@
 """Shared plumbing for the figure-reproduction experiments.
 
-Every experiment can run at three fidelity levels:
-
-* ``fast`` — small cycle counts and coarse load grids; used by the test
-  suite and the pytest benchmarks so the whole harness runs on a laptop in
-  minutes.
-* ``default`` — the level used for the numbers quoted in EXPERIMENTS.md.
-* ``paper`` — the paper's own scale (10 000 iterations, the first thousand
-  discarded as transients, the full load grid and application set).
-
-The level only changes run length and sweep resolution, never the system
-parameters, so results differ in noise, not in shape.
+Every figure builds its tasks the same way: it compiles its built-in
+scenario document (:mod:`repro.scenario.builtin`), submits the compiled
+list to the runner as one batch, and folds the summaries back into its
+result keyed by task fields (system, load, memory fraction, application,
+fault rate, MAC, channel count), never by list position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
-from ..core.config import Architecture
-from ..noc.engine import SimulationConfig
+from ..core.comparison import ArchitectureMetrics, GainReport, compare
+from ..core.config import Architecture, SystemConfig
+from ..metrics.saturation import LoadPointSummary, SweepSummary
+from ..parallel.runner import ExperimentRunner, SimulationTask
+from ..scenario import ScenarioSpec, builtin_scenario, compile_scenario
 
-
-@dataclass(frozen=True)
-class Fidelity:
-    """Run-length and sweep-resolution settings of one fidelity level."""
-
-    name: str
-    cycles: int
-    warmup_cycles: int
-    load_points: Tuple[float, ...]
-    applications: Tuple[str, ...]
-    #: Global scale on the application profiles' injection rates, chosen so
-    #: the steady-state application traffic stays below network saturation
-    #: (the paper notes "the interconnection network is not saturated in the
-    #: steady-state" for Fig. 6).
-    application_rate_scale: float = 0.25
-    #: Fault severities swept by the fig7 resilience experiment (0.0 is the
-    #: pristine baseline every faulted point is compared against).
-    fault_rates: Tuple[float, ...] = (0.0, 0.1, 0.2, 0.3)
-    #: Orthogonal wireless channel counts swept by the fig8 MAC study.
-    channel_counts: Tuple[int, ...] = (1, 2, 4)
-    seed: int = 7
-
-    @property
-    def simulation_config(self) -> SimulationConfig:
-        """Simulation configuration at this fidelity."""
-        return SimulationConfig(cycles=self.cycles, warmup_cycles=self.warmup_cycles)
+#: Runner results: task -> summary.
+Summaries = Dict[SimulationTask, LoadPointSummary]
 
 
-_FAST = Fidelity(
-    name="fast",
-    cycles=1200,
-    warmup_cycles=200,
-    load_points=(0.0005, 0.001, 0.0015, 0.002),
-    applications=("blackscholes", "canneal", "radix"),
-    fault_rates=(0.0, 0.15, 0.3),
-    channel_counts=(1, 2),
-)
+def run_builtin(
+    name: str, fidelity: str, runner: Optional[ExperimentRunner], **flags
+) -> Tuple[ScenarioSpec, List[SimulationTask], Summaries]:
+    """Compile the built-in ``name`` document and run its tasks as one batch.
 
-_DEFAULT = Fidelity(
-    name="default",
-    cycles=2500,
-    warmup_cycles=400,
-    load_points=(0.0002, 0.0005, 0.001, 0.0015, 0.002, 0.003, 0.004),
-    applications=(
-        "blackscholes",
-        "bodytrack",
-        "canneal",
-        "dedup",
-        "fluidanimate",
-        "fft",
-        "lu",
-        "radix",
-        "water",
-    ),
-)
-
-_PAPER = Fidelity(
-    name="paper",
-    cycles=10000,
-    warmup_cycles=1000,
-    load_points=(0.0001, 0.0002, 0.0005, 0.001, 0.0015, 0.002, 0.003, 0.005, 0.01),
-    applications=(
-        "blackscholes",
-        "bodytrack",
-        "canneal",
-        "dedup",
-        "fluidanimate",
-        "swaptions",
-        "fft",
-        "lu",
-        "radix",
-        "water",
-        "barnes",
-    ),
-    fault_rates=(0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5),
-    channel_counts=(1, 2, 4, 8),
-)
-
-FIDELITIES: Dict[str, Fidelity] = {f.name: f for f in (_FAST, _DEFAULT, _PAPER)}
+    ``flags`` are the document's knobs (``pattern``, ``faults``,
+    ``fault_rate``, ``mac``).  Returns the spec, the compiled task list in
+    document order and the runner's summaries.
+    """
+    spec = builtin_scenario(name, fidelity, **flags)
+    tasks = compile_scenario(spec)
+    active = runner if runner is not None else ExperimentRunner()
+    return spec, tasks, active.run(tasks)
 
 
-def get_fidelity(name: str) -> Fidelity:
-    """Look up a fidelity level by name ("fast", "default" or "paper")."""
-    try:
-        return FIDELITIES[name]
-    except KeyError:
-        known = ", ".join(sorted(FIDELITIES))
-        raise KeyError(f"unknown fidelity {name!r}; known: {known}") from None
+def fold_sweeps(
+    tasks: List[SimulationTask],
+    summaries: Summaries,
+    key: Callable[[SimulationTask], Hashable],
+) -> Dict[Hashable, SweepSummary]:
+    """One load sweep per ``key(task)``, holding every distinct task of that key.
+
+    A sweep orders its points by offered load, so the fold does not depend
+    on the order of ``tasks``; the keys keep their first-seen order.
+    """
+    points: Dict[Hashable, List[LoadPointSummary]] = {}
+    for task in dict.fromkeys(tasks):
+        points.setdefault(key(task), []).append(summaries[task])
+    return {group: SweepSummary(points=sweep) for group, sweep in points.items()}
 
 
-def architectures_for_comparison() -> List[Architecture]:
-    """All three architectures, in the order the paper's figures list them."""
-    return [Architecture.SUBSTRATE, Architecture.INTERPOSER, Architecture.WIRELESS]
+def preset_label(config: SystemConfig) -> str:
+    """The paper's preset name of a system, e.g. ``4C4M``."""
+    return f"{config.num_chips}C{config.num_memory_stacks}M"
+
+
+def wireless_gains(
+    metrics: Dict[Hashable, Dict[Architecture, ArchitectureMetrics]],
+) -> Dict[Hashable, GainReport]:
+    """Wireless-over-interposer gains of every group of per-architecture metrics."""
+    return {
+        group: compare(per_arch[Architecture.WIRELESS], per_arch[Architecture.INTERPOSER])
+        for group, per_arch in metrics.items()
+    }
 
 
 def faults_suffix(faults: str, fault_rate: float) -> str:

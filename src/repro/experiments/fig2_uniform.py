@@ -11,13 +11,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.comparison import ArchitectureMetrics
-from ..core.config import Architecture, SystemConfig
+from ..core.config import Architecture
 from ..metrics.report import format_heading, format_table
-from .common import architectures_for_comparison, faults_suffix, get_fidelity
-from ..parallel.runner import ExperimentRunner, sweep_tasks
-
-#: Memory-access proportion used for Fig. 2 ("considered to be 20%").
-MEMORY_ACCESS_FRACTION = 0.2
+from ..parallel.runner import ExperimentRunner
+from ..scenario.fidelity import architectures_for_comparison
+from .common import faults_suffix, fold_sweeps, run_builtin
 
 
 @dataclass
@@ -75,47 +73,31 @@ def run(
 ) -> Fig2Result:
     """Run the Fig. 2 experiment at the requested fidelity.
 
-    All load points of all three architectures are submitted to the runner
-    as one batch of independent tasks, so the whole figure parallelises
-    across ``runner.jobs`` worker processes.  ``pattern`` swaps the
-    synthetic workload for any registered traffic pattern (transpose,
-    bit-reversal, bursty-hotspot, ...), keeping the same sweep and
-    saturation analysis; ``faults`` / ``fault_rate`` run the whole figure
-    on a degraded fabric (any registered fault scenario); ``mac`` pins the
-    wireless architecture's MAC protocol by registered name (e.g. the
-    token baseline instead of the paper's control-packet MAC).
+    The tasks are the compiled built-in ``fig2`` document: all load points
+    of all three architectures, submitted to the runner as one batch, so
+    the whole figure parallelises across ``runner.jobs`` worker processes.
+    ``pattern`` swaps the synthetic workload for any registered traffic
+    pattern (transpose, bit-reversal, bursty-hotspot, ...), keeping the
+    same sweep and saturation analysis; ``faults`` / ``fault_rate`` run the
+    whole figure on a degraded fabric (any registered fault scenario; a
+    zero rate runs the pristine tasks); ``mac`` pins the wireless
+    architecture's MAC protocol by registered name (e.g. the token
+    baseline instead of the paper's control-packet MAC).
     """
-    level = get_fidelity(fidelity)
-    active = runner if runner is not None else ExperimentRunner()
+    spec, tasks, summaries = run_builtin(
+        "fig2", fidelity, runner, pattern=pattern, faults=faults, fault_rate=fault_rate, mac=mac
+    )
     result = Fig2Result(
-        fidelity=level.name,
-        memory_access_fraction=MEMORY_ACCESS_FRACTION,
+        fidelity=spec.fidelity_level,
+        memory_access_fraction=spec.traffic.memory_fractions[0],
         pattern=pattern,
         faults=faults,
         fault_rate=fault_rate,
         mac=mac,
     )
-    configs = {
-        architecture: SystemConfig(architecture=architecture)
-        for architecture in architectures_for_comparison()
-    }
-    sweeps = active.run_sweep_groups(
-        {
-            architecture: sweep_tasks(
-                config,
-                level,
-                memory_access_fraction=MEMORY_ACCESS_FRACTION,
-                pattern=pattern,
-                faults=faults,
-                fault_rate=fault_rate,
-                mac=mac,
-            )
-            for architecture, config in configs.items()
-        }
-    )
-    for architecture, sweep in sweeps.items():
-        result.metrics[architecture] = ArchitectureMetrics.from_sweep_summary(
-            configs[architecture].name, sweep
+    for config, sweep in fold_sweeps(tasks, summaries, lambda task: task.config).items():
+        result.metrics[config.architecture] = ArchitectureMetrics.from_sweep_summary(
+            config.name, sweep
         )
     return result
 

@@ -10,16 +10,14 @@ shorter average path lengths due to WIs located inside the chips").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.config import Architecture, SystemConfig
 from ..metrics.report import format_heading, format_table
 from ..metrics.saturation import SweepSummary
-from .common import architectures_for_comparison, faults_suffix, get_fidelity
-from ..parallel.runner import ExperimentRunner, sweep_tasks
-
-#: Memory-access proportion used for Fig. 3 (same as Fig. 2).
-MEMORY_ACCESS_FRACTION = 0.2
+from ..parallel.runner import ExperimentRunner
+from ..scenario.fidelity import architectures_for_comparison
+from .common import faults_suffix, fold_sweeps, run_builtin
 
 
 @dataclass
@@ -63,7 +61,6 @@ class Fig3Result:
 
 def run(
     fidelity: str = "default",
-    loads: Optional[Sequence[float]] = None,
     runner: Optional[ExperimentRunner] = None,
     pattern: str = "uniform",
     faults: str = "none",
@@ -72,38 +69,24 @@ def run(
 ) -> Fig3Result:
     """Run the Fig. 3 experiment at the requested fidelity.
 
-    Every (architecture, load) pair is an independent task; the whole
-    figure is submitted to the runner as one batch.  ``pattern`` swaps the
-    synthetic workload for any registered traffic pattern; ``faults`` /
-    ``fault_rate`` run the curves on a degraded fabric.
+    The tasks are the compiled built-in ``fig3`` document (the fig2 sweep
+    grid): every (architecture, load) pair is an independent task, and the
+    whole figure is submitted to the runner as one batch.  ``pattern``
+    swaps the synthetic workload for any registered traffic pattern;
+    ``faults`` / ``fault_rate`` run the curves on a degraded fabric.
     """
-    level = get_fidelity(fidelity)
-    active = runner if runner is not None else ExperimentRunner()
-    selected = list(loads) if loads is not None else list(level.load_points)
-    result = Fig3Result(
-        fidelity=level.name,
-        loads=selected,
+    spec, tasks, summaries = run_builtin(
+        "fig3", fidelity, runner, pattern=pattern, faults=faults, fault_rate=fault_rate, mac=mac
+    )
+    return Fig3Result(
+        fidelity=spec.fidelity_level,
+        loads=sorted({task.load for task in tasks}),
         pattern=pattern,
         faults=faults,
         fault_rate=fault_rate,
         mac=mac,
+        sweeps=fold_sweeps(tasks, summaries, lambda task: task.config.architecture),
     )
-    result.sweeps = active.run_sweep_groups(
-        {
-            architecture: sweep_tasks(
-                SystemConfig(architecture=architecture),
-                level,
-                memory_access_fraction=MEMORY_ACCESS_FRACTION,
-                loads=selected,
-                pattern=pattern,
-                faults=faults,
-                fault_rate=fault_rate,
-                mac=mac,
-            )
-            for architecture in architectures_for_comparison()
-        }
-    )
-    return result
 
 
 def format_report(result: Fig3Result) -> str:

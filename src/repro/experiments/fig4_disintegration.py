@@ -14,14 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.comparison import ArchitectureMetrics, GainReport, compare
-from ..core.config import Architecture, SystemConfig, paper_1c4m, paper_4c4m, paper_8c4m
+from ..core.comparison import ArchitectureMetrics, GainReport
+from ..core.config import Architecture
 from ..metrics.report import format_heading, format_percentage, format_table
-from .common import faults_suffix, get_fidelity
-from ..parallel.runner import ExperimentRunner, sweep_tasks
-
-#: Memory-access proportion of the disintegration study.
-MEMORY_ACCESS_FRACTION = 0.2
+from ..parallel.runner import ExperimentRunner
+from .common import faults_suffix, fold_sweeps, preset_label, run_builtin, wireless_gains
 
 #: The configurations of the study with the off-chip traffic share the paper
 #: quotes for them.
@@ -30,11 +27,6 @@ CONFIGURATIONS: Tuple[Tuple[str, int], ...] = (
     ("4C4M", 80),
     ("8C4M", 90),
 )
-
-
-def _config_for(label: str, architecture: Architecture) -> SystemConfig:
-    factories = {"1C4M": paper_1c4m, "4C4M": paper_4c4m, "8C4M": paper_8c4m}
-    return factories[label](architecture)
 
 
 @dataclass
@@ -80,50 +72,26 @@ def run(
 ) -> Fig4Result:
     """Run the Fig. 4 experiment at the requested fidelity.
 
-    All (disintegration level × architecture × load point) tasks are
-    submitted to the runner as one batch.  ``pattern`` swaps the synthetic
-    workload for any registered traffic pattern; ``faults`` /
-    ``fault_rate`` run the study on a degraded fabric.
+    The tasks are the compiled built-in ``fig4`` document: all
+    (disintegration level × architecture × load point) tasks, submitted to
+    the runner as one batch.  ``pattern`` swaps the synthetic workload for
+    any registered traffic pattern; ``faults`` / ``fault_rate`` run the
+    study on a degraded fabric.
     """
-    level = get_fidelity(fidelity)
-    active = runner if runner is not None else ExperimentRunner()
+    spec, tasks, summaries = run_builtin(
+        "fig4", fidelity, runner, pattern=pattern, faults=faults, fault_rate=fault_rate, mac=mac
+    )
     result = Fig4Result(
-        fidelity=level.name,
+        fidelity=spec.fidelity_level,
         pattern=pattern,
         faults=faults,
         fault_rate=fault_rate,
         mac=mac,
     )
-    configs = {
-        (label, architecture): _config_for(label, architecture)
-        for label, _ in CONFIGURATIONS
-        for architecture in (Architecture.INTERPOSER, Architecture.WIRELESS)
-    }
-    sweeps = active.run_sweep_groups(
-        {
-            key: sweep_tasks(
-                config,
-                level,
-                memory_access_fraction=MEMORY_ACCESS_FRACTION,
-                pattern=pattern,
-                faults=faults,
-                fault_rate=fault_rate,
-                mac=mac,
-            )
-            for key, config in configs.items()
-        }
-    )
-    for label, _ in CONFIGURATIONS:
-        per_arch: Dict[Architecture, ArchitectureMetrics] = {}
-        for architecture in (Architecture.INTERPOSER, Architecture.WIRELESS):
-            key = (label, architecture)
-            per_arch[architecture] = ArchitectureMetrics.from_sweep_summary(
-                configs[key].name, sweeps[key]
-            )
-        result.metrics[label] = per_arch
-        result.gains[label] = compare(
-            per_arch[Architecture.WIRELESS], per_arch[Architecture.INTERPOSER]
-        )
+    for config, sweep in fold_sweeps(tasks, summaries, lambda task: task.config).items():
+        per_arch = result.metrics.setdefault(preset_label(config), {})
+        per_arch[config.architecture] = ArchitectureMetrics.from_sweep_summary(config.name, sweep)
+    result.gains = wireless_gains(result.metrics)
     return result
 
 

@@ -10,16 +10,13 @@ point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..core.comparison import ArchitectureMetrics, GainReport, compare
-from ..core.config import Architecture, SystemConfig
+from ..core.comparison import ArchitectureMetrics, GainReport
+from ..core.config import Architecture
 from ..metrics.report import format_heading, format_percentage, format_table
-from .common import get_fidelity
-from ..parallel.runner import ExperimentRunner, sweep_tasks
-
-#: Memory-access proportions swept by the paper.
-MEMORY_FRACTIONS: Tuple[float, ...] = (0.2, 0.4, 0.6, 0.8)
+from ..parallel.runner import ExperimentRunner
+from .common import fold_sweeps, run_builtin, wireless_gains
 
 
 @dataclass
@@ -64,41 +61,23 @@ class Fig5Result:
 
 def run(
     fidelity: str = "default",
-    memory_fractions: Tuple[float, ...] = MEMORY_FRACTIONS,
     runner: Optional[ExperimentRunner] = None,
 ) -> Fig5Result:
     """Run the Fig. 5 experiment at the requested fidelity.
 
-    All (memory fraction × architecture × load point) tasks are submitted
-    to the runner as one batch.
+    The tasks are the compiled built-in ``fig5`` document: all (memory
+    fraction × architecture × load point) tasks, submitted to the runner as
+    one batch.
     """
-    level = get_fidelity(fidelity)
-    active = runner if runner is not None else ExperimentRunner()
-    result = Fig5Result(fidelity=level.name)
-    configs = {
-        (fraction, architecture): SystemConfig(architecture=architecture)
-        for fraction in memory_fractions
-        for architecture in (Architecture.INTERPOSER, Architecture.WIRELESS)
-    }
-    sweeps = active.run_sweep_groups(
-        {
-            (fraction, architecture): sweep_tasks(
-                config, level, memory_access_fraction=fraction
-            )
-            for (fraction, architecture), config in configs.items()
-        }
+    spec, tasks, summaries = run_builtin("fig5", fidelity, runner)
+    result = Fig5Result(fidelity=spec.fidelity_level)
+    sweeps = fold_sweeps(
+        tasks, summaries, lambda task: (task.memory_access_fraction, task.config)
     )
-    for fraction in memory_fractions:
-        per_arch: Dict[Architecture, ArchitectureMetrics] = {}
-        for architecture in (Architecture.INTERPOSER, Architecture.WIRELESS):
-            key = (fraction, architecture)
-            per_arch[architecture] = ArchitectureMetrics.from_sweep_summary(
-                configs[key].name, sweeps[key]
-            )
-        result.metrics[fraction] = per_arch
-        result.gains[fraction] = compare(
-            per_arch[Architecture.WIRELESS], per_arch[Architecture.INTERPOSER]
-        )
+    for (fraction, config), sweep in sweeps.items():
+        per_arch = result.metrics.setdefault(fraction, {})
+        per_arch[config.architecture] = ArchitectureMetrics.from_sweep_summary(config.name, sweep)
+    result.gains = wireless_gains(result.metrics)
     return result
 
 
@@ -115,22 +94,8 @@ def format_report(result: Fig5Result) -> str:
     return f"{heading}\n{table}"
 
 
-def main(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-) -> str:
-    """Run and format the experiment (used by the CLI and benchmarks).
-
-    The memory-fraction sweep is only meaningful for uniform traffic with a
-    memory-access share, so a non-uniform ``--pattern`` is declined loudly
-    rather than silently ignored.
-    """
-    if pattern != "uniform":
-        raise ValueError(
-            "fig5 sweeps the memory-access fraction of uniform traffic; "
-            f"--pattern {pattern} does not apply (use fig2/fig3/fig4)"
-        )
+def main(fidelity: str = "default", runner: Optional[ExperimentRunner] = None) -> str:
+    """Run and format the experiment (used by the CLI and benchmarks)."""
     report = format_report(run(fidelity, runner=runner))
     print(report)
     return report

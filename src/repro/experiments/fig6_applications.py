@@ -11,13 +11,13 @@ is not saturated in steady state, the headline metrics are the percentage
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..core.comparison import ArchitectureMetrics, GainReport, compare
-from ..core.config import Architecture, SystemConfig
+from ..core.comparison import ArchitectureMetrics, GainReport
+from ..core.config import Architecture
 from ..metrics.report import format_heading, format_percentage, format_table
-from .common import get_fidelity
-from ..parallel.runner import ExperimentRunner, application_task
+from ..parallel.runner import ExperimentRunner
+from .common import run_builtin, wireless_gains
 
 
 @dataclass
@@ -73,45 +73,22 @@ class Fig6Result:
 
 def run(
     fidelity: str = "default",
-    applications: Optional[Sequence[str]] = None,
     runner: Optional[ExperimentRunner] = None,
 ) -> Fig6Result:
     """Run the Fig. 6 experiment at the requested fidelity.
 
-    Every (application × architecture) pair is one independent task; the
+    The tasks are the compiled built-in ``fig6`` document: every
+    (application × architecture) pair is one independent task, and the
     whole application set is submitted to the runner as one batch.
     """
-    level = get_fidelity(fidelity)
-    active = runner if runner is not None else ExperimentRunner()
-    selected = list(applications) if applications is not None else list(
-        level.applications
-    )
-    result = Fig6Result(fidelity=level.name)
-    tasks = {}
-    for application in selected:
-        for architecture in (Architecture.INTERPOSER, Architecture.WIRELESS):
-            config = SystemConfig(architecture=architecture)
-            tasks[(application, architecture)] = (
-                config,
-                application_task(
-                    config,
-                    level,
-                    application,
-                    rate_scale=level.application_rate_scale,
-                ),
-            )
-    summaries = active.run([task for _, task in tasks.values()])
-    for application in selected:
-        per_arch: Dict[Architecture, ArchitectureMetrics] = {}
-        for architecture in (Architecture.INTERPOSER, Architecture.WIRELESS):
-            config, task = tasks[(application, architecture)]
-            per_arch[architecture] = ArchitectureMetrics.from_point_summary(
-                config.name, summaries[task]
-            )
-        result.metrics[application] = per_arch
-        result.gains[application] = compare(
-            per_arch[Architecture.WIRELESS], per_arch[Architecture.INTERPOSER]
+    spec, tasks, summaries = run_builtin("fig6", fidelity, runner)
+    result = Fig6Result(fidelity=spec.fidelity_level)
+    for task in tasks:
+        per_arch = result.metrics.setdefault(task.application, {})
+        per_arch[task.config.architecture] = ArchitectureMetrics.from_point_summary(
+            task.config.name, summaries[task]
         )
+    result.gains = wireless_gains(result.metrics)
     return result
 
 
@@ -128,22 +105,8 @@ def format_report(result: Fig6Result) -> str:
     return f"{heading}\n{table}"
 
 
-def main(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-) -> str:
-    """Run and format the experiment (used by the CLI and benchmarks).
-
-    Application traffic comes from the SynFull-substitute profiles, so a
-    synthetic ``--pattern`` is declined loudly rather than silently
-    ignored.
-    """
-    if pattern != "uniform":
-        raise ValueError(
-            "fig6 runs application (SynFull-substitute) traffic; "
-            f"--pattern {pattern} does not apply (use fig2/fig3/fig4)"
-        )
+def main(fidelity: str = "default", runner: Optional[ExperimentRunner] = None) -> str:
+    """Run and format the experiment (used by the CLI and benchmarks)."""
     report = format_report(run(fidelity, runner=runner))
     print(report)
     return report

@@ -7,11 +7,8 @@ are compared:
 
 * **mesh** — the single-chip 64-core mesh baseline (no inter-die links),
 * **interposer** — the 4C4M interposer system,
-* **wireless** — the 4C4M wireless system at a 1-WI-per-8-cores density,
-  so every chip carries two WIs and a transceiver loss has an in-chip
-  wireless fallback (at the paper's 1-per-16 density every WI is an
-  articulation point and ``hub-transceiver-loss`` has nothing safe to
-  kill).
+* **wireless** — the 4C4M wireless system at a 1-WI-per-8-cores density
+  (the built-in ``fig7`` document says why).
 
 Every (architecture × fault rate) pair is one independent task at a fixed
 mid-range offered load, run through the parallel runner and the result
@@ -21,40 +18,15 @@ baseline, bit-identical to a fault-free run of the same task.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.config import Architecture, SystemConfig, paper_4c4m
 from ..faults.scenarios import DEFAULT_SCENARIO
 from ..metrics.report import format_heading, format_table
 from ..metrics.saturation import LoadPointSummary
-from .common import get_fidelity
-from ..parallel.runner import ExperimentRunner, uniform_task
-
-#: Memory-access proportion (same as the fig2/fig3 uniform workload).
-MEMORY_ACCESS_FRACTION = 0.2
-
-#: Fixed offered load of every resilience point [packets/core/cycle]:
-#: roughly half the mesh baseline's saturation load, so degradation shows
-#: up as lost throughput/latency/energy rather than as a saturated network
-#: drowning out the faults.
-FIG7_LOAD = 0.001
-
-#: WI density of the wireless system in this figure (see module docstring).
-FIG7_CORES_PER_WI = 8
-
-
-def fig7_systems() -> Dict[str, SystemConfig]:
-    """The architectures of the resilience sweep, in report order."""
-    return {
-        "mesh": SystemConfig(
-            architecture=Architecture.SUBSTRATE, num_chips=1, cores_per_chip=64
-        ),
-        "interposer": paper_4c4m(Architecture.INTERPOSER),
-        "wireless": replace(
-            paper_4c4m(Architecture.WIRELESS), cores_per_wi=FIG7_CORES_PER_WI
-        ),
-    }
+from ..parallel.runner import ExperimentRunner
+from ..scenario import system_config
+from .common import run_builtin
 
 
 @dataclass
@@ -64,8 +36,8 @@ class Fig7Result:
     fidelity: str
     scenario: str
     fault_rates: List[float]
+    load: float
     pattern: str = "uniform"
-    load: float = FIG7_LOAD
     #: architecture label -> [(fault rate, point summary)] in rate order.
     curves: Dict[str, List[Tuple[float, LoadPointSummary]]] = field(
         default_factory=dict
@@ -119,44 +91,26 @@ def run(
     default scenario — a resilience sweep of a pristine fabric would be a
     flat line).  ``fault_rate`` restricts the sweep to the baseline plus
     that single severity; by default the fidelity's ``fault_rates`` grid is
-    swept.  All (architecture × rate) tasks are one runner batch.
+    swept.  The tasks are the compiled built-in ``fig7`` document, one
+    runner batch.
     """
-    level = get_fidelity(fidelity)
-    active = runner if runner is not None else ExperimentRunner()
-    if faults in (None, "none"):
-        faults = DEFAULT_SCENARIO
-    if fault_rate is not None:
-        rates = sorted({0.0, fault_rate})
-    else:
-        rates = sorted(set(level.fault_rates))
-    systems = fig7_systems()
-
-    tasks = {
-        (label, rate): uniform_task(
-            config,
-            level,
-            load=FIG7_LOAD,
-            memory_access_fraction=MEMORY_ACCESS_FRACTION,
-            pattern=pattern,
-            faults=faults if rate > 0 else "none",
-            fault_rate=rate,
-        )
-        for label, config in systems.items()
-        for rate in rates
-    }
-    results = active.run(list(tasks.values()))
-
-    result = Fig7Result(
-        fidelity=level.name,
-        scenario=faults,
-        fault_rates=list(rates),
-        pattern=pattern,
+    spec, tasks, summaries = run_builtin(
+        "fig7", fidelity, runner, pattern=pattern, faults=faults, fault_rate=fault_rate
     )
-    for label in systems:
-        result.curves[label] = [
-            (rate, results[tasks[(label, rate)]]) for rate in rates
-        ]
-    return result
+    labels = {
+        system_config(system, index): system.label for index, system in enumerate(spec.systems)
+    }
+    curves: Dict[str, Dict[float, LoadPointSummary]] = {label: {} for label in labels.values()}
+    for task in tasks:
+        curves[labels[task.config]][task.fault_rate] = summaries[task]
+    return Fig7Result(
+        fidelity=spec.fidelity_level,
+        scenario=spec.faults.scenario,
+        fault_rates=sorted({task.fault_rate for task in tasks}),
+        load=spec.traffic.loads[0],
+        pattern=pattern,
+        curves={label: sorted(points.items()) for label, points in curves.items()},
+    )
 
 
 def format_report(result: Fig7Result) -> str:

@@ -27,44 +27,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.config import Architecture, SystemConfig, paper_4c4m, paper_8c4m
 from ..metrics.report import format_heading, format_table
 from ..metrics.saturation import LoadPointSummary
-from ..wireless.mac.registry import available_macs, mac_spec
-from .common import get_fidelity
-from ..parallel.runner import ExperimentRunner, uniform_task
-
-#: Memory-access proportion (same as the fig2/fig3 uniform workload).
-MEMORY_ACCESS_FRACTION = 0.2
+from ..parallel.runner import ExperimentRunner
+from .common import preset_label, run_builtin
 
 #: Relative tolerance of the per-channel energy reconciliation.  The
 #: components are sums of identical float terms accumulated in a different
 #: order than the aggregate, so exact equality is not guaranteed — but
 #: anything beyond rounding noise is an attribution bug.
 RECONCILE_REL_TOL = 1e-9
-
-
-def fig8_systems() -> Dict[str, SystemConfig]:
-    """The wireless systems of the MAC study, in report order."""
-    return {
-        "4C4M": paper_4c4m(Architecture.WIRELESS),
-        "8C4M": paper_8c4m(Architecture.WIRELESS),
-    }
-
-
-def study_loads(load_points: Sequence[float]) -> List[float]:
-    """Low / mid / high offered loads from a fidelity's sweep grid.
-
-    Three points keep the MAC × channels × systems cross product tractable
-    while still showing each protocol's contention behaviour from idle to
-    saturation.
-    """
-    points = sorted(set(load_points))
-    if len(points) <= 3:
-        return points
-    return [points[0], points[len(points) // 2], points[-1]]
 
 
 #: One study combination: (system label, mac, channels, load).
@@ -161,43 +135,22 @@ def run(
     """Run the MAC study at the requested fidelity.
 
     ``mac`` pins the study to one registered protocol (the CLI's ``--mac``);
-    by default every registered protocol is swept.  All combinations are
-    one runner batch, so the study parallelises across ``runner.jobs``.
+    by default every registered protocol is swept.  The tasks are the
+    compiled built-in ``fig8`` document, one runner batch, so the study
+    parallelises across ``runner.jobs``.
     """
-    level = get_fidelity(fidelity)
-    active = runner if runner is not None else ExperimentRunner()
-    macs = [mac] if mac else available_macs()
-    for name in macs:
-        mac_spec(name)  # unknown names fail before any simulation runs
-    channel_counts = sorted(set(level.channel_counts))
-    loads = study_loads(level.load_points)
-    systems = fig8_systems()
-
-    tasks: Dict[StudyKey, object] = {}
-    for label, config in systems.items():
-        for mac_name in macs:
-            for channels in channel_counts:
-                combo_config = config.with_wireless(num_channels=channels)
-                for load in loads:
-                    tasks[(label, mac_name, channels, load)] = uniform_task(
-                        combo_config,
-                        level,
-                        load=load,
-                        memory_access_fraction=MEMORY_ACCESS_FRACTION,
-                        pattern=pattern,
-                        mac=mac_name,
-                    )
-    results = active.run(list(tasks.values()))
-
+    spec, tasks, summaries = run_builtin("fig8", fidelity, runner, pattern=pattern, mac=mac)
     study = Fig8Result(
-        fidelity=level.name,
-        macs=list(macs),
-        channel_counts=list(channel_counts),
-        loads=list(loads),
+        fidelity=spec.fidelity_level,
+        macs=list(dict.fromkeys(task.mac for task in tasks)),
+        channel_counts=sorted({task.config.network.wireless.num_channels for task in tasks}),
+        loads=sorted({task.load for task in tasks}),
         pattern=pattern,
     )
-    for key, task in tasks.items():
-        point = results[task]
+    for task in tasks:
+        channels = task.config.network.wireless.num_channels
+        key = (preset_label(task.config), task.mac, channels, task.load)
+        point = summaries[task]
         study.points[key] = point
         if not _check_reconciliation(point):
             study.reconciliation_failures.append(key)

@@ -20,10 +20,11 @@ Guarantees:
   the result, so re-running a figure (or upgrading fidelity, which changes
   run lengths and therefore keys) only simulates tasks not yet on disk.
 
-The figure modules (``fig2_uniform`` … ``fig6_applications``) build their
-task lists with :func:`sweep_tasks` / :func:`application_task`, execute
-them in one batch via :class:`ExperimentRunner`, and reassemble sweeps with
-:func:`assemble_sweep`.
+Task lists come from the scenario compiler
+(:func:`repro.scenario.compile_scenario`), which builds every task with
+:func:`uniform_task` / :func:`application_task`; each figure module
+compiles its built-in scenario document and executes the list in one
+batch via :class:`ExperimentRunner`.
 
 This module is the execution layer behind the :mod:`repro.api` facade.
 """
@@ -35,14 +36,14 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import framework
 from ..core.architectures import BuiltSystem
 from ..core.config import SystemConfig
 from ..faults.scenarios import create_fault_plan, scenario_spec
 from ..metrics.report import format_simulator_throughput, format_table
-from ..metrics.saturation import LoadPointSummary, SweepSummary
+from ..metrics.saturation import LoadPointSummary
 from ..noc import engine
 from ..noc.config import NetworkConfig
 from ..noc.engine import SimulationConfig
@@ -62,11 +63,9 @@ __all__ = [
     "SimulationTask",
     "TASK_SCHEMA_VERSION",
     "application_task",
-    "assemble_sweep",
     "execute_task",
     "execute_task_batch",
     "replicated_tasks",
-    "sweep_tasks",
     "task_simulator",
     "uniform_task",
 ]
@@ -219,7 +218,7 @@ def uniform_task(
     """One synthetic-traffic task at one offered load.
 
     ``fidelity`` is any object with ``cycles``, ``warmup_cycles`` and
-    ``seed`` attributes (normally a :class:`repro.experiments.common.Fidelity`).
+    ``seed`` attributes (normally a :class:`repro.scenario.fidelity.Fidelity`).
     ``pattern`` selects any registered traffic pattern (default: uniform
     random traffic, the paper's synthetic workload); ``faults`` /
     ``fault_rate`` select a registered fault scenario and its severity;
@@ -263,37 +262,6 @@ def application_task(
         faults=faults,
         fault_rate=fault_rate,
     )
-
-
-def sweep_tasks(
-    config: SystemConfig,
-    fidelity,
-    memory_access_fraction: float = 0.2,
-    loads: Optional[Sequence[float]] = None,
-    pattern: str = "uniform",
-    faults: str = "none",
-    fault_rate: float = 0.0,
-    mac: str = "",
-) -> List[SimulationTask]:
-    """The per-load-point tasks of one synthetic load sweep.
-
-    Each load point is an independent task (the serial sweep also seeds
-    every point identically), so a sweep parallelises with no barrier.
-    """
-    selected = list(loads) if loads is not None else list(fidelity.load_points)
-    return [
-        uniform_task(
-            config,
-            fidelity,
-            load=load,
-            memory_access_fraction=memory_access_fraction,
-            pattern=pattern,
-            faults=faults,
-            fault_rate=fault_rate,
-            mac=mac,
-        )
-        for load in selected
-    ]
 
 
 def replicated_tasks(task: SimulationTask, replicas: int) -> List[SimulationTask]:
@@ -522,14 +490,6 @@ def _batch_executor(profile: bool, checkpoint_every: int = 0, checkpoint_dir: st
     )
 
 
-def assemble_sweep(
-    results: Mapping[SimulationTask, LoadPointSummary],
-    tasks: Sequence[SimulationTask],
-) -> SweepSummary:
-    """Reassemble one sweep from the runner's per-task results."""
-    return SweepSummary(points=[results[task] for task in tasks])
-
-
 class ExperimentRunner:
     """Executes batches of simulation tasks with caching and parallelism.
 
@@ -671,22 +631,6 @@ class ExperimentRunner:
             return LoadPointSummary.from_dict(payload["result"])
         except (TypeError, ValueError):
             return None
-
-    def run_sweep_groups(
-        self, groups: Mapping[object, Sequence[SimulationTask]]
-    ) -> Dict[object, SweepSummary]:
-        """Run several task groups as one batch and reassemble each sweep.
-
-        ``groups`` maps an arbitrary key (architecture, disintegration
-        label, memory fraction, …) to that group's sweep tasks.  All groups
-        execute as a single flat batch — so parallelism spans the whole
-        figure, not one sweep at a time — and each key gets its own
-        :class:`SweepSummary` back.
-        """
-        results = self.run([task for tasks in groups.values() for task in tasks])
-        return {
-            key: assemble_sweep(results, tasks) for key, tasks in groups.items()
-        }
 
     # ------------------------------------------------------------------
     # Reporting.

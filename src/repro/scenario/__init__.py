@@ -2,18 +2,21 @@
 
 One YAML/JSON document describes a whole experiment — systems, traffic,
 MAC protocols, channel plan, fault plan and fidelity — purely in terms of
-registered names, and compiles into the same
-:class:`~repro.parallel.runner.SimulationTask` objects the figure
-experiments build from CLI flags (so spec runs share the result cache
-bit for bit).  This package is the fifth consumer of the four runtime
-registries, alongside the experiments CLI:
+registered names, and compiles into
+:class:`~repro.parallel.runner.SimulationTask` lists.  This is the one
+task-construction path: the figure experiments compile their built-in
+documents here too, so a spec run shares the result cache with the figure
+bit for bit.  The layer sits between the experiments and the parallel
+runner and never imports the experiments:
 
+* :mod:`repro.scenario.fidelity` — the fidelity levels the documents
+  expand against;
 * :mod:`repro.scenario.spec` — the document schema and its validator
   (field-path error messages, stable round-trips);
 * :mod:`repro.scenario.compiler` — spec → ordered task list, runner
   execution and a generic report;
-* :mod:`repro.scenario.builtin` — fig2–fig8 as thin built-in documents,
-  provably equal to their flag forms;
+* :mod:`repro.scenario.builtin` — fig2–fig8 as built-in documents, the
+  only home of the figures' workloads;
 * :mod:`repro.scenario.fuzz` — the seeded random-scenario generator and
   the kernel-invariant battery.
 """

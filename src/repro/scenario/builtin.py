@@ -4,12 +4,11 @@ Each ``figN`` generator returns the *raw document* (a plain dict, exactly
 what a YAML/JSON file would parse to) describing that figure's workload at
 a given fidelity, taking the same knobs the experiments CLI threads into
 the figure module (``--pattern``, ``--faults``/``--fault-rate``,
-``--mac``).  Compiling the document through
-:func:`repro.scenario.compiler.compile_scenario` yields a task list that
-is bit-identical — same :class:`SimulationTask` instances, same cache
-keys — to the one the figure module builds from flags; the parity tests
-prove this for every figure.  The dict form keeps the documents copyable
-straight into ``examples/`` files.
+``--mac``).  These documents are the only home of the figures' workloads:
+each figure's ``run`` compiles its document through
+:func:`repro.scenario.compiler.compile_scenario` and submits exactly that
+task list, so ``--scenario figN`` and the figure share cache keys.  The
+dict form keeps the documents copyable straight into ``examples/`` files.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.config import Architecture
-from ..experiments.common import architectures_for_comparison
 from ..faults.scenarios import DEFAULT_FAULT_RATE, DEFAULT_SCENARIO
+from .fidelity import architectures_for_comparison
 from .spec import ScenarioSpec, parse_scenario
 
 __all__ = ["BUILTIN_SCENARIOS", "builtin_scenario", "builtin_scenario_names"]
@@ -160,12 +159,19 @@ def fig7(
         "systems": [
             {"label": "mesh", "architecture": "substrate", "num_chips": 1, "cores_per_chip": 64},
             {"label": "interposer", "preset": "4C4M", "architecture": "interposer"},
+            # 1 WI per 8 cores puts two WIs on every chip, so a transceiver
+            # loss has an in-chip wireless fallback.  At the paper's 1 per 16
+            # every WI is an articulation point and hub-transceiver-loss has
+            # nothing safe to kill.
             {"label": "wireless", "preset": "4C4M", "architecture": "wireless", "cores_per_wi": 8},
         ],
         "traffic": {
             "kind": "synthetic",
             "pattern": pattern,
             "memory_fractions": [0.2],
+            # About half the mesh baseline's saturation load, so faults show
+            # up as lost throughput, latency and energy rather than being
+            # drowned out by a saturated network.
             "loads": [0.001],
         },
         "faults": fault_section,

@@ -5,14 +5,14 @@ runner: every name in the spec is resolved through the matching registry
 (traffic patterns, architectures/presets, MAC protocols, fault scenarios),
 the fidelity sentinels are expanded against the requested level, and the
 cross product is emitted as plain
-:class:`~repro.parallel.runner.SimulationTask` instances — the same
-frozen dataclass the figure experiments build from CLI flags.  Because the
-tasks are identical objects, a compiled scenario shares cache keys (task
-schema v5) and fingerprints with its CLI-flag equivalent bit for bit; the
-parity tests in ``tests/test_scenario_parity.py`` prove it for every
-built-in figure spec.
+:class:`~repro.parallel.runner.SimulationTask` instances.  It is the only
+place tasks are built for a figure: every figure experiment compiles its
+built-in document (:mod:`repro.scenario.builtin`) and submits the result,
+so a ``--scenario`` run and the figure share cache keys (task schema v6)
+and fingerprints bit for bit.
 
-Expansion order (stable, documented, relied upon by the parity tests):
+Expansion order (stable, documented; the end-to-end benchmark's digests
+hash the ordered list):
 
 * synthetic — memory fraction (outer) × system × MAC × channel count ×
   fault severity × offered load (inner);
@@ -32,7 +32,6 @@ from ..core.config import (
     paper_4c4m,
     paper_8c4m,
 )
-from ..experiments.common import Fidelity, get_fidelity
 from ..parallel.runner import (
     ExperimentRunner,
     SimulationTask,
@@ -41,6 +40,7 @@ from ..parallel.runner import (
 )
 from ..metrics.report import format_heading, format_table
 from ..metrics.saturation import LoadPointSummary
+from .fidelity import Fidelity, get_fidelity
 from .spec import FIDELITY_SENTINEL, STUDY_SENTINEL, ScenarioError, ScenarioSpec, SystemSpec
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "system_config",
     "run_scenario",
     "format_scenario_report",
+    "study_loads",
 ]
 
 _PRESET_FACTORIES = {"1C4M": paper_1c4m, "4C4M": paper_4c4m, "8C4M": paper_8c4m}
@@ -87,13 +88,24 @@ def system_config(system: SystemSpec, index: int = 0) -> SystemConfig:
     return config
 
 
+def study_loads(load_points: Sequence[float]) -> List[float]:
+    """Low / mid / high offered loads from a fidelity's sweep grid.
+
+    The ``saturation-study`` load sentinel (fig8's MAC study): three points
+    keep the MAC × channels × systems cross product tractable while still
+    showing each protocol's contention behaviour from idle to saturation.
+    """
+    points = sorted(set(load_points))
+    if len(points) <= 3:
+        return points
+    return [points[0], points[len(points) // 2], points[-1]]
+
+
 def _resolve_loads(spec: ScenarioSpec, level: Fidelity) -> List[float]:
     loads = spec.traffic.loads
     if loads == FIDELITY_SENTINEL:
         return list(level.load_points)
     if loads == STUDY_SENTINEL:
-        from ..experiments.fig8_mac_study import study_loads
-
         return study_loads(level.load_points)
     return list(loads)
 

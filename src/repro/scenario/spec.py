@@ -39,6 +39,7 @@ from ..faults.scenarios import available_fault_scenarios
 from ..traffic.applications import APPLICATION_PROFILES
 from ..traffic.registry import available_patterns
 from ..wireless.mac.registry import available_macs
+from .fidelity import FIDELITIES
 
 __all__ = [
     "ScenarioError",
@@ -312,8 +313,6 @@ class ScenarioSpec:
 
 
 def _parse_fidelity(raw: object, path: str) -> Tuple[str, Dict[str, int]]:
-    from ..experiments.common import FIDELITIES
-
     levels = sorted(FIDELITIES)
     if isinstance(raw, str):
         if raw not in levels:

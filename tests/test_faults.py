@@ -27,8 +27,6 @@ from hypothesis import strategies as st
 from repro.core.architectures import build_system
 from repro.core.config import Architecture
 from repro.core.framework import MultichipSimulation
-from repro.experiments.common import Fidelity
-from repro.experiments.fig7_resilience import fig7_systems
 from repro.parallel import runner as runner_module
 from repro.parallel.runner import (
     TASK_SCHEMA_VERSION,
@@ -37,6 +35,8 @@ from repro.parallel.runner import (
     execute_task,
     uniform_task,
 )
+from repro.scenario import builtin_scenario, system_config
+from repro.scenario.fidelity import Fidelity
 from repro.faults import (
     FaultEvent,
     FaultKind,
@@ -493,7 +493,14 @@ def _all_routes(router, switches):
     return routes
 
 
-@pytest.mark.parametrize("label", sorted(fig7_systems()))
+#: The resilience figure's systems, read from its built-in scenario document.
+FIG7_SYSTEMS = {
+    system.label: system_config(system, index)
+    for index, system in enumerate(builtin_scenario("fig7").systems)
+}
+
+
+@pytest.mark.parametrize("label", sorted(FIG7_SYSTEMS))
 def test_recovered_router_matches_a_fresh_one(label):
     """No router memo (routes, forests, XY runs) outlives a topology change.
 
@@ -503,7 +510,7 @@ def test_recovered_router_matches_a_fresh_one(label):
     it did on the pristine one.  The same holds for the router the runner's
     memo shares across tasks, once a faulted task's ``restore()`` has run.
     """
-    config = fig7_systems()[label]
+    config = FIG7_SYSTEMS[label]
     system = build_system(config)
     graph, router = system.topology, system.router
     switches = [s.switch_id for s in graph.switches]

@@ -6,7 +6,7 @@ from repro.core.comparison import ArchitectureMetrics, compare, percentage_gain
 from repro.core.config import Architecture, SystemConfig, paper_1c4m, paper_4c4m, paper_8c4m
 from repro.core.architectures import build_system
 from repro.experiments.cli import build_parser
-from repro.experiments.common import FIDELITIES, get_fidelity
+from repro.scenario.fidelity import FIDELITIES, get_fidelity
 from repro.metrics import (
     LoadPoint,
     LoadSweepResult,

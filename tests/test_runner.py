@@ -13,16 +13,13 @@ import pytest
 from repro.core.comparison import ArchitectureMetrics
 from repro.core.config import Architecture
 from repro.core.framework import MultichipSimulation
-from repro.experiments.common import Fidelity
 from repro.experiments.cli import build_parser, runner_from_args
 from repro.parallel.runner import (
     ExperimentRunner,
     SimulationTask,
     application_task,
-    assemble_sweep,
     execute_task,
     replicated_tasks,
-    sweep_tasks,
     uniform_task,
 )
 from repro.metrics.saturation import LoadPointSummary, SweepSummary
@@ -30,6 +27,7 @@ from repro.noc.engine import SimulationConfig
 from repro.parallel.cache import ResultCache
 from repro.parallel.executor import run_tasks
 from repro.parallel.hashing import canonical_json, stable_hash
+from repro.scenario.fidelity import Fidelity
 from repro.testing import small_system_config
 from repro.traffic.rng import derive_seed
 
@@ -45,7 +43,7 @@ TINY = Fidelity(
 
 def _tiny_tasks(architecture=Architecture.WIRELESS):
     config = small_system_config(architecture)
-    tasks = sweep_tasks(config, TINY, memory_access_fraction=0.2)
+    tasks = [uniform_task(config, TINY, load=load) for load in TINY.load_points]
     tasks.append(application_task(config, TINY, "radix", rate_scale=0.25))
     return config, tasks
 
@@ -154,8 +152,9 @@ class TestParallelEqualsSerial:
         legacy_summary = SweepSummary.from_load_sweep(legacy)
 
         runner = ExperimentRunner(jobs=2)
-        tasks = sweep_tasks(config, TINY, memory_access_fraction=0.2)
-        summary = assemble_sweep(runner.run(tasks), tasks)
+        tasks = [uniform_task(config, TINY, load=load) for load in TINY.load_points]
+        results = runner.run(tasks)
+        summary = SweepSummary(points=[results[task] for task in tasks])
         metrics = ArchitectureMetrics.from_sweep_summary(config.name, summary)
 
         assert summary.as_dict() == legacy_summary.as_dict()

@@ -16,9 +16,11 @@ import json
 import pytest
 
 from repro.core.config import Architecture, SystemConfig, paper_8c4m
-from repro.experiments.common import get_fidelity
+from repro.faults.scenarios import DEFAULT_FAULT_RATE, DEFAULT_SCENARIO
+from repro.scenario.fidelity import get_fidelity
 from repro.scenario import (
     ScenarioError,
+    builtin_scenario,
     compile_scenario,
     dump_scenario,
     load_scenario,
@@ -428,6 +430,12 @@ def test_pinned_fault_rate_keeps_the_pristine_baseline():
         ("none", 0.0),
         ("cascading", 0.3),
     ]
+
+
+def test_builtin_fault_knobs_resolve_like_the_cli():
+    """A bare fault scenario takes the CLI's default rate; fig7 promotes 'none'."""
+    assert builtin_scenario("fig3", faults="random-links").faults.rates == [DEFAULT_FAULT_RATE]
+    assert builtin_scenario("fig7", faults="none").faults.scenario == DEFAULT_SCENARIO
 
 
 def test_traffic_spec_defaults_round_trip_through_sections():

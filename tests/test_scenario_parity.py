@@ -1,18 +1,22 @@
-"""CLI/spec parity: every built-in figure scenario equals its flag form.
+"""Every figure submits its compiled built-in document and reads it all back.
 
-The scenario compiler's core promise is that a declarative document and
-the equivalent CLI-flag invocation are *the same experiment*: identical
-:class:`SimulationTask` lists (same frozen instances, in the same order)
-and therefore identical cache keys, so the two forms share result-cache
-entries bit for bit.  These tests capture each figure module's task list
-with a recording runner — no simulation runs — and compare it against the
-compiled built-in document, flag variants included.
+A figure experiment builds no tasks of its own: it compiles its built-in
+scenario document and submits that list, so ``--scenario figN`` and the
+figure share cache keys bit for bit.  These tests drive each figure with a
+stub runner that records the submitted list and answers every task with a
+distinct canned summary — nothing is simulated — and check both halves of
+the contract: the submitted list is the compiled document, and the fold
+reads every distinct task into the result exactly once.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
+from repro.core.comparison import ArchitectureMetrics
 from repro.experiments import (
     fig2_uniform,
     fig3_latency,
@@ -22,139 +26,151 @@ from repro.experiments import (
     fig7_resilience,
     fig8_mac_study,
 )
+from repro.metrics.saturation import LoadPointSummary, SweepSummary
 from repro.parallel.runner import ExperimentRunner
 from repro.scenario import builtin_scenario, builtin_scenario_names, compile_scenario
 
 FIDELITY = "fast"
 
+FIGURES = {
+    "fig2": fig2_uniform,
+    "fig3": fig3_latency,
+    "fig4": fig4_disintegration,
+    "fig5": fig5_memory_traffic,
+    "fig6": fig6_applications,
+    "fig7": fig7_resilience,
+    "fig8": fig8_mac_study,
+}
 
-class Captured(Exception):
-    """Sentinel raised once the runner has recorded the submitted tasks."""
 
+class CannedRunner(ExperimentRunner):
+    """Records the submitted tasks and answers each with its own summary.
 
-class RecordingRunner(ExperimentRunner):
-    """Records the task list submitted to ``run`` instead of simulating.
-
-    Every figure module submits its whole task list in one ``run`` call,
-    so raising immediately afterwards captures the complete experiment
-    without simulating anything.
+    Summary ``i`` carries ``i + 1`` in every metric, so no two tasks share
+    a result and a fold that drops or merges tasks cannot hide it.
     """
 
     def __init__(self):
         super().__init__(jobs=1, cache_dir=None, show_progress=False)
-        self.tasks = None
+        self.submitted = None
+        self.canned = {}
 
     def run(self, tasks):
-        self.tasks = list(tasks)
-        raise Captured()
-
-
-def flag_form_tasks(experiment_main, **kwargs):
-    """The task list the figure module builds from CLI-style flags."""
-    runner = RecordingRunner()
-    with pytest.raises(Captured):
-        experiment_main(FIDELITY, runner, **kwargs)
-    assert runner.tasks, "figure module submitted no tasks"
-    return runner.tasks
-
-
-def assert_parity(experiment_main, name, flag_kwargs=None, spec_kwargs=None):
-    """Flag-form and spec-form task lists are equal, cache keys and all."""
-    flag_tasks = flag_form_tasks(experiment_main, **(flag_kwargs or {}))
-    spec = builtin_scenario(name, FIDELITY, **(spec_kwargs or {}))
-    spec_tasks = compile_scenario(spec)
-    assert spec_tasks == flag_tasks
-    assert [t.cache_key() for t in spec_tasks] == [t.cache_key() for t in flag_tasks]
-    assert [t.label for t in spec_tasks] == [t.label for t in flag_tasks]
-
-
-# ----------------------------------------------------------------------
-# Default forms: each figure's canonical invocation.
-# ----------------------------------------------------------------------
-
-
-DEFAULT_FORMS = {
-    "fig2": fig2_uniform.main,
-    "fig3": fig3_latency.main,
-    "fig4": fig4_disintegration.main,
-    "fig5": fig5_memory_traffic.main,
-    "fig6": fig6_applications.main,
-    "fig7": fig7_resilience.main,
-    "fig8": fig8_mac_study.main,
-}
+        self.submitted = list(tasks)
+        for task in self.submitted:
+            if task not in self.canned:
+                value = float(len(self.canned) + 1)
+                self.canned[task] = LoadPointSummary(
+                    offered_load=task.load,
+                    nominal_packet_length_flits=1,
+                    accepted_flits_per_core_per_cycle=value,
+                    bandwidth_gbps_per_core=value,
+                    average_latency_cycles=value,
+                    average_packet_energy_nj=value,
+                    system_packet_energy_nj=value,
+                    packets_delivered=1,
+                    delivery_ratio=1.0,
+                )
+        return dict(self.canned)
 
 
 def test_every_figure_has_a_builtin_spec():
-    assert builtin_scenario_names() == sorted(DEFAULT_FORMS)
-
-
-@pytest.mark.parametrize("name", sorted(DEFAULT_FORMS))
-def test_builtin_spec_matches_default_flag_form(name):
-    assert_parity(DEFAULT_FORMS[name], name)
+    assert builtin_scenario_names() == sorted(FIGURES)
 
 
 # ----------------------------------------------------------------------
-# Flag variants: the CLI knobs thread into the documents identically.
+# The submitted list is the compiled built-in document.
 # ----------------------------------------------------------------------
 
-
-def test_fig2_pattern_and_mac_variant():
-    assert_parity(
-        fig2_uniform.main,
-        "fig2",
-        flag_kwargs={"pattern": "transpose", "mac": "token"},
-        spec_kwargs={"pattern": "transpose", "mac": "token"},
-    )
-
-
-def test_fig3_fault_variant_with_default_rate():
-    # The CLI resolves a bare --faults to DEFAULT_FAULT_RATE=0.1.
-    assert_parity(
-        fig3_latency.main,
-        "fig3",
-        flag_kwargs={"faults": "random-links", "fault_rate": 0.1},
-        spec_kwargs={"faults": "random-links"},
-    )
-
-
-def test_fig4_fault_and_mac_variant():
-    assert_parity(
-        fig4_disintegration.main,
+#: Each figure's default form, then every flag variant the CLI threads in
+#: (the CLI resolves a bare ``--faults`` to its default rate, 0.1).
+FORMS = [pytest.param(name, {}, id=name) for name in sorted(FIGURES)] + [
+    pytest.param("fig2", {"pattern": "transpose", "mac": "token"}, id="fig2-transpose-token"),
+    pytest.param("fig3", {"faults": "random-links", "fault_rate": 0.1}, id="fig3-random-links"),
+    pytest.param(
         "fig4",
-        flag_kwargs={"faults": "cascading", "fault_rate": 0.25, "mac": "fdma"},
-        spec_kwargs={"faults": "cascading", "fault_rate": 0.25, "mac": "fdma"},
-    )
+        {"faults": "cascading", "fault_rate": 0.25, "mac": "fdma"},
+        id="fig4-cascading-fdma",
+    ),
+    pytest.param(
+        "fig7", {"faults": "hub-transceiver-loss", "fault_rate": 0.3}, id="fig7-pinned-rate"
+    ),
+    pytest.param("fig7", {"faults": "none"}, id="fig7-none"),
+    pytest.param("fig8", {"mac": "tdma"}, id="fig8-tdma"),
+]
 
 
-def test_fig7_pinned_rate_variant():
-    assert_parity(
-        fig7_resilience.main,
-        "fig7",
-        flag_kwargs={"faults": "hub-transceiver-loss", "fault_rate": 0.3},
-        spec_kwargs={"faults": "hub-transceiver-loss", "fault_rate": 0.3},
-    )
+@pytest.mark.parametrize("name, flags", FORMS)
+def test_builtin_spec_matches_default_flag_form(name, flags):
+    """The tasks a figure submits equal its compiled document, flags and all."""
+    runner = CannedRunner()
+    FIGURES[name].main(FIDELITY, runner, **flags)
+    assert runner.submitted == compile_scenario(builtin_scenario(name, FIDELITY, **flags))
 
 
-def test_fig7_none_promotes_to_default_scenario():
-    from repro.faults.scenarios import DEFAULT_SCENARIO
-
-    spec = builtin_scenario("fig7", FIDELITY, faults="none")
-    assert spec.faults.scenario == DEFAULT_SCENARIO
-    assert_parity(
-        fig7_resilience.main,
-        "fig7",
-        flag_kwargs={"faults": "none"},
-        spec_kwargs={"faults": "none"},
-    )
+def test_zero_fault_rate_submits_the_pristine_tasks():
+    """``--faults X --fault-rate 0`` is served by the pristine cache entries."""
+    pristine = CannedRunner()
+    fig2_uniform.run(FIDELITY, runner=pristine)
+    zero = CannedRunner()
+    report = fig2_uniform.main(FIDELITY, zero, faults="random-links", fault_rate=0.0)
+    assert zero.submitted == pristine.submitted
+    assert all(task.faults == "none" for task in zero.submitted)
+    assert "faults=random-links@0 [" in report
 
 
-def test_fig8_pinned_mac_variant():
-    assert_parity(
-        fig8_mac_study.main,
-        "fig8",
-        flag_kwargs={"mac": "tdma"},
-        spec_kwargs={"mac": "tdma"},
-    )
+# ----------------------------------------------------------------------
+# The fold reads every distinct task into the result exactly once.
+# ----------------------------------------------------------------------
+
+
+def _sweep_points(sweep):
+    """A sweep's points; one per load, or the fold merged two sweeps."""
+    assert len(set(sweep.loads)) == len(sweep.loads), f"merged sweep: {sweep.loads}"
+    return list(sweep.points)
+
+
+def _summaries_in(value, built):
+    """Every summary a result holds, directly or through derived metrics."""
+    if isinstance(value, LoadPointSummary):
+        yield value
+    elif isinstance(value, SweepSummary):
+        yield from _sweep_points(value)
+    elif isinstance(value, ArchitectureMetrics):
+        yield from built[id(value)][1]
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _summaries_in(item, built)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _summaries_in(item, built)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for spec in dataclasses.fields(value):
+            yield from _summaries_in(getattr(value, spec.name), built)
+
+
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_fold_reads_every_task_exactly_once(name, monkeypatch):
+    """A key that merges, drops or reuses tasks fails here."""
+    built = {}
+
+    def recording(method, points_of):
+        real = getattr(ArchitectureMetrics, method).__func__
+
+        def wrapper(cls, label, summary, *args):
+            metrics = real(cls, label, summary, *args)
+            built[id(metrics)] = (metrics, points_of(summary))
+            return metrics
+
+        monkeypatch.setattr(ArchitectureMetrics, method, classmethod(wrapper))
+
+    recording("from_sweep_summary", _sweep_points)
+    recording("from_point_summary", lambda point: [point])
+    runner = CannedRunner()
+    result = FIGURES[name].run(FIDELITY, runner=runner)
+
+    read = Counter(id(point) for point in _summaries_in(result, built))
+    assert read == Counter(id(point) for point in runner.canned.values())
 
 
 # ----------------------------------------------------------------------

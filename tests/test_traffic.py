@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.architectures import build_system
 from repro.core.config import Architecture
-from repro.experiments.common import FIDELITIES
+from repro.scenario.fidelity import FIDELITIES
 from repro.testing import small_system_config
 from repro.topology import apply_wireless_overlay, build_multichip_base
 from repro.topology.wireless_overlay import WirelessOverlayConfig

@@ -220,7 +220,7 @@ class TestMacTaskThreading:
             )
 
     def test_fig8_study_loads_selection(self):
-        from repro.experiments.fig8_mac_study import study_loads
+        from repro.scenario.compiler import study_loads
 
         assert study_loads([0.1, 0.2]) == [0.1, 0.2]
         assert study_loads([0.4, 0.1, 0.2, 0.3, 0.5]) == [0.1, 0.3, 0.5]
