@@ -12,9 +12,10 @@ Run with::
 
 from __future__ import annotations
 
-from repro import Architecture, MultichipSimulation, SimulationConfig, SystemConfig
+from repro import Architecture, SystemConfig, api
 from repro.core.comparison import ArchitectureMetrics, compare
 from repro.metrics import format_table
+from repro.parallel.runner import SimulationTask
 from repro.traffic import get_profile
 
 APPLICATIONS = ["blackscholes", "canneal", "fft", "radix"]
@@ -22,19 +23,23 @@ RATE_SCALE = 0.25
 
 
 def main() -> None:
-    simulation_config = SimulationConfig(cycles=1500, warmup_cycles=250)
     rows = []
     for application in APPLICATIONS:
         profile = get_profile(application)
         per_arch = {}
         for architecture in (Architecture.INTERPOSER, Architecture.WIRELESS):
             config = SystemConfig(architecture=architecture)
-            simulation = MultichipSimulation.from_config(config, simulation_config)
-            result = simulation.run_application(
-                application, rate_scale=RATE_SCALE, seed=11
+            task = SimulationTask(
+                kind="application",
+                config=config,
+                cycles=1500,
+                warmup_cycles=250,
+                seed=11,
+                application=application,
+                rate_scale=RATE_SCALE,
             )
-            per_arch[architecture] = ArchitectureMetrics.from_result(
-                config.name, result
+            per_arch[architecture] = ArchitectureMetrics.from_point_summary(
+                config.name, api.run(task)
             )
         gains = compare(
             per_arch[Architecture.WIRELESS], per_arch[Architecture.INTERPOSER]

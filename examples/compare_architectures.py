@@ -4,7 +4,8 @@ Runs the paper's 4C4M system under uniform random traffic with all three
 interconnection options — substrate serial I/O, interposer extended mesh and
 the proposed wireless framework — sweeping the offered load, and prints the
 saturation metrics plus the wireless-versus-interposer gains (the Fig. 2 /
-Fig. 4 style comparison).
+Fig. 4 style comparison).  Each load point is one simulation task; the
+runner executes them and each architecture's results fold into one sweep.
 
 Run with::
 
@@ -13,33 +14,42 @@ Run with::
 
 from __future__ import annotations
 
-from repro import (
-    Architecture,
-    MultichipSimulation,
-    SimulationConfig,
-    SystemConfig,
-    compare,
-)
+from repro import Architecture, SystemConfig, api, compare
 from repro.core.comparison import ArchitectureMetrics
-from repro.metrics import format_table
+from repro.metrics import SweepSummary, format_table
+from repro.parallel.runner import SimulationTask
 
 LOADS = [0.0005, 0.001, 0.0015, 0.002, 0.003]
 
 
 def main() -> None:
-    simulation_config = SimulationConfig(cycles=2000, warmup_cycles=300)
-    metrics = {}
-    for architecture in (
-        Architecture.SUBSTRATE,
-        Architecture.INTERPOSER,
-        Architecture.WIRELESS,
-    ):
-        config = SystemConfig(architecture=architecture)
-        simulation = MultichipSimulation.from_config(config, simulation_config)
-        sweep = simulation.sweep_uniform(
-            loads=LOADS, memory_access_fraction=0.2, seed=1
+    sweeps = {
+        architecture: [
+            SimulationTask(
+                kind="synthetic",
+                config=SystemConfig(architecture=architecture),
+                cycles=2000,
+                warmup_cycles=300,
+                seed=1,
+                load=load,
+                memory_access_fraction=0.2,
+            )
+            for load in LOADS
+        ]
+        for architecture in (
+            Architecture.SUBSTRATE,
+            Architecture.INTERPOSER,
+            Architecture.WIRELESS,
         )
-        metrics[architecture] = ArchitectureMetrics.from_sweep(config.name, sweep)
+    }
+    results = api.sweep([task for tasks in sweeps.values() for task in tasks])
+    metrics = {
+        architecture: ArchitectureMetrics.from_sweep_summary(
+            tasks[0].config.name,
+            SweepSummary(points=[results[task] for task in tasks]),
+        )
+        for architecture, tasks in sweeps.items()
+    }
 
     rows = [
         [

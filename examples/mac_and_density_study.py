@@ -32,8 +32,8 @@ def run_variant(mac: str, cores_per_wi: int):
         total_processing_area_mm2=200.0,
     ).with_wireless(mac=mac)
     simulation = MultichipSimulation.from_config(config, SIMULATION)
-    result = simulation.run_uniform(
-        injection_rate=LOAD, memory_access_fraction=0.2, seed=5
+    result = simulation.run_pattern(
+        "uniform", injection_rate=LOAD, memory_access_fraction=0.2, seed=5
     )
     return result
 

@@ -4,7 +4,8 @@ Builds the paper's default 4C4M system (four 16-core chips plus four
 in-package DRAM stacks) with the proposed wireless interconnection
 framework, runs uniform random traffic at a moderate load, and prints the
 headline metrics (bandwidth per core, average packet latency and energy)
-together with the WI deployment summary.
+together with the WI deployment summary.  It then runs one other registered
+synthetic pattern by name (see ``repro.traffic.registry``).
 
 Run with::
 
@@ -37,8 +38,8 @@ def main() -> None:
     simulation = MultichipSimulation(
         system, SimulationConfig(cycles=2000, warmup_cycles=300)
     )
-    result = simulation.run_uniform(
-        injection_rate=0.001, memory_access_fraction=0.2, seed=1
+    result = simulation.run_pattern(
+        "uniform", injection_rate=0.001, memory_access_fraction=0.2, seed=1
     )
 
     print("Uniform random traffic @ 0.001 packets/core/cycle, 20% memory access")
@@ -48,6 +49,13 @@ def main() -> None:
     print(f"  packets delivered  : {result.packets_delivered}")
     print(f"  wireless flit hops : {result.wireless_flit_hops}")
     print(f"  transceiver sleep  : {result.transceiver_sleep_fraction * 100:.1f}% of cycles")
+    print()
+
+    # Any registered synthetic pattern runs the same way, by name.
+    result = simulation.run_pattern("bursty-hotspot", injection_rate=0.001, seed=7)
+    print("Bursty hotspot traffic @ 0.001 packets/core/cycle")
+    print(f"  accepted bandwidth : {result.bandwidth_gbps_per_core():.2f} Gb/s per core")
+    print(f"  avg packet latency : {result.average_packet_latency_cycles():.1f} cycles")
 
 
 if __name__ == "__main__":

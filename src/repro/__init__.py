@@ -15,8 +15,12 @@ Quick start::
 
     config = SystemConfig(architecture=Architecture.WIRELESS)
     simulation = MultichipSimulation.from_config(config)
-    result = simulation.run_uniform(injection_rate=0.02)
+    result = simulation.run_pattern("uniform", injection_rate=0.02)
     print(result.summary())
+
+A load sweep is a list of :class:`repro.parallel.runner.SimulationTask`
+run through :func:`repro.api.sweep` and folded into a
+:class:`repro.metrics.SweepSummary` (see ``examples/compare_architectures.py``).
 """
 
 from .core import (
@@ -48,7 +52,7 @@ from .traffic import (
     UniformRandomTraffic,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "APPLICATION_PROFILES",

@@ -1,9 +1,10 @@
 """The paper's primary contribution: the wireless multichip framework API.
 
 ``SystemConfig`` describes an ``XCYM (Architecture)`` system, ``build_system``
-constructs its topology and routing, and ``MultichipSimulation`` runs the
-cycle-accurate evaluation — uniform-random sweeps for the saturation
-metrics, and application traffic for the steady-state comparison.
+constructs its topology and routing, ``MultichipSimulation`` runs one
+cycle-accurate simulation under a synthetic pattern or application traffic,
+and ``ArchitectureMetrics`` reads the paper's headline metrics from one run
+or from a load sweep's sustainable-saturation point.
 """
 
 from .architectures import (

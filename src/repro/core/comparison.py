@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..metrics.saturation import LoadPointSummary, LoadSweepResult, SweepSummary
-from ..noc.stats import SimulationResult
+from ..metrics.saturation import LoadPointSummary, SweepSummary
 
 
 @dataclass(frozen=True)
@@ -25,43 +24,14 @@ class ArchitectureMetrics:
     average_packet_latency_cycles: float
 
     @classmethod
-    def from_result(cls, name: str, result: SimulationResult) -> "ArchitectureMetrics":
-        """Metrics of a single simulation run.
-
-        Energy uses the totals-based :meth:`SimulationResult.system_packet_energy_nj`
-        so saturated runs are not biased towards the shorter-path packets
-        that manage to complete.
-        """
-        return cls(
-            name=name,
-            bandwidth_gbps_per_core=result.bandwidth_gbps_per_core(),
-            average_packet_energy_nj=result.system_packet_energy_nj(),
-            average_packet_latency_cycles=result.average_packet_latency_cycles(),
-        )
-
-    @classmethod
-    def from_sweep(
-        cls, name: str, sweep: LoadSweepResult, acceptance: float = 0.9
-    ) -> "ArchitectureMetrics":
-        """Metrics at the sustainable-saturation point of a load sweep.
-
-        Bandwidth is the peak *sustainable* rate (the offered traffic mix is
-        still delivered), and energy/latency are measured at that operating
-        point, mirroring the paper's "at saturation with maximum load".
-        Delegates to :meth:`from_sweep_summary`, so serial sweeps and
-        reassembled cached/parallel sweeps share one implementation.
-        """
-        return cls.from_sweep_summary(name, sweep.summary(), acceptance)
-
-    @classmethod
     def from_point_summary(
         cls, name: str, point: LoadPointSummary
     ) -> "ArchitectureMetrics":
-        """Metrics of one cached/parallel task result.
+        """Metrics of one runner task result, fresh or cached.
 
-        Computes exactly the same quantities as :meth:`from_result` but from
-        the compact :class:`LoadPointSummary` the parallel experiment runner
-        caches, so cached and freshly simulated runs are interchangeable.
+        Energy is the totals-based ``system_packet_energy_nj``, so saturated
+        runs are not biased towards the shorter-path packets that manage to
+        complete.
         """
         return cls(
             name=name,
@@ -74,21 +44,15 @@ class ArchitectureMetrics:
     def from_sweep_summary(
         cls, name: str, summary: SweepSummary, acceptance: float = 0.9
     ) -> "ArchitectureMetrics":
-        """Metrics at the sustainable-saturation point of a sweep summary.
+        """Metrics at the sustainable-saturation point of a load sweep.
 
-        The :class:`SweepSummary` counterpart of :meth:`from_sweep`: the
-        selection rule and the arithmetic are identical, so assembling a
-        sweep from independently executed per-load tasks yields bit-identical
-        metrics to a serial :class:`LoadSweepResult`.
+        Bandwidth is the peak *sustainable* rate (the offered traffic mix is
+        still delivered), and energy/latency are measured at that same
+        operating point, mirroring the paper's "at saturation with maximum
+        load".
         """
-        peak = summary.point_at_sustainable_peak(acceptance)
-        return cls(
-            name=name,
-            bandwidth_gbps_per_core=summary.sustainable_bandwidth_gbps_per_core(
-                acceptance
-            ),
-            average_packet_energy_nj=peak.system_packet_energy_nj,
-            average_packet_latency_cycles=peak.average_latency_cycles,
+        return cls.from_point_summary(
+            name, summary.point_at_sustainable_peak(acceptance)
         )
 
     def as_dict(self) -> Dict[str, float]:

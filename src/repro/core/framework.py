@@ -1,28 +1,22 @@
 """High-level simulation facade — the main entry point of the library.
 
 ``MultichipSimulation`` wraps a built system (topology + router) and runs
-cycle-accurate simulations against it: single runs under any traffic model,
-uniform-random runs at a given offered load, application runs, and full load
-sweeps for saturation analysis.  This is the API the examples, experiments
-and benchmarks are written against.
+one cycle-accurate simulation against it: a registered synthetic traffic
+pattern at one offered load, or an application profile.  A load sweep is a
+list of such runs submitted as tasks to :mod:`repro.parallel.runner` and
+folded into a :class:`repro.metrics.SweepSummary`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..metrics.saturation import (
-    LoadSweepResult,
-    default_load_points,
-    run_load_sweep,
-)
 from ..noc.config import NetworkConfig
 from ..noc.engine import SimulationConfig, Simulator
 from ..noc.stats import SimulationResult
 from ..traffic.base import TrafficModel
 from ..traffic.registry import create_pattern
 from ..traffic.synfull import SynfullApplicationTraffic
-from ..traffic.uniform import UniformRandomTraffic
 from .architectures import BuiltSystem, build_system
 from .config import SystemConfig
 
@@ -78,7 +72,9 @@ class MultichipSimulation:
         method, exposed so callers that need the un-run engine — the
         scenario fuzzer instruments the wireless fabric through
         :attr:`Simulator.instrument` before running — share it bit for bit
-        with the normal ``run_*`` entry points.
+        with the normal ``run_*`` entry points.  ``fault_plan`` optionally
+        injects a deterministic fault schedule (see :mod:`repro.faults`);
+        ``None`` or an empty plan runs the pristine fabric.
         """
         return Simulator(
             topology=self.system.topology,
@@ -119,35 +115,6 @@ class MultichipSimulation:
             seed=seed,
         )
 
-    def run_traffic(
-        self, traffic: TrafficModel, fault_plan=None
-    ) -> SimulationResult:
-        """Run one simulation under an arbitrary traffic model.
-
-        ``fault_plan`` optionally injects a deterministic fault schedule
-        (see :mod:`repro.faults`); ``None`` or an empty plan runs the
-        pristine fabric.
-        """
-        return self.simulator_for(traffic, fault_plan=fault_plan).run()
-
-    def run_uniform(
-        self,
-        injection_rate: float,
-        memory_access_fraction: float = 0.2,
-        seed: int = 1,
-        memory_replies: bool = False,
-        fault_plan=None,
-    ) -> SimulationResult:
-        """Run uniform random traffic at one offered load."""
-        traffic = UniformRandomTraffic(
-            self.system.topology,
-            injection_rate=injection_rate,
-            memory_access_fraction=memory_access_fraction,
-            memory_replies=memory_replies,
-            seed=seed,
-        )
-        return self.run_traffic(traffic, fault_plan=fault_plan)
-
     def run_pattern(
         self,
         pattern: str,
@@ -170,7 +137,7 @@ class MultichipSimulation:
             memory_access_fraction=memory_access_fraction,
             seed=seed,
         )
-        return self.run_traffic(traffic, fault_plan=fault_plan)
+        return self.simulator_for(traffic, fault_plan=fault_plan).run()
 
     def run_application(
         self,
@@ -183,38 +150,4 @@ class MultichipSimulation:
         traffic = self.application_traffic(
             application, rate_scale=rate_scale, seed=seed
         )
-        return self.run_traffic(traffic, fault_plan=fault_plan)
-
-    # ------------------------------------------------------------------
-    # Sweeps.
-    # ------------------------------------------------------------------
-
-    def sweep_uniform(
-        self,
-        loads: Optional[Sequence[float]] = None,
-        memory_access_fraction: float = 0.2,
-        seed: int = 1,
-    ) -> LoadSweepResult:
-        """Run a load sweep with uniform random traffic."""
-        selected = list(loads) if loads is not None else default_load_points()
-
-        def run_at(load: float) -> SimulationResult:
-            return self.run_uniform(
-                injection_rate=load,
-                memory_access_fraction=memory_access_fraction,
-                seed=seed,
-            )
-
-        return run_load_sweep(run_at, selected)
-
-    def peak_bandwidth_gbps_per_core(
-        self,
-        loads: Optional[Sequence[float]] = None,
-        memory_access_fraction: float = 0.2,
-        seed: int = 1,
-    ) -> float:
-        """Peak achievable bandwidth per core under uniform random traffic."""
-        sweep = self.sweep_uniform(
-            loads=loads, memory_access_fraction=memory_access_fraction, seed=seed
-        )
-        return sweep.peak_bandwidth_gbps_per_core()
+        return self.simulator_for(traffic, fault_plan=fault_plan).run()

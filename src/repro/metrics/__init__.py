@@ -1,23 +1,12 @@
-"""Measurement utilities: load sweeps, saturation metrics and text reports."""
+"""Measurement utilities: load-sweep saturation metrics and text reports."""
 
 from .report import format_heading, format_percentage, format_table
-from .saturation import (
-    LoadPoint,
-    LoadPointSummary,
-    LoadSweepResult,
-    SweepSummary,
-    default_load_points,
-    run_load_sweep,
-)
+from .saturation import LoadPointSummary, SweepSummary
 
 __all__ = [
-    "LoadPoint",
     "LoadPointSummary",
-    "LoadSweepResult",
     "SweepSummary",
-    "default_load_points",
     "format_heading",
     "format_percentage",
     "format_table",
-    "run_load_sweep",
 ]

@@ -65,7 +65,6 @@ __all__ = [
     "application_task",
     "execute_task",
     "execute_task_batch",
-    "replicated_tasks",
     "task_simulator",
     "uniform_task",
 ]
@@ -262,22 +261,6 @@ def application_task(
         faults=faults,
         fault_rate=fault_rate,
     )
-
-
-def replicated_tasks(task: SimulationTask, replicas: int) -> List[SimulationTask]:
-    """Seed-decorrelated copies of one task (for confidence intervals).
-
-    Replica ``0`` is the task itself; replica ``i > 0`` derives its seed
-    from the task's seed and the replica index via
-    :func:`repro.traffic.rng.derive_seed`, so the set is deterministic and
-    order-independent.
-    """
-    if replicas <= 0:
-        raise ValueError("replicas must be positive")
-    return [task] + [
-        task.with_seed(derive_seed(task.seed, "replica", index))
-        for index in range(1, replicas)
-    ]
 
 
 #: The ``network`` field every topology key carries: :func:`build_system`

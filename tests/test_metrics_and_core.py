@@ -8,13 +8,11 @@ from repro.core.architectures import build_system
 from repro.experiments.cli import build_parser
 from repro.scenario.fidelity import FIDELITIES, get_fidelity
 from repro.metrics import (
-    LoadPoint,
-    LoadSweepResult,
-    default_load_points,
+    LoadPointSummary,
+    SweepSummary,
     format_heading,
     format_percentage,
     format_table,
-    run_load_sweep,
 )
 from repro.noc.stats import SimulationResult
 
@@ -68,40 +66,76 @@ class TestSimulationResultMetrics:
         assert result.system_packet_energy_pj() > 0
 
 
+def _point(load, accepted_flits, latency=100.0, energy_nj=1.0):
+    """A hand-made sweep point; 8-flit packets, so acceptance = accepted / (8 load)."""
+    return LoadPointSummary(
+        offered_load=load,
+        nominal_packet_length_flits=8,
+        accepted_flits_per_core_per_cycle=accepted_flits,
+        bandwidth_gbps_per_core=accepted_flits * 32 * 2.5,
+        average_latency_cycles=latency,
+        average_packet_energy_nj=energy_nj,
+        system_packet_energy_nj=energy_nj,
+        packets_delivered=100,
+        delivery_ratio=1.0,
+    )
+
+
 class TestLoadSweep:
+    """The sustainable-peak rule behind the paper's bandwidth metric."""
+
+    # Acceptance 1.0, 0.95 and 0.625: the last point carries the most
+    # traffic but no longer delivers the offered mix.
+    DELIVERED = _point(0.001, 0.008, latency=80, energy_nj=1.0)
+    PEAK = _point(0.002, 0.0152, latency=120, energy_nj=2.0)
+    SATURATED = _point(0.004, 0.02, latency=500, energy_nj=3.0)
+
     def _sweep(self):
-        points = [
-            LoadPoint(0.001, _result(accepted_flits=0.008, latency=80, load=0.001)),
-            LoadPoint(0.002, _result(accepted_flits=0.016, latency=120, load=0.002)),
-            LoadPoint(0.004, _result(accepted_flits=0.02, latency=500, load=0.004)),
-        ]
-        return LoadSweepResult(points=points)
+        return SweepSummary(points=[self.SATURATED, self.DELIVERED, self.PEAK])
 
     def test_peak_and_sustainable_bandwidth(self):
         sweep = self._sweep()
-        assert sweep.peak_bandwidth_gbps_per_core() >= sweep.sustainable_bandwidth_gbps_per_core()
-        assert sweep.sustainable_bandwidth_gbps_per_core() > 0
+        assert sweep.point_at_sustainable_peak() == self.PEAK
+        assert sweep.sustainable_bandwidth_gbps_per_core() == self.PEAK.bandwidth_gbps_per_core
+        assert self.SATURATED.bandwidth_gbps_per_core > self.PEAK.bandwidth_gbps_per_core
+        # Demanding full delivery leaves only the lowest-load point.
+        assert sweep.point_at_sustainable_peak(acceptance=1.0) == self.DELIVERED
+
+    def test_falls_back_to_the_lowest_load_point(self):
+        busier = _point(0.008, 0.03)
+        sweep = SweepSummary(points=[busier, self.SATURATED])
+        assert sweep.point_at_sustainable_peak() == self.SATURATED
+        assert sweep.sustainable_bandwidth_gbps_per_core() == self.SATURATED.bandwidth_gbps_per_core
+
+    def test_acceptance_bounds_and_empty_sweep(self):
+        sweep = self._sweep()
+        for acceptance in (0.0, -0.5, 1.01):
+            with pytest.raises(ValueError):
+                sweep.point_at_sustainable_peak(acceptance)
+            with pytest.raises(ValueError):
+                sweep.sustainable_bandwidth_gbps_per_core(acceptance)
+        empty = SweepSummary()
+        assert empty.sustainable_bandwidth_gbps_per_core() == 0.0
+        with pytest.raises(ValueError):
+            empty.point_at_sustainable_peak()
+
+    def test_architecture_metrics_read_the_peak_point(self):
+        metrics = ArchitectureMetrics.from_sweep_summary("wireless", self._sweep())
+        assert metrics == ArchitectureMetrics(
+            "wireless",
+            bandwidth_gbps_per_core=self.PEAK.bandwidth_gbps_per_core,
+            average_packet_energy_nj=self.PEAK.system_packet_energy_nj,
+            average_packet_latency_cycles=self.PEAK.average_latency_cycles,
+        )
 
     def test_latency_curve_and_zero_load(self):
         sweep = self._sweep()
-        curve = sweep.latency_curve()
-        assert len(curve) == 3
+        assert sweep.latency_curve() == [(0.001, 80), (0.002, 120), (0.004, 500)]
         assert sweep.zero_load_latency_cycles() == pytest.approx(80.0)
+        assert SweepSummary().zero_load_latency_cycles() == 0.0
 
-    def test_saturation_load_detection(self):
-        sweep = self._sweep()
-        assert sweep.saturation_load(latency_factor=3.0) == pytest.approx(0.004)
-
-    def test_run_load_sweep_orders_points(self):
-        sweep = run_load_sweep(lambda load: _result(load=load), [0.004, 0.001])
-        assert sweep.loads == sorted(sweep.loads)
-
-    def test_default_load_points_monotonic(self):
-        points = default_load_points()
-        assert points == sorted(points)
-        assert points[0] < points[-1]
-        with pytest.raises(ValueError):
-            default_load_points(low=0.1, high=0.01)
+    def test_points_are_sorted_by_load(self):
+        assert self._sweep().loads == [0.001, 0.002, 0.004]
 
 
 class TestComparison:

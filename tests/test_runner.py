@@ -19,7 +19,6 @@ from repro.parallel.runner import (
     SimulationTask,
     application_task,
     execute_task,
-    replicated_tasks,
     uniform_task,
 )
 from repro.metrics.saturation import LoadPointSummary, SweepSummary
@@ -61,15 +60,6 @@ class TestDeterministicSeeding:
             derive_seed(7, "a", 1),
         }
         assert len(seeds) == 5
-
-    def test_replicated_tasks_are_stable_and_distinct(self):
-        config, tasks = _tiny_tasks()
-        replicas = replicated_tasks(tasks[0], 3)
-        assert replicas[0] == tasks[0]
-        assert len({t.seed for t in replicas}) == 3
-        assert replicated_tasks(tasks[0], 3) == replicas
-        with pytest.raises(ValueError):
-            replicated_tasks(tasks[0], 0)
 
 
 class TestCacheKeys:
@@ -140,26 +130,35 @@ class TestParallelEqualsSerial:
             assert payload == execute_task(task)
 
     def test_runner_path_matches_legacy_serial_sweep(self):
-        """The task runner reproduces the direct serial sweep bit for bit."""
+        """The task runner reproduces serial facade runs bit for bit."""
         config = small_system_config(Architecture.WIRELESS)
         simulation = MultichipSimulation.from_config(
             config, SimulationConfig(cycles=TINY.cycles, warmup_cycles=TINY.warmup_cycles)
         )
-        legacy = simulation.sweep_uniform(
-            loads=list(TINY.load_points), memory_access_fraction=0.2, seed=TINY.seed
+        serial = SweepSummary(
+            points=[
+                LoadPointSummary.from_result(
+                    load,
+                    simulation.run_pattern(
+                        "uniform",
+                        injection_rate=load,
+                        memory_access_fraction=0.2,
+                        seed=TINY.seed,
+                    ),
+                )
+                for load in TINY.load_points
+            ]
         )
-        legacy_metrics = ArchitectureMetrics.from_sweep(config.name, legacy)
-        legacy_summary = SweepSummary.from_load_sweep(legacy)
 
         runner = ExperimentRunner(jobs=2)
         tasks = [uniform_task(config, TINY, load=load) for load in TINY.load_points]
         results = runner.run(tasks)
         summary = SweepSummary(points=[results[task] for task in tasks])
-        metrics = ArchitectureMetrics.from_sweep_summary(config.name, summary)
 
-        assert summary.as_dict() == legacy_summary.as_dict()
-        assert metrics == legacy_metrics
-        assert summary.latency_curve() == legacy.latency_curve()
+        assert summary == serial
+        assert ArchitectureMetrics.from_sweep_summary(
+            config.name, summary
+        ) == ArchitectureMetrics.from_sweep_summary(config.name, serial)
 
 
 class TestResultCache:
@@ -217,6 +216,33 @@ class TestResultCache:
             out = runner.run(tasks[:1])
             assert runner.tasks_executed == 1
             assert out[tasks[0]].packets_delivered >= 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("accepted_flits_per_core_per_cycle", "0.0"),
+            ("bandwidth_gbps_per_core", "1.5"),
+            ("packets_delivered", True),
+            ("links_failed", None),
+            ("channel_energy_pj", []),
+            ("channel_energy_pj", {"0": {"data": "1.0"}}),
+        ],
+    )
+    def test_wrong_typed_entry_is_a_miss(self, tmp_path, field, value):
+        """A known field of the wrong type recomputes and overwrites the entry."""
+        _, tasks = _tiny_tasks()
+        clean = ExperimentRunner(jobs=1, cache_dir=tmp_path).run(tasks[:1])
+        cache = ResultCache(tmp_path)
+        key = tasks[0].cache_key()
+        entry = cache.get(key)
+        entry["result"][field] = value
+        cache.put(key, entry)
+
+        runner = ExperimentRunner(jobs=1, cache_dir=tmp_path)
+        out = runner.run(tasks[:1])
+        assert runner.tasks_executed == 1
+        assert out == clean
+        assert LoadPointSummary.from_dict(cache.get(key)["result"]) == clean[tasks[0]]
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         _, tasks = _tiny_tasks()

@@ -147,11 +147,11 @@ class TestMemoryReplies:
 
 
 class TestFrameworkFacade:
-    def test_run_uniform_and_summary(self, short_simulation_config):
+    def test_run_pattern_and_summary(self, short_simulation_config):
         simulation = MultichipSimulation.from_config(
             small_system_config(Architecture.WIRELESS), short_simulation_config
         )
-        result = simulation.run_uniform(injection_rate=0.02, seed=2)
+        result = simulation.run_pattern("uniform", injection_rate=0.02, seed=2)
         summary = result.summary()
         assert summary["packets_delivered"] > 0
         assert summary["bandwidth_gbps_per_core"] >= 0
@@ -162,15 +162,6 @@ class TestFrameworkFacade:
         )
         result = simulation.run_application("blackscholes", rate_scale=0.5, seed=2)
         assert result.packets_generated > 0
-
-    def test_sweep_uniform(self, short_simulation_config):
-        simulation = MultichipSimulation.from_config(
-            small_system_config(Architecture.WIRELESS), short_simulation_config
-        )
-        sweep = simulation.sweep_uniform(loads=[0.005, 0.02], seed=2)
-        assert len(sweep.points) == 2
-        assert sweep.peak_bandwidth_gbps_per_core() > 0
-        assert sweep.sustainable_bandwidth_gbps_per_core() > 0
 
     def test_simulation_config_validation(self):
         with pytest.raises(ValueError):
