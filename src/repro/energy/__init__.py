@@ -2,8 +2,8 @@
 
 The subpackage provides the technology constants of the paper's operating
 point and analytical substitutes for the Cadence/Synopsys characterisations
-the authors used, plus the accountant that turns per-flit events into the
-average-packet-energy metric reported in the evaluation.
+the authors used, plus the accountant that totals a run's energy by
+component for the average-packet-energy metric reported in the evaluation.
 """
 
 from .accounting import EnergyAccountant, EnergyBreakdown

@@ -1,22 +1,25 @@
-"""Per-packet and system-level energy accounting.
+"""System-level energy accounting for one simulation run.
 
 The paper's headline energy metric is the *average packet energy*: "the
 energy consumed to transfer an entire packet from source to destination in
-the multichip system on an average".  The accountant accumulates
+the multichip system on an average".  The accountant accumulates the
+run's totals by component into an :class:`EnergyBreakdown`:
 
 * dynamic energy per flit-hop (switch traversal + link/transceiver energy),
-  attributed to the packet that moved, and
-* static energy (switch leakage, idle/sleeping transceivers), amortised over
-  the packets delivered during the measurement window,
+  which the simulation kernel adds inline and also attributes to the
+  packet that moved;
+* MAC control energy, charged by the wireless fabric;
+* static energy (switch leakage, idle/sleeping transceiver residency),
+  charged once when the run settles.
 
-and reports both components so experiments can include or exclude the static
-share explicitly.
+The per-packet average, with or without the static share, is
+:meth:`repro.noc.stats.SimulationResult.average_packet_energy_pj`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from .technology import DEFAULT_TECHNOLOGY, Technology
 
@@ -74,18 +77,10 @@ class EnergyAccountant:
     ----------
     technology:
         Technology constants (cycle time, per-bit figures).
-    include_static:
-        Whether static energy is amortised into the average packet energy.
-        The paper includes "both dynamic and static power consumption".
     """
 
-    def __init__(
-        self,
-        technology: Technology = DEFAULT_TECHNOLOGY,
-        include_static: bool = True,
-    ) -> None:
+    def __init__(self, technology: Technology = DEFAULT_TECHNOLOGY) -> None:
         self._technology = technology
-        self._include_static = include_static
         self._breakdown = EnergyBreakdown()
 
     @property
@@ -93,27 +88,9 @@ class EnergyAccountant:
         """The running energy totals."""
         return self._breakdown
 
-    @property
-    def include_static(self) -> bool:
-        """Whether static energy is folded into average packet energy."""
-        return self._include_static
-
     # ------------------------------------------------------------------
-    # Dynamic energy events (called by the simulation engine).
+    # Dynamic energy events.
     # ------------------------------------------------------------------
-
-    def record_switch_traversal(self, packet, energy_pj: float) -> None:
-        """One flit traversed one switch."""
-        self._breakdown.switch_dynamic_pj += energy_pj
-        packet.add_energy(energy_pj)
-
-    def record_link_traversal(self, packet, energy_pj: float, wireless: bool) -> None:
-        """One flit traversed one link (wired or wireless)."""
-        if wireless:
-            self._breakdown.wireless_pj += energy_pj
-        else:
-            self._breakdown.link_pj += energy_pj
-        packet.add_energy(energy_pj)
 
     def record_mac_control(self, energy_pj: float) -> None:
         """A MAC control packet (or token) was broadcast."""
@@ -123,47 +100,15 @@ class EnergyAccountant:
     # Static energy (called once when a run finishes).
     # ------------------------------------------------------------------
 
-    def record_static(
-        self,
-        cycles: int,
-        total_switch_static_mw: float,
-        total_transceiver_static_mw: float = 0.0,
-    ) -> None:
-        """Charge static power for ``cycles`` simulated cycles."""
+    def record_static(self, cycles: int, total_switch_static_mw: float) -> None:
+        """Charge switch static power for ``cycles`` simulated cycles."""
         if cycles < 0:
             raise ValueError(f"cycles must be non-negative, got {cycles}")
         seconds = cycles * self._technology.cycle_time_s
         self._breakdown.switch_static_pj += total_switch_static_mw * 1e-3 * seconds * 1e12
-        self._breakdown.transceiver_static_pj += (
-            total_transceiver_static_mw * 1e-3 * seconds * 1e12
-        )
 
     def add_transceiver_static_energy(self, energy_pj: float) -> None:
         """Add pre-integrated transceiver static energy (idle/sleep residency)."""
         if energy_pj < 0:
             raise ValueError(f"energy_pj must be non-negative, got {energy_pj}")
         self._breakdown.transceiver_static_pj += energy_pj
-
-    # ------------------------------------------------------------------
-    # Reporting.
-    # ------------------------------------------------------------------
-
-    def average_packet_energy_pj(
-        self,
-        dynamic_packet_energies_pj,
-        delivered_packets: Optional[int] = None,
-    ) -> float:
-        """Average packet energy over the measurement window [pJ].
-
-        ``dynamic_packet_energies_pj`` is the per-packet dynamic energy of the
-        delivered packets; static energy (if enabled) is spread evenly over
-        ``delivered_packets`` (defaults to the number of energies given).
-        """
-        energies = list(dynamic_packet_energies_pj)
-        if not energies:
-            return 0.0
-        dynamic_avg = sum(energies) / len(energies)
-        if not self._include_static:
-            return dynamic_avg
-        packets = delivered_packets if delivered_packets else len(energies)
-        return dynamic_avg + self._breakdown.static_pj / max(1, packets)

@@ -9,7 +9,6 @@ and an optional wireless fabric with MAC-arbitrated shared channels.
 from .config import NetworkConfig, WirelessConfig
 from .engine import SimulationConfig, SimulationStallError, Simulator
 from .fabric import Fabric, FabricError, WiredFabric, WirelessFabric
-from .flit import Flit, FlitType, flit_type_for
 from .kernel import (
     ActiveSetScheduler,
     DenseScheduler,
@@ -19,8 +18,7 @@ from .kernel import (
 )
 from .link import LinkCharacteristics, WirelessLinkSettings, characterize_link
 from .network import Network, NetworkBuildError
-from .packet import Packet
-from .pool import FlitPool, PacketPool, PacketView
+from .pool import PacketPool, PacketView
 from .port import LOCAL_PORT, WIRELESS_PORT, InputPort, OutputPort
 from .stats import SimulationResult
 from .switch import Switch, SwitchConfigError
@@ -31,9 +29,6 @@ __all__ = [
     "DenseScheduler",
     "Fabric",
     "FabricError",
-    "Flit",
-    "FlitPool",
-    "FlitType",
     "InputPort",
     "KernelInvariantError",
     "LOCAL_PORT",
@@ -42,7 +37,6 @@ __all__ = [
     "NetworkBuildError",
     "NetworkConfig",
     "OutputPort",
-    "Packet",
     "PacketPool",
     "PacketView",
     "Scheduler",
@@ -60,6 +54,5 @@ __all__ = [
     "WirelessFabric",
     "WirelessLinkSettings",
     "characterize_link",
-    "flit_type_for",
     "make_scheduler",
 ]

@@ -50,8 +50,10 @@ __all__ = [
 #: v4: the pickled topology graph carries its link index, the Dijkstra
 #: forests sorted predecessor tuples, and the shortest-path router its
 #: region table and XY-run memo.  v5: the pickled simulation result lost its
-#: metrics mode and streaming accumulators.
-CHECKPOINT_SCHEMA_VERSION = 5
+#: metrics mode and streaming accumulators.  v6: the packet pool lost its
+#: ``ejection_cycle`` and ``flits_ejected`` columns and its flit-pool back
+#: reference, and the energy accountant its static-energy switch.
+CHECKPOINT_SCHEMA_VERSION = 6
 
 
 class CheckpointError(RuntimeError):

@@ -82,6 +82,8 @@ class WirelessConfig:
             raise ValueError("max_control_tuples must be positive")
         if self.tdma_slot_cycles is not None and self.tdma_slot_cycles <= 0:
             raise ValueError("tdma_slot_cycles must be positive")
+        if self.wi_buffer_depth_flits is not None and self.wi_buffer_depth_flits <= 0:
+            raise ValueError("wi_buffer_depth_flits must be positive")
         if self.tdma_guard_cycles < 0:
             raise ValueError("tdma_guard_cycles must be non-negative")
         if (

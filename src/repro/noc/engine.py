@@ -111,10 +111,7 @@ class Simulator:
             network = Network(self.topology, net_config)
         else:
             network.reset()
-        accountant = EnergyAccountant(
-            technology=net_config.technology,
-            include_static=net_config.include_static_energy,
-        )
+        accountant = EnergyAccountant(technology=net_config.technology)
         for fabric in network.fabrics:
             fabric.bind_accountant(accountant)
         if self.instrument is not None:

@@ -32,9 +32,9 @@ integer handles, flits are packed ``(handle, index)`` integers, VC buffers
 are fixed-capacity rings of those integers, and per-packet routes are
 compiled once into dense per-hop output-port tables.  The hot phase bodies
 below inline the ring and pool arithmetic — no flit or packet object is
-created, hashed, or attribute-chased anywhere on the per-flit path.  The
-legacy object API remains at the boundary: traffic delivery callbacks
-receive a :class:`~repro.noc.pool.PacketView`.
+created, hashed, or attribute-chased anywhere on the per-flit path.  Only
+traffic delivery callbacks see an object: a
+:class:`~repro.noc.pool.PacketView` of the delivered packet.
 
 The injection and allocation phase loops are run by a :class:`Scheduler`
 (``run_injection`` / ``run_allocation``), which calls the per-switch
@@ -450,9 +450,9 @@ class KernelState:
             return
         scheduler = self.scheduler
         for vc, flit in due:
-            # Inline VirtualChannel.deliver on the ring.
+            # The send reserved this slot: append the flit to the ring.
             if vc.in_flight <= 0:
-                raise KernelInvariantError("deliver() without a matching reserve()")
+                raise KernelInvariantError("flit arrived at a VC without a matching reservation")
             vc.in_flight -= 1
             count = vc.count
             vc.buf[(vc.head + count) % vc.capacity] = flit
@@ -735,7 +735,7 @@ class KernelState:
                             winner = vc
                             best_rank = rank
                 output.rr_pointer = (winner.ordinal + 1) % rr_modulus
-                # Send the winner's front flit (inline ring pop + reserve).
+                # Send the winner's front flit (ring pop + downstream reservation).
                 target = winner.send_target
                 downstream_switch = winner.downstream_switch
                 head = winner.head
@@ -872,7 +872,6 @@ class KernelState:
         switch_energy = self.switch_energy_pj
         self.breakdown.switch_dynamic_pj += switch_energy
         pool.energy_pj[handle] += switch_energy
-        pool.flits_ejected[handle] += 1
         result = self.result
         result.flits_ejected_total += 1
         if cycle >= self.config.warmup_cycles:
@@ -880,7 +879,6 @@ class KernelState:
         self.last_progress_cycle = cycle
         if not is_tail:
             return
-        pool.ejection_cycle[handle] = cycle
         result.packets_delivered += 1
         if pool.measured[handle]:
             result.packets_delivered_measured += 1

@@ -9,18 +9,13 @@ the upstream switch, the simulator tracks ``in_flight`` reservations on the
 downstream VC itself, which is equivalent and keeps the bookkeeping in one
 place.
 
-The buffer is a fixed-capacity ring of flit handles (see
+The buffer is a fixed-capacity ring of packed flit integers (see
 :mod:`repro.noc.pool`): a preallocated list of ``capacity`` slots plus a
-``head`` cursor and a ``count``.  The simulation kernel inlines the ring
-arithmetic directly (read ``buf[head]``, advance ``head``, bump ``count``)
-so the per-flit hot path never crosses a method boundary; the methods on
-this class are the readable spelling of the same operations, used by unit
-tests and by cold paths (fault recovery, MAC planning).  The ring stores
-whatever it is given — packed integer flit handles from the kernel, or
-legacy :class:`~repro.noc.flit.Flit` objects from the unit tests — because
-it never interprets the stored values except in :meth:`pop`'s tail check,
-which only object flits need (the kernel performs its own pooled tail
-arithmetic before touching the ring).
+``head`` cursor and a ``count``.  The simulation kernel owns every ring
+operation and inlines it (read ``buf[head]``, advance ``head``, bump
+``count``), so the per-flit hot path never crosses a method boundary.  The
+methods here are the cold paths: occupancy, a FIFO snapshot for
+diagnostics, the fault purge, and state resets.
 """
 
 from __future__ import annotations
@@ -72,7 +67,7 @@ class VirtualChannel:
         self.capacity = capacity
         #: Fixed-capacity ring storage; ``buf[head]`` is the front flit,
         #: ``buf[(head + count - 1) % capacity]`` the most recent arrival.
-        self.buf: List[object] = [None] * capacity
+        self.buf: List[Optional[int]] = [None] * capacity
         self.head = 0
         self.count = 0
         #: Flits sent towards this VC but not yet arrived (reserve buffer space).
@@ -108,71 +103,13 @@ class VirtualChannel:
         return self.count + self.in_flight
 
     @property
-    def is_free(self) -> bool:
-        """Whether the VC can be allocated to a new packet."""
-        return self.allocated_packet_id is None and self.count == 0 and self.in_flight == 0
-
-    @property
-    def buffer(self) -> List[object]:
+    def buffer(self) -> List[int]:
         """The buffered flits in FIFO order (a snapshot, not live storage).
 
         Cold-path/diagnostic accessor; the kernel reads the ring directly.
         """
         buf, head, capacity = self.buf, self.head, self.capacity
         return [buf[(head + i) % capacity] for i in range(self.count)]
-
-    def reserve(self, packet_id: int, is_head: bool) -> None:
-        """Reserve space for a flit that has just been sent towards this VC."""
-        if self.count + self.in_flight >= self.capacity:
-            raise KernelInvariantError("reserve() called on a full virtual channel")
-        if is_head:
-            if self.allocated_packet_id is not None and self.allocated_packet_id != packet_id:
-                raise KernelInvariantError(
-                    f"VC already allocated to packet {self.allocated_packet_id}, "
-                    f"cannot accept head of packet {packet_id}"
-                )
-            self.allocated_packet_id = packet_id
-        elif self.allocated_packet_id != packet_id:
-            raise KernelInvariantError(
-                f"body flit of packet {packet_id} sent to VC owned by "
-                f"{self.allocated_packet_id}"
-            )
-        self.in_flight += 1
-
-    def deliver(self, flit) -> None:
-        """A previously reserved flit arrives into the buffer."""
-        if self.in_flight <= 0:
-            raise KernelInvariantError("deliver() without a matching reserve()")
-        self.in_flight -= 1
-        self.buf[(self.head + self.count) % self.capacity] = flit
-        self.count += 1
-        if self.count == 1:
-            self.port.switch.occupied.add(self.ordinal)
-
-    def front(self):
-        """The flit at the head of the buffer, or ``None`` if empty."""
-        return self.buf[self.head] if self.count else None
-
-    def pop(self):
-        """Remove and return the front flit, releasing state on a tail.
-
-        Object-API spelling: the tail check reads ``flit.is_tail``, so it
-        only works for :class:`~repro.noc.flit.Flit` objects.  The kernel
-        inlines the ring pop and performs the tail arithmetic against the
-        packet pool instead.
-        """
-        if not self.count:
-            raise IndexError("pop from an empty virtual channel")
-        head = self.head
-        flit = self.buf[head]
-        self.buf[head] = None
-        self.head = (head + 1) % self.capacity
-        self.count -= 1
-        if not self.count:
-            self.port.switch.occupied.discard(self.ordinal)
-        if flit.is_tail:
-            self.release()
-        return flit
 
     def clear_buffer(self) -> int:
         """Drop every buffered flit (fault purge); returns how many."""

@@ -68,7 +68,11 @@ class TrafficModel(abc.ABC):
         """Packets to inject at the given cycle."""
 
     def on_packet_delivered(self, packet, cycle: int) -> Iterable[TrafficRequest]:
-        """Reaction traffic (e.g. memory replies); default none."""
+        """Reaction traffic (e.g. memory replies); default none.
+
+        ``packet`` is a :class:`~repro.noc.pool.PacketView` of the delivered
+        packet, valid only during this call.
+        """
         return ()
 
     def reset(self) -> None:

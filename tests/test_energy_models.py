@@ -11,21 +11,7 @@ from repro.energy import (
 )
 from repro.energy.technology import DEFAULT_TECHNOLOGY
 from repro.noc.link import characterize_link
-from repro.noc.packet import Packet
 from repro.topology.graph import LinkKind, LinkSpec
-
-
-def _packet():
-    return Packet(
-        packet_id=0,
-        src_endpoint=0,
-        dst_endpoint=1,
-        src_switch=0,
-        dst_switch=1,
-        length_flits=4,
-        generation_cycle=0,
-        route=[0, 1],
-    )
 
 
 class TestWireModel:
@@ -118,33 +104,12 @@ class TestWirelessEnergyModel:
 
 
 class TestEnergyAccountant:
-    def test_dynamic_attribution(self):
-        accountant = EnergyAccountant()
-        packet = _packet()
-        accountant.record_switch_traversal(packet, 1.0)
-        accountant.record_link_traversal(packet, 16.0, wireless=False)
-        accountant.record_link_traversal(packet, 73.6, wireless=True)
-        assert packet.energy_pj == pytest.approx(90.6)
-        assert accountant.breakdown.switch_dynamic_pj == pytest.approx(1.0)
-        assert accountant.breakdown.link_pj == pytest.approx(16.0)
-        assert accountant.breakdown.wireless_pj == pytest.approx(73.6)
-        assert accountant.breakdown.dynamic_pj == pytest.approx(90.6)
-
     def test_static_energy_recording(self):
         accountant = EnergyAccountant()
         accountant.record_static(1000, total_switch_static_mw=10.0)
         assert accountant.breakdown.switch_static_pj > 0
         accountant.add_transceiver_static_energy(500.0)
         assert accountant.breakdown.transceiver_static_pj == pytest.approx(500.0)
-
-    def test_average_packet_energy_with_and_without_static(self):
-        with_static = EnergyAccountant(include_static=True)
-        with_static.record_static(100, total_switch_static_mw=10.0)
-        base = [100.0, 200.0]
-        assert with_static.average_packet_energy_pj(base) > 150.0
-        without = EnergyAccountant(include_static=False)
-        without.record_static(100, total_switch_static_mw=10.0)
-        assert without.average_packet_energy_pj(base) == pytest.approx(150.0)
 
     def test_mac_control_energy_not_attributed_to_packets(self):
         accountant = EnergyAccountant()

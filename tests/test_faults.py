@@ -49,7 +49,6 @@ from repro.faults.recovery import recover_routing
 from repro.faults.plan import FaultPlanError
 from repro.noc.engine import SimulationConfig, Simulator
 from repro.noc.fabric import WiredFabric
-from repro.noc.flit import FlitType
 from repro.routing import RoutingError, ShortestPathRouter
 from repro.routing.validation import find_channel_dependency_cycle
 from repro.testing import small_system_config
@@ -173,31 +172,18 @@ def test_event_validation():
 # ----------------------------------------------------------------------
 
 
-def test_wired_fabric_gate_blocks_heads_only(small_substrate_system):
-    from repro.noc.packet import Packet
-
+def test_wired_fabric_gate_blocks_heads_only():
     fabric = WiredFabric()
-    packet = Packet(
-        packet_id=0,
-        src_endpoint=0,
-        dst_endpoint=1,
-        src_switch=0,
-        dst_switch=1,
-        length_flits=4,
-        generation_cycle=0,
-        route=[0, 1],
-    )
-    head = packet.make_flit(0)
-    body = packet.make_flit(1)
-    assert head.flit_type is FlitType.HEAD
-    assert fabric.grants(0, packet.packet_id, 1, head.is_head)
+    packet_id = 0
+    head, body = True, False
+    assert fabric.grants(0, packet_id, 1, head)
     fabric.fail_link(0, 1)
-    assert not fabric.grants(0, packet.packet_id, 1, head.is_head)
-    assert not fabric.grants(1, packet.packet_id, 0, head.is_head)
+    assert not fabric.grants(0, packet_id, 1, head)
+    assert not fabric.grants(1, packet_id, 0, head)
     # Committed packets drain: body flits still cross the failed link.
-    assert fabric.grants(0, packet.packet_id, 1, body.is_head)
+    assert fabric.grants(0, packet_id, 1, body)
     # Other hops are unaffected.
-    assert fabric.grants(0, packet.packet_id, 2, head.is_head)
+    assert fabric.grants(0, packet_id, 2, head)
 
 
 # ----------------------------------------------------------------------

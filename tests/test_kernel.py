@@ -476,6 +476,36 @@ class TestKernelInvariants:
         with pytest.raises(KernelInvariantError, match="sent to VC owned by -1"):
             _continue(kernel, 400)
 
+    def test_arrival_without_a_reservation(self):
+        kernel = _saturated_kernel(Architecture.INTERPOSER)
+        arrivals = kernel.state.arrivals
+        target, _ = arrivals[min(arrivals)][0]
+        target.in_flight = 0
+        with pytest.raises(KernelInvariantError, match="without a matching reservation"):
+            _continue(kernel, 10)
+
+    def test_head_into_a_vc_owned_by_another_packet(self):
+        """A VC claimed between a head's eligibility scan and its send."""
+        kernel = _saturated_kernel(Architecture.WIRELESS)
+        network = kernel.state.network
+        fabric = next(fabric for fabric in network.fabrics if fabric.is_wireless)
+        grants = fabric.grants
+
+        def grants_then_claim(switch_id, packet_id, downstream_switch, is_head):
+            granted = grants(switch_id, packet_id, downstream_switch, is_head)
+            if granted and is_head:
+                for vc in network.switches[switch_id].vc_list:
+                    target = vc.send_target
+                    if target is not None and target.allocated_packet_id is None:
+                        target.allocated_packet_id = -1
+            return granted
+
+        fabric.grants = grants_then_claim
+        with pytest.raises(
+            KernelInvariantError, match="VC already allocated to packet -1, cannot accept head"
+        ):
+            _continue(kernel, 400)
+
     def test_head_found_off_its_route(self):
         kernel = _saturated_kernel(Architecture.INTERPOSER)
         state = kernel.state

@@ -1,26 +1,11 @@
-"""Unit tests of the simulator building blocks (flits, packets, VCs, links)."""
+"""Unit tests of the simulator building blocks (links, switches, configs)."""
 
 import pytest
 
 from repro.noc.config import NetworkConfig, WirelessConfig
-from repro.noc.flit import FlitType, flit_type_for
 from repro.noc.link import LinkCharacteristics, WirelessLinkSettings, characterize_link
-from repro.noc.packet import Packet
 from repro.noc.switch import Switch
 from repro.topology.graph import LinkKind, LinkSpec, SwitchKind, SwitchSpec
-
-
-def _packet(length=4, route=(0, 1)):
-    return Packet(
-        packet_id=1,
-        src_endpoint=0,
-        dst_endpoint=1,
-        src_switch=route[0],
-        dst_switch=route[-1],
-        length_flits=length,
-        generation_cycle=0,
-        route=list(route),
-    )
 
 
 def _switch(switch_id=0, num_vcs=2, depth=4):
@@ -33,91 +18,6 @@ def _switch(switch_id=0, num_vcs=2, depth=4):
         position_mm=(0.0, 0.0),
     )
     return Switch(spec, num_vcs=num_vcs, buffer_depth=depth)
-
-
-class TestFlitsAndPackets:
-    def test_flit_type_positions(self):
-        assert flit_type_for(0, 4) == FlitType.HEAD
-        assert flit_type_for(1, 4) == FlitType.BODY
-        assert flit_type_for(3, 4) == FlitType.TAIL
-        assert flit_type_for(0, 1) == FlitType.HEAD_TAIL
-
-    def test_flit_type_out_of_range(self):
-        with pytest.raises(ValueError):
-            flit_type_for(4, 4)
-        with pytest.raises(ValueError):
-            flit_type_for(0, 0)
-
-    def test_packet_flit_factory(self):
-        packet = _packet(length=3)
-        head = packet.make_flit(0)
-        tail = packet.make_flit(2)
-        assert head.is_head and not head.is_tail
-        assert tail.is_tail and not tail.is_head
-
-    def test_packet_route_validation(self):
-        with pytest.raises(ValueError):
-            Packet(0, 0, 1, 0, 2, 4, 0, route=[0, 1])
-
-    def test_packet_latency_accounting(self):
-        packet = _packet()
-        assert packet.latency_cycles is None
-        packet.injection_cycle = 5
-        packet.record_ejection(packet.make_flit(3), cycle=50)
-        assert packet.delivered
-        assert packet.latency_cycles == 50
-        assert packet.network_latency_cycles == 45
-        assert packet.hop_count == 1
-
-    def test_next_switch_after(self):
-        packet = _packet(route=(0, 1, 2))
-        assert packet.next_switch_after(0) == 1
-        with pytest.raises(ValueError):
-            packet.next_switch_after(2)
-        with pytest.raises(ValueError):
-            packet.next_switch_after(7)
-
-
-class TestVirtualChannel:
-    def _vc(self, capacity=2):
-        switch = _switch()
-        port = switch.local_input
-        return port.vcs[0]
-
-    def test_reserve_deliver_pop_cycle(self):
-        vc = self._vc()
-        packet = _packet(length=2)
-        head = packet.make_flit(0)
-        tail = packet.make_flit(1)
-        vc.reserve(packet.packet_id, is_head=True)
-        vc.deliver(head)
-        vc.reserve(packet.packet_id, is_head=False)
-        vc.deliver(tail)
-        assert vc.occupancy == 2
-        assert vc.pop() is head
-        assert vc.allocated_packet_id == packet.packet_id
-        assert vc.pop() is tail
-        # Popping the tail releases ownership.
-        assert vc.allocated_packet_id is None
-        assert vc.is_free
-
-    def test_reserve_rejects_foreign_body_flit(self):
-        vc = self._vc()
-        vc.reserve(7, is_head=True)
-        with pytest.raises(RuntimeError):
-            vc.reserve(8, is_head=False)
-
-    def test_deliver_without_reserve_rejected(self):
-        vc = self._vc()
-        with pytest.raises(RuntimeError):
-            vc.deliver(_packet().make_flit(0))
-
-    def test_overfull_reserve_rejected(self):
-        switch = _switch(depth=1)
-        vc = switch.local_input.vcs[0]
-        vc.reserve(1, is_head=True)
-        with pytest.raises(RuntimeError):
-            vc.reserve(1, is_head=False)
 
 
 class TestLinkCharacterisation:

@@ -1,11 +1,9 @@
-"""Array-backed data-plane tests: pools, flit packing, views, handle leaks.
+"""Array-backed data-plane tests: the packet pool and handle leaks.
 
 The pooled core's contract (see :mod:`repro.noc.pool`):
 
-* flit handles pack ``(packet handle, index)`` losslessly and derive
-  head/tail arithmetically;
-* :class:`PacketView` mirrors the legacy ``Packet`` attribute surface over
-  the pooled arrays;
+* pooled records read back exactly as allocated, across pool growth and
+  handle recycling;
 * **no handle ever leaks** — after any run (including faulted runs with
   purged packets), the pool's books (``allocated == freed + live``, free
   list + live = capacity) reconcile exactly with the handles reachable
@@ -33,8 +31,8 @@ from repro.noc.pool import (
     FLIT_INDEX_BITS,
     FLIT_INDEX_MASK,
     MAX_PACKET_LENGTH_FLITS,
-    FlitPool,
     PacketPool,
+    PacketView,
 )
 from repro.noc.stats import SimulationResult
 from repro.testing import small_system_config
@@ -59,24 +57,6 @@ def _alloc(pool, pid=0, length=4, route=(0, 1)):
 
 
 class TestFlitPacking:
-    def test_roundtrip(self):
-        pool = PacketPool()
-        handle = _alloc(pool, length=7)
-        flits = pool.flits
-        for index in range(7):
-            flit = FlitPool.handle(handle, index)
-            assert FlitPool.packet_of(flit) == handle
-            assert FlitPool.index_of(flit) == index
-            assert FlitPool.is_head(flit) == (index == 0)
-            assert flits.is_tail(flit) == (index == 6)
-
-    def test_single_flit_packet_is_head_and_tail(self):
-        pool = PacketPool()
-        handle = _alloc(pool, length=1)
-        flit = FlitPool.handle(handle, 0)
-        assert FlitPool.is_head(flit)
-        assert pool.flits.is_tail(flit)
-
     def test_packing_constants_consistent(self):
         assert FLIT_INDEX_MASK == (1 << FLIT_INDEX_BITS) - 1
         assert MAX_PACKET_LENGTH_FLITS == FLIT_INDEX_MASK + 1
@@ -126,29 +106,27 @@ class TestPacketPoolLifecycle:
         second = _alloc(pool, pid=12)
         assert pool.pid[second] == 12
 
-    def test_view_mirrors_legacy_packet_surface(self):
+    def test_view_reads_the_fields_delivery_callbacks_use(self):
         pool = PacketPool()
-        handle = _alloc(pool, pid=9, length=3, route=(0, 1, 4))
-        view = pool.view(handle)
-        assert view.packet_id == 9
-        assert view.length_flits == 3
-        assert view.route == [0, 1, 4]
-        assert view.hop_count == 2
-        assert view.next_switch_after(1) == 4
-        assert not view.delivered
-        assert view.latency_cycles is None
-        view.add_energy(2.5)
-        view.add_energy(1.5)
-        assert view.energy_pj == 4.0
-        pool.ejection_cycle[handle] = 50
-        pool.injection_cycle[handle] = 5
-        assert view.delivered
-        assert view.latency_cycles == 50
-        assert view.network_latency_cycles == 45
-        with pytest.raises(ValueError):
-            view.next_switch_after(4)
-        with pytest.raises(ValueError):
-            view.next_switch_after(99)
+        _alloc(pool, pid=1)
+        handle = pool.alloc(
+            pid=2,
+            src_endpoint=5,
+            dst_endpoint=9,
+            src_switch=0,
+            dst_switch=1,
+            length_flits=4,
+            generation_cycle=0,
+            route=[0, 1],
+            is_memory_access=True,
+            is_reply=False,
+            measured=True,
+            traffic_class="memory_read",
+        )
+        view = PacketView(pool, handle)
+        assert (view.src_endpoint, view.dst_endpoint) == (5, 9)
+        assert view.is_memory_access and not view.is_reply
+        assert view.traffic_class == "memory_read"
 
 
 #: One pool operation: ``("alloc", length)`` or ``("free", which)`` where
@@ -187,7 +165,7 @@ def _apply_ops(pool, ops):
             )
             live.append(handle)
             expected[handle] = {
-                "packet_id": pid,
+                "pid": pid,
                 "src_endpoint": pid % 7,
                 "dst_endpoint": (pid + 3) % 7,
                 "length_flits": value,
@@ -211,12 +189,10 @@ def test_pool_records_survive_grow_and_recycle(ops):
     expected = _apply_ops(pool, ops)
     assert len(pool.free_list) + pool.live_count == pool.capacity
     for handle, record in expected.items():
-        view = pool.view(handle)
-        for field_name, value in record.items():
-            assert getattr(view, field_name) == value
-        assert view.route == [1, 2]
-        assert view.injection_cycle is None
-        assert view.ejection_cycle is None
+        for column, value in record.items():
+            assert getattr(pool, column)[handle] == value
+        assert pool.route[handle] == [1, 2]
+        assert pool.injection_cycle[handle] is None
 
 
 @settings(max_examples=25, deadline=None)

@@ -320,8 +320,13 @@ def test_system_config_applies_overrides_in_layers():
     assert config.network.wireless.num_channels == 3
 
 
-def test_system_config_constraint_violations_carry_the_entry_path():
-    spec = SystemSpec(architecture="wireless", overrides={"num_chips": -1})
+@pytest.mark.parametrize(
+    "fields",
+    [{"overrides": {"num_chips": -1}}, {"wireless": {"wi_buffer_depth_flits": 0}}],
+    ids=["num_chips", "wi_buffer_depth_flits"],
+)
+def test_system_config_constraint_violations_carry_the_entry_path(fields):
+    spec = SystemSpec(architecture="wireless", **fields)
     with pytest.raises(ScenarioError) as excinfo:
         system_config(spec, index=3)
     assert excinfo.value.path == "systems[3]"
