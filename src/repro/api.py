@@ -11,11 +11,9 @@ package is implementation detail that may move between releases:
   built-in name or parsed :class:`~repro.scenario.ScenarioSpec`) into its
   ordered task list without running anything.
 
-Plus two constructors shared by the CLI, the fuzzer and the tests:
+Plus one constructor shared by the CLI, the benchmarks and the tests:
 :func:`make_runner` (a configured
-:class:`~repro.parallel.runner.ExperimentRunner`) and
-:func:`build_simulator` (one task's fully wired, not-yet-run
-:class:`~repro.noc.engine.Simulator`, for instrumentation).
+:class:`~repro.parallel.runner.ExperimentRunner`).
 
 Imports inside the functions are deliberate: the facade sits at the top of
 the package and must stay importable without dragging in the scenario
@@ -29,12 +27,10 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .metrics.saturation import LoadPointSummary
-    from .noc.engine import Simulator
     from .parallel.runner import ExperimentRunner, SimulationTask
     from .scenario import ScenarioSpec
 
 __all__ = [
-    "build_simulator",
     "compile_scenario",
     "make_runner",
     "resolve_scenario",
@@ -75,19 +71,6 @@ def make_runner(
         checkpoint_every_cycles=checkpoint_every_cycles,
         checkpoint_dir=checkpoint_dir,
     )
-
-
-def build_simulator(task: "SimulationTask", profile: bool = False) -> "Simulator":
-    """Build (but do not run) the fully wired simulator of one task.
-
-    Exposed for instrumentation (``Simulator.instrument``,
-    ``Simulator.checkpoint_sink``): the scenario fuzzer and the wireless
-    plane tests attach probes here and still run bit-identically to the
-    production path, because :func:`run` uses the same constructor.
-    """
-    from .parallel.runner import task_simulator
-
-    return task_simulator(task, profile=profile)
 
 
 def run(

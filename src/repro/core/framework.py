@@ -68,13 +68,12 @@ class MultichipSimulation:
     ) -> Simulator:
         """Build (but do not run) one simulator for an arbitrary traffic model.
 
-        This is the single simulator-construction path behind every run
-        method, exposed so callers that need the un-run engine — the
-        scenario fuzzer instruments the wireless fabric through
-        :attr:`Simulator.instrument` before running — share it bit for bit
-        with the normal ``run_*`` entry points.  ``fault_plan`` optionally
-        injects a deterministic fault schedule (see :mod:`repro.faults`);
-        ``None`` or an empty plan runs the pristine fabric.
+        This is the single simulator-construction path, behind the
+        ``run_*`` methods and the runner's
+        :func:`~repro.parallel.runner.task_simulator` alike.  ``fault_plan``
+        optionally injects a deterministic fault schedule (see
+        :mod:`repro.faults`); ``None`` or an empty plan runs the pristine
+        fabric.
         """
         return Simulator(
             topology=self.system.topology,

@@ -15,17 +15,18 @@ task through the parallel runner and the result cache (task schema v4 keys
 the MAC override), so the whole study parallelises and re-runs
 incrementally like every other figure.
 
-Besides the throughput/latency/energy comparison, the study checks the
-wireless plane's **per-channel energy attribution**: for every task the
-per-channel components carried in the cached summary must sum exactly to
-the aggregate :class:`~repro.energy.accounting.EnergyBreakdown` shares
-(``wireless_pj``, ``mac_control_pj``, ``transceiver_static_pj``).  A task
-that fails to reconcile fails the experiment loudly.
+Besides the throughput/latency/energy comparison, the report states that
+the wireless plane's **per-channel energy attribution** reconciles: the
+per-channel components sum to the aggregate
+:class:`~repro.energy.accounting.EnergyBreakdown` shares (``wireless_pj``,
+``mac_control_pj``, ``transceiver_static_pj``).  Every run checks this when
+it settles and every cache read checks it again
+(:func:`repro.noc.stats.channel_energy_mismatches`), so a study that
+completes has reconciled on all its combinations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -33,13 +34,6 @@ from ..metrics.report import format_heading, format_table
 from ..metrics.saturation import LoadPointSummary
 from ..parallel.runner import ExperimentRunner
 from .common import preset_label, run_builtin
-
-#: Relative tolerance of the per-channel energy reconciliation.  The
-#: components are sums of identical float terms accumulated in a different
-#: order than the aggregate, so exact equality is not guaranteed — but
-#: anything beyond rounding noise is an attribution bug.
-RECONCILE_REL_TOL = 1e-9
-
 
 #: One study combination: (system label, mac, channels, load).
 StudyKey = Tuple[str, str, int, float]
@@ -55,9 +49,6 @@ class Fig8Result:
     loads: List[float]
     pattern: str = "uniform"
     points: Dict[StudyKey, LoadPointSummary] = field(default_factory=dict)
-    #: Combinations whose per-channel energy failed to reconcile (must be
-    #: empty; kept for the report and the tests).
-    reconciliation_failures: List[StudyKey] = field(default_factory=list)
 
     def rows(self) -> List[List[object]]:
         """One row per combination, grouped by system / MAC / channels."""
@@ -95,36 +86,6 @@ class Fig8Result:
             raise KeyError(f"no study points for system {system!r}")
         return best
 
-    @property
-    def reconciled(self) -> bool:
-        """Whether every combination's channel energy summed to the aggregate."""
-        return not self.reconciliation_failures
-
-
-def _check_reconciliation(point: LoadPointSummary) -> bool:
-    """Per-channel components must sum to the aggregate breakdown shares."""
-    sums = {"wireless_pj": 0.0, "mac_control_pj": 0.0, "transceiver_static_pj": 0.0}
-    for components in point.channel_energy_pj.values():
-        for name in sums:
-            sums[name] += components.get(name, 0.0)
-    return (
-        math.isclose(
-            sums["wireless_pj"], point.wireless_energy_pj, rel_tol=RECONCILE_REL_TOL, abs_tol=1e-6
-        )
-        and math.isclose(
-            sums["mac_control_pj"],
-            point.mac_control_energy_pj,
-            rel_tol=RECONCILE_REL_TOL,
-            abs_tol=1e-6,
-        )
-        and math.isclose(
-            sums["transceiver_static_pj"],
-            point.transceiver_static_energy_pj,
-            rel_tol=RECONCILE_REL_TOL,
-            abs_tol=1e-6,
-        )
-    )
-
 
 def run(
     fidelity: str = "default",
@@ -150,17 +111,7 @@ def run(
     for task in tasks:
         channels = task.config.network.wireless.num_channels
         key = (preset_label(task.config), task.mac, channels, task.load)
-        point = summaries[task]
-        study.points[key] = point
-        if not _check_reconciliation(point):
-            study.reconciliation_failures.append(key)
-    if study.reconciliation_failures:
-        broken = ", ".join(map(str, study.reconciliation_failures[:5]))
-        raise AssertionError(
-            "per-channel energy does not reconcile with the aggregate "
-            f"EnergyBreakdown for {len(study.reconciliation_failures)} "
-            f"combination(s), e.g. {broken}"
-        )
+        study.points[key] = summaries[task]
     return study
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Mapping, Tuple
 
-from ..noc.stats import SimulationResult
+from ..noc.stats import SimulationResult, channel_energy_mismatches
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,9 @@ class LoadPointSummary:
     packets_dropped_unroutable: int = 0
     partitions_reported: int = 0
     # Wireless-plane energy attribution (all zero/empty on wired runs;
-    # carried through the result cache so the fig8 MAC study can report —
-    # and reconcile — per-channel energy from cached points).  Channel ids
-    # are stored as strings because the payload round-trips through JSON.
+    # carried through the result cache so the fig8 MAC study can report
+    # per-channel energy from cached points).  Channel ids are stored as
+    # strings because the payload round-trips through JSON.
     wireless_energy_pj: float = 0.0
     mac_control_energy_pj: float = 0.0
     transceiver_static_energy_pj: float = 0.0
@@ -107,7 +107,8 @@ class LoadPointSummary:
 
         Unknown keys are ignored, so entries written by older versions
         that stored extra provenance fields stay readable.  A known field
-        of the wrong type raises :class:`ValueError` (a missing one,
+        of the wrong type, or per-channel energy that does not reconcile
+        with its aggregates, raises :class:`ValueError` (a missing field,
         :class:`TypeError`), so the runner reads a damaged cache entry as
         a miss instead of serving it.
         """
@@ -122,7 +123,16 @@ class LoadPointSummary:
             else:
                 continue
             values[name] = value
-        return cls(**values)
+        summary = cls(**values)
+        mismatches = channel_energy_mismatches(
+            summary.channel_energy_pj,
+            summary.wireless_energy_pj,
+            summary.mac_control_energy_pj,
+            summary.transceiver_static_energy_pj,
+        )
+        if mismatches:
+            raise ValueError("per-channel energy does not reconcile: " + "; ".join(mismatches))
+        return summary
 
 
 #: Exact types a numeric field accepts: ``bool`` is an ``int`` subclass but

@@ -52,8 +52,10 @@ __all__ = [
 #: region table and XY-run memo.  v5: the pickled simulation result lost its
 #: metrics mode and streaming accumulators.  v6: the packet pool lost its
 #: ``ejection_cycle`` and ``flits_ejected`` columns and its flit-pool back
-#: reference, and the energy accountant its static-energy switch.
-CHECKPOINT_SCHEMA_VERSION = 6
+#: reference, and the energy accountant its static-energy switch.  v7: the
+#: wireless fabric keeps each channel's latest (cycle, sender), and the
+#: kernel state and simulation result lost their ``stalled`` flags.
+CHECKPOINT_SCHEMA_VERSION = 7
 
 
 class CheckpointError(RuntimeError):

@@ -8,7 +8,8 @@ kernel execution: building the :class:`~repro.noc.network.Network` (or
 resetting the one it was handed), binding the fabrics to the run's
 :class:`~repro.energy.EnergyAccountant`, and settling the end-of-run
 accounting (static energy, fabric statistics, wall-clock self-throughput)
-into the :class:`SimulationResult`.
+into the :class:`SimulationResult`, whose books it checks before
+returning them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .kernel import (
     SimulationStallError,
 )
 from .network import Network
-from .stats import SimulationResult
+from .stats import SimulationResult, channel_energy_mismatches
+from .virtual_channel import KernelInvariantError
 
 __all__ = [
     "SCHEDULERS",
@@ -71,13 +73,6 @@ class Simulator:
         #: keeps across tasks.  It is reset to its as-built state before the
         #: run.  ``None`` (the default) builds a fresh network for every run.
         self.network: Optional[Network] = None
-        #: Optional instrumentation hook called with the run's new or reset
-        #: :class:`~repro.noc.network.Network` after the fabrics are bound
-        #: to the energy accountant and before the kernel is constructed —
-        #: the one safe window to wrap fabric callbacks (the MAC
-        #: grant-exclusivity probes of the scenario fuzzer and the wireless
-        #: plane tests).  ``None`` (the default) leaves the run untouched.
-        self.instrument = None
         #: Optional checkpoint consumer: a callable receiving a
         #: :class:`~repro.noc.checkpoint.KernelCheckpoint` every
         #: ``simulation_config.checkpoint_every_cycles`` executed cycles
@@ -114,8 +109,6 @@ class Simulator:
         accountant = EnergyAccountant(technology=net_config.technology)
         for fabric in network.fabrics:
             fabric.bind_accountant(accountant)
-        if self.instrument is not None:
-            self.instrument(network)
 
         result = SimulationResult(
             cycles=config.cycles,
@@ -180,7 +173,10 @@ class Simulator:
 
         Shared by the fresh and the resumed path: on a resume the network,
         accountant and result objects come out of the checkpoint, not out
-        of this simulator's constructor arguments.
+        of this simulator's constructor arguments.  Every run ends by
+        checking the settled books: flit conservation and the per-channel
+        energy reconciliation; a violation raises
+        :class:`~repro.noc.virtual_channel.KernelInvariantError`.
         """
         config = state.config
         result = state.result
@@ -197,7 +193,28 @@ class Simulator:
             fabric.finalize(result, accountant)
 
         result.energy = accountant.breakdown
-        result.stalled = state.stalled
+        accounted = (
+            result.flits_ejected_total
+            + result.flits_residual_end
+            + result.flits_dropped_unroutable
+        )
+        if result.flits_injected != accounted:
+            raise KernelInvariantError(
+                f"flit conservation broken: injected {result.flits_injected} "
+                f"!= ejected {result.flits_ejected_total} "
+                f"+ residual {result.flits_residual_end} "
+                f"+ dropped {result.flits_dropped_unroutable}"
+            )
+        mismatches = channel_energy_mismatches(
+            result.channel_energy_pj,
+            result.energy.wireless_pj,
+            result.energy.mac_control_pj,
+            result.energy.transceiver_static_pj,
+        )
+        if mismatches:
+            raise KernelInvariantError(
+                "per-channel energy does not reconcile: " + "; ".join(mismatches)
+            )
         if result.num_cores and config.cycles:
             result.offered_load_packets_per_core_per_cycle = result.packets_offered / (
                 result.num_cores * config.cycles

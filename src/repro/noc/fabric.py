@@ -52,6 +52,7 @@ from ..wireless.mac import (
 from ..wireless.transceiver import Transceiver, TransceiverSpec, TransceiverState
 from .pool import FLIT_INDEX_BITS, FLIT_INDEX_MASK, PacketPool
 from .port import InputPort, OutputPort
+from .virtual_channel import KernelInvariantError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import NetworkConfig
@@ -260,6 +261,11 @@ class WirelessFabric(Fabric, MacDataPlane):
         self._channel_control_pj: Dict[int, float] = {
             mac.channel_id: 0.0 for mac in self.macs
         }
+        #: Per channel, the (cycle, WI) of its latest send: the one-
+        #: transmitter-per-channel-per-cycle check of :meth:`notify_sent`.
+        self._last_send: Dict[int, Tuple[int, int]] = {
+            mac.channel_id: (-1, -1) for mac in self.macs
+        }
 
     # ------------------------------------------------------------------
     # MacDataPlane interface (the hot path the MAC protocols read).
@@ -449,11 +455,24 @@ class WirelessFabric(Fabric, MacDataPlane):
         is_tail: bool,
         cycle: int,
     ) -> None:
-        """Notify the owning MAC that a flit went on the air."""
+        """Notify the owning MAC that a flit went on the air.
+
+        Raises :class:`~repro.noc.virtual_channel.KernelInvariantError` when
+        another WI already sent on the same channel in this cycle.
+        """
         self._flit_hops += 1
         mac = self._mac_of.get(src_switch_id)
         if mac is not None:
-            self._channel_flit_hops[mac.channel_id] += 1
+            channel_id = mac.channel_id
+            self._channel_flit_hops[channel_id] += 1
+            last_cycle, last_sender = self._last_send[channel_id]
+            if last_cycle != cycle:
+                self._last_send[channel_id] = (cycle, src_switch_id)
+            elif last_sender != src_switch_id:
+                raise KernelInvariantError(
+                    f"two transmitters on channel {channel_id} in cycle {cycle}: "
+                    f"WI {last_sender} and WI {src_switch_id}"
+                )
             mac.notify_sent(src_switch_id, packet_id, dst_switch_id, is_tail, cycle)
 
     def finalize(self, result: "SimulationResult", accountant: EnergyAccountant) -> None:
@@ -484,7 +503,7 @@ class WirelessFabric(Fabric, MacDataPlane):
         to its aggregate in the run's
         :class:`~repro.energy.accounting.EnergyBreakdown` (``wireless_pj``,
         ``mac_control_pj``, ``transceiver_static_pj``) — the reconciliation
-        the fig8 experiment and the wireless-plane tests assert.
+        every run checks when it settles.
         """
         cycle_time = self._config.technology.cycle_time_s
         channel_static: Dict[int, float] = {mac.channel_id: 0.0 for mac in self.macs}

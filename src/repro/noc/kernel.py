@@ -58,7 +58,10 @@ its output port and downstream input port once, claims a free VC there, and
 the body flits behind it reuse that downstream VC (``send_target``) until
 the tail leaves.  Any inconsistency in this state — a flit delivered
 without a reservation, a VC handed to two packets, a head off its route —
-raises :class:`~repro.noc.virtual_channel.KernelInvariantError`.
+raises :class:`~repro.noc.virtual_channel.KernelInvariantError`, as do a
+second transmitter on a wireless channel in one cycle (checked by the
+wireless fabric) and broken end-of-run books (flit conservation, energy
+reconciliation; checked when :class:`~repro.noc.engine.Simulator` settles).
 
 A watchdog aborts the run if no flit makes progress for a configurable
 number of cycles while traffic is still in flight, so routing or protocol
@@ -106,7 +109,6 @@ class SimulationConfig:
     warmup_cycles: int = 300
     watchdog_cycles: int = 4000
     max_source_queue_packets: int = 16
-    raise_on_stall: bool = True
     #: Per-cycle work-list strategy: ``"active"`` (wake sets, the default)
     #: or ``"dense"`` (visit every switch every cycle, the reference
     #: behaviour of the original engine).  Results are bit-identical.
@@ -410,7 +412,6 @@ class KernelState:
         self.scheduler = scheduler
         self.pool = PacketPool()
         self.cycle = 0
-        self.stalled = False
         self.last_progress_cycle = 0
         #: Progress level at the last traffic-phase-change watchdog anchor.
         #: Lives on the state (not as a run-loop local) so a checkpointed
@@ -919,13 +920,10 @@ class KernelState:
         if not in_flight:
             self.last_progress_cycle = cycle
             return
-        message = (
+        raise SimulationStallError(
             f"no flit progress for {self.config.watchdog_cycles} cycles at cycle "
             f"{cycle} with traffic still in flight (possible deadlock)"
         )
-        if self.config.raise_on_stall:
-            raise SimulationStallError(message)
-        self.stalled = True
 
 
 # ----------------------------------------------------------------------
@@ -1144,8 +1142,6 @@ class SimulationKernel:
                     state.anchor_watchdog(cycle)
                     state.anchored_progress = state.last_progress_cycle
             state.check_watchdog(cycle)
-            if state.stalled:
-                break
             if every and (cycle + 1) % every == 0 and cycle + 1 < config.cycles:
                 checkpoint_hook(self.snapshot())
         return state

@@ -4,15 +4,53 @@ The paper evaluates three quantities (Section IV): peak achievable bandwidth
 per core, average packet energy and average packet latency.  A
 :class:`SimulationResult` captures one run's raw counters and provides those
 metrics as methods, so experiments and tests compute them the same way.
+:func:`channel_energy_mismatches` is the one per-channel energy
+reconciliation, shared by the end of every run and the result cache.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..energy.accounting import EnergyBreakdown
 from ..energy.technology import CLOCK_FREQUENCY_HZ, FLIT_WIDTH_BITS
+
+#: Tolerances of the per-channel energy reconciliation.  The channel
+#: components sum the same float terms as their aggregates, in another
+#: order, so exact equality is not guaranteed — but anything beyond
+#: rounding noise is an attribution bug.
+RECONCILE_REL_TOL = 1e-9
+RECONCILE_ABS_TOL = 1e-6
+
+
+def channel_energy_mismatches(
+    channel_energy: Mapping[object, Mapping[str, float]],
+    wireless_pj: float,
+    mac_control_pj: float,
+    transceiver_static_pj: float,
+) -> List[str]:
+    """How a per-channel energy attribution misses its aggregate shares.
+
+    Each component of ``channel_energy`` (``{channel: {component: pJ}}``),
+    summed over the channels, must equal its aggregate in the run's
+    :class:`~repro.energy.accounting.EnergyBreakdown` to rounding.  Returns
+    one description per component that does not; an empty list means the
+    attribution reconciles.
+    """
+    mismatches = []
+    for name, aggregate in (
+        ("wireless_pj", wireless_pj),
+        ("mac_control_pj", mac_control_pj),
+        ("transceiver_static_pj", transceiver_static_pj),
+    ):
+        total = sum(components.get(name, 0.0) for components in channel_energy.values())
+        if not math.isclose(
+            total, aggregate, rel_tol=RECONCILE_REL_TOL, abs_tol=RECONCILE_ABS_TOL
+        ):
+            mismatches.append(f"sum({name}) = {total!r} vs aggregate {aggregate!r}")
+    return mismatches
 
 
 @dataclass
@@ -48,11 +86,10 @@ class SimulationResult:
     mac_statistics: Dict[int, Dict[str, int]] = field(default_factory=dict)
     #: Per-wireless-channel energy attribution [pJ] (empty on wired runs):
     #: ``{channel_id: {wireless_pj, mac_control_pj, transceiver_static_pj}}``.
-    #: Each component sums exactly to its aggregate in ``energy`` — see
-    #: :meth:`repro.noc.fabric.WirelessFabric.channel_energy_breakdown`.
+    #: Each component sums to its aggregate in ``energy`` (checked at the
+    #: end of every run by :func:`channel_energy_mismatches`).
     channel_energy_pj: Dict[int, Dict[str, float]] = field(default_factory=dict)
     transceiver_sleep_fraction: float = 0.0
-    stalled: bool = False
     offered_load_packets_per_core_per_cycle: float = 0.0
 
     # Fault injection and resilience (all zero on fault-free runs).
@@ -75,7 +112,8 @@ class SimulationResult:
     tree_fallback_recoveries: int = 0
     #: Flits still buffered or in flight when the run ended (conservation:
     #: ``flits_injected == flits_ejected_total + flits_residual_end +
-    #: flits_dropped_unroutable`` holds for every run, faulted or not).
+    #: flits_dropped_unroutable`` is checked at the end of every run,
+    #: faulted or not).
     flits_residual_end: int = 0
     #: Wall-clock duration of the kernel loop [s] — the simulator's own
     #: cost, not a property of the simulated system, so it is excluded

@@ -27,12 +27,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class KernelInvariantError(RuntimeError):
-    """A flow-control or routing invariant of the kernel was violated.
+    """An invariant of the simulation run was violated.
 
     Raised when VC ownership, reservation or per-packet routing state is
     inconsistent (a flit delivered without a reservation, a VC handed to
-    two packets, a head flit at a switch off its route).  These never
-    happen on a healthy run, so one means a kernel bug or corrupted state.
+    two packets, a head flit at a switch off its route), when two WIs
+    transmit on one wireless channel in the same cycle, and when a run's
+    books do not settle (flit conservation, per-channel energy
+    reconciliation).  These never happen on a healthy run, so one means a
+    kernel bug or corrupted state.
     """
 
 

@@ -359,10 +359,9 @@ def task_simulator(task: SimulationTask, profile: bool = False):
     :class:`BuildMemo`, the fault plan (if any) is derived from the task
     seed, and the traffic model is resolved through the traffic registry —
     exactly as a figure run would.  The simulator builds a fresh network
-    when run; :func:`execute_task` hands it a memoised one instead.
-    Exposed so the scenario fuzzer battery can attach instrumentation (the
-    MAC grant-exclusivity probe) via ``Simulator.instrument`` and still run
-    bit-identically to the production path.
+    when run; :func:`execute_task` hands it a memoised one instead.  The
+    scenario fuzzer runs it directly to read counters the cached summary
+    does not carry.
     """
     system = _BUILD_MEMO.system(task.effective_config())
     simulation = framework.MultichipSimulation(

@@ -9,18 +9,22 @@ document the validator rejects is a generator bug, and the test suite
 asserts it never happens.
 
 Each compiled task runs through the production simulator-construction
-path (:func:`repro.parallel.runner.task_simulator`) with a MAC
-grant-exclusivity probe attached through ``Simulator.instrument``, and
-must uphold the four kernel invariants:
+path (:func:`repro.parallel.runner.task_simulator`).  The invariants are
+checked inside every simulation, fuzzed or not, so the battery only has to
+run the task and report what the run raised:
 
 1. **Flit conservation** — ``flits_injected == flits_ejected_total +
-   flits_residual_end + flits_dropped_unroutable``, faulted or not.
+   flits_residual_end + flits_dropped_unroutable``, faulted or not, checked
+   when the run settles.
 2. **Deadlock freedom** — the run completes without tripping the progress
-   watchdog (``SimulationStallError`` / ``result.stalled``).
+   watchdog (``SimulationStallError``).
 3. **MAC exclusivity** — per wireless channel, at most one WI transmits
-   in any cycle, for every protocol and channel count.
+   in any cycle, checked by the wireless fabric on every send.
 4. **Energy reconciliation** — the per-channel energy attribution sums
-   exactly (to rounding) to the aggregate breakdown shares.
+   to the aggregate breakdown shares (to rounding), checked when the run
+   settles.
+
+A stall or a ``KernelInvariantError`` becomes an :class:`InvariantViolation`.
 
 ``python -m repro.scenario.fuzz --count 25`` runs a fixed-seed batch (the
 CI smoke job); on a violation the offending document is dumped as JSON so
@@ -31,11 +35,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults.scenarios import available_fault_scenarios
+from ..noc import KernelInvariantError, SimulationStallError
+from ..parallel.runner import task_simulator
 from ..traffic.applications import APPLICATION_PROFILES
 from ..traffic.registry import available_patterns
 from ..traffic.rng import derive_seed, make_rng
@@ -56,10 +61,6 @@ __all__ = [
 #: Base seed of the CI smoke batch — fixed so every run fuzzes the same
 #: 25 documents and a failure is reproducible from the log alone.
 DEFAULT_BATTERY_SEED = 2017
-
-#: Relative tolerance of the energy reconciliation (matches fig8's).
-_RECONCILE_REL_TOL = 1e-9
-_RECONCILE_ABS_TOL = 1e-6
 
 
 class InvariantViolation(AssertionError):
@@ -161,93 +162,27 @@ def random_scenario(seed: int) -> Dict[str, object]:
 
 
 def check_task(task, scenario: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    """Run one compiled task and assert all four kernel invariants.
+    """Run one compiled task, whose run checks all four kernel invariants.
 
-    Returns a small stats dict on success; raises
-    :class:`InvariantViolation` listing every broken invariant otherwise.
+    Returns a small stats dict on success; a stall or a broken invariant
+    raises :class:`InvariantViolation` carrying ``scenario`` (or a stub
+    named after the task) for the replayable artifact.
     """
-    from ..api import build_simulator
-    from ..noc.engine import SimulationStallError
-
-    simulator = build_simulator(task)
-    observed: Dict[object, set] = {}
-
-    def instrument(network) -> None:
-        fabric = network.wireless_fabric
-        if fabric is None:
-            return
-        original = fabric.notify_sent
-
-        def probe(src, pid, dst, is_tail, cycle):
-            channel = fabric._mac_of[src].channel_id
-            observed.setdefault((cycle, channel), set()).add(src)
-            original(src, pid, dst, is_tail, cycle)
-
-        fabric.notify_sent = probe
-
-    simulator.instrument = instrument
-    raw = scenario if scenario is not None else {"name": task.label}
     try:
-        result = simulator.run()
+        result = task_simulator(task).run()
     except SimulationStallError as error:
-        raise InvariantViolation(raw, task.label, [f"deadlock: {error}"]) from None
-
-    failures: List[str] = []
-
-    accounted = (
-        result.flits_ejected_total
-        + result.flits_residual_end
-        + result.flits_dropped_unroutable
-    )
-    if result.flits_injected != accounted:
-        failures.append(
-            "flit conservation broken: injected "
-            f"{result.flits_injected} != ejected {result.flits_ejected_total} "
-            f"+ residual {result.flits_residual_end} "
-            f"+ dropped {result.flits_dropped_unroutable}"
-        )
-
-    if result.stalled:
-        failures.append("deadlock: kernel flagged a stall (no flit progress)")
-
-    overlaps = {key: senders for key, senders in observed.items() if len(senders) > 1}
-    if overlaps:
-        sample = sorted(overlaps)[:3]
-        failures.append(
-            f"MAC exclusivity broken on {len(overlaps)} (cycle, channel) "
-            f"slots, e.g. {sample}"
-        )
-
-    breakdown = result.channel_energy_pj
-    totals = {"wireless_pj": 0.0, "mac_control_pj": 0.0, "transceiver_static_pj": 0.0}
-    for components in breakdown.values():
-        for name in totals:
-            totals[name] += components.get(name, 0.0)
-    aggregate = {
-        "wireless_pj": result.energy.wireless_pj,
-        "mac_control_pj": result.energy.mac_control_pj,
-        "transceiver_static_pj": result.energy.transceiver_static_pj,
-    }
-    for name, total in totals.items():
-        if not math.isclose(
-            total,
-            aggregate[name],
-            rel_tol=_RECONCILE_REL_TOL,
-            abs_tol=_RECONCILE_ABS_TOL,
-        ):
-            failures.append(
-                f"channel energy does not reconcile: sum({name}) = {total} "
-                f"vs aggregate {aggregate[name]}"
-            )
-
-    if failures:
-        raise InvariantViolation(raw, task.label, failures)
-    return {
-        "task": task.label,
-        "packets_delivered": result.packets_delivered,
-        "flits_injected": result.flits_injected,
-        "wireless_grants": len(observed),
-    }
+        failure = f"deadlock: {error}"
+    except KernelInvariantError as error:
+        failure = f"kernel invariant: {error}"
+    else:
+        return {
+            "task": task.label,
+            "packets_delivered": result.packets_delivered,
+            "flits_injected": result.flits_injected,
+            "wireless_flit_hops": result.wireless_flit_hops,
+        }
+    raw = scenario if scenario is not None else {"name": task.label}
+    raise InvariantViolation(raw, task.label, [failure]) from None
 
 
 def check_scenario(raw: Dict[str, object]) -> Dict[str, object]:
@@ -259,7 +194,7 @@ def check_scenario(raw: Dict[str, object]) -> Dict[str, object]:
         "name": spec.name,
         "tasks": len(tasks),
         "packets_delivered": sum(r["packets_delivered"] for r in reports),
-        "wireless_grants": sum(r["wireless_grants"] for r in reports),
+        "wireless_flit_hops": sum(r["wireless_flit_hops"] for r in reports),
     }
 
 
@@ -310,6 +245,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    if args.count < 1:
+        parser.error("--count must be at least 1")
 
     def progress(index: int, report: Dict[str, object]) -> None:
         print(
@@ -338,10 +275,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"[fuzz] offending scenario dumped to {args.dump}", file=sys.stderr)
         return 1
     delivered = sum(r["packets_delivered"] for r in reports)
-    grants = sum(r["wireless_grants"] for r in reports)
+    wireless = sum(r["wireless_flit_hops"] for r in reports)
     print(
         f"[fuzz] {len(reports)} scenario(s) upheld all four invariants "
-        f"({delivered} packets delivered, {grants} wireless grant slots observed)"
+        f"({delivered} packets delivered, {wireless} wireless flit-hops)"
     )
     return 0
 

@@ -91,12 +91,6 @@ class TestFacadeParity:
         assert api.make_runner(cache_dir=str(tmp_path)).cache is not None
         assert api.make_runner(cache_dir=str(tmp_path), profile=True).cache is None
 
-    def test_build_simulator_is_not_run(self):
-        simulator = api.build_simulator(_task(0.02))
-        # Fully wired but unexecuted: running it yields the same summary.
-        result = simulator.run()
-        assert result.packets_delivered > 0
-
     def test_run_with_checkpointing_round_trips(self, tmp_path):
         task = _task(0.02)
         baseline = api.run(task)

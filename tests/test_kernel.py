@@ -85,7 +85,6 @@ def result_fingerprint(result):
         "energy": result.energy.as_dict(),
         "mac_statistics": result.mac_statistics,
         "sleep_fraction": result.transceiver_sleep_fraction,
-        "stalled": result.stalled,
         "offered_load": result.offered_load_packets_per_core_per_cycle,
     }
 

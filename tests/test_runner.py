@@ -226,16 +226,21 @@ class TestResultCache:
             ("links_failed", None),
             ("channel_energy_pj", []),
             ("channel_energy_pj", {"0": {"data": "1.0"}}),
+            pytest.param(
+                "wireless_energy_pj", lambda pj: pj + 1.0, id="wireless_energy_pj-plus-1pJ"
+            ),
         ],
     )
     def test_wrong_typed_entry_is_a_miss(self, tmp_path, field, value):
-        """A known field of the wrong type recomputes and overwrites the entry."""
+        """A known field of the wrong type, or channel energy that does not
+        reconcile with its aggregate, recomputes and overwrites the entry."""
         _, tasks = _tiny_tasks()
         clean = ExperimentRunner(jobs=1, cache_dir=tmp_path).run(tasks[:1])
         cache = ResultCache(tmp_path)
         key = tasks[0].cache_key()
         entry = cache.get(key)
-        entry["result"][field] = value
+        result = entry["result"]
+        result[field] = value(result[field]) if callable(value) else value
         cache.put(key, entry)
 
         runner = ExperimentRunner(jobs=1, cache_dir=tmp_path)

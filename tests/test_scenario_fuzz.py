@@ -6,7 +6,9 @@ hypothesis drives arbitrary seeds through ``random_scenario`` to check it.
 Second, the battery actually enforces the four invariants (flit
 conservation, deadlock freedom, MAC exclusivity, per-channel energy
 reconciliation) against arbitrary registry combinations: the CI-pinned
-fixed-seed batch must pass, and a doctored result must be *caught*.
+fixed-seed batch must pass, and a doctored kernel must be *caught* — the
+checks run inside every simulation, and the battery turns what a run
+raises into a replayable :class:`InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.noc import WirelessFabric
+from repro.noc.kernel import KernelState
 from repro.scenario import compile_scenario, parse_scenario
 from repro.scenario.fuzz import (
     DEFAULT_BATTERY_SEED,
@@ -99,7 +103,7 @@ def test_battery_rejects_non_positive_counts():
 
 
 def test_check_task_reports_wireless_grants():
-    """The MAC exclusivity probe actually observes wireless grant slots."""
+    """A wireless task reports the flit-hops its exclusivity check covered."""
     raw = {
         "name": "probe",
         "fidelity": {"level": "fast", "cycles": 300, "warmup_cycles": 60},
@@ -117,43 +121,36 @@ def test_check_task_reports_wireless_grants():
     }
     tasks = compile_scenario(parse_scenario(raw))
     report = check_task(tasks[0], scenario=raw)
-    assert report["wireless_grants"] > 0
+    assert report["wireless_flit_hops"] > 0
     assert report["flits_injected"] > 0
 
 
 def test_doctored_conservation_violation_is_caught(monkeypatch):
-    """The battery is not a rubber stamp: a cooked result must fail."""
-    from repro.scenario import fuzz as fuzz_module
-
+    """The battery is not a rubber stamp: a kernel that loses a flit fails."""
     raw = random_scenario(derive_seed(DEFAULT_BATTERY_SEED, "battery", 0))
     tasks = compile_scenario(parse_scenario(raw))
 
-    # The fuzzer builds its simulators through repro.api, which resolves
-    # task_simulator from its home module at call time — patch it there.
-    import repro.parallel.runner as runner_module
-
-    real_task_simulator = runner_module.task_simulator
-
-    class DoctoredSimulator:
-        def __init__(self, task):
-            self._inner = real_task_simulator(task)
-            self.instrument = None
-
-        def run(self):
-            self._inner.instrument = self.instrument
-            result = self._inner.run()
-            result.flits_injected += 7  # break conservation after the fact
-            return result
-
+    residual_flits = KernelState.residual_flits
     monkeypatch.setattr(
-        runner_module,
-        "task_simulator",
-        lambda task, profile=False: DoctoredSimulator(task),
+        KernelState, "residual_flits", lambda state: residual_flits(state) + 1
     )
     with pytest.raises(InvariantViolation) as excinfo:
-        fuzz_module.check_task(tasks[0], scenario=raw)
+        check_task(tasks[0], scenario=raw)
     assert any("flit conservation" in failure for failure in excinfo.value.failures)
     assert excinfo.value.scenario == raw
+
+
+def test_mac_exclusivity_violation_fails_the_cli_with_an_artifact(tmp_path, monkeypatch):
+    """A kernel invariant raised mid-run exits 1 and dumps the document."""
+    from repro.scenario import fuzz as fuzz_module
+
+    monkeypatch.setattr(WirelessFabric, "grants", lambda self, *args: True)
+    dump = tmp_path / "failing.json"
+    exit_code = fuzz_module.main(["--count", "1", "--dump", str(dump)])
+    assert exit_code == 1
+    artifact = json.loads(dump.read_text(encoding="utf-8"))
+    assert any("two transmitters on channel" in f for f in artifact["failures"])
+    parse_scenario(artifact["scenario"])
 
 
 def test_fuzz_cli_dumps_replayable_artifact(tmp_path, monkeypatch, capsys):
@@ -174,6 +171,15 @@ def test_fuzz_cli_dumps_replayable_artifact(tmp_path, monkeypatch, capsys):
     assert artifact["failures"] == ["flit conservation broken: cooked"]
     # The dumped document replays straight through the validator.
     parse_scenario(artifact["scenario"])
+
+
+def test_fuzz_cli_rejects_non_positive_counts(capsys):
+    from repro.scenario import fuzz as fuzz_module
+
+    with pytest.raises(SystemExit) as excinfo:
+        fuzz_module.main(["--count", "0"])
+    assert excinfo.value.code == 2
+    assert "--count must be at least 1" in capsys.readouterr().err
 
 
 def test_fuzz_cli_passes_on_clean_batch(capsys):

@@ -40,7 +40,6 @@ class TestBasicDelivery:
         result = _run(architecture, injection_rate=0.02)
         assert result.packets_delivered > 0
         assert result.flits_ejected_measured > 0
-        assert not result.stalled
 
     def test_flit_conservation(self):
         result = _run(Architecture.WIRELESS, injection_rate=0.02)
