@@ -40,7 +40,7 @@ hops, dead transceivers).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Set, Tuple, TYPE_CHECKING
 
 from ..noc.pool import FLIT_INDEX_BITS, FLIT_INDEX_MASK
 from ..routing.base import BaseRouter, RoutingError
@@ -83,7 +83,6 @@ class FaultInjector:
         self._schedule: Dict[int, List[FaultEvent]] = plan.schedule()
         self._disabled_by_us: Set[int] = set()
         self._penalised_by_us: Set[int] = set()
-        self.last_report: Optional[RecoveryReport] = None
         result.fault_scenario = plan.scenario
         result.fault_rate = plan.fault_rate
 
@@ -224,7 +223,6 @@ class FaultInjector:
 
     def _recover(self, state: "KernelState") -> None:
         provider, report = recover_routing(self.graph, self.base_router)
-        self.last_report = report
         if report.partitioned:
             self.result.partitions_reported += 1
         if report.used_tree_fallback:

@@ -4,20 +4,26 @@ When links die the pre-computed shortest-path routes must be rebuilt around
 them.  This module owns the *analysis* half of that job: connectivity
 (partition detection via BFS over the in-service links), route rebuilding
 (dropping every cached route so Dijkstra recomputes on the degraded graph),
-and — on request — a full deadlock-freedom audit of the recovered route set
+and — on request — a deadlock-freedom audit of the recovered route set
 using the channel-dependency-graph test from
-:mod:`repro.routing.validation`.
+:mod:`repro.routing.validation`.  The audit enumerates the routes
+source-major and tests the routes collected so far at checkpoints that
+double in size (64, 128, 256, ...), stopping at the first dependency
+cycle: a cycle among some of the routes is a cycle of the whole set, so
+the verdict is the one the full set would give.  Only a cycle-free set
+is enumerated in full.
 
 The deadlock argument of the default router rests on XY-ordered intra-chip
 segments; a failed mesh link forces recovered routes off the XY form, and
 the audit regularly finds real dependency cycles in the shortest-path
 recovery set.  :func:`recover_routing` therefore implements the full
-contract: shortest-path recovery is audited, and when a cycle is found the
-route provider falls back to the paper's own spanning-tree scheme
+contract: connected shortest-path recovery is audited, and when a cycle is
+found the route provider falls back to the paper's own spanning-tree scheme
 (Section III-C: deadlock is avoided "along the shortest path routing tree
 ... as it is inherently free of cyclic dependencies") built over the
 in-service links — provably cycle-free, at the cost of concentrating
-traffic on tree links.  The outcome is always one of: verified
+traffic on tree links.  A partition skips the audit, since its verdict
+would not change the provider.  The outcome is always one of: verified
 deadlock-free shortest paths, verified tree fallback, or a reported
 partition.
 """
@@ -45,13 +51,15 @@ class RecoveryReport:
     #: Connected components of the in-service topology, each a sorted list
     #: of switch ids, ordered by their smallest member.
     components: List[List[int]] = field(default_factory=list)
-    #: Whether the deadlock-freedom audit ran (all-pairs route enumeration).
+    #: Whether the deadlock-freedom audit ran (intra-component route
+    #: enumeration, stopped at the first dependency cycle).
     verified: bool = False
     #: Result of the audit (``None`` when it did not run).
     deadlock_free: Optional[bool] = None
     #: The offending channel-dependency cycle, if the audit found one.
     dependency_cycle: Optional[List[Tuple[int, int]]] = None
-    #: Routes the audit rejected as invalid (should stay empty).
+    #: Routes the audit rejected as invalid (should stay empty); after an
+    #: early stop at a cycle, only the pairs enumerated before it.
     invalid_routes: List[Tuple[int, int]] = field(default_factory=list)
     #: Whether recovery switched to the spanning-tree route provider
     #: because the shortest-path recovery set had a dependency cycle.
@@ -107,9 +115,11 @@ def rebuild_routes(
 
     Drops every cached route (so the router recomputes on the degraded
     graph), detects partitions, and — when ``verify_deadlock_freedom`` is
-    set — enumerates every intra-component route, validates it against the
-    in-service topology, and runs the channel-dependency-graph acyclicity
-    test.  The returned report always states one of the three outcomes:
+    set — enumerates the intra-component routes, validates each against
+    the in-service topology, and runs the channel-dependency-graph
+    acyclicity test on the routes so far at doubling checkpoints, stopping
+    at the first cycle; a cycle-free set is enumerated and tested in full.
+    The returned report always states one of the three outcomes:
     connected and verified deadlock-free, connected with a reported
     dependency cycle, or partitioned (with the component list).
     """
@@ -129,6 +139,7 @@ def _rebuild(
         return report
     report.verified = True
     routes = []
+    checkpoint = 64  # routes at the first cycle test; doubles after each
     for component in report.components:
         for src in component:
             for dst in component:
@@ -141,6 +152,13 @@ def _rebuild(
                     report.invalid_routes.append((src, dst))
                     continue
                 routes.append(route)
+                if len(routes) == checkpoint:
+                    # A cycle among some routes is a cycle of the whole set.
+                    report.dependency_cycle = find_channel_dependency_cycle(routes)
+                    if report.dependency_cycle is not None:
+                        report.deadlock_free = False
+                        return report
+                    checkpoint *= 2
     report.dependency_cycle = find_channel_dependency_cycle(routes)
     report.deadlock_free = (
         report.dependency_cycle is None and not report.invalid_routes
@@ -159,11 +177,12 @@ def recover_routing(
     is gone — the XY argument no longer applies), the returned provider is
     a :class:`~repro.routing.SpanningTreeRouter` built over the in-service
     links, whose up-then-down routes are inherently cycle-free.  On a
-    partition no fallback is attempted (per-island traffic keeps its
-    shortest paths; the partition itself is the reported outcome).
+    partition neither the audit nor a fallback runs (per-island traffic
+    keeps its shortest paths; the partition itself is the reported
+    outcome, with ``verified=False`` and ``deadlock_free=None``).
     """
     components = connected_components(topology)
-    report = _rebuild(topology, router, components, verify_deadlock_freedom=True)
+    report = _rebuild(topology, router, components, verify_deadlock_freedom=len(components) == 1)
     if report.partitioned or report.deadlock_free:
         return router, report
     tree = SpanningTreeRouter(topology)

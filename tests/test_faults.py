@@ -11,7 +11,8 @@ Covers the contracts the fault subsystem promises:
   silent drop;
 * recovery either verifies a deadlock-free forwarding state or reports the
   partition / dependency cycle (property-tested over single-link failures
-  on meshes);
+  on meshes); the audit stops at its first cycle with the full route set's
+  verdict, and a partition skips it;
 * faulted runs leave no trace on the shared topology/router (restore);
 * the task schema (v3) carries faults through cache keys and the runner.
 """
@@ -44,6 +45,7 @@ from repro.faults import (
     available_fault_scenarios,
     connected_components,
     create_fault_plan,
+    rebuild_routes,
 )
 from repro.faults.recovery import recover_routing
 from repro.faults.plan import FaultPlanError
@@ -528,6 +530,100 @@ def test_recovered_router_matches_a_fresh_one(label):
     memo_system = runner_module._BUILD_MEMO.system(config)
     assert memo_system.topology.disabled_links == []
     assert _all_routes(memo_system.router, switches) == pristine
+
+
+def _count_route_calls(monkeypatch, router):
+    """Count the router's ``route`` calls from here on; returns the counter."""
+    calls = [0]
+    route = router.route
+
+    def counting(src, dst):
+        calls[0] += 1
+        return route(src, dst)
+
+    monkeypatch.setattr(router, "route", counting)
+    return calls
+
+
+def test_partition_skips_the_deadlock_audit(monkeypatch):
+    """A partition is the recovery outcome, so no route is enumerated for an
+    audit whose verdict could not change the provider."""
+    graph = mesh_graph(3, 2)
+    router = ShortestPathRouter(graph)
+    ids = graph.grid_index()
+    calls = _count_route_calls(monkeypatch, router)
+    try:
+        # Cutting both links into the right-hand column isolates it.
+        for y in range(2):
+            graph.disable_link(graph.find_link(ids[(1, y)], ids[(2, y)]).link_id)
+        provider, report = recover_routing(graph, router)
+    finally:
+        graph.enable_all_links()
+    assert calls[0] == 0
+    assert report.components == [
+        sorted(ids[(x, y)] for x in range(2) for y in range(2)),
+        sorted(ids[(2, y)] for y in range(2)),
+    ]
+    assert provider is router
+    assert report.verified is False
+    assert report.deadlock_free is None
+    assert not report.used_tree_fallback
+
+
+@pytest.mark.parametrize("label", sorted(FIG7_SYSTEMS))
+def test_early_audit_exit_matches_the_full_route_set(label, monkeypatch):
+    """The audit stops at the first dependency cycle with the verdict the full
+    route set gives, reports a real cycle of that set, and routes fewer pairs
+    than the full enumeration whenever it finds one."""
+    system = build_system(FIG7_SYSTEMS[label])
+    graph, router = system.topology, system.router
+    mesh = graph.links_of_kind(LinkKind.MESH)
+    inter = graph.inter_region_links()
+    # Single and double link failures; on the wired systems some partition it.
+    failure_sets = (
+        [mesh[0]],
+        [mesh[len(mesh) // 2]],
+        [inter[-1]],
+        [mesh[1], mesh[len(mesh) // 3]],
+        [inter[0], inter[1]],
+    )
+    calls = _count_route_calls(monkeypatch, router)
+    verdicts = set()
+    for failed in failure_sets:
+        try:
+            for link in failed:
+                graph.disable_link(link.link_id)
+            calls[0] = 0
+            report = rebuild_routes(graph, router, verify_deadlock_freedom=True)
+            audited = calls[0]
+            full = [
+                router.route(src, dst)
+                for component in report.components
+                for src in component
+                for dst in component
+                if src != dst
+            ]
+        finally:
+            graph.enable_all_links()
+            router.clear_cache()
+        assert report.verified and report.invalid_routes == []
+        assert report.deadlock_free == (find_channel_dependency_cycle(full) is None)
+        verdicts.add(report.deadlock_free)
+        if report.deadlock_free:
+            assert report.dependency_cycle is None
+            assert audited == len(full)
+            continue
+        cycle = report.dependency_cycle
+        assert cycle[0] == cycle[-1]
+        triples = {t for route in full for t in zip(route, route[1:], route[2:])}
+        for (a, b), (b2, c) in zip(cycle, cycle[1:]):
+            assert b == b2 and (a, b, c) in triples
+        assert audited < len(full)
+    # Each system exercises an early exit; the wired ones also a full pass
+    # (every wireless set has a cycle, even among its pristine routes).
+    assert False in verdicts
+    if label != "wireless":
+        assert True in verdicts
 
 
 # ----------------------------------------------------------------------
