@@ -52,7 +52,7 @@ from .traffic import (
     UniformRandomTraffic,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "APPLICATION_PROFILES",

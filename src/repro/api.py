@@ -6,7 +6,8 @@ package is implementation detail that may move between releases:
 * :func:`run` — execute one :class:`~repro.parallel.runner.SimulationTask`
   synchronously and return its :class:`~repro.metrics.saturation.LoadPointSummary`.
 * :func:`sweep` — execute many tasks through the parallel runner (worker
-  fan-out, content-hash result cache, optional checkpoint/resume).
+  fan-out, content-hash result cache written as each task finishes, so
+  a killed sweep resumes from the cache when rerun).
 * :func:`compile_scenario` — turn a scenario document (path, mapping,
   built-in name or parsed :class:`~repro.scenario.ScenarioSpec`) into its
   ordered task list without running anything.
@@ -48,8 +49,6 @@ def make_runner(
     cache_dir: Optional[str] = None,
     show_progress: bool = False,
     profile: bool = False,
-    checkpoint_every_cycles: int = 0,
-    checkpoint_dir: Optional[str] = None,
 ) -> "ExperimentRunner":
     """A configured :class:`~repro.parallel.runner.ExperimentRunner`.
 
@@ -58,8 +57,7 @@ def make_runner(
     between entry points.  Caching engages only when ``cache_dir`` is
     given (pass :data:`repro.parallel.runner.DEFAULT_CACHE_DIR` for the
     CLI's default); ``cache_dir=None`` runs uncached, matching a bare
-    ``ExperimentRunner()``.  With both checkpoint knobs set every task is
-    resumable after a crash (see :func:`run`).
+    ``ExperimentRunner()``.
     """
     from .parallel.runner import ExperimentRunner
 
@@ -68,34 +66,15 @@ def make_runner(
         cache_dir=cache_dir,
         show_progress=show_progress,
         profile=profile,
-        checkpoint_every_cycles=checkpoint_every_cycles,
-        checkpoint_dir=checkpoint_dir,
     )
 
 
-def run(
-    task: "SimulationTask",
-    profile: bool = False,
-    checkpoint_every: int = 0,
-    checkpoint_dir: str = "",
-) -> "LoadPointSummary":
-    """Execute one task synchronously and summarise the run.
-
-    With both checkpoint knobs set the run persists resumable kernel
-    checkpoints every N cycles and resumes from a leftover checkpoint of
-    an interrupted earlier attempt — bit-identically to an uninterrupted
-    run (see ``tests/test_checkpoint.py``).
-    """
+def run(task: "SimulationTask", profile: bool = False) -> "LoadPointSummary":
+    """Execute one task synchronously and summarise the run, uncached."""
     from .metrics.saturation import LoadPointSummary
     from .parallel.runner import execute_task
 
-    payload = execute_task(
-        task,
-        profile=profile,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-    )
-    return LoadPointSummary.from_dict(payload)
+    return LoadPointSummary.from_dict(execute_task(task, profile=profile))
 
 
 def sweep(
@@ -106,7 +85,9 @@ def sweep(
     """Execute many tasks through the parallel runner.
 
     Results are keyed by task and bit-identical at any job count; cached
-    results are served without re-simulation.  Pass a pre-configured
+    results are served without re-simulation.  With a cache, each task's
+    entry is written as the task finishes, so rerunning a killed sweep
+    simulates only the tasks that had not finished.  Pass a pre-configured
     ``runner`` to share its cache counters across calls, or keyword
     arguments accepted by :func:`make_runner` to build a one-shot runner.
     """

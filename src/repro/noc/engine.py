@@ -25,7 +25,6 @@ from .config import NetworkConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan
-from .checkpoint import CheckpointError, KernelCheckpoint
 from .kernel import (
     SCHEDULERS,
     KernelState,
@@ -39,8 +38,6 @@ from .virtual_channel import KernelInvariantError
 
 __all__ = [
     "SCHEDULERS",
-    "CheckpointError",
-    "KernelCheckpoint",
     "SimulationConfig",
     "SimulationStallError",
     "Simulator",
@@ -73,30 +70,13 @@ class Simulator:
         #: keeps across tasks.  It is reset to its as-built state before the
         #: run.  ``None`` (the default) builds a fresh network for every run.
         self.network: Optional[Network] = None
-        #: Optional checkpoint consumer: a callable receiving a
-        #: :class:`~repro.noc.checkpoint.KernelCheckpoint` every
-        #: ``simulation_config.checkpoint_every_cycles`` executed cycles
-        #: (e.g. ``CheckpointStore.sink_for(key)`` to persist to disk).
-        #: ``None`` (the default) disables checkpoint capture even when
-        #: the config knob is set.
-        self.checkpoint_sink = None
 
-    def run(self, resume_from: Optional[KernelCheckpoint] = None) -> SimulationResult:
+    def run(self) -> SimulationResult:
         """Execute the configured number of cycles and return the results.
 
         The run uses :attr:`network`, reset to its as-built state, or a
-        network built for it when none is set.  With ``resume_from``, the
-        freshly configured run is discarded in favour of the checkpoint's
-        restored kernel graph (so :attr:`network` is left untouched): the
-        simulation continues at ``resume_from.cycle + 1`` and the
-        end-of-run accounting settles into the *restored* result, producing
-        output bit-identical to an uninterrupted run (fingerprint-tested in
-        ``tests/test_checkpoint.py``).  The configured topology, traffic
-        and fault plan must of course describe the same run the checkpoint
-        came from.
+        network built for it when none is set.
         """
-        if resume_from is not None:
-            return self._resume(resume_from)
         config = self.simulation_config
         net_config = self.network_config
         self.traffic.reset()
@@ -141,7 +121,7 @@ class Simulator:
             fault_injector=injector,
         )
         try:
-            state = kernel.run(checkpoint_hook=self.checkpoint_sink)
+            state = kernel.run()
         finally:
             if injector is not None:
                 # The topology and router outlive this run; a faulted run
@@ -149,33 +129,12 @@ class Simulator:
                 injector.restore()
         return self._settle(state, started)
 
-    def _resume(self, checkpoint: KernelCheckpoint) -> SimulationResult:
-        """Continue a checkpointed run to completion (see :meth:`run`)."""
-        kernel = SimulationKernel.resume(checkpoint)
-        injector = kernel.fault_injector
-        started = time.perf_counter()
-        try:
-            state = kernel.run(
-                start_cycle=checkpoint.cycle + 1,
-                checkpoint_hook=self.checkpoint_sink,
-            )
-        finally:
-            if injector is not None:
-                # The restored graph carries its own private topology and
-                # router copies, but restoring them keeps the injector's
-                # lifecycle identical to a fresh run's.
-                injector.restore()
-        return self._settle(state, started)
-
     @staticmethod
     def _settle(state: KernelState, started: float) -> SimulationResult:
-        """End-of-run accounting, off the state's own network/accountant.
+        """End-of-run accounting into the state's result.
 
-        Shared by the fresh and the resumed path: on a resume the network,
-        accountant and result objects come out of the checkpoint, not out
-        of this simulator's constructor arguments.  Every run ends by
-        checking the settled books: flit conservation and the per-channel
-        energy reconciliation; a violation raises
+        Every run ends by checking the settled books: flit conservation
+        and the per-channel energy reconciliation; a violation raises
         :class:`~repro.noc.virtual_channel.KernelInvariantError`.
         """
         config = state.config

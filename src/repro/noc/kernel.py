@@ -75,17 +75,15 @@ anchor, so fast-cycling phases can never mask a genuine deadlock.
 
 from __future__ import annotations
 
-import pickle
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..energy import EnergyAccountant
 from ..routing.base import BaseRouter, RoutingError
 from ..traffic.base import TrafficModel, TrafficRequest
-from .checkpoint import CheckpointError, KernelCheckpoint, graph_pickling_limit
 from .config import NetworkConfig
 from .network import Network
 from .pool import FLIT_INDEX_BITS, FLIT_INDEX_MASK, PacketPool, PacketView
@@ -118,13 +116,6 @@ class SimulationConfig:
     #: (see the experiment CLI's ``--profile``).  Off by default: the timed
     #: loop costs two clock reads per phase per cycle.
     profile_phases: bool = False
-    #: Take a resumable :class:`~repro.noc.checkpoint.KernelCheckpoint`
-    #: every N executed cycles (0, the default, disables checkpointing).
-    #: The knob never changes simulation results — checkpoints are captured
-    #: at cycle boundaries and delivered to the caller's hook (see
-    #: ``Simulator.checkpoint_sink``); it is deliberately not part of the
-    #: task cache key.
-    checkpoint_every_cycles: int = 0
 
     def __post_init__(self) -> None:
         if self.cycles <= 0:
@@ -138,8 +129,6 @@ class SimulationConfig:
         if self.scheduler not in SCHEDULERS:
             known = ", ".join(SCHEDULERS)
             raise ValueError(f"unknown scheduler {self.scheduler!r}; known: {known}")
-        if self.checkpoint_every_cycles < 0:
-            raise ValueError("checkpoint_every_cycles must be >= 0")
 
 
 # ----------------------------------------------------------------------
@@ -413,10 +402,8 @@ class KernelState:
         self.pool = PacketPool()
         self.cycle = 0
         self.last_progress_cycle = 0
-        #: Progress level at the last traffic-phase-change watchdog anchor.
-        #: Lives on the state (not as a run-loop local) so a checkpointed
-        #: run resumes with the same anchoring decisions as an
-        #: uninterrupted one.
+        #: Progress level at the last traffic-phase-change watchdog anchor
+        #: (see :meth:`SimulationKernel.run`).
         self.anchored_progress = 0
         self.next_packet_id = 0
         #: Whether this run carries a fault plan (set by the kernel).  Only
@@ -1033,10 +1020,6 @@ class SimulationKernel:
         scheduler: Optional[Scheduler] = None,
         fault_injector=None,
     ) -> None:
-        #: The run's fault injector (``None`` on fault-free runs).  Kept as
-        #: an attribute so a restored kernel's caller can reach it for the
-        #: end-of-run topology restore, exactly like a fresh run's.
-        self.fault_injector = fault_injector
         switches = [network.switches[sid] for sid in sorted(network.switches)]
         injecting = [s for s in switches if s.endpoints]
         self.scheduler = scheduler or make_scheduler(config.scheduler)
@@ -1064,49 +1047,8 @@ class SimulationKernel:
             self.state.faults_active = True
             self.phases.insert(0, FaultPhase(self.state, fault_injector))
 
-    def snapshot(self) -> KernelCheckpoint:
-        """Capture a resumable checkpoint of the whole run at this cycle.
-
-        The payload is the pickled kernel graph (phases, scheduler, state
-        and — through the state — the network, pool, traffic, accountant
-        and result), so nothing outside the checkpoint is needed to
-        continue; see :mod:`repro.noc.checkpoint` for the guarantees.
-        """
-        with graph_pickling_limit(len(self.state.network.switches)):
-            payload = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        return KernelCheckpoint(cycle=self.state.cycle, payload=payload)
-
-    @classmethod
-    def resume(cls, checkpoint: KernelCheckpoint) -> "SimulationKernel":
-        """Reconstruct a kernel from a checkpoint.
-
-        Continue with :meth:`run` at ``checkpoint.cycle + 1``.  A payload
-        that does not unpickle to a :class:`SimulationKernel` (a bare
-        :class:`KernelState`, say) is a :class:`CheckpointError`, never a
-        half-restored run.
-        """
-        kernel = pickle.loads(checkpoint.payload)
-        if not isinstance(kernel, cls):
-            raise CheckpointError(
-                f"checkpoint at cycle {checkpoint.cycle} holds a "
-                f"{type(kernel).__name__}, expected {cls.__name__}"
-            )
-        return kernel
-
-    def run(
-        self,
-        start_cycle: int = 0,
-        checkpoint_hook: Optional[Callable[[KernelCheckpoint], None]] = None,
-    ) -> KernelState:
-        """Execute cycles ``start_cycle .. cycles-1`` and return the state.
-
-        ``start_cycle`` is 0 for a fresh run and ``checkpoint.cycle + 1``
-        when continuing a restored kernel.  When ``checkpoint_hook`` is
-        given and ``config.checkpoint_every_cycles`` is set, the hook
-        receives a fresh :meth:`snapshot` after every N executed cycles
-        (at the cycle boundary, after the watchdog ran); the final cycle
-        is not checkpointed — the run is already done.
-        """
+    def run(self) -> KernelState:
+        """Execute cycles ``0 .. cycles-1`` and return the state."""
         state = self.state
         config = state.config
         phases = self.phases
@@ -1117,8 +1059,7 @@ class SimulationKernel:
                 phase_seconds.setdefault(phase.name, 0.0)
         phase_runs = [phase.run for phase in phases]
         phase_token = state.traffic.phase_token()
-        every = config.checkpoint_every_cycles if checkpoint_hook is not None else 0
-        for cycle in range(start_cycle, config.cycles):
+        for cycle in range(config.cycles):
             state.cycle = cycle
             if cycle == config.warmup_cycles:
                 state.anchor_watchdog(cycle)
@@ -1142,6 +1083,4 @@ class SimulationKernel:
                     state.anchor_watchdog(cycle)
                     state.anchored_progress = state.last_progress_cycle
             state.check_watchdog(cycle)
-            if every and (cycle + 1) % every == 0 and cycle + 1 < config.cycles:
-                checkpoint_hook(self.snapshot())
         return state

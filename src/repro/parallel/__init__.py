@@ -13,20 +13,17 @@ This package owns the orchestration machinery every execution surface
 * :mod:`repro.parallel.runner` — the simulation task model
   (:class:`~repro.parallel.runner.SimulationTask`) and the
   :class:`~repro.parallel.runner.ExperimentRunner` tying the three
-  together.
-* :mod:`repro.parallel.checkpoints` — on-disk store of resumable kernel
-  checkpoints keyed by task cache key, which makes a checkpointed run
-  resumable after a crash.
+  together.  It writes each task's cache entry as the task finishes, so a
+  crashed or killed sweep resumes from the cache: a rerun simulates only
+  the tasks that had not finished.
 """
 
 from .cache import ResultCache
-from .checkpoints import CheckpointStore
 from .executor import run_tasks
 from .hashing import canonical_json, stable_hash, to_jsonable
 from .runner import ExperimentRunner, SimulationTask
 
 __all__ = [
-    "CheckpointStore",
     "ExperimentRunner",
     "ResultCache",
     "SimulationTask",

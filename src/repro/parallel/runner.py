@@ -52,7 +52,6 @@ from ..topology.graph import TopologyGraph
 from ..traffic.rng import derive_seed
 from ..wireless.mac.registry import mac_spec
 from .cache import ResultCache
-from .checkpoints import CheckpointStore
 from .executor import run_tasks
 from .hashing import stable_hash
 
@@ -285,8 +284,7 @@ class BuildMemo:
     Builds go through ``framework.build_system`` and ``engine.Network``,
     looked up at call time.  The least recently used entry is evicted before
     a build, and an evicted network is disposed of, so reference counting
-    frees it at once.  Nothing in the kernel graph refers back to the memo,
-    so checkpoints do not pickle it.
+    frees it at once.
     """
 
     #: Entries kept of each kind.  Two catch the reuse of every figure:
@@ -395,12 +393,7 @@ def task_simulator(task: SimulationTask, profile: bool = False):
     return simulation.simulator_for(traffic, fault_plan=fault_plan)
 
 
-def execute_task(
-    task: SimulationTask,
-    profile: bool = False,
-    checkpoint_every: int = 0,
-    checkpoint_dir: str = "",
-) -> Dict[str, object]:
+def execute_task(task: SimulationTask, profile: bool = False) -> Dict[str, object]:
     """Run one task and return its JSON-serialisable result payload.
 
     This is the function shipped to worker processes; it takes the system
@@ -410,31 +403,10 @@ def execute_task(
     ``profile`` set the kernel times each phase and the payload carries a
     ``phase_seconds`` entry (the CLI's ``--profile`` table; profiled runs
     bypass the result cache, so the timings always come from real work).
-
-    With both ``checkpoint_every`` and ``checkpoint_dir`` set, the run
-    writes a resumable kernel checkpoint to
-    ``<checkpoint_dir>/<cache_key>.ckpt`` every N cycles, resumes from an
-    existing checkpoint if one is found (a preempted or crashed earlier
-    attempt), and deletes the file on completion.  Resumed results are
-    bit-identical to uninterrupted ones (``tests/test_checkpoint.py``);
-    the knobs are execution-level and never part of the cache key.
     """
     simulator = task_simulator(task, profile=profile)
     simulator.network = _BUILD_MEMO.network(simulator.topology, simulator.network_config)
-    store: Optional[CheckpointStore] = None
-    checkpoint = None
-    key = ""
-    if checkpoint_dir and checkpoint_every > 0:
-        store = CheckpointStore(checkpoint_dir)
-        key = task.cache_key()
-        simulator.simulation_config = replace(
-            simulator.simulation_config, checkpoint_every_cycles=checkpoint_every
-        )
-        simulator.checkpoint_sink = store.sink_for(key)
-        checkpoint = store.load(key)
-    result = simulator.run(resume_from=checkpoint)
-    if store is not None:
-        store.discard(key)
+    result = simulator.run()
     if task.kind == "synthetic":
         offered = task.load
     else:
@@ -447,29 +419,10 @@ def execute_task(
 
 
 def execute_task_batch(
-    tasks: Sequence[SimulationTask],
-    profile: bool = False,
-    checkpoint_every: int = 0,
-    checkpoint_dir: str = "",
+    tasks: Sequence[SimulationTask], profile: bool = False
 ) -> List[Dict[str, object]]:
     """Run a batch of tasks one after another; payloads in task order."""
-    return [execute_task(task, profile, checkpoint_every, checkpoint_dir) for task in tasks]
-
-
-def _batch_executor(profile: bool, checkpoint_every: int = 0, checkpoint_dir: str = ""):
-    """A picklable ``batch -> payloads`` callable for the worker pool.
-
-    ``functools.partial`` over the module-level :func:`execute_task_batch`
-    stays picklable (the partial ships the function by reference plus
-    plain keyword values), which is what lets the runner's checkpoint
-    knobs reach worker processes without joining the task objects.
-    """
-    return partial(
-        execute_task_batch,
-        profile=profile,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-    )
+    return [execute_task(task, profile) for task in tasks]
 
 
 class ExperimentRunner:
@@ -501,8 +454,6 @@ class ExperimentRunner:
         cache_dir: Optional[str] = None,
         show_progress: bool = False,
         profile: bool = False,
-        checkpoint_every_cycles: int = 0,
-        checkpoint_dir: Optional[str] = None,
     ) -> None:
         self.jobs = max(1, int(jobs))
         #: Per-phase kernel profiling (the CLI's ``--profile``): every task
@@ -514,12 +465,6 @@ class ExperimentRunner:
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if (cache_dir and not profile) else None
         )
-        #: Checkpoint/restore knobs, forwarded to every
-        #: :func:`execute_task` call (the crash-recovery path; see
-        #: :mod:`repro.parallel.checkpoints`).  Both must be set for
-        #: checkpointing to engage.
-        self.checkpoint_every_cycles = max(0, int(checkpoint_every_cycles))
-        self.checkpoint_dir = checkpoint_dir or ""
         self.show_progress = show_progress
         self.cache_hits = 0
         self.cache_misses = 0
@@ -538,8 +483,10 @@ class ExperimentRunner:
         """Execute every distinct task and return task → result summary.
 
         Cached tasks are served from disk; the rest are executed (in
-        parallel when ``jobs > 1``) and written back to the cache.
-        Duplicate tasks in ``tasks`` are executed once.
+        parallel when ``jobs > 1``) and each is written to the cache as it
+        finishes, so a killed run loses only the tasks still running and a
+        rerun serves the finished ones from the cache.  Duplicate tasks in
+        ``tasks`` are executed once.
         """
         unique: List[SimulationTask] = []
         seen = set()
@@ -564,36 +511,43 @@ class ExperimentRunner:
                 0, len(pending), f"{len(unique)} tasks, {len(unique) - len(pending)} cached"
             )
 
-        # One task per pool item, so workers pick up work task by task.
-        batches = [[task] for task in pending]
-        started = time.perf_counter()
-        payload_lists = run_tasks(
-            _batch_executor(
-                self.profile,
-                checkpoint_every=self.checkpoint_every_cycles,
-                checkpoint_dir=self.checkpoint_dir,
-            ),
-            batches,
-            jobs=self.jobs,
-            progress=self._on_batch_done if self.show_progress else None,
-        )
-        if pending:
-            self.wall_clock_seconds += time.perf_counter() - started
-            self.simulated_cycles += sum(task.cycles for task in pending)
-        for batch, payloads in zip(batches, payload_lists):
+        finished: Dict[SimulationTask, LoadPointSummary] = {}
+
+        def on_batch_done(done: int, total: int, batch, payloads) -> None:
+            # Called in this process as each batch completes, at any jobs.
             for task, payload in zip(batch, payloads):
                 for name, seconds in payload.get("phase_seconds", {}).items():
                     self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
+                summary = LoadPointSummary.from_dict(payload)
+                finished[task] = summary
                 if self.cache is not None:
+                    # The summary's own dict, not the payload, so a key
+                    # a wrapper adds to the payload never reaches the disk.
                     self.cache.put(
                         task.cache_key(),
                         {
                             "version": TASK_SCHEMA_VERSION,
                             "label": task.label,
-                            "result": payload,
+                            "result": summary.as_dict(),
                         },
                     )
-                results[task] = LoadPointSummary.from_dict(payload)
+            if self.show_progress:
+                self._progress_line(done, total, batch[0].label)
+
+        # One task per pool item, so workers pick up work task by task.
+        # ``execute_task_batch`` is looked up here, at call time.
+        started = time.perf_counter()
+        run_tasks(
+            partial(execute_task_batch, profile=self.profile),
+            [[task] for task in pending],
+            jobs=self.jobs,
+            progress=on_batch_done,
+        )
+        if pending:
+            self.wall_clock_seconds += time.perf_counter() - started
+            self.simulated_cycles += sum(task.cycles for task in pending)
+        for task in pending:
+            results[task] = finished[task]
         self.tasks_executed += len(pending)
         return results
 
@@ -663,11 +617,6 @@ class ExperimentRunner:
         if self.jobs > 1:
             line += f" [aggregate across {self.jobs} workers]"
         return line
-
-    def _on_batch_done(
-        self, done: int, total: int, batch: Sequence[SimulationTask], _result
-    ) -> None:
-        self._progress_line(done, total, batch[0].label)
 
     @staticmethod
     def _progress_line(done: int, total: int, detail: str) -> None:

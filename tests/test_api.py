@@ -91,14 +91,6 @@ class TestFacadeParity:
         assert api.make_runner(cache_dir=str(tmp_path)).cache is not None
         assert api.make_runner(cache_dir=str(tmp_path), profile=True).cache is None
 
-    def test_run_with_checkpointing_round_trips(self, tmp_path):
-        task = _task(0.02)
-        baseline = api.run(task)
-        resumed = api.run(
-            task, checkpoint_every=50, checkpoint_dir=str(tmp_path)
-        )
-        assert resumed.as_dict() == baseline.as_dict()
-
 
 # ----------------------------------------------------------------------
 # Scenario forms.

@@ -12,7 +12,8 @@ Covers the contracts the fault subsystem promises:
 * recovery either verifies a deadlock-free forwarding state or reports the
   partition / dependency cycle (property-tested over single-link failures
   on meshes); the audit stops at its first cycle with the full route set's
-  verdict, and a partition skips it;
+  verdict, and a partition skips it; every built-in figure system's
+  pristine audit verdict is pinned;
 * faulted runs leave no trace on the shared topology/router (restore);
 * the task schema (v3) carries faults through cache keys and the runner.
 """
@@ -36,7 +37,12 @@ from repro.parallel.runner import (
     execute_task,
     uniform_task,
 )
-from repro.scenario import builtin_scenario, system_config
+from repro.scenario import (
+    builtin_scenario,
+    builtin_scenario_names,
+    compile_scenario,
+    system_config,
+)
 from repro.scenario.fidelity import Fidelity
 from repro.faults import (
     FaultEvent,
@@ -49,6 +55,7 @@ from repro.faults import (
 )
 from repro.faults.recovery import recover_routing
 from repro.faults.plan import FaultPlanError
+from repro.noc.config import NetworkConfig
 from repro.noc.engine import SimulationConfig, Simulator
 from repro.noc.fabric import WiredFabric
 from repro.routing import RoutingError, ShortestPathRouter
@@ -624,6 +631,41 @@ def test_early_audit_exit_matches_the_full_route_set(label, monkeypatch):
     assert False in verdicts
     if label != "wireless":
         assert True in verdicts
+
+
+#: The pristine deadlock-audit verdict of every distinct system the built-in
+#: figures build, keyed by the first figure that builds it.  Two wireless
+#: route sets have a channel-dependency cycle today; ROADMAP item 3 step 2
+#: changes their routing and flips both to ``True``.
+BUILTIN_SYSTEM_AUDITS = {
+    ("fig2", "4C4M (Substrate)"): True,
+    ("fig2", "4C4M (Interposer)"): True,
+    ("fig2", "4C4M (Wireless)"): True,
+    ("fig4", "1C4M (Interposer)"): True,
+    ("fig4", "1C4M (Wireless)"): False,
+    ("fig4", "8C4M (Interposer)"): True,
+    ("fig4", "8C4M (Wireless)"): True,
+    ("fig7", "1C4M (Substrate)"): True,
+    ("fig7", "4C4M (Wireless)"): False,
+}
+
+
+def test_builtin_figure_systems_pin_their_deadlock_audit():
+    """Every built-in figure system is audited and its verdict is pinned."""
+    systems = {}
+    for name in builtin_scenario_names():
+        for task in compile_scenario(builtin_scenario(name, "fast")):
+            config = task.effective_config()
+            # build_system never reads the network field (see BuildMemo).
+            systems.setdefault(replace(config, network=NetworkConfig()), (name, config))
+    verdicts = {}
+    for name, config in systems.values():
+        system = build_system(config)
+        report = rebuild_routes(system.topology, system.router, verify_deadlock_freedom=True)
+        assert report.verified and not report.partitioned and report.invalid_routes == []
+        assert (report.dependency_cycle is None) == report.deadlock_free
+        verdicts[(name, config.name)] = report.deadlock_free
+    assert verdicts == BUILTIN_SYSTEM_AUDITS
 
 
 # ----------------------------------------------------------------------

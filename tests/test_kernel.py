@@ -337,10 +337,17 @@ def _saturated_kernel(architecture, cycles=300):
 
 
 def _continue(kernel, cycles):
-    """Run ``cycles`` more cycles of a kernel that finished its run."""
+    """Run ``cycles`` more cycles of a kernel that finished its run.
+
+    The cycles run past the configured end, phase by phase and with the
+    watchdog as in ``SimulationKernel.run`` (past warm-up, so no anchoring).
+    """
     state = kernel.state
-    state.config = replace(state.config, cycles=state.config.cycles + cycles)
-    kernel.run(start_cycle=state.cycle + 1)
+    for cycle in range(state.cycle + 1, state.cycle + 1 + cycles):
+        state.cycle = cycle
+        for phase in kernel.phases:
+            phase.run(cycle)
+        state.check_watchdog(cycle)
 
 
 def _front_flits(network):

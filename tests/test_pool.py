@@ -10,7 +10,9 @@ The pooled core's contract (see :mod:`repro.noc.pool`):
   from the simulation state (source queues, VC rings, serialisation state,
   in-flight arrivals), and the flit-conservation counters of the fault
   subsystem still hold.  Property-tested over load, seed, and fault
-  scenario.
+  scenario;
+* pool growth mid-run leaves results unchanged: the kernel's hot array
+  caches stay views of the grown columns.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from repro.noc.pool import (
     PacketView,
 )
 from repro.noc.stats import SimulationResult
+from repro.parallel.runner import execute_task, uniform_task
+from repro.scenario.fidelity import Fidelity
 from repro.testing import small_system_config
 from repro.traffic.registry import create_pattern
 
@@ -328,6 +332,34 @@ class TestHandleConservation:
             fault_rate=fault_rate,
         )
         assert_no_handle_leaks(state, result)
+
+
+class TestPoolGrowth:
+    def test_growth_mid_run_keeps_results(self, monkeypatch):
+        """A pool that grows many times mid-run gives the same summary.
+
+        The kernel caches the pool's columns and the pool grows them in
+        place, so the caches stay valid.  The default chunk (256 records)
+        exceeds what this small system ever holds live; a chunk of 8
+        forces several amortised-doubling growths while packets are in
+        flight.  Results do not depend on capacity, so the payloads match.
+        """
+        capacities = []
+        grow = PacketPool._grow
+
+        def recording_grow(pool):
+            grow(pool)
+            capacities.append(pool.capacity)
+
+        monkeypatch.setattr(PacketPool, "_grow", recording_grow)
+        fidelity = Fidelity("tiny", cycles=400, warmup_cycles=100, load_points=(), applications=())
+        task = uniform_task(small_system_config(Architecture.SUBSTRATE), fidelity, load=0.15)
+        baseline = execute_task(task)
+        assert capacities == [256]
+        capacities.clear()
+        monkeypatch.setattr("repro.noc.pool._GROWTH_CHUNK", 8)
+        assert execute_task(task) == baseline
+        assert capacities[0] == 8 and capacities[-1] > 32
 
 
 class TestConfigCeiling:

@@ -2,18 +2,29 @@
 
 Covers the hard guarantees the runner makes: parallel execution is
 bit-identical to serial execution, cached results are bit-identical to
-fresh ones, cache keys track every result-affecting parameter, and task
-seeding is deterministic.
+fresh ones, cache keys track every result-affecting parameter, task
+seeding is deterministic, and a sweep killed midway serves the tasks it
+finished from the cache when rerun.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro import api
 from repro.core.comparison import ArchitectureMetrics
 from repro.core.config import Architecture
 from repro.core.framework import MultichipSimulation
 from repro.experiments.cli import build_parser, runner_from_args
+from repro.parallel import runner as runner_module
 from repro.parallel.runner import (
     ExperimentRunner,
     SimulationTask,
@@ -271,6 +282,75 @@ class TestResultCache:
     def test_invalid_key_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ResultCache(tmp_path).path_for("../escape")
+
+    def test_entries_hold_only_summary_fields(self, tmp_path, monkeypatch):
+        """An entry is written from the summary, not from the raw payload,
+        so a key a wrapper adds to the payload never reaches the disk."""
+        execute_batch = runner_module.execute_task_batch
+
+        def tagged(tasks, **kwargs):
+            payloads = execute_batch(tasks, **kwargs)
+            payloads[0]["_extra"] = {"seconds": 1.0}
+            return payloads
+
+        monkeypatch.setattr(runner_module, "execute_task_batch", tagged)
+        _, tasks = _tiny_tasks()
+        out = ExperimentRunner(jobs=1, cache_dir=tmp_path).run(tasks[:1])
+        entry = ResultCache(tmp_path).get(tasks[0].cache_key())
+        assert entry["result"] == out[tasks[0]].as_dict()
+
+
+class TestCrashResume:
+    def test_killed_sweep_serves_finished_tasks_from_cache(self, tmp_path):
+        """SIGKILL a cached sweep after three tasks finished, then rerun it.
+
+        Each task's entry lands as the task finishes, so the finished
+        tasks are cache hits on the rerun, only the rest are simulated,
+        and the results equal an uncached run.
+        """
+        fidelity = Fidelity("kill", cycles=2000, warmup_cycles=200, load_points=(), applications=())
+        config = small_system_config(Architecture.WIRELESS)
+        tasks = [uniform_task(config, fidelity, load=0.01 * step) for step in range(1, 9)]
+        cache_dir = tmp_path / "cache"
+        (tmp_path / "tasks.pickle").write_bytes(pickle.dumps(tasks))
+        script = (
+            "import pickle, sys\n"
+            "from repro import api\n"
+            "tasks = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "api.sweep(tasks, cache_dir=sys.argv[2], show_progress=True)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "tasks.pickle"), str(cache_dir)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            for line in child.stderr:
+                if line.startswith(f"[runner] 3/{len(tasks)} "):
+                    child.send_signal(signal.SIGKILL)
+                    break
+            assert child.wait(timeout=60) == -signal.SIGKILL
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            child.stderr.close()
+        on_disk = len(list(cache_dir.glob("*.json")))
+        assert 3 <= on_disk < len(tasks)
+
+        runner = api.make_runner(cache_dir=str(cache_dir))
+        resumed = api.sweep(tasks, runner=runner)
+        assert runner.cache_hits == on_disk
+        assert runner.tasks_executed == len(tasks) - on_disk
+        uncached = api.sweep(tasks)
+        assert {t: s.as_dict() for t, s in resumed.items()} == {
+            t: s.as_dict() for t, s in uncached.items()
+        }
 
 
 class TestCliFlags:
