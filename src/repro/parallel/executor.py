@@ -6,10 +6,19 @@ via :class:`concurrent.futures.ProcessPoolExecutor` otherwise, and returns
 the results *in input order* regardless of completion order.  Because every
 task is independent and deterministically seeded, the two execution modes
 produce identical results — parallelism only changes wall-clock time.
+
+Pool workers never outlive the process that created the pool: each one
+watches that process and exits once it is gone, even when it was killed
+without a chance to shut the pool down.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
@@ -19,6 +28,30 @@ ResultT = TypeVar("ResultT")
 #: Signature of the optional progress callback:
 #: ``(completed_count, total_count, task, result)``.
 ProgressCallback = Callable[[int, int, Any, Any], None]
+
+
+def _exit_with_parent(creator_pid: int, start_method: str) -> None:
+    """Pool-worker initializer: exit the worker once the pool's creator is gone.
+
+    A creator killed by SIGKILL cannot shut its pool down, and its workers
+    would otherwise finish their task and then wait on its queues forever.
+    A worker the creator forked or spawned is re-parented when the creator
+    dies, so a ``getppid()`` other than ``creator_pid`` means it is gone.
+    Under ``forkserver`` the parent is the fork server, which the workers
+    themselves keep alive; there the worker waits on its parent sentinel, a
+    pipe only the creator holds open.  ``os._exit`` ends the worker mid-task
+    at once.
+    """
+
+    def watch() -> None:
+        if start_method == "forkserver":
+            multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
+        else:
+            while os.getppid() == creator_pid:
+                time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 def run_tasks(
@@ -63,7 +96,11 @@ def run_tasks(
 
     workers = min(jobs, total)
     ordered: List[Optional[ResultT]] = [None] * total
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(), multiprocessing.get_start_method()),
+    ) as pool:
         future_to_index = {
             pool.submit(function, task): index for index, task in enumerate(tasks)
         }

@@ -11,15 +11,19 @@ Covers the contracts the fault subsystem promises:
   silent drop;
 * recovery either verifies a deadlock-free forwarding state or reports the
   partition / dependency cycle (property-tested over single-link failures
-  on meshes); the audit stops at its first cycle with the full route set's
-  verdict, and a partition skips it; every built-in figure system's
-  pristine audit verdict is pinned;
+  on meshes); the online channel-dependency check agrees with Kahn's
+  algorithm and stops at the shortest cyclic prefix; the audit stops at
+  its first cycle with the full route set's verdict, re-tests the last
+  cycle's witness first within a run (never across runs), and a partition
+  skips it; every built-in figure system's pristine audit verdict is
+  pinned;
 * faulted runs leave no trace on the shared topology/router (restore);
 * the task schema (v3) carries faults through cache keys and the runner.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -413,6 +417,79 @@ def test_cdg_detects_a_ring_cycle():
     assert find_channel_dependency_cycle([[0, 1, 2], [1, 2, 3]]) is None
 
 
+def _kahn_is_cyclic(routes) -> bool:
+    """Reference verdict: whether Kahn's topological sort of the channel
+    dependencies of ``routes`` leaves channels it cannot order."""
+    dependencies = {
+        ((a, b), (b, c)) for route in routes for a, b, c in zip(route, route[1:], route[2:])
+    }
+    channels = {channel for dependency in dependencies for channel in dependency}
+    indegree = {channel: 0 for channel in channels}
+    successors = {channel: [] for channel in channels}
+    for tail, head in dependencies:
+        indegree[head] += 1
+        successors[tail].append(head)
+    ready = [channel for channel in channels if indegree[channel] == 0]
+    ordered = 0
+    while ready:
+        channel = ready.pop()
+        ordered += 1
+        for head in successors[channel]:
+            indegree[head] -= 1
+            if indegree[head] == 0:
+                ready.append(head)
+    return ordered < len(channels)
+
+
+def _grid_walk(start, moves, side=3):
+    """A self-avoiding walk over a side x side grid of switch ids."""
+    route = [start]
+    for move in moves:
+        x, y = route[-1] % side, route[-1] // side
+        dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[move]
+        if 0 <= x + dx < side and 0 <= y + dy < side:
+            step = x + dx + side * (y + dy)
+            if step not in route:
+                route.append(step)
+    return route
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    walks=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=8),
+            st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=12),
+        ),
+        min_size=4,
+        max_size=20,
+    )
+)
+def test_online_cdg_check_stops_at_the_shortest_cyclic_prefix(walks):
+    """Property: the online check agrees with Kahn's algorithm, draws no
+    route past the shortest cyclic prefix, and reports a real closed cycle
+    of the routes it drew."""
+    routes = [_grid_walk(start, moves) for start, moves in walks]
+    drawn = []
+
+    def feed():
+        for route in routes:
+            drawn.append(route)
+            yield route
+
+    cycle = find_channel_dependency_cycle(feed())
+    assert (cycle is not None) == _kahn_is_cyclic(routes)
+    if cycle is None:
+        assert drawn == routes
+        return
+    shortest = next(k for k in range(1, len(routes) + 1) if _kahn_is_cyclic(routes[:k]))
+    assert len(drawn) == shortest
+    assert cycle[0] == cycle[-1] and len(cycle) >= 2
+    triples = {t for route in drawn for t in zip(route, route[1:], route[2:])}
+    for (a, b), (b2, c) in zip(cycle, cycle[1:]):
+        assert b == b2 and (a, b, c) in triples
+
+
 def test_recovery_on_mesh_link_failure_is_deadlock_free():
     graph = mesh_graph(3, 3)
     router = ShortestPathRouter(graph)
@@ -631,6 +708,115 @@ def test_early_audit_exit_matches_the_full_route_set(label, monkeypatch):
     assert False in verdicts
     if label != "wireless":
         assert True in verdicts
+
+
+def _count_pair_routes(monkeypatch, router):
+    """Count the router's ``route`` calls per (src, dst) pair from here on."""
+    calls = Counter()
+    route = router.route
+
+    def counting(src, dst):
+        calls[(src, dst)] += 1
+        return route(src, dst)
+
+    monkeypatch.setattr(router, "route", counting)
+    return calls
+
+
+def _connected_mesh_failures(graph, after):
+    """Mesh links after ``after`` whose loss keeps the graph connected."""
+    mesh = graph.links_of_kind(LinkKind.MESH)
+    for link in mesh[mesh.index(after) + 1 :]:
+        graph.disable_link(link.link_id)
+        connected = len(connected_components(graph)) == 1
+        graph.enable_link(link.link_id)
+        if connected:
+            yield link
+
+
+def test_recovery_audits_the_last_cycle_witness_first(monkeypatch):
+    """A recovery re-tests the pairs whose routes closed the previous cycle
+    before any other pair.  When that cycle survives the next fault, the
+    audit routes those pairs alone; when it does not, the audit goes on to
+    the full set's verdict, routing no pair twice."""
+    system = build_system(FIG7_SYSTEMS["mesh"])
+    graph, router = system.topology, system.router
+    first = graph.links_of_kind(LinkKind.MESH)[0]
+    calls = _count_pair_routes(monkeypatch, router)
+    try:
+        graph.disable_link(first.link_id)
+        _, report = recover_routing(graph, router)
+        assert report.used_tree_fallback
+        witness = report.witness
+        assert witness
+        on_witness = {switch for pair in witness for switch in router.route(*pair)}
+        far = far_verdict = broken = None
+        for second in _connected_mesh_failures(graph, first):
+            graph.disable_link(second.link_id)
+            calls.clear()
+            _, report = recover_routing(graph, router, witness)
+            audited = dict(calls)
+            full = [
+                router.route(src, dst)
+                for src in range(graph.num_switches)
+                for dst in range(graph.num_switches)
+                if src != dst
+            ]
+            graph.enable_link(second.link_id)
+            assert max(audited.values()) == 1
+            assert report.used_tree_fallback == (find_channel_dependency_cycle(full) is not None)
+            if far is None and not {second.src, second.dst} & on_witness:
+                far, far_verdict = audited, report.used_tree_fallback
+            if broken is None and len(audited) > len(witness):
+                broken = audited
+            if far is not None and broken is not None:
+                break
+    finally:
+        graph.enable_all_links()
+        router.clear_cache()
+    # A fault away from the witness's routes leaves its cycle intact.
+    assert far_verdict is True
+    assert set(far) <= set(witness)
+    # Some fault breaks the witness; the audit then enumerated further.
+    assert broken is not None and set(witness) <= set(broken)
+
+
+def test_each_run_starts_its_recoveries_without_a_witness(monkeypatch):
+    """The injector hands each recovery the previous one's witness, but a
+    run never inherits one: its first recovery audits from scratch."""
+    from repro.faults import injector as injector_module
+
+    config = FIG7_SYSTEMS["mesh"]
+    simulation = MultichipSimulation.from_config(
+        config, SimulationConfig(cycles=60, warmup_cycles=0)
+    )
+    mesh = simulation.system.topology.links_of_kind(LinkKind.MESH)
+    plan = FaultPlan(
+        scenario="custom",
+        fault_rate=0.1,
+        seed=0,
+        events=tuple(
+            FaultEvent(kind=FaultKind.LINK_DOWN, at_cycle=cycle, link_id=mesh[index].link_id)
+            for cycle, index in ((10, 0), (20, 10), (30, 40))
+        ),
+    )
+    passes = []
+    recover = injector_module.recover_routing
+
+    def recording(topology, router, witness=()):
+        provider, report = recover(topology, router, witness)
+        passes.append((witness, report.witness))
+        return provider, report
+
+    monkeypatch.setattr(injector_module, "recover_routing", recording)
+    for _ in range(2):
+        passes.clear()
+        simulation.run_pattern("uniform", injection_rate=0.02, seed=3, fault_plan=plan)
+        assert len(passes) == 3
+        assert passes[0][0] == ()
+        for (_, found), (given, _) in zip(passes, passes[1:]):
+            assert given == found
+        assert passes[0][1] != ()
 
 
 #: The pristine deadlock-audit verdict of every distinct system the built-in

@@ -9,11 +9,14 @@ finished from the cache when rerun.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -300,6 +303,37 @@ class TestResultCache:
         assert entry["result"] == out[tasks[0]].as_dict()
 
 
+#: A child that, under the start method ``argv[2]``, checks that a two-worker
+#: pool returns results, then fills one with tasks that sleep for a minute;
+#: each sleeping worker records its pid as a file in the directory ``argv[1]``.
+_SLEEPING_POOL = """
+import multiprocessing, os, sys, time
+from repro.parallel.executor import run_tasks
+
+def square(value):
+    return value * value
+
+def sleep_in_worker(directory):
+    open(os.path.join(directory, str(os.getpid())), "w").close()
+    time.sleep(60)
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[2])
+    assert run_tasks(square, [1, 2, 3, 4], jobs=2) == [1, 4, 9, 16]
+    run_tasks(sleep_in_worker, [sys.argv[1]] * 4, jobs=2)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` names a live process (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
 class TestCrashResume:
     def test_killed_sweep_serves_finished_tasks_from_cache(self, tmp_path):
         """SIGKILL a cached sweep after three tasks finished, then rerun it.
@@ -351,6 +385,49 @@ class TestCrashResume:
         assert {t: s.as_dict() for t, s in resumed.items()} == {
             t: s.as_dict() for t, s in uncached.items()
         }
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    @pytest.mark.parametrize("start_method", multiprocessing.get_all_start_methods())
+    def test_pool_workers_exit_when_their_parent_is_killed(self, tmp_path, start_method):
+        """SIGKILL the process that owns a pool: its workers must not linger.
+
+        A killed parent cannot shut its pool down, so each worker has to
+        notice on its own that the parent is gone and exit, even mid-task.
+        Under every start method, including ``forkserver``, where a worker's
+        parent is the fork server rather than the pool's creator.
+        """
+        script = tmp_path / "pool.py"
+        script.write_text(_SLEEPING_POOL)
+        pids_dir = tmp_path / "pids"
+        pids_dir.mkdir()
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.Popen(
+            [sys.executable, str(script), str(pids_dir), start_method], env=env
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert child.poll() is None, "the pool's parent exited on its own"
+                time.sleep(0.05)
+                workers = [int(path.name) for path in pids_dir.iterdir()]
+            assert len(workers) == 2
+            child.send_signal(signal.SIGKILL)
+            assert child.wait(timeout=10) == -signal.SIGKILL
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if _running(pid)] == []
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            for pid in workers:
+                if _running(pid):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
 
 
 class TestCliFlags:
