@@ -22,14 +22,8 @@ from . import (
     fig7_resilience,
     fig8_mac_study,
 )
-from ..parallel.runner import ExperimentRunner, SimulationTask
-from ..scenario.fidelity import FIDELITIES, Fidelity, get_fidelity
 
 __all__ = [
-    "ExperimentRunner",
-    "FIDELITIES",
-    "Fidelity",
-    "SimulationTask",
     "fig2_uniform",
     "fig3_latency",
     "fig4_disintegration",
@@ -37,5 +31,4 @@ __all__ = [
     "fig6_applications",
     "fig7_resilience",
     "fig8_mac_study",
-    "get_fidelity",
 ]

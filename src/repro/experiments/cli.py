@@ -20,23 +20,23 @@ fans those tasks out across worker processes — results are bit-identical
 at any job count — and each task's result is cached as JSON under
 ``--cache-dir`` (keyed by a content hash of the task), so re-runs only
 simulate what is missing.  See EXPERIMENTS.md for details.
+
+Which figure takes which workload flag is read off the signature of its
+built-in document generator (:mod:`repro.scenario.builtin`), the one
+declaration of each figure's knobs; the flags' values go to the figure
+unresolved, and the generator applies its own defaults.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+import inspect
+from types import ModuleType
+from typing import Dict, List, Optional, Sequence
 
+from ..api import make_runner, resolve_scenario
 from ..faults.scenarios import DEFAULT_FAULT_RATE, available_fault_scenarios
-from ..scenario import (
-    BUILTIN_SCENARIOS,
-    ScenarioError,
-    builtin_scenario,
-    format_scenario_report,
-    load_scenario,
-    run_scenario,
-)
+from ..scenario import BUILTIN_SCENARIOS, ScenarioError, format_scenario_report, run_scenario
 from ..traffic.registry import available_patterns
 from ..wireless.mac.registry import available_macs
 from . import (
@@ -50,31 +50,34 @@ from . import (
 )
 from ..parallel.runner import DEFAULT_CACHE_DIR, ExperimentRunner
 
-#: Experiment name -> runner registry.  Every entry accepts
-#: ``(fidelity, runner)`` — plus ``pattern`` for the pattern-capable
-#: experiments, ``faults`` / ``fault_rate`` for the fault-capable ones and
-#: ``mac`` for the MAC-capable ones — and returns the formatted report text.
-EXPERIMENTS: Dict[str, Callable[..., str]] = {
-    "fig2": fig2_uniform.main,
-    "fig3": fig3_latency.main,
-    "fig4": fig4_disintegration.main,
-    "fig5": fig5_memory_traffic.main,
-    "fig6": fig6_applications.main,
-    "fig7": fig7_resilience.main,
-    "fig8": fig8_mac_study.main,
+#: Experiment name -> figure module; each module's ``run(fidelity, runner,
+#: **overrides)`` feeds its ``format_report``.
+EXPERIMENTS: Dict[str, ModuleType] = {
+    "fig2": fig2_uniform,
+    "fig3": fig3_latency,
+    "fig4": fig4_disintegration,
+    "fig5": fig5_memory_traffic,
+    "fig6": fig6_applications,
+    "fig7": fig7_resilience,
+    "fig8": fig8_mac_study,
 }
 
-#: Experiments whose synthetic workload can be swapped via ``--pattern``
-#: (fig5 sweeps the uniform memory mix, fig6 runs application traffic).
-PATTERN_EXPERIMENTS = ("fig2", "fig3", "fig4", "fig7", "fig8")
+#: The workload flags a figure may decline, in checking order: (knob, the
+#: error tail for a figure that declines it, the note ``all`` prints when
+#: it drops those figures).
+WORKLOAD_FLAGS = (
+    ("pattern", "has a fixed workload", "fig5/fig6 are uniform/application-only"),
+    ("faults", "runs on a pristine fabric", "fig5/fig6 run on pristine fabrics"),
+    ("mac", "has no wireless MAC to swap", "the rest have no MAC to swap"),
+)
 
-#: Experiments that accept a fault scenario via ``--faults`` (fig7 always
-#: injects: it *is* the resilience sweep and defaults to random-links).
-FAULT_EXPERIMENTS = ("fig2", "fig3", "fig4", "fig7")
 
-#: Experiments that accept a wireless MAC override via ``--mac`` (fig8
-#: sweeps every registered MAC unless the flag pins one).
-MAC_EXPERIMENTS = ("fig2", "fig3", "fig4", "fig8")
+def _knobs(name: Optional[str]) -> Dict[str, object]:
+    """Knob -> default of figure ``name``, read off its document generator."""
+    if name not in BUILTIN_SCENARIOS:
+        return {}
+    parameters = inspect.signature(BUILTIN_SCENARIOS[name]).parameters
+    return {knob: p.default for knob, p in parameters.items() if knob != "fidelity"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,8 +224,6 @@ def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
     constructor the programmatic :func:`repro.api.sweep` uses — so CLI
     runs cannot drift from programmatic ones.
     """
-    from ..api import make_runner
-
     return make_runner(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
@@ -235,7 +236,7 @@ def _run_scenario(
     parser: argparse.ArgumentParser,
     args: argparse.Namespace,
     runner: ExperimentRunner,
-) -> int:
+) -> None:
     """Run a declarative scenario document (or a built-in spec by name).
 
     The workload lives in the document, so the per-figure workload flags
@@ -244,37 +245,44 @@ def _run_scenario(
     """
     if args.experiment is not None:
         parser.error("give an experiment name or --scenario, not both")
-    for flag, given in (
-        ("--pattern", args.pattern != "uniform"),
-        ("--mac", args.mac is not None),
-        ("--faults", args.faults != "none"),
-        ("--fault-rate", args.fault_rate is not None),
-    ):
-        if given:
+    for knob in ("pattern", "mac", "faults", "fault_rate"):
+        if getattr(args, knob) != parser.get_default(knob):
             parser.error(
-                f"{flag} does not combine with --scenario: the scenario "
-                "document itself declares the workload"
+                f"--{knob.replace('_', '-')} does not combine with --scenario: the "
+                "scenario document itself declares the workload"
             )
     try:
-        if args.scenario in BUILTIN_SCENARIOS:
-            spec = builtin_scenario(args.scenario, args.fidelity or "default")
-        else:
-            spec = load_scenario(args.scenario)
-            if args.fidelity is not None:
-                spec = replace(spec, fidelity_level=args.fidelity)
+        spec = resolve_scenario(args.scenario, args.fidelity)
     except ScenarioError as error:
         parser.error(f"invalid scenario: {error}")
-    except OSError as error:
-        parser.error(f"cannot read scenario {args.scenario!r}: {error}")
-    points = run_scenario(spec, runner)
-    print(format_scenario_report(spec, points))
+    print(format_scenario_report(spec, run_scenario(spec, runner)))
     print()
-    if args.profile:
-        print("[runner] per-phase kernel wall clock (all simulated tasks):")
-        print(runner.phase_report())
+
+
+def _run_figures(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    runner: ExperimentRunner,
+    names: List[str],
+) -> None:
+    """Run figures ``names``; ``all`` keeps only those that take the given flags."""
+    for knob, declined, note in WORKLOAD_FLAGS:
+        value = getattr(args, knob)
+        if value == parser.get_default(knob):
+            continue
+        takers = [name for name in sorted(EXPERIMENTS) if knob in _knobs(name)]
+        if args.experiment == "all":
+            names = [name for name in names if name in takers]
+            print(f"[runner] {knob} {value!r}: running {', '.join(names)} ({note})")
+        elif args.experiment not in takers:
+            parser.error(
+                f"--{knob} only applies to {', '.join(takers)}; {args.experiment} {declined}"
+            )
+    for name in names:
+        figure = EXPERIMENTS[name]
+        overrides = {knob: getattr(args, knob) for knob in _knobs(name)}
+        print(figure.format_report(figure.run(args.fidelity or "default", runner, **overrides)))
         print()
-    print(f"[runner] {runner.summary_line()}")
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -287,72 +295,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"cannot use cache directory {args.cache_dir!r}: {error}")
     if args.fault_rate is not None and not 0.0 <= args.fault_rate <= 1.0:
         parser.error("--fault-rate must be in [0, 1]")
+    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if (
         args.fault_rate is not None
         and args.faults == "none"
-        and args.experiment not in ("fig7", "all")
+        and all(_knobs(name).get("faults", "none") == "none" for name in names)
     ):
-        # Without a scenario the rate would be silently ignored (only fig7
-        # promotes 'none' to its default scenario).
+        # Without a scenario the rate would be silently ignored (only a
+        # figure that injects faults by default, fig7, sweeps without one).
         parser.error("--fault-rate requires --faults (e.g. --faults random-links)")
     if args.scenario is not None:
-        return _run_scenario(parser, args, runner)
-    if args.experiment is None:
+        _run_scenario(parser, args, runner)
+    elif args.experiment is None:
         parser.error("an experiment name (or --scenario FILE) is required")
-    if args.experiment == "all":
-        names: List[str] = sorted(EXPERIMENTS)
-        if args.pattern != "uniform":
-            names = [n for n in names if n in PATTERN_EXPERIMENTS]
-            print(
-                f"[runner] pattern {args.pattern!r}: running "
-                f"{', '.join(names)} (fig5/fig6 are uniform/application-only)"
-            )
-        if args.faults != "none":
-            names = [n for n in names if n in FAULT_EXPERIMENTS]
-            print(
-                f"[runner] faults {args.faults!r}: running "
-                f"{', '.join(names)} (fig5/fig6 run on pristine fabrics)"
-            )
-        if args.mac is not None:
-            names = [n for n in names if n in MAC_EXPERIMENTS]
-            print(
-                f"[runner] mac {args.mac!r}: running "
-                f"{', '.join(names)} (the rest have no MAC to swap)"
-            )
     else:
-        names = [args.experiment]
-        if args.pattern != "uniform" and args.experiment not in PATTERN_EXPERIMENTS:
-            parser.error(
-                f"--pattern only applies to {', '.join(PATTERN_EXPERIMENTS)}; "
-                f"{args.experiment} has a fixed workload"
-            )
-        if args.faults != "none" and args.experiment not in FAULT_EXPERIMENTS:
-            parser.error(
-                f"--faults only applies to {', '.join(FAULT_EXPERIMENTS)}; "
-                f"{args.experiment} runs on a pristine fabric"
-            )
-        if args.mac is not None and args.experiment not in MAC_EXPERIMENTS:
-            parser.error(
-                f"--mac only applies to {', '.join(MAC_EXPERIMENTS)}; "
-                f"{args.experiment} has no wireless MAC to swap"
-            )
-    for name in names:
-        kwargs = {"pattern": args.pattern} if name in PATTERN_EXPERIMENTS else {}
-        if name in MAC_EXPERIMENTS and args.mac is not None:
-            kwargs["mac"] = args.mac
-        if name == "fig7":
-            # fig7 *is* the resilience sweep: it promotes 'none' to its
-            # default scenario and sweeps the fault-rate grid unless one
-            # rate is pinned on the command line.
-            kwargs["faults"] = args.faults
-            kwargs["fault_rate"] = args.fault_rate
-        elif name in FAULT_EXPERIMENTS and args.faults != "none":
-            kwargs["faults"] = args.faults
-            kwargs["fault_rate"] = (
-                args.fault_rate if args.fault_rate is not None else DEFAULT_FAULT_RATE
-            )
-        EXPERIMENTS[name](args.fidelity or "default", runner, **kwargs)
-        print()
+        _run_figures(parser, args, runner, names)
     if args.profile:
         print("[runner] per-phase kernel wall clock (all simulated tasks):")
         print(runner.phase_report())

@@ -22,15 +22,17 @@ Summaries = Dict[SimulationTask, LoadPointSummary]
 
 
 def run_builtin(
-    name: str, fidelity: str, runner: Optional[ExperimentRunner], **flags
+    name: str, fidelity: str, runner: Optional[ExperimentRunner], **overrides
 ) -> Tuple[ScenarioSpec, List[SimulationTask], Summaries]:
     """Compile the built-in ``name`` document and run its tasks as one batch.
 
-    ``flags`` are the document's knobs (``pattern``, ``faults``,
-    ``fault_rate``, ``mac``).  Returns the spec, the compiled task list in
-    document order and the runner's summaries.
+    ``overrides`` go straight to the document's generator in
+    :mod:`repro.scenario.builtin`, whose signature is the one declaration
+    of the figure's knobs (``pattern``, ``faults``, ``fault_rate``,
+    ``mac``) and of their defaults.  Returns the spec, the compiled task
+    list in document order and the runner's summaries.
     """
-    spec = builtin_scenario(name, fidelity, **flags)
+    spec = builtin_scenario(name, fidelity, **overrides)
     tasks = compile_scenario(spec)
     active = runner if runner is not None else ExperimentRunner()
     return spec, tasks, active.run(tasks)
@@ -67,12 +69,19 @@ def wireless_gains(
     }
 
 
-def faults_suffix(faults: str, fault_rate: float) -> str:
-    """Workload-heading suffix describing the fault setting (\"\" if pristine).
+def pattern_suffix(spec: ScenarioSpec) -> str:
+    """Heading suffix naming a non-uniform traffic pattern ("" if uniform)."""
+    pattern = spec.traffic.pattern
+    return "" if pattern == "uniform" else f", {pattern} traffic"
 
-    Shared by every fault-capable figure's ``format_report`` so the fault
-    annotation renders identically everywhere.
+
+def mac_faults_suffix(spec: ScenarioSpec) -> str:
+    """Heading suffix naming the pinned MAC and the injected fault scenario.
+
+    For the single-MAC, single-rate documents of fig2-fig4; "" when the
+    document keeps the system's MAC and a pristine fabric.
     """
-    if faults == "none":
-        return ""
-    return f", faults={faults}@{fault_rate:g}"
+    suffix = f", mac={spec.macs[0]}" if spec.macs[0] else ""
+    if spec.faults.scenario != "none":
+        suffix += f", faults={spec.faults.scenario}@{spec.faults.rates[0]:g}"
+    return suffix

@@ -14,20 +14,16 @@ from ..core.comparison import ArchitectureMetrics
 from ..core.config import Architecture
 from ..metrics.report import format_heading, format_table
 from ..parallel.runner import ExperimentRunner
+from ..scenario import ScenarioSpec
 from ..scenario.fidelity import architectures_for_comparison
-from .common import faults_suffix, fold_sweeps, run_builtin
+from .common import fold_sweeps, mac_faults_suffix, run_builtin
 
 
 @dataclass
 class Fig2Result:
     """Per-architecture saturation metrics of the 4C4M system."""
 
-    fidelity: str
-    memory_access_fraction: float
-    pattern: str = "uniform"
-    faults: str = "none"
-    fault_rate: float = 0.0
-    mac: str = ""
+    spec: ScenarioSpec
     metrics: Dict[Architecture, ArchitectureMetrics] = field(default_factory=dict)
 
     def rows(self) -> List[List[object]]:
@@ -64,37 +60,22 @@ class Fig2Result:
 
 
 def run(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-    faults: str = "none",
-    fault_rate: float = 0.0,
-    mac: str = "",
+    fidelity: str = "default", runner: Optional[ExperimentRunner] = None, **overrides
 ) -> Fig2Result:
     """Run the Fig. 2 experiment at the requested fidelity.
 
     The tasks are the compiled built-in ``fig2`` document: all load points
     of all three architectures, submitted to the runner as one batch, so
     the whole figure parallelises across ``runner.jobs`` worker processes.
-    ``pattern`` swaps the synthetic workload for any registered traffic
-    pattern (transpose, bit-reversal, bursty-hotspot, ...), keeping the
-    same sweep and saturation analysis; ``faults`` / ``fault_rate`` run the
-    whole figure on a degraded fabric (any registered fault scenario; a
-    zero rate runs the pristine tasks); ``mac`` pins the wireless
-    architecture's MAC protocol by registered name (e.g. the token
-    baseline instead of the paper's control-packet MAC).
+    ``overrides`` are the document's knobs
+    (:func:`repro.scenario.builtin.fig2`): ``pattern`` swaps the synthetic
+    workload for any registered traffic pattern, ``faults`` /
+    ``fault_rate`` run the whole figure on a degraded fabric (a zero rate
+    runs the pristine tasks) and ``mac`` pins the wireless architecture's
+    MAC protocol by registered name.
     """
-    spec, tasks, summaries = run_builtin(
-        "fig2", fidelity, runner, pattern=pattern, faults=faults, fault_rate=fault_rate, mac=mac
-    )
-    result = Fig2Result(
-        fidelity=spec.fidelity_level,
-        memory_access_fraction=spec.traffic.memory_fractions[0],
-        pattern=pattern,
-        faults=faults,
-        fault_rate=fault_rate,
-        mac=mac,
-    )
+    spec, tasks, summaries = run_builtin("fig2", fidelity, runner, **overrides)
+    result = Fig2Result(spec)
     for config, sweep in fold_sweeps(tasks, summaries, lambda task: task.config).items():
         result.metrics[config.architecture] = ArchitectureMetrics.from_sweep_summary(
             config.name, sweep
@@ -108,40 +89,16 @@ def format_report(result: Fig2Result) -> str:
         ["Configuration", "Peak bandwidth/core (Gbps)", "Avg packet energy (nJ)"],
         result.rows(),
     )
-    if result.pattern == "uniform":
+    traffic = result.spec.traffic
+    if traffic.pattern == "uniform":
         workload = (
             "uniform random traffic, 4C4M, "
-            f"{int(result.memory_access_fraction * 100)}% memory access"
+            f"{int(traffic.memory_fractions[0] * 100)}% memory access"
         )
     else:
-        workload = f"{result.pattern} traffic, 4C4M"
-    if result.mac:
-        workload += f", mac={result.mac}"
-    workload += faults_suffix(result.faults, result.fault_rate)
+        workload = f"{traffic.pattern} traffic, 4C4M"
     heading = format_heading(
-        f"Fig. 2 - {workload} [fidelity={result.fidelity}]"
+        f"Fig. 2 - {workload}{mac_faults_suffix(result.spec)} "
+        f"[fidelity={result.spec.fidelity_level}]"
     )
     return f"{heading}\n{table}"
-
-
-def main(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-    faults: str = "none",
-    fault_rate: float = 0.0,
-    mac: str = "",
-) -> str:
-    """Run and format the experiment (used by the CLI and benchmarks)."""
-    report = format_report(
-        run(
-            fidelity,
-            runner=runner,
-            pattern=pattern,
-            faults=faults,
-            fault_rate=fault_rate,
-            mac=mac,
-        )
-    )
-    print(report)
-    return report

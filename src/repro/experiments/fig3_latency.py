@@ -16,20 +16,17 @@ from ..core.config import Architecture, SystemConfig
 from ..metrics.report import format_heading, format_table
 from ..metrics.saturation import SweepSummary
 from ..parallel.runner import ExperimentRunner
+from ..scenario import ScenarioSpec
 from ..scenario.fidelity import architectures_for_comparison
-from .common import faults_suffix, fold_sweeps, run_builtin
+from .common import fold_sweeps, mac_faults_suffix, pattern_suffix, run_builtin
 
 
 @dataclass
 class Fig3Result:
     """Latency-versus-load curves for the three 4C4M architectures."""
 
-    fidelity: str
+    spec: ScenarioSpec
     loads: List[float]
-    pattern: str = "uniform"
-    faults: str = "none"
-    fault_rate: float = 0.0
-    mac: str = ""
     sweeps: Dict[Architecture, SweepSummary] = field(default_factory=dict)
 
     def curve(self, architecture: Architecture) -> List[Tuple[float, float]]:
@@ -60,31 +57,19 @@ class Fig3Result:
 
 
 def run(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-    faults: str = "none",
-    fault_rate: float = 0.0,
-    mac: str = "",
+    fidelity: str = "default", runner: Optional[ExperimentRunner] = None, **overrides
 ) -> Fig3Result:
     """Run the Fig. 3 experiment at the requested fidelity.
 
     The tasks are the compiled built-in ``fig3`` document (the fig2 sweep
     grid): every (architecture, load) pair is an independent task, and the
-    whole figure is submitted to the runner as one batch.  ``pattern``
-    swaps the synthetic workload for any registered traffic pattern;
-    ``faults`` / ``fault_rate`` run the curves on a degraded fabric.
+    whole figure is submitted to the runner as one batch.  ``overrides``
+    are the document's knobs (:func:`repro.scenario.builtin.fig3`).
     """
-    spec, tasks, summaries = run_builtin(
-        "fig3", fidelity, runner, pattern=pattern, faults=faults, fault_rate=fault_rate, mac=mac
-    )
+    spec, tasks, summaries = run_builtin("fig3", fidelity, runner, **overrides)
     return Fig3Result(
-        fidelity=spec.fidelity_level,
+        spec=spec,
         loads=sorted({task.load for task in tasks}),
-        pattern=pattern,
-        faults=faults,
-        fault_rate=fault_rate,
-        mac=mac,
         sweeps=fold_sweeps(tasks, summaries, lambda task: task.config.architecture),
     )
 
@@ -95,35 +80,10 @@ def format_report(result: Fig3Result) -> str:
         SystemConfig(architecture=a).name for a in architectures_for_comparison()
     ]
     table = format_table(headers, result.rows())
-    workload = "" if result.pattern == "uniform" else f", {result.pattern} traffic"
-    if result.mac:
-        workload += f", mac={result.mac}"
-    workload += faults_suffix(result.faults, result.fault_rate)
+    spec = result.spec
     heading = format_heading(
-        f"Fig. 3 - average packet latency (cycles) vs injection load, 4C4M{workload} "
-        f"[fidelity={result.fidelity}]"
+        "Fig. 3 - average packet latency (cycles) vs injection load, "
+        f"4C4M{pattern_suffix(spec)}{mac_faults_suffix(spec)} "
+        f"[fidelity={spec.fidelity_level}]"
     )
     return f"{heading}\n{table}"
-
-
-def main(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-    faults: str = "none",
-    fault_rate: float = 0.0,
-    mac: str = "",
-) -> str:
-    """Run and format the experiment (used by the CLI and benchmarks)."""
-    report = format_report(
-        run(
-            fidelity,
-            runner=runner,
-            pattern=pattern,
-            faults=faults,
-            fault_rate=fault_rate,
-            mac=mac,
-        )
-    )
-    print(report)
-    return report

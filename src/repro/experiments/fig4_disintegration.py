@@ -18,7 +18,15 @@ from ..core.comparison import ArchitectureMetrics, GainReport
 from ..core.config import Architecture
 from ..metrics.report import format_heading, format_percentage, format_table
 from ..parallel.runner import ExperimentRunner
-from .common import faults_suffix, fold_sweeps, preset_label, run_builtin, wireless_gains
+from ..scenario import ScenarioSpec
+from .common import (
+    fold_sweeps,
+    mac_faults_suffix,
+    pattern_suffix,
+    preset_label,
+    run_builtin,
+    wireless_gains,
+)
 
 #: The configurations of the study with the off-chip traffic share the paper
 #: quotes for them.
@@ -33,11 +41,7 @@ CONFIGURATIONS: Tuple[Tuple[str, int], ...] = (
 class Fig4Result:
     """Wireless-versus-interposer gains for each disintegration level."""
 
-    fidelity: str
-    pattern: str = "uniform"
-    faults: str = "none"
-    fault_rate: float = 0.0
-    mac: str = ""
+    spec: ScenarioSpec
     gains: Dict[str, GainReport] = field(default_factory=dict)
     metrics: Dict[str, Dict[Architecture, ArchitectureMetrics]] = field(
         default_factory=dict
@@ -63,31 +67,17 @@ class Fig4Result:
 
 
 def run(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-    faults: str = "none",
-    fault_rate: float = 0.0,
-    mac: str = "",
+    fidelity: str = "default", runner: Optional[ExperimentRunner] = None, **overrides
 ) -> Fig4Result:
     """Run the Fig. 4 experiment at the requested fidelity.
 
     The tasks are the compiled built-in ``fig4`` document: all
     (disintegration level × architecture × load point) tasks, submitted to
-    the runner as one batch.  ``pattern`` swaps the synthetic workload for
-    any registered traffic pattern; ``faults`` / ``fault_rate`` run the
-    study on a degraded fabric.
+    the runner as one batch.  ``overrides`` are the document's knobs
+    (:func:`repro.scenario.builtin.fig4`).
     """
-    spec, tasks, summaries = run_builtin(
-        "fig4", fidelity, runner, pattern=pattern, faults=faults, fault_rate=fault_rate, mac=mac
-    )
-    result = Fig4Result(
-        fidelity=spec.fidelity_level,
-        pattern=pattern,
-        faults=faults,
-        fault_rate=fault_rate,
-        mac=mac,
-    )
+    spec, tasks, summaries = run_builtin("fig4", fidelity, runner, **overrides)
+    result = Fig4Result(spec)
     for config, sweep in fold_sweeps(tasks, summaries, lambda task: task.config).items():
         per_arch = result.metrics.setdefault(preset_label(config), {})
         per_arch[config.architecture] = ArchitectureMetrics.from_sweep_summary(config.name, sweep)
@@ -101,35 +91,9 @@ def format_report(result: Fig4Result) -> str:
         ["% Chip-to-chip traffic (config)", "% gain in bandwidth", "% gain in packet energy"],
         result.rows(),
     )
-    workload = "" if result.pattern == "uniform" else f", {result.pattern} traffic"
-    if result.mac:
-        workload += f", mac={result.mac}"
-    workload += faults_suffix(result.faults, result.fault_rate)
+    spec = result.spec
     heading = format_heading(
-        f"Fig. 4 - wireless vs interposer gains under disintegration{workload} "
-        f"[fidelity={result.fidelity}]"
+        "Fig. 4 - wireless vs interposer gains under disintegration"
+        f"{pattern_suffix(spec)}{mac_faults_suffix(spec)} [fidelity={spec.fidelity_level}]"
     )
     return f"{heading}\n{table}"
-
-
-def main(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-    faults: str = "none",
-    fault_rate: float = 0.0,
-    mac: str = "",
-) -> str:
-    """Run and format the experiment (used by the CLI and benchmarks)."""
-    report = format_report(
-        run(
-            fidelity,
-            runner=runner,
-            pattern=pattern,
-            faults=faults,
-            fault_rate=fault_rate,
-            mac=mac,
-        )
-    )
-    print(report)
-    return report

@@ -16,6 +16,7 @@ from ..core.comparison import ArchitectureMetrics, GainReport
 from ..core.config import Architecture
 from ..metrics.report import format_heading, format_percentage, format_table
 from ..parallel.runner import ExperimentRunner
+from ..scenario import ScenarioSpec
 from .common import fold_sweeps, run_builtin, wireless_gains
 
 
@@ -23,7 +24,7 @@ from .common import fold_sweeps, run_builtin, wireless_gains
 class Fig5Result:
     """Wireless-versus-interposer gains at each memory-access proportion."""
 
-    fidelity: str
+    spec: ScenarioSpec
     gains: Dict[float, GainReport] = field(default_factory=dict)
     metrics: Dict[float, Dict[Architecture, ArchitectureMetrics]] = field(
         default_factory=dict
@@ -70,7 +71,7 @@ def run(
     one batch.
     """
     spec, tasks, summaries = run_builtin("fig5", fidelity, runner)
-    result = Fig5Result(fidelity=spec.fidelity_level)
+    result = Fig5Result(spec)
     sweeps = fold_sweeps(
         tasks, summaries, lambda task: (task.memory_access_fraction, task.config)
     )
@@ -89,13 +90,6 @@ def format_report(result: Fig5Result) -> str:
     )
     heading = format_heading(
         "Fig. 5 - wireless vs interposer gains while varying memory accesses, 4C4M "
-        f"[fidelity={result.fidelity}]"
+        f"[fidelity={result.spec.fidelity_level}]"
     )
     return f"{heading}\n{table}"
-
-
-def main(fidelity: str = "default", runner: Optional[ExperimentRunner] = None) -> str:
-    """Run and format the experiment (used by the CLI and benchmarks)."""
-    report = format_report(run(fidelity, runner=runner))
-    print(report)
-    return report

@@ -17,6 +17,7 @@ from ..core.comparison import ArchitectureMetrics, GainReport
 from ..core.config import Architecture
 from ..metrics.report import format_heading, format_percentage, format_table
 from ..parallel.runner import ExperimentRunner
+from ..scenario import ScenarioSpec
 from .common import run_builtin, wireless_gains
 
 
@@ -24,7 +25,7 @@ from .common import run_builtin, wireless_gains
 class Fig6Result:
     """Per-application wireless-versus-interposer gains."""
 
-    fidelity: str
+    spec: ScenarioSpec
     gains: Dict[str, GainReport] = field(default_factory=dict)
     metrics: Dict[str, Dict[Architecture, ArchitectureMetrics]] = field(
         default_factory=dict
@@ -82,7 +83,7 @@ def run(
     whole application set is submitted to the runner as one batch.
     """
     spec, tasks, summaries = run_builtin("fig6", fidelity, runner)
-    result = Fig6Result(fidelity=spec.fidelity_level)
+    result = Fig6Result(spec)
     for task in tasks:
         per_arch = result.metrics.setdefault(task.application, {})
         per_arch[task.config.architecture] = ArchitectureMetrics.from_point_summary(
@@ -100,13 +101,6 @@ def format_report(result: Fig6Result) -> str:
     )
     heading = format_heading(
         "Fig. 6 - wireless vs interposer gains with application traffic, 4C4M "
-        f"[fidelity={result.fidelity}]"
+        f"[fidelity={result.spec.fidelity_level}]"
     )
     return f"{heading}\n{table}"
-
-
-def main(fidelity: str = "default", runner: Optional[ExperimentRunner] = None) -> str:
-    """Run and format the experiment (used by the CLI and benchmarks)."""
-    report = format_report(run(fidelity, runner=runner))
-    print(report)
-    return report

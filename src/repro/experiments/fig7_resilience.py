@@ -21,23 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..faults.scenarios import DEFAULT_SCENARIO
 from ..metrics.report import format_heading, format_table
 from ..metrics.saturation import LoadPointSummary
 from ..parallel.runner import ExperimentRunner
-from ..scenario import system_config
-from .common import run_builtin
+from ..scenario import ScenarioSpec, system_config
+from .common import pattern_suffix, run_builtin
 
 
 @dataclass
 class Fig7Result:
     """Per-architecture degradation curves over the fault-rate sweep."""
 
-    fidelity: str
-    scenario: str
+    spec: ScenarioSpec
     fault_rates: List[float]
-    load: float
-    pattern: str = "uniform"
     #: architecture label -> [(fault rate, point summary)] in rate order.
     curves: Dict[str, List[Tuple[float, LoadPointSummary]]] = field(
         default_factory=dict
@@ -79,24 +75,19 @@ class Fig7Result:
 
 
 def run(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-    faults: str = DEFAULT_SCENARIO,
-    fault_rate: Optional[float] = None,
+    fidelity: str = "default", runner: Optional[ExperimentRunner] = None, **overrides
 ) -> Fig7Result:
     """Run the resilience sweep at the requested fidelity.
 
-    ``faults`` selects the scenario to sweep (``none`` is promoted to the
-    default scenario — a resilience sweep of a pristine fabric would be a
-    flat line).  ``fault_rate`` restricts the sweep to the baseline plus
-    that single severity; by default the fidelity's ``fault_rates`` grid is
-    swept.  The tasks are the compiled built-in ``fig7`` document, one
-    runner batch.
+    ``overrides`` are the knobs of the built-in ``fig7`` document
+    (:func:`repro.scenario.builtin.fig7`): ``faults`` selects the scenario
+    to sweep (``none`` is promoted to the default scenario — a resilience
+    sweep of a pristine fabric would be a flat line), and ``fault_rate``
+    restricts the sweep to the baseline plus that single severity instead
+    of the fidelity's ``fault_rates`` grid.  The tasks are the compiled
+    document, one runner batch.
     """
-    spec, tasks, summaries = run_builtin(
-        "fig7", fidelity, runner, pattern=pattern, faults=faults, fault_rate=fault_rate
-    )
+    spec, tasks, summaries = run_builtin("fig7", fidelity, runner, **overrides)
     labels = {
         system_config(system, index): system.label for index, system in enumerate(spec.systems)
     }
@@ -104,11 +95,8 @@ def run(
     for task in tasks:
         curves[labels[task.config]][task.fault_rate] = summaries[task]
     return Fig7Result(
-        fidelity=spec.fidelity_level,
-        scenario=spec.faults.scenario,
+        spec=spec,
         fault_rates=sorted({task.fault_rate for task in tasks}),
-        load=spec.traffic.loads[0],
-        pattern=pattern,
         curves={label: sorted(points.items()) for label, points in curves.items()},
     )
 
@@ -129,10 +117,10 @@ def format_report(result: Fig7Result) -> str:
         ],
         result.rows(),
     )
-    workload = "" if result.pattern == "uniform" else f", {result.pattern} traffic"
+    spec = result.spec
     heading = format_heading(
-        f"Fig. 7 - resilience under '{result.scenario}' faults{workload} "
-        f"(load={result.load:g}) [fidelity={result.fidelity}]"
+        f"Fig. 7 - resilience under '{spec.faults.scenario}' faults{pattern_suffix(spec)} "
+        f"(load={spec.traffic.loads[0]:g}) [fidelity={spec.fidelity_level}]"
     )
     retention = "\n".join(
         f"  {label}: worst-case throughput retention "
@@ -140,18 +128,3 @@ def format_report(result: Fig7Result) -> str:
         for label in result.curves
     )
     return f"{heading}\n{table}\n{retention}"
-
-
-def main(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-    faults: str = DEFAULT_SCENARIO,
-    fault_rate: Optional[float] = None,
-) -> str:
-    """Run and format the experiment (used by the CLI and benchmarks)."""
-    report = format_report(
-        run(fidelity, runner=runner, pattern=pattern, faults=faults, fault_rate=fault_rate)
-    )
-    print(report)
-    return report

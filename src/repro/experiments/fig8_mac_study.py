@@ -33,7 +33,8 @@ from typing import Dict, List, Optional, Tuple
 from ..metrics.report import format_heading, format_table
 from ..metrics.saturation import LoadPointSummary
 from ..parallel.runner import ExperimentRunner
-from .common import preset_label, run_builtin
+from ..scenario import ScenarioSpec
+from .common import pattern_suffix, preset_label, run_builtin
 
 #: One study combination: (system label, mac, channels, load).
 StudyKey = Tuple[str, str, int, float]
@@ -43,11 +44,10 @@ StudyKey = Tuple[str, str, int, float]
 class Fig8Result:
     """Per-combination summaries of the MAC × channel × load study."""
 
-    fidelity: str
+    spec: ScenarioSpec
     macs: List[str]
     channel_counts: List[int]
     loads: List[float]
-    pattern: str = "uniform"
     points: Dict[StudyKey, LoadPointSummary] = field(default_factory=dict)
 
     def rows(self) -> List[List[object]]:
@@ -88,25 +88,22 @@ class Fig8Result:
 
 
 def run(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-    mac: Optional[str] = None,
+    fidelity: str = "default", runner: Optional[ExperimentRunner] = None, **overrides
 ) -> Fig8Result:
     """Run the MAC study at the requested fidelity.
 
-    ``mac`` pins the study to one registered protocol (the CLI's ``--mac``);
-    by default every registered protocol is swept.  The tasks are the
-    compiled built-in ``fig8`` document, one runner batch, so the study
+    ``overrides`` are the knobs of the built-in ``fig8`` document
+    (:func:`repro.scenario.builtin.fig8`): ``mac`` pins the study to one
+    registered protocol; by default every registered protocol is swept.
+    The tasks are the compiled document, one runner batch, so the study
     parallelises across ``runner.jobs``.
     """
-    spec, tasks, summaries = run_builtin("fig8", fidelity, runner, pattern=pattern, mac=mac)
+    spec, tasks, summaries = run_builtin("fig8", fidelity, runner, **overrides)
     study = Fig8Result(
-        fidelity=spec.fidelity_level,
+        spec=spec,
         macs=list(dict.fromkeys(task.mac for task in tasks)),
         channel_counts=sorted({task.config.network.wireless.num_channels for task in tasks}),
         loads=sorted({task.load for task in tasks}),
-        pattern=pattern,
     )
     for task in tasks:
         channels = task.config.network.wireless.num_channels
@@ -131,10 +128,10 @@ def format_report(result: Fig8Result) -> str:
         ],
         result.rows(),
     )
-    workload = "" if result.pattern == "uniform" else f", {result.pattern} traffic"
     heading = format_heading(
         f"Fig. 8 - MAC study: {'/'.join(result.macs)} x channels "
-        f"{result.channel_counts}{workload} [fidelity={result.fidelity}]"
+        f"{result.channel_counts}{pattern_suffix(result.spec)} "
+        f"[fidelity={result.spec.fidelity_level}]"
     )
     best_lines = []
     for system in sorted({key[0] for key in result.points}):
@@ -148,15 +145,3 @@ def format_report(result: Fig8Result) -> str:
         f"for all {len(result.points)} combinations"
     )
     return "{}\n{}\n{}\n{}".format(heading, table, "\n".join(best_lines), reconcile)
-
-
-def main(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-    pattern: str = "uniform",
-    mac: Optional[str] = None,
-) -> str:
-    """Run and format the experiment (used by the CLI and benchmarks)."""
-    report = format_report(run(fidelity, runner=runner, pattern=pattern, mac=mac))
-    print(report)
-    return report

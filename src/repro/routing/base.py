@@ -112,10 +112,6 @@ class BaseRouter(abc.ABC):
             total += self.link_weight(link)
         return total
 
-    def hop_count(self, src_switch: int, dst_switch: int) -> int:
-        """Number of link traversals on the route."""
-        return len(self.route(src_switch, dst_switch)) - 1
-
     def clear_cache(self) -> None:
         """Drop all cached routes (used after topology mutation)."""
         self._cache.clear()

@@ -2,10 +2,12 @@
 
 Each ``figN`` generator returns the *raw document* (a plain dict, exactly
 what a YAML/JSON file would parse to) describing that figure's workload at
-a given fidelity, taking the same knobs the experiments CLI threads into
-the figure module (``--pattern``, ``--faults``/``--fault-rate``,
-``--mac``).  These documents are the only home of the figures' workloads:
-each figure's ``run`` compiles its document through
+a given fidelity.  Its signature is the one declaration of the figure's
+workload knobs and their defaults: ``figN.run(**overrides)`` passes its
+overrides straight through, and the experiments CLI reads the signature
+to learn which of ``--pattern``, ``--faults``/``--fault-rate`` and
+``--mac`` the figure takes.  These documents are the only home of the
+figures' workloads: each figure's ``run`` compiles its document through
 :func:`repro.scenario.compiler.compile_scenario` and submits exactly that
 task list, so ``--scenario figN`` and the figure share cache keys.  The
 dict form keeps the documents copyable straight into ``examples/`` files.
@@ -24,7 +26,7 @@ __all__ = ["BUILTIN_SCENARIOS", "builtin_scenario", "builtin_scenario_names"]
 
 
 def _fault_section(faults: str, fault_rate: Optional[float]) -> Dict[str, object]:
-    """The fault section matching the CLI's flag-resolution rules."""
+    """fig2-fig4's fault section: pristine, or one rate (``DEFAULT_FAULT_RATE`` if unpinned)."""
     if faults == "none":
         return {"scenario": "none", "rates": [0.0]}
     rate = DEFAULT_FAULT_RATE if fault_rate is None else fault_rate
@@ -40,7 +42,7 @@ def fig2(
     pattern: str = "uniform",
     faults: str = "none",
     fault_rate: Optional[float] = None,
-    mac: str = "",
+    mac: Optional[str] = None,
 ) -> Dict[str, object]:
     """Fig. 2 — saturation bandwidth and packet energy, three architectures."""
     return {
@@ -54,7 +56,7 @@ def fig2(
             "memory_fractions": [0.2],
             "loads": "fidelity",
         },
-        "macs": [mac],
+        "macs": [mac or ""],
         "faults": _fault_section(faults, fault_rate),
     }
 
@@ -64,7 +66,7 @@ def fig3(
     pattern: str = "uniform",
     faults: str = "none",
     fault_rate: Optional[float] = None,
-    mac: str = "",
+    mac: Optional[str] = None,
 ) -> Dict[str, object]:
     """Fig. 3 — latency versus injection load (same sweep grid as fig2)."""
     raw = fig2(fidelity, pattern=pattern, faults=faults, fault_rate=fault_rate, mac=mac)
@@ -78,7 +80,7 @@ def fig4(
     pattern: str = "uniform",
     faults: str = "none",
     fault_rate: Optional[float] = None,
-    mac: str = "",
+    mac: Optional[str] = None,
 ) -> Dict[str, object]:
     """Fig. 4 — disintegration study: 1C4M/4C4M/8C4M, interposer vs wireless."""
     systems = [
@@ -97,7 +99,7 @@ def fig4(
             "memory_fractions": [0.2],
             "loads": "fidelity",
         },
-        "macs": [mac],
+        "macs": [mac or ""],
         "faults": _fault_section(faults, fault_rate),
     }
 

@@ -453,21 +453,6 @@ class TopologyGraph:
                 f"topology is not connected; unreachable switches: {unreachable[:8]}"
             )
 
-    def to_networkx(self):
-        """Export the switch graph as an undirected ``networkx.Graph``.
-
-        Node attributes carry the :class:`SwitchSpec`; edge attributes carry
-        the :class:`LinkSpec`.  Used by analysis utilities and tests.
-        """
-        import networkx as nx
-
-        graph = nx.Graph()
-        for switch in self.switches:
-            graph.add_node(switch.switch_id, spec=switch)
-        for link in self.links:
-            graph.add_edge(link.src, link.dst, spec=link)
-        return graph
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"TopologyGraph(regions={len(self._regions)}, "

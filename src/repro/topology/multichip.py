@@ -61,14 +61,6 @@ class MultichipSystem:
         """Indices of physically adjacent chip pairs in the array."""
         return [(i, i + 1) for i in range(self.num_chips - 1)]
 
-    def describe(self) -> str:
-        """Human-readable one-line summary (used by reports and examples)."""
-        return (
-            f"{self.num_chips} chip(s) x {self.num_cores // max(1, self.num_chips)} "
-            f"cores + {self.num_memory_stacks} memory stack(s); "
-            f"{self.graph.num_switches} switches, {len(self.graph.links)} links"
-        )
-
 
 def build_memory_stack_die(
     graph: TopologyGraph,

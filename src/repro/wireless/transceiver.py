@@ -53,12 +53,6 @@ class TransceiverSpec:
             raise ValueError(f"bits must be non-negative, got {bits}")
         return bits * self.energy_pj_per_bit
 
-    def transfer_time_s(self, bits: int) -> float:
-        """Serialisation time of ``bits`` at the sustained data rate [s]."""
-        if bits < 0:
-            raise ValueError(f"bits must be non-negative, got {bits}")
-        return bits / (self.data_rate_gbps * 1e9)
-
 
 @dataclass
 class Transceiver:

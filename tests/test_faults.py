@@ -962,7 +962,7 @@ def test_fig7_runs_at_fast_fidelity(tmp_path):
 
     runner = ExperimentRunner(cache_dir=str(tmp_path))
     result = fig7_resilience.run("fast", runner=runner, fault_rate=0.3)
-    assert result.scenario == "random-links"
+    assert result.spec.faults.scenario == "random-links"
     assert set(result.curves) == {"mesh", "interposer", "wireless"}
     for label in result.curves:
         rates = [rate for rate, _ in result.curves[label]]

@@ -73,7 +73,6 @@ class TestShortestPathRouter:
     def test_route_weight_and_hops(self):
         graph = _mesh_topology()
         router = ShortestPathRouter(graph)
-        assert router.hop_count(0, 0) == 0
         assert router.route_weight(0, 1) == pytest.approx(1.0)
 
 

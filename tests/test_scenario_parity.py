@@ -104,7 +104,8 @@ FORMS = [pytest.param(name, {}, id=name) for name in sorted(FIGURES)] + [
 def test_builtin_spec_matches_default_flag_form(name, flags):
     """The tasks a figure submits equal its compiled document, flags and all."""
     runner = CannedRunner()
-    FIGURES[name].main(FIDELITY, runner, **flags)
+    figure = FIGURES[name]
+    figure.format_report(figure.run(FIDELITY, runner, **flags))
     assert runner.submitted == compile_scenario(builtin_scenario(name, FIDELITY, **flags))
 
 
@@ -113,7 +114,8 @@ def test_zero_fault_rate_submits_the_pristine_tasks():
     pristine = CannedRunner()
     fig2_uniform.run(FIDELITY, runner=pristine)
     zero = CannedRunner()
-    report = fig2_uniform.main(FIDELITY, zero, faults="random-links", fault_rate=0.0)
+    result = fig2_uniform.run(FIDELITY, zero, faults="random-links", fault_rate=0.0)
+    report = fig2_uniform.format_report(result)
     assert zero.submitted == pristine.submitted
     assert all(task.faults == "none" for task in zero.submitted)
     assert "faults=random-links@0 [" in report

@@ -146,12 +146,6 @@ class TestTopologyGraph:
         with pytest.raises(TopologyError):
             graph.validate()
 
-    def test_to_networkx_roundtrip(self):
-        graph, _, _ = self._tiny_graph()
-        nx_graph = graph.to_networkx()
-        assert nx_graph.number_of_nodes() == graph.num_switches
-        assert nx_graph.number_of_edges() == len(graph.links)
-
 
 class TestMultichipBase:
     def test_base_counts(self):

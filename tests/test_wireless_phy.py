@@ -14,7 +14,6 @@ class TestTransceiver:
     def test_spec_energy_and_time(self):
         spec = TransceiverSpec()
         assert spec.transfer_energy_pj(32) == pytest.approx(2.3 * 32)
-        assert spec.transfer_time_s(16) == pytest.approx(1e-9)
 
     def test_power_gating_controls_sleep(self):
         gated = Transceiver(wi_id=0, power_gating=True)
