@@ -20,7 +20,7 @@ import pytest
 
 from repro.scenario.fidelity import get_fidelity
 from repro.parallel.runner import ExperimentRunner
-from repro.traffic.registry import pattern_spec
+from repro.traffic.registry import PATTERNS
 
 #: Fidelity used by the benchmark harness; override with
 #: ``REPRO_BENCH_FIDELITY=default`` (or ``paper``) in the environment.
@@ -33,10 +33,14 @@ BENCH_FIDELITY = get_fidelity(os.environ.get("REPRO_BENCH_FIDELITY", "fast")).na
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 #: Synthetic traffic pattern for the load-sweep benches (fig2/fig3/fig4);
-#: override with ``REPRO_BENCH_PATTERN=transpose`` etc.  Resolved through
-#: the traffic registry — the same construction path as the CLI's
-#: ``--pattern`` flag — so an unknown name fails loudly at collection.
-BENCH_PATTERN = pattern_spec(os.environ.get("REPRO_BENCH_PATTERN", "uniform")).name
+#: override with ``REPRO_BENCH_PATTERN=transpose`` etc.  Checked against
+#: the traffic pattern table — the names the CLI's ``--pattern`` flag
+#: accepts — so an unknown name fails loudly at collection.
+BENCH_PATTERN = os.environ.get("REPRO_BENCH_PATTERN", "uniform")
+if BENCH_PATTERN not in PATTERNS:
+    raise pytest.UsageError(
+        f"REPRO_BENCH_PATTERN={BENCH_PATTERN!r}; known patterns: {', '.join(sorted(PATTERNS))}"
+    )
 
 
 @pytest.fixture

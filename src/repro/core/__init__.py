@@ -7,13 +7,7 @@ and ``ArchitectureMetrics`` reads the paper's headline metrics from one run
 or from a load sweep's sustainable-saturation point.
 """
 
-from .architectures import (
-    BuiltSystem,
-    UnknownArchitectureError,
-    architecture_builder,
-    build_system,
-    register_architecture,
-)
+from .architectures import BuiltSystem, build_system
 from .comparison import (
     ArchitectureMetrics,
     GainReport,
@@ -36,11 +30,8 @@ __all__ = [
     "GainReport",
     "MultichipSimulation",
     "SystemConfig",
-    "UnknownArchitectureError",
-    "architecture_builder",
     "build_system",
     "compare",
-    "register_architecture",
     "paper_1c4m",
     "paper_4c4m",
     "paper_8c4m",

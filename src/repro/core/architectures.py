@@ -5,18 +5,10 @@ fully connected topology (chips + memory stacks + the architecture's
 inter-die links), a router over that topology, and the bookkeeping needed by
 experiments (WI count, area overhead, off-chip link inventory).
 
-The inter-die interconnect of each architecture is applied by a registered
-*overlay builder*; new architectures plug in with one decorator —
-
-::
-
-    @register_architecture("my-fabric")
-    def _apply_my_fabric(multichip, config):
-        ...mutate multichip.graph...
-
-— and are then constructible by name via :func:`architecture_builder`
-(``build_system`` resolves the builder from the configured architecture's
-value the same way).
+The inter-die interconnect of each architecture is applied by its
+*overlay builder*, looked up by the configured
+:class:`~repro.core.config.Architecture` in ``_OVERLAYS``; a new
+architecture is one more enum member and one more entry in that table.
 """
 
 from __future__ import annotations
@@ -85,44 +77,14 @@ class BuiltSystem:
 
 
 # ----------------------------------------------------------------------
-# Architecture registry.
+# Overlay builders.
 # ----------------------------------------------------------------------
 
 #: Overlay-builder signature: mutate ``multichip`` in place so its graph
 #: carries the architecture's inter-die interconnect.
 OverlayBuilder = Callable[[MultichipSystem, SystemConfig], None]
 
-_ARCHITECTURES: Dict[str, OverlayBuilder] = {}
 
-
-class UnknownArchitectureError(KeyError):
-    """Raised when an architecture name is not registered."""
-
-
-def register_architecture(name: str) -> Callable[[OverlayBuilder], OverlayBuilder]:
-    """Decorator that registers an overlay builder under a name."""
-
-    def decorator(builder: OverlayBuilder) -> OverlayBuilder:
-        if name in _ARCHITECTURES:
-            raise ValueError(f"architecture {name!r} is already registered")
-        _ARCHITECTURES[name] = builder
-        return builder
-
-    return decorator
-
-
-def architecture_builder(name: str) -> OverlayBuilder:
-    """Look up the overlay builder registered under ``name``."""
-    try:
-        return _ARCHITECTURES[name]
-    except KeyError:
-        known = ", ".join(sorted(_ARCHITECTURES))
-        raise UnknownArchitectureError(
-            f"unknown architecture {name!r}; known architectures: {known}"
-        ) from None
-
-
-@register_architecture(Architecture.SUBSTRATE.value)
 def _apply_substrate(multichip: MultichipSystem, config: SystemConfig) -> None:
     apply_substrate_overlay(
         multichip,
@@ -133,7 +95,6 @@ def _apply_substrate(multichip: MultichipSystem, config: SystemConfig) -> None:
     )
 
 
-@register_architecture(Architecture.INTERPOSER.value)
 def _apply_interposer(multichip: MultichipSystem, config: SystemConfig) -> None:
     apply_interposer_overlay(
         multichip,
@@ -144,12 +105,18 @@ def _apply_interposer(multichip: MultichipSystem, config: SystemConfig) -> None:
     )
 
 
-@register_architecture(Architecture.WIRELESS.value)
 def _apply_wireless(multichip: MultichipSystem, config: SystemConfig) -> None:
     apply_wireless_overlay(
         multichip,
         WirelessOverlayConfig(cores_per_wi=config.cores_per_wi),
     )
+
+
+_OVERLAYS: Dict[Architecture, OverlayBuilder] = {
+    Architecture.SUBSTRATE: _apply_substrate,
+    Architecture.INTERPOSER: _apply_interposer,
+    Architecture.WIRELESS: _apply_wireless,
+}
 
 
 def build_system(config: SystemConfig) -> BuiltSystem:
@@ -166,8 +133,7 @@ def build_system(config: SystemConfig) -> BuiltSystem:
         total_processing_area_mm2=config.total_processing_area_mm2,
     )
 
-    builder = architecture_builder(config.architecture.value)
-    builder(multichip, config)
+    _OVERLAYS[config.architecture](multichip, config)
 
     multichip.graph.validate()
     router = ShortestPathRouter(multichip.graph)

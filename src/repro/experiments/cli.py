@@ -80,6 +80,11 @@ def _knobs(name: Optional[str]) -> Dict[str, object]:
     return {knob: p.default for knob, p in parameters.items() if knob != "fidelity"}
 
 
+def _takers(knob: str) -> List[str]:
+    """The figures whose document generator declares ``knob``, sorted."""
+    return [name for name in sorted(EXPERIMENTS) if knob in _knobs(name)]
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of the experiments CLI."""
     parser = argparse.ArgumentParser(
@@ -135,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_patterns(),
         default="uniform",
         help=(
-            "synthetic traffic pattern for the load-sweep figures "
-            "(fig2/fig3/fig4); constructed by name from the traffic "
-            "registry (default: uniform)"
+            "synthetic traffic pattern for the pattern-capable experiments "
+            f"({'/'.join(_takers('pattern'))}); constructed by name from the "
+            "traffic registry (default: uniform)"
         ),
     )
     parser.add_argument(
@@ -146,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "wireless MAC protocol override for the MAC-capable "
-            "experiments (fig2/fig3/fig4/fig8); constructed by name from "
+            f"experiments ({'/'.join(_takers('mac'))}); constructed by name from "
             "the MAC registry (default: the configuration's protocol; "
             "fig8 sweeps every registered MAC unless this pins one)"
         ),
@@ -157,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help=(
             "fault scenario injected into every simulation task of the "
-            "fault-capable experiments (fig2/fig3/fig4/fig7); constructed "
+            f"fault-capable experiments ({'/'.join(_takers('faults'))}); constructed "
             "by name from the fault-scenario registry (default: none; "
             "fig7 promotes 'none' to 'random-links')"
         ),
@@ -270,7 +275,7 @@ def _run_figures(
         value = getattr(args, knob)
         if value == parser.get_default(knob):
             continue
-        takers = [name for name in sorted(EXPERIMENTS) if knob in _knobs(name)]
+        takers = _takers(knob)
         if args.experiment == "all":
             names = [name for name in names if name in takers]
             print(f"[runner] {knob} {value!r}: running {', '.join(names)} ({note})")

@@ -25,12 +25,9 @@ from .recovery import RecoveryReport, connected_components, rebuild_routes
 from .scenarios import (
     DEFAULT_FAULT_RATE,
     DEFAULT_SCENARIO,
-    ScenarioSpec,
     UnknownScenarioError,
     available_fault_scenarios,
     create_fault_plan,
-    register_fault_scenario,
-    scenario_spec,
 )
 
 __all__ = [
@@ -44,12 +41,9 @@ __all__ = [
     "FaultPlan",
     "FaultPlanError",
     "RecoveryReport",
-    "ScenarioSpec",
     "UnknownScenarioError",
     "available_fault_scenarios",
     "connected_components",
     "create_fault_plan",
     "rebuild_routes",
-    "register_fault_scenario",
-    "scenario_spec",
 ]

@@ -1,20 +1,13 @@
-"""Named fault scenarios, constructed by name from a registry.
+"""Named fault scenarios, constructed by name from a table.
 
-Mirrors the traffic-pattern and architecture registries: the experiment
-layer (CLI ``--faults``, simulation tasks, the fig7 resilience sweep)
-refers to fault scenarios by a short name, and each name maps to a factory
-that builds a deterministic :class:`~repro.faults.plan.FaultPlan` for a
-topology.  Registering a new scenario is one decorator —
-
-::
-
-    @register_fault_scenario("my-scenario", description="...")
-    def _make_my_scenario(topology, *, fault_rate, seed, cycles):
-        return FaultPlan(...)
-
-— after which ``--faults my-scenario`` works end to end through the
-parallel runner and the result cache (the scenario name and fault rate are
-part of every task's cache key).
+The experiment layer (CLI ``--faults``, simulation tasks, the fig7
+resilience sweep) refers to fault scenarios by a short name, as it does to
+traffic patterns and MAC protocols; :data:`FAULT_SCENARIOS` maps each name
+to a factory that builds a deterministic
+:class:`~repro.faults.plan.FaultPlan` for a topology.  A new scenario is one more entry in the table, after
+which ``--faults my-scenario`` works end to end through the parallel
+runner and the result cache (the scenario name and fault rate are part of
+every task's cache key).
 
 Every factory accepts the same keyword set (``fault_rate``, ``seed``,
 ``cycles``) and derives all randomness from ``seed`` via
@@ -29,7 +22,6 @@ undeliverable packet — never a silent drop).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Set
 
 from ..topology.graph import LinkKind, LinkSpec, RegionKind, TopologyGraph
@@ -50,65 +42,7 @@ DEFAULT_FAULT_RATE = 0.1
 
 
 class UnknownScenarioError(KeyError):
-    """Raised when a fault-scenario name is not registered."""
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One registered fault scenario."""
-
-    name: str
-    factory: ScenarioFactory
-    description: str = ""
-
-
-_REGISTRY: Dict[str, ScenarioSpec] = {}
-
-
-def register_fault_scenario(
-    name: str, description: str = ""
-) -> Callable[[ScenarioFactory], ScenarioFactory]:
-    """Decorator that registers a fault-scenario factory under a name."""
-
-    def decorator(factory: ScenarioFactory) -> ScenarioFactory:
-        if name in _REGISTRY:
-            raise ValueError(f"fault scenario {name!r} is already registered")
-        _REGISTRY[name] = ScenarioSpec(name=name, factory=factory, description=description)
-        return factory
-
-    return decorator
-
-
-def scenario_spec(name: str) -> ScenarioSpec:
-    """Look up one registered scenario."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise UnknownScenarioError(
-            f"unknown fault scenario {name!r}; known scenarios: {known}"
-        ) from None
-
-
-def available_fault_scenarios() -> List[str]:
-    """All registered scenario names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def create_fault_plan(
-    name: str,
-    topology: TopologyGraph,
-    fault_rate: float,
-    seed: int,
-    cycles: int,
-) -> FaultPlan:
-    """Build the named scenario's fault plan for one topology and run."""
-    if cycles <= 0:
-        raise ValueError("cycles must be positive")
-    if not 0.0 <= fault_rate <= 1.0:
-        raise ValueError(f"fault_rate must be in [0, 1], got {fault_rate}")
-    spec = scenario_spec(name)
-    return spec.factory(topology, fault_rate=fault_rate, seed=seed, cycles=cycles)
+    """Raised when a fault-scenario name is not in :data:`FAULT_SCENARIOS`."""
 
 
 # ----------------------------------------------------------------------
@@ -162,24 +96,21 @@ def _degrade_factor(fault_rate: float) -> int:
 # ----------------------------------------------------------------------
 
 
-@register_fault_scenario("none", description="pristine fabric, no faults")
 def _make_none(
     topology: TopologyGraph, *, fault_rate: float, seed: int, cycles: int
 ) -> FaultPlan:
+    """Pristine fabric, no faults."""
     return FaultPlan(scenario="none", fault_rate=fault_rate, seed=seed, events=())
 
 
-@register_fault_scenario(
-    "random-links",
-    description=(
-        "each wired link independently fails with probability fault_rate at "
-        "a random mid-run cycle; failures that would disconnect the "
-        "topology are skipped (connectivity-preserving)"
-    ),
-)
 def _make_random_links(
     topology: TopologyGraph, *, fault_rate: float, seed: int, cycles: int
 ) -> FaultPlan:
+    """Each wired link fails with probability ``fault_rate`` mid-run.
+
+    Failures that would disconnect the topology are skipped
+    (connectivity-preserving).
+    """
     rng = make_rng(seed)
     window_lo = max(1, cycles // 10)
     window_hi = max(window_lo + 1, cycles // 2)
@@ -204,17 +135,14 @@ def _make_random_links(
     )
 
 
-@register_fault_scenario(
-    "hub-transceiver-loss",
-    description=(
-        "kills ceil(fault_rate * num_WIs) wireless transceivers mid-run, "
-        "memory-stack hubs first; WIs whose loss would disconnect the "
-        "topology are skipped (wired architectures: no-op)"
-    ),
-)
 def _make_hub_transceiver_loss(
     topology: TopologyGraph, *, fault_rate: float, seed: int, cycles: int
 ) -> FaultPlan:
+    """Kill ``ceil(fault_rate * num_WIs)`` transceivers mid-run, memory hubs first.
+
+    WIs whose loss would disconnect the topology are skipped; on the wired
+    architectures the plan is empty.
+    """
     wis = topology.wireless_switches
     events: List[FaultEvent] = []
     if wis and fault_rate > 0.0:
@@ -257,17 +185,14 @@ def _make_hub_transceiver_loss(
     )
 
 
-@register_fault_scenario(
-    "degraded-channel",
-    description=(
-        "SNR loss on the shared wireless channel: every wireless hop "
-        "serialises more slowly and routing biases away from it; wired "
-        "architectures degrade their inter-die links instead"
-    ),
-)
 def _make_degraded_channel(
     topology: TopologyGraph, *, fault_rate: float, seed: int, cycles: int
 ) -> FaultPlan:
+    """SNR loss on the shared wireless channel.
+
+    Every wireless hop serialises more slowly and routing biases away from
+    it; wired architectures degrade their inter-die links instead.
+    """
     events: List[FaultEvent] = []
     if fault_rate > 0.0:
         at_cycle = max(1, cycles // 4)
@@ -305,18 +230,15 @@ def _make_degraded_channel(
     )
 
 
-@register_fault_scenario(
-    "cascading",
-    description=(
-        "a failure front: a random wired link dies, then neighbours of the "
-        "failed region keep dying at fixed intervals; MAY partition the "
-        "topology (the injector reports it and accounts every stranded "
-        "packet)"
-    ),
-)
 def _make_cascading(
     topology: TopologyGraph, *, fault_rate: float, seed: int, cycles: int
 ) -> FaultPlan:
+    """A failure front: a random wired link dies, then its neighbours.
+
+    Links next to the failed region keep dying at fixed intervals.  The
+    front MAY partition the topology; the injector then reports it and
+    accounts every stranded packet.
+    """
     wired = _wired_links(topology)
     events: List[FaultEvent] = []
     if wired and fault_rate > 0.0:
@@ -357,3 +279,40 @@ def _make_cascading(
     return FaultPlan(
         scenario="cascading", fault_rate=fault_rate, seed=seed, events=tuple(events)
     )
+
+
+#: Scenario name -> plan factory.
+FAULT_SCENARIOS: Dict[str, ScenarioFactory] = {
+    "none": _make_none,
+    "random-links": _make_random_links,
+    "hub-transceiver-loss": _make_hub_transceiver_loss,
+    "degraded-channel": _make_degraded_channel,
+    "cascading": _make_cascading,
+}
+
+
+def available_fault_scenarios() -> List[str]:
+    """All scenario names, sorted."""
+    return sorted(FAULT_SCENARIOS)
+
+
+def create_fault_plan(
+    name: str,
+    topology: TopologyGraph,
+    fault_rate: float,
+    seed: int,
+    cycles: int,
+) -> FaultPlan:
+    """Build the named scenario's fault plan for one topology and run."""
+    if cycles <= 0:
+        raise ValueError("cycles must be positive")
+    if not 0.0 <= fault_rate <= 1.0:
+        raise ValueError(f"fault_rate must be in [0, 1], got {fault_rate}")
+    try:
+        factory = FAULT_SCENARIOS[name]
+    except KeyError:
+        known = ", ".join(available_fault_scenarios())
+        raise UnknownScenarioError(
+            f"unknown fault scenario {name!r}; known scenarios: {known}"
+        ) from None
+    return factory(topology, fault_rate=fault_rate, seed=seed, cycles=cycles)

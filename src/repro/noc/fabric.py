@@ -42,13 +42,7 @@ from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..energy import EnergyAccountant
 from ..wireless.channel import assign_channels
-from ..wireless.mac import (
-    MacBuildContext,
-    MacDataPlane,
-    MacProtocol,
-    create_mac,
-    mac_spec,
-)
+from ..wireless.mac import MacBuildContext, MacDataPlane, MacProtocol, mac_spec
 from ..wireless.transceiver import Transceiver, TransceiverSpec, TransceiverState
 from .pool import FLIT_INDEX_BITS, FLIT_INDEX_MASK, PacketPool
 from .port import InputPort, OutputPort
@@ -218,10 +212,8 @@ class WirelessFabric(Fabric, MacDataPlane):
             idle_power_mw=config.technology.wireless_idle_power_mw,
             sleep_power_mw=config.technology.wireless_sleep_power_mw,
         )
-        power_gating = (
-            wireless_cfg.sleepy_receivers
-            and mac_spec(wireless_cfg.mac).supports_sleepy_receivers
-        )
+        protocol = mac_spec(wireless_cfg.mac)
+        power_gating = wireless_cfg.sleepy_receivers and protocol.supports_sleepy_receivers
         self.transceivers: Dict[int, Transceiver] = {
             wi_id: Transceiver(wi_id=wi_id, spec=spec, power_gating=power_gating)
             for wi_id in ordered_ids
@@ -236,8 +228,7 @@ class WirelessFabric(Fabric, MacDataPlane):
         for plan in self.channel_plans:
             if not plan.wi_switch_ids:
                 continue
-            mac = create_mac(
-                wireless_cfg.mac,
+            mac = protocol.factory(
                 MacBuildContext(
                     channel_id=plan.channel_id,
                     wi_switch_ids=list(plan.wi_switch_ids),

@@ -41,7 +41,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core import framework
 from ..core.architectures import BuiltSystem
 from ..core.config import SystemConfig
-from ..faults.scenarios import create_fault_plan, scenario_spec
+from ..faults.scenarios import (
+    FAULT_SCENARIOS,
+    UnknownScenarioError,
+    available_fault_scenarios,
+    create_fault_plan,
+)
 from ..metrics.report import format_simulator_throughput, format_table
 from ..metrics.saturation import LoadPointSummary
 from ..noc import engine
@@ -140,7 +145,11 @@ class SimulationTask:
                 raise ValueError("synthetic tasks need a traffic pattern name")
         if self.kind == "application" and not self.application:
             raise ValueError("application tasks need an application name")
-        scenario_spec(self.faults)  # raises UnknownScenarioError early
+        if self.faults not in FAULT_SCENARIOS:
+            known = ", ".join(available_fault_scenarios())
+            raise UnknownScenarioError(
+                f"unknown fault scenario {self.faults!r}; known scenarios: {known}"
+            )
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError("fault_rate must be in [0, 1]")
         if self.mac:

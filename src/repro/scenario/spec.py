@@ -674,7 +674,7 @@ def _load_yaml(text: str, source: str) -> object:
         raise ScenarioError(
             "",
             f"cannot load YAML scenario {source!r}: PyYAML is not installed "
-            "(use a .json document instead)",
+            "(pip install 'repro-wireless-multichip[scenario]', or use a .json document instead)",
         ) from None
     try:
         return yaml.safe_load(text)
@@ -722,7 +722,9 @@ def dump_scenario(spec: ScenarioSpec, format: str = "json") -> str:
             import yaml
         except ImportError:
             raise ScenarioError(
-                "", "cannot dump YAML: PyYAML is not installed (use format='json')"
+                "",
+                "cannot dump YAML: PyYAML is not installed "
+                "(pip install 'repro-wireless-multichip[scenario]', or use format='json')",
             ) from None
         return yaml.safe_dump(raw, sort_keys=False)
     raise ScenarioError("", f"unknown scenario format {format!r} (yaml or json)")

@@ -30,64 +30,51 @@ class WirelessOverlayConfig:
     """Parameters of the WI deployment."""
 
     #: Number of cores serviced by one WI inside each processing chip
-    #: ("wireless deployment density of 1WI per 16 cores").
+    #: ("wireless deployment density of 1WI per 16 cores").  A chip with
+    #: fewer cores still gets one WI, which inter-chip connectivity needs.
     cores_per_wi: int = 16
-    #: Whether every chip gets at least one WI even if it has fewer cores
-    #: than ``cores_per_wi`` (required for inter-chip connectivity).
-    at_least_one_per_chip: bool = True
-    #: Whether memory stacks carry a WI on their base logic die (paper: yes).
-    memory_wi: bool = True
-    #: Whether wireless links between WIs of the *same* chip are added;
-    #: intra-chip traffic may then use the wireless shortcut when it reduces
-    #: the path length, as observed for the 1C4M configuration.
-    connect_same_region: bool = True
 
 
 def apply_wireless_overlay(
     system: MultichipSystem,
     config: WirelessOverlayConfig = WirelessOverlayConfig(),
 ) -> List[LinkSpec]:
-    """Deploy WIs and add pairwise wireless links; return created links."""
+    """Deploy WIs and add pairwise wireless links; return created links.
+
+    Every chip gets at least one WI and every memory stack's base logic die
+    carries one (the paper's deployment).
+    """
     if config.cores_per_wi <= 0:
         raise ValueError("cores_per_wi must be positive")
 
     graph = system.graph
 
-    for chip_index, region_id in enumerate(system.chip_region_ids):
+    for region_id in system.chip_region_ids:
         cores_in_chip = sum(
             len(graph.endpoints_at(s.switch_id))
             for s in graph.switches_in_region(region_id)
         )
-        num_wis = cores_in_chip // config.cores_per_wi
-        if num_wis == 0 and config.at_least_one_per_chip:
-            num_wis = 1
-        if num_wis == 0:
-            continue
+        num_wis = max(1, cores_in_chip // config.cores_per_wi)
         for switch_id in cluster_centers(graph, region_id, num_wis):
             graph.set_wireless(switch_id, True)
 
-    if config.memory_wi:
-        for memory_index in range(system.num_memory_stacks):
-            graph.set_wireless(system.memory_switch(memory_index), True)
+    for memory_index in range(system.num_memory_stacks):
+        graph.set_wireless(system.memory_switch(memory_index), True)
 
-    return connect_wireless_interfaces(
-        graph, connect_same_region=config.connect_same_region
-    )
+    return connect_wireless_interfaces(graph)
 
 
-def connect_wireless_interfaces(
-    graph: TopologyGraph, connect_same_region: bool = True
-) -> List[LinkSpec]:
-    """Add a wireless link between every pair of WI switches."""
+def connect_wireless_interfaces(graph: TopologyGraph) -> List[LinkSpec]:
+    """Add a wireless link between every pair of WI switches.
+
+    WIs of the same chip are linked too, so intra-chip traffic may take the
+    wireless shortcut when it shortens the path, as observed for the 1C4M
+    configuration.
+    """
     created: List[LinkSpec] = []
     wireless = graph.wireless_switches
     for i, first in enumerate(wireless):
         for second in wireless[i + 1 :]:
-            if (
-                not connect_same_region
-                and first.region_id == second.region_id
-            ):
-                continue
             if graph.find_link(first.switch_id, second.switch_id) is not None:
                 continue
             length = euclidean_mm(first.position_mm, second.position_mm)

@@ -14,12 +14,9 @@ from .applications import (
 )
 from .base import TrafficModel, TrafficRequest, endpoint_region, offchip_fraction
 from .registry import (
-    PatternSpec,
     UnknownPatternError,
     available_patterns,
     create_pattern,
-    pattern_spec,
-    register_pattern,
 )
 from .rng import bernoulli, choose_other, make_rng
 from .synfull import SynfullApplicationTraffic
@@ -43,7 +40,6 @@ __all__ = [
     "BurstyHotspotTraffic",
     "HotspotTraffic",
     "NeighbourTraffic",
-    "PatternSpec",
     "SynfullApplicationTraffic",
     "TrafficModel",
     "TrafficRequest",
@@ -59,6 +55,4 @@ __all__ = [
     "get_profile",
     "make_rng",
     "offchip_fraction",
-    "pattern_spec",
-    "register_pattern",
 ]

@@ -1,29 +1,21 @@
 """Construction of traffic patterns by name.
 
 The experiment layer (CLI ``--pattern``, simulation tasks, sweeps) refers
-to synthetic traffic patterns by a short name; this registry maps each name
-to a factory that builds the corresponding :class:`~repro.traffic.base.
-TrafficModel` for a topology.  Registering a new pattern is one decorator —
-
-::
-
-    @register_pattern("my-pattern", description="...")
-    def _make_my_pattern(topology, *, injection_rate, memory_access_fraction, seed):
-        return MyPatternTraffic(topology, injection_rate, seed=seed)
-
-— after which ``--pattern my-pattern`` works end to end through the
+to synthetic traffic patterns by a short name; :data:`PATTERNS` maps each
+name to a factory that builds the corresponding :class:`~repro.traffic.base.
+TrafficModel` for a topology.  A new pattern is one more entry in the
+table, after which ``--pattern my-pattern`` works end to end through the
 parallel runner and the result cache (the pattern name is part of every
 task's cache key).
 
-Every factory accepts the same keyword set (``injection_rate``,
-``memory_access_fraction``, ``seed``) so callers never special-case
-individual patterns; factories for patterns without a memory-traffic
-component simply ignore ``memory_access_fraction``.
+Every factory takes the same arguments, ``(topology, injection_rate,
+memory_access_fraction, seed)``, so callers never special-case individual
+patterns; patterns without a memory-traffic component ignore
+``memory_access_fraction``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..topology.graph import TopologyGraph
@@ -39,65 +31,54 @@ from .synthetic import (
 )
 from .uniform import UniformRandomTraffic
 
-#: Factory signature: ``factory(topology, injection_rate=...,
-#: memory_access_fraction=..., seed=...) -> TrafficModel``.
-PatternFactory = Callable[..., TrafficModel]
+#: Factory signature: ``factory(topology, injection_rate,
+#: memory_access_fraction, seed) -> TrafficModel``.
+PatternFactory = Callable[[TopologyGraph, float, float, Optional[int]], TrafficModel]
 
 
 class UnknownPatternError(KeyError):
-    """Raised when a traffic pattern name is not registered."""
+    """Raised when a traffic pattern name is not in :data:`PATTERNS`."""
 
 
-@dataclass(frozen=True)
-class PatternSpec:
-    """One registered traffic pattern."""
-
-    name: str
-    factory: PatternFactory
-    description: str = ""
-    #: Whether the pattern routes a share of its traffic to memory vaults
-    #: (and therefore honours ``memory_access_fraction``).
-    uses_memory_fraction: bool = False
+def _uniform(topology, injection_rate, memory_access_fraction, seed):
+    return UniformRandomTraffic(topology, injection_rate, memory_access_fraction, seed=seed)
 
 
-_REGISTRY: Dict[str, PatternSpec] = {}
+def _hotspot(topology, injection_rate, memory_access_fraction, seed):
+    return HotspotTraffic(
+        topology, injection_rate, hotspot_endpoints=default_hotspots(topology), seed=seed
+    )
 
 
-def register_pattern(
-    name: str,
-    description: str = "",
-    uses_memory_fraction: bool = False,
-) -> Callable[[PatternFactory], PatternFactory]:
-    """Class/function decorator that registers a traffic-pattern factory."""
-
-    def decorator(factory: PatternFactory) -> PatternFactory:
-        if name in _REGISTRY:
-            raise ValueError(f"traffic pattern {name!r} is already registered")
-        _REGISTRY[name] = PatternSpec(
-            name=name,
-            factory=factory,
-            description=description,
-            uses_memory_fraction=uses_memory_fraction,
-        )
-        return factory
-
-    return decorator
+def _cores_only(model: Callable[..., TrafficModel]) -> PatternFactory:
+    """The factory of a pattern that sends no memory traffic."""
+    return lambda topology, injection_rate, memory_access_fraction, seed: model(
+        topology, injection_rate, seed=seed
+    )
 
 
-def pattern_spec(name: str) -> PatternSpec:
-    """Look up one registered pattern."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise UnknownPatternError(
-            f"unknown traffic pattern {name!r}; known patterns: {known}"
-        ) from None
+#: Pattern name -> factory.
+PATTERNS: Dict[str, PatternFactory] = {
+    # Uniform random destinations with a memory-access share (the paper's).
+    "uniform": _uniform,
+    # Core (i, j) sends to core (j, i).
+    "transpose": _cores_only(TransposeTraffic),
+    # Core i sends to core ~i (index reversal).
+    "bit-complement": _cores_only(BitComplementTraffic),
+    # Core i sends to the bit-reversed core index.
+    "bit-reversal": _cores_only(BitReversalTraffic),
+    # Core i sends to core i+1 (best-case locality).
+    "neighbour": _cores_only(NeighbourTraffic),
+    # Uniform traffic with a share aimed at the central cores.
+    "hotspot": _hotspot,
+    # Deterministic on/off burst windows aimed at the central cores.
+    "bursty-hotspot": _cores_only(BurstyHotspotTraffic),
+}
 
 
 def available_patterns() -> List[str]:
-    """All registered pattern names, sorted."""
-    return sorted(_REGISTRY)
+    """All pattern names, sorted."""
+    return sorted(PATTERNS)
 
 
 def create_pattern(
@@ -108,122 +89,11 @@ def create_pattern(
     seed: Optional[int] = None,
 ) -> TrafficModel:
     """Build the named traffic pattern for one topology."""
-    spec = pattern_spec(name)
-    return spec.factory(
-        topology,
-        injection_rate=injection_rate,
-        memory_access_fraction=memory_access_fraction,
-        seed=seed,
-    )
-
-
-# ----------------------------------------------------------------------
-# Built-in patterns.
-# ----------------------------------------------------------------------
-
-
-@register_pattern(
-    "uniform",
-    description="uniform random destinations with a memory-access share",
-    uses_memory_fraction=True,
-)
-def _make_uniform(
-    topology: TopologyGraph,
-    *,
-    injection_rate: float,
-    memory_access_fraction: float = 0.2,
-    seed: Optional[int] = None,
-) -> TrafficModel:
-    return UniformRandomTraffic(
-        topology,
-        injection_rate=injection_rate,
-        memory_access_fraction=memory_access_fraction,
-        seed=seed,
-    )
-
-
-@register_pattern("transpose", description="core (i, j) sends to core (j, i)")
-def _make_transpose(
-    topology: TopologyGraph,
-    *,
-    injection_rate: float,
-    memory_access_fraction: float = 0.2,
-    seed: Optional[int] = None,
-) -> TrafficModel:
-    return TransposeTraffic(topology, injection_rate, seed=seed)
-
-
-@register_pattern(
-    "bit-complement", description="core i sends to core ~i (index reversal)"
-)
-def _make_bit_complement(
-    topology: TopologyGraph,
-    *,
-    injection_rate: float,
-    memory_access_fraction: float = 0.2,
-    seed: Optional[int] = None,
-) -> TrafficModel:
-    return BitComplementTraffic(topology, injection_rate, seed=seed)
-
-
-@register_pattern(
-    "bit-reversal", description="core i sends to the bit-reversed core index"
-)
-def _make_bit_reversal(
-    topology: TopologyGraph,
-    *,
-    injection_rate: float,
-    memory_access_fraction: float = 0.2,
-    seed: Optional[int] = None,
-) -> TrafficModel:
-    return BitReversalTraffic(topology, injection_rate, seed=seed)
-
-
-@register_pattern(
-    "neighbour", description="core i sends to core i+1 (best-case locality)"
-)
-def _make_neighbour(
-    topology: TopologyGraph,
-    *,
-    injection_rate: float,
-    memory_access_fraction: float = 0.2,
-    seed: Optional[int] = None,
-) -> TrafficModel:
-    return NeighbourTraffic(topology, injection_rate, seed=seed)
-
-
-@register_pattern(
-    "hotspot", description="uniform traffic with a share aimed at central cores"
-)
-def _make_hotspot(
-    topology: TopologyGraph,
-    *,
-    injection_rate: float,
-    memory_access_fraction: float = 0.2,
-    seed: Optional[int] = None,
-) -> TrafficModel:
-    return HotspotTraffic(
-        topology,
-        injection_rate,
-        hotspot_endpoints=default_hotspots(topology),
-        seed=seed,
-    )
-
-
-@register_pattern(
-    "bursty-hotspot",
-    description="deterministic on/off burst windows aimed at central cores",
-)
-def _make_bursty_hotspot(
-    topology: TopologyGraph,
-    *,
-    injection_rate: float,
-    memory_access_fraction: float = 0.2,
-    seed: Optional[int] = None,
-) -> TrafficModel:
-    return BurstyHotspotTraffic(
-        topology,
-        injection_rate,
-        hotspot_endpoints=default_hotspots(topology),
-        seed=seed,
-    )
+    try:
+        factory = PATTERNS[name]
+    except KeyError:
+        known = ", ".join(available_patterns())
+        raise UnknownPatternError(
+            f"unknown traffic pattern {name!r}; known patterns: {known}"
+        ) from None
+    return factory(topology, injection_rate, memory_access_fraction, seed)

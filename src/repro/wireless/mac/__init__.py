@@ -8,9 +8,7 @@ from .registry import (
     MacSpec,
     UnknownMacError,
     available_macs,
-    create_mac,
     mac_spec,
-    register_mac,
 )
 from .tdma import TdmaMac
 from .token import TokenMac
@@ -28,7 +26,5 @@ __all__ = [
     "TransmissionPlan",
     "UnknownMacError",
     "available_macs",
-    "create_mac",
     "mac_spec",
-    "register_mac",
 ]

@@ -1,19 +1,13 @@
-"""MAC protocol registry: construct channel-arbitration protocols by name.
+"""MAC protocols by name: channel-arbitration protocols from a table.
 
-Mirrors the traffic and architecture registries (PR 2): a MAC protocol
-plugs in with one decorator —
-
-::
-
-    @register_mac("my-mac", description="...", whole_packet_buffering=False)
-    def _build_my_mac(context: MacBuildContext) -> MacProtocol:
-        return MyMac(context.channel_id, context.wi_switch_ids, context.plane)
-
-— and is then selectable everywhere a MAC name appears: the
-``WirelessConfig.mac`` field, the experiment CLI's ``--mac`` flag, and the
-``fig8_mac_study`` sweep.  ``whole_packet_buffering`` declares whether the
-protocol only transmits whole packets (the token MAC's rule), which drives
-the WI buffer sizing in :meth:`repro.noc.config.NetworkConfig.wi_buffer_depth`.
+Like the traffic patterns and the fault scenarios, a MAC protocol is one
+entry in :data:`MACS` — a :class:`MacSpec` holding its factory and its
+scheduling metadata — and is then selectable everywhere a MAC name
+appears: the ``WirelessConfig.mac`` field, the experiment CLI's ``--mac``
+flag, and the ``fig8_mac_study`` sweep.  ``whole_packet_buffering``
+declares whether the protocol only transmits whole packets (the token
+MAC's rule), which drives the WI buffer sizing in
+:meth:`repro.noc.config.NetworkConfig.wi_buffer_depth`.
 
 The factory receives one :class:`MacBuildContext` per wireless channel, so
 multi-channel systems get independent protocol instances with their own
@@ -36,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class UnknownMacError(KeyError):
-    """Raised when a MAC protocol name is not registered."""
+    """Raised when a MAC protocol name is not in :data:`MACS`."""
 
 
 @dataclass(frozen=True)
@@ -61,11 +55,9 @@ MacFactory = Callable[[MacBuildContext], MacProtocol]
 
 @dataclass(frozen=True)
 class MacSpec:
-    """A registered MAC protocol: factory plus scheduling metadata."""
+    """A MAC protocol: factory plus scheduling metadata."""
 
-    name: str
     factory: MacFactory
-    description: str
     #: Whether the protocol only transmits whole packets, requiring the WI
     #: input buffers to hold an entire packet (Section III-D's buffer
     #: argument against the token MAC).
@@ -76,63 +68,11 @@ class MacSpec:
     supports_sleepy_receivers: bool = False
 
 
-_MACS: Dict[str, MacSpec] = {}
-
-
-def register_mac(
-    name: str,
-    description: str = "",
-    whole_packet_buffering: bool = False,
-    supports_sleepy_receivers: bool = False,
-) -> Callable[[MacFactory], MacFactory]:
-    """Decorator that registers a MAC factory under a name."""
-
-    def decorator(factory: MacFactory) -> MacFactory:
-        if name in _MACS:
-            raise ValueError(f"MAC protocol {name!r} is already registered")
-        _MACS[name] = MacSpec(
-            name=name,
-            factory=factory,
-            description=description,
-            whole_packet_buffering=whole_packet_buffering,
-            supports_sleepy_receivers=supports_sleepy_receivers,
-        )
-        return factory
-
-    return decorator
-
-
-def mac_spec(name: str) -> MacSpec:
-    """Look up the spec registered under ``name``."""
-    try:
-        return _MACS[name]
-    except KeyError:
-        known = ", ".join(sorted(_MACS))
-        raise UnknownMacError(
-            f"unknown MAC protocol {name!r}; known protocols: {known}"
-        ) from None
-
-
-def create_mac(name: str, context: MacBuildContext) -> MacProtocol:
-    """Build one channel's protocol instance by registered name."""
-    return mac_spec(name).factory(context)
-
-
-def available_macs() -> List[str]:
-    """All registered MAC protocol names, sorted."""
-    return sorted(_MACS)
-
-
 # ----------------------------------------------------------------------
 # Built-in protocols.
 # ----------------------------------------------------------------------
 
 
-@register_mac(
-    "token",
-    description="baseline token passing, whole-packet transmissions [7]",
-    whole_packet_buffering=True,
-)
 def _build_token(context: MacBuildContext) -> MacProtocol:
     wireless = context.wireless
     return TokenMac(
@@ -144,11 +84,6 @@ def _build_token(context: MacBuildContext) -> MacProtocol:
     )
 
 
-@register_mac(
-    "control_packet",
-    description="the paper's control-packet MAC with partial packets (Section III-D)",
-    supports_sleepy_receivers=True,
-)
 def _build_control_packet(context: MacBuildContext) -> MacProtocol:
     wireless = context.wireless
     return ControlPacketMac(
@@ -162,10 +97,6 @@ def _build_control_packet(context: MacBuildContext) -> MacProtocol:
     )
 
 
-@register_mac(
-    "tdma",
-    description="static slotted schedule with a per-slot guard time",
-)
 def _build_tdma(context: MacBuildContext) -> MacProtocol:
     wireless = context.wireless
     slot_cycles = wireless.tdma_slot_cycles
@@ -182,13 +113,38 @@ def _build_tdma(context: MacBuildContext) -> MacProtocol:
     )
 
 
-@register_mac(
-    "fdma",
-    description="per-WI dedicated sub-bands (cycle-interleaved frequency division)",
-)
 def _build_fdma(context: MacBuildContext) -> MacProtocol:
     return FdmaMac(
         context.channel_id,
         list(context.wi_switch_ids),
         plane=context.plane,
     )
+
+
+#: Protocol name -> spec.
+MACS: Dict[str, MacSpec] = {
+    # Baseline token passing, whole-packet transmissions [7].
+    "token": MacSpec(_build_token, whole_packet_buffering=True),
+    # The paper's control-packet MAC with partial packets (Section III-D).
+    "control_packet": MacSpec(_build_control_packet, supports_sleepy_receivers=True),
+    # Static slotted schedule with a per-slot guard time.
+    "tdma": MacSpec(_build_tdma),
+    # Per-WI dedicated sub-bands (cycle-interleaved frequency division).
+    "fdma": MacSpec(_build_fdma),
+}
+
+
+def mac_spec(name: str) -> MacSpec:
+    """Look up the spec of the protocol named ``name``."""
+    try:
+        return MACS[name]
+    except KeyError:
+        known = ", ".join(available_macs())
+        raise UnknownMacError(
+            f"unknown MAC protocol {name!r}; known protocols: {known}"
+        ) from None
+
+
+def available_macs() -> List[str]:
+    """All MAC protocol names, sorted."""
+    return sorted(MACS)

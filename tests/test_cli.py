@@ -10,6 +10,7 @@ declined flags are pinned word for word.
 
 from __future__ import annotations
 
+import inspect
 import re
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from repro import api
 from repro.experiments import cli
 from repro.metrics.saturation import LoadPointSummary
 from repro.parallel.runner import ExperimentRunner
-from repro.scenario import builtin_scenario, compile_scenario
+from repro.scenario import BUILTIN_SCENARIOS, builtin_scenario, compile_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -361,6 +362,26 @@ def test_parser_errors(argv, message, monkeypatch, capsys):
         assert "invalid choice: 'x'" in capsys.readouterr().err
         return
     _declined(monkeypatch, capsys, argv, message)
+
+
+@pytest.mark.parametrize(
+    "knob, figures",
+    [
+        ("pattern", "fig2/fig3/fig4/fig7/fig8"),
+        ("mac", "fig2/fig3/fig4/fig8"),
+        ("faults", "fig2/fig3/fig4/fig7"),
+    ],
+    ids=["pattern", "mac", "faults"],
+)
+def test_help_names_the_figures_whose_generator_takes_the_flag(knob, figures):
+    declared = [
+        name
+        for name in sorted(cli.EXPERIMENTS)
+        if knob in inspect.signature(BUILTIN_SCENARIOS[name]).parameters
+    ]
+    assert figures == "/".join(declared)
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == knob]
+    assert f"({figures})" in action.help
 
 
 def test_unreadable_scenario_file_is_a_parser_error(monkeypatch, capsys, tmp_path):

@@ -1,30 +1,24 @@
-"""Tests for the traffic-pattern and architecture registries."""
+"""Tests for the name tables: traffic patterns, architectures, and the
+unknown-name errors of the pattern, MAC and fault-scenario tables."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.architectures import (
-    UnknownArchitectureError,
-    architecture_builder,
-    build_system,
-    register_architecture,
-)
+from repro.core.architectures import _OVERLAYS, build_system
 from repro.core.config import Architecture
+from repro.faults.scenarios import UnknownScenarioError, available_fault_scenarios
+from repro.noc.config import WirelessConfig
+from repro.parallel.runner import SimulationTask
 from repro.testing import small_system_config
 from repro.traffic.base import TrafficModel
-from repro.traffic.registry import (
-    UnknownPatternError,
-    available_patterns,
-    create_pattern,
-    pattern_spec,
-    register_pattern,
-)
+from repro.traffic.registry import UnknownPatternError, available_patterns, create_pattern
 from repro.traffic.synthetic import (
     BitReversalTraffic,
     BurstyHotspotTraffic,
     default_hotspots,
 )
+from repro.wireless.mac.registry import UnknownMacError, available_macs, mac_spec
 
 
 @pytest.fixture(scope="module")
@@ -53,26 +47,12 @@ class TestPatternRegistry:
         ):
             assert name in patterns
 
-    def test_unknown_pattern_raises_with_known_names(self, topology):
-        with pytest.raises(UnknownPatternError, match="bogus"):
-            create_pattern("bogus", topology, injection_rate=0.01)
-        with pytest.raises(UnknownPatternError, match="transpose"):
-            pattern_spec("bogus")
-
     def test_every_pattern_constructs_a_traffic_model(self, topology):
         for name in available_patterns():
             traffic = create_pattern(
                 name, topology, injection_rate=0.02, seed=1
             )
             assert isinstance(traffic, TrafficModel)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_pattern("uniform")(lambda topology, **kwargs: None)
-
-    def test_uniform_spec_uses_memory_fraction(self):
-        assert pattern_spec("uniform").uses_memory_fraction
-        assert not pattern_spec("transpose").uses_memory_fraction
 
 
 class TestPatternDistributions:
@@ -164,18 +144,7 @@ class TestPatternDistributions:
 
 class TestArchitectureRegistry:
     def test_builtin_architectures_registered(self):
-        for architecture in Architecture:
-            assert callable(architecture_builder(architecture.value))
-
-    def test_unknown_architecture_raises_with_known_names(self):
-        with pytest.raises(UnknownArchitectureError, match="wireless"):
-            architecture_builder("bogus")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_architecture(Architecture.WIRELESS.value)(
-                lambda multichip, config: None
-            )
+        assert set(_OVERLAYS) == set(Architecture)
 
     def test_build_system_goes_through_registry(self):
         """Each architecture's overlay still yields its signature links."""
@@ -186,3 +155,38 @@ class TestArchitectureRegistry:
                 assert inventory.get("wireless", 0) > 0
             else:
                 assert inventory.get("wireless", 0) == 0
+
+
+def _bogus_pattern():
+    topology = build_system(small_system_config(Architecture.INTERPOSER)).topology
+    create_pattern("bogus", topology, injection_rate=0.01)
+
+
+def _bogus_fault_task():
+    SimulationTask(
+        kind="synthetic",
+        config=small_system_config(Architecture.SUBSTRATE),
+        cycles=400,
+        warmup_cycles=100,
+        seed=1,
+        load=0.01,
+        faults="bogus",
+    )
+
+
+@pytest.mark.parametrize(
+    "lookup, error, known",
+    [
+        (_bogus_pattern, UnknownPatternError, available_patterns),
+        (lambda: mac_spec("bogus"), UnknownMacError, available_macs),
+        (lambda: WirelessConfig(mac="bogus"), ValueError, available_macs),
+        (_bogus_fault_task, UnknownScenarioError, available_fault_scenarios),
+    ],
+    ids=["pattern", "mac", "wireless-config-mac", "faults"],
+)
+def test_unknown_name_lists_the_known_names(lookup, error, known):
+    with pytest.raises(error) as raised:
+        lookup()
+    message = str(raised.value)
+    assert "'bogus'" in message
+    assert ", ".join(known()) in message

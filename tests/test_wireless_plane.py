@@ -2,9 +2,10 @@
 
 The contracts:
 
-* **Registry** — every shipped protocol is constructible by name, unknown
-  names fail loudly at configuration time, and the registry metadata
-  (whole-packet buffering) drives the WI buffer sizing.
+* **Registry** — every shipped protocol is constructible by name, and the
+  table's metadata (whole-packet buffering) drives the WI buffer sizing;
+  unknown names are tested with the other tables in
+  ``test_traffic_registry.py``.
 * **Grant exclusivity** — property-tested: per wireless channel, at most
   one WI transmits in any cycle, for every MAC, seed and load.  The
   wireless fabric checks it on every send, so a clean run is the proof,
@@ -28,8 +29,7 @@ from repro.noc.config import NetworkConfig, WirelessConfig
 from repro.noc.engine import SimulationConfig, Simulator
 from repro.testing import small_system_config
 from repro.traffic.registry import create_pattern
-from repro.wireless.mac import available_macs, mac_spec, register_mac
-from repro.wireless.mac.registry import UnknownMacError
+from repro.wireless.mac import available_macs, mac_spec
 
 ALL_MACS = ("control_packet", "fdma", "tdma", "token")
 
@@ -64,16 +64,6 @@ class TestMacRegistry:
         assert not mac_spec("control_packet").whole_packet_buffering
         assert mac_spec("control_packet").supports_sleepy_receivers
         assert not mac_spec("tdma").supports_sleepy_receivers
-
-    def test_unknown_mac_rejected(self):
-        with pytest.raises(UnknownMacError):
-            mac_spec("aloha")
-        with pytest.raises(ValueError):
-            WirelessConfig(mac="aloha")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_mac("token")(lambda context: None)
 
     def test_wi_buffer_depth_follows_registry_metadata(self):
         token = NetworkConfig(packet_length_flits=64, wireless=WirelessConfig(mac="token"))
