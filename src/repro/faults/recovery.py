@@ -15,12 +15,22 @@ enumerated in full.
 
 The same rule makes a cycle cheap to find again.  A report that found one
 names its *witness*: the (src, dst) pairs whose routes first contributed
-each dependency of the cycle (4 to 12 pairs on the fig7 fault tasks of
+each dependency of the cycle (4 to 11 pairs on the fig7 fault tasks of
 the ``resilience`` benchmark at seeds 7, 11 and 23).  A later recovery of
 the same run re-routes and tests those pairs before any other; if they still
 close a cycle on the degraded graph, the verdict is in after a few routes.
-Otherwise the audit goes on source-major over the remaining pairs, routing
-no pair twice.
+Otherwise the audit goes on over the remaining pairs, routing no pair
+twice, source by source in order of BFS hop distance from the nearest
+endpoint of any disabled link (ties by switch id): a failed link pushes the
+routes near it off the XY form, so a new cycle usually runs there.  Over the
+30 recoveries of ``resilience`` at seeds 7, 11 and 23 this order routes
+6,432, 4,922 and 7,280 pairs, against 6,804, 9,072 and 14,496 in plain
+source-id order.
+
+The router makes each audited route cheap: its weighted in-service
+adjacency and its set of in-service mesh hops are built once per cache
+generation, and :func:`_rebuild` starts a new generation with
+``router.clear_cache()``.
 
 The deadlock argument of the default router rests on XY-ordered intra-chip
 segments; a failed mesh link forces recovered routes off the XY form, and
@@ -39,6 +49,7 @@ partition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -161,11 +172,15 @@ def _rebuild(
     def pairs() -> Iterator[Tuple[int, int]]:
         yield from witness
         done = set(witness)
-        for component in components:
-            for src in component:
-                for dst in component:
-                    if src != dst and (src, dst) not in done:
-                        yield src, dst
+        distance = _fault_distances(topology)
+        sources = sorted(
+            ((src, component) for component in components for src in component),
+            key=lambda item: (distance.get(item[0], math.inf), item[0]),
+        )
+        for src, component in sources:
+            for dst in component:
+                if src != dst and (src, dst) not in done:
+                    yield src, dst
 
     def routes() -> Iterator[List[int]]:
         for pair in pairs():
@@ -185,6 +200,25 @@ def _rebuild(
         report.deadlock_free = False
         report.witness = _witness(report.dependency_cycle, audited)
     return report
+
+
+def _fault_distances(topology: TopologyGraph) -> Dict[int, int]:
+    """BFS hop distance over the in-service links from the nearest endpoint
+    of a disabled link, for every switch that reaches one."""
+    disabled = [topology.link(link_id) for link_id in topology.disabled_links]
+    frontier = list({switch for link in disabled for switch in link.endpoints()})
+    distance = dict.fromkeys(frontier, 0)
+    hops = 0
+    while frontier:
+        hops += 1
+        reached = []
+        for switch in frontier:
+            for neighbor, _ in topology.neighbors(switch):
+                if neighbor not in distance:
+                    distance[neighbor] = hops
+                    reached.append(neighbor)
+        frontier = reached
+    return distance
 
 
 def _witness(

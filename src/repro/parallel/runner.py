@@ -54,6 +54,7 @@ from ..noc.config import NetworkConfig
 from ..noc.engine import SimulationConfig
 from ..noc.network import Network
 from ..topology.graph import TopologyGraph
+from ..traffic.registry import pattern_factory
 from ..traffic.rng import derive_seed
 from ..wireless.mac.registry import mac_spec
 from .cache import ResultCache
@@ -143,6 +144,7 @@ class SimulationTask:
                 raise ValueError("synthetic tasks need a non-negative offered load")
             if not self.pattern:
                 raise ValueError("synthetic tasks need a traffic pattern name")
+            pattern_factory(self.pattern)  # raises UnknownPatternError early
         if self.kind == "application" and not self.application:
             raise ValueError("application tasks need an application name")
         if self.faults not in FAULT_SCENARIOS:

@@ -16,7 +16,7 @@ length according to the shortest path routing" (Section IV-C).
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..topology.graph import LinkKind, LinkSpec, TopologyGraph
 
@@ -40,8 +40,19 @@ class RoutingError(ValueError):
     """Raised when a route cannot be computed or is invalid."""
 
 
+#: Switch -> its in-service (neighbor, hop cost) pairs.
+WeightedAdjacency = Dict[int, List[Tuple[int, float]]]
+
+
 class BaseRouter(abc.ABC):
-    """Common behaviour of all routers: caching and route metrics."""
+    """Common behaviour of all routers: caching and route metrics.
+
+    Everything a router memoises (routes, and in subclasses forests and
+    lookups) describes one *cache generation*: the topology's in-service
+    links and the link costs as they stood when it was built.  Whoever
+    takes a link out of or back into service calls :meth:`clear_cache`
+    before routing again; penalty changes clear it by themselves.
+    """
 
     def __init__(
         self,
@@ -54,6 +65,7 @@ class BaseRouter(abc.ABC):
             self._link_weights.update(link_weights)
         self._link_penalties: Dict[int, float] = {}
         self._cache: Dict[Tuple[int, int], List[int]] = {}
+        self._adjacency: Optional[WeightedAdjacency] = None
 
     @property
     def graph(self) -> TopologyGraph:
@@ -72,6 +84,25 @@ class BaseRouter(abc.ABC):
         if penalty is not None:
             weight *= penalty
         return weight
+
+    def weighted_adjacency(self) -> WeightedAdjacency:
+        """Every switch's in-service neighbours with their hop costs, in
+        :meth:`TopologyGraph.neighbors` order; built once per cache
+        generation."""
+        adjacency = self._adjacency
+        if adjacency is None:
+            graph = self._graph
+            adjacency = {}
+            for switch in graph.switches:
+                hops = []
+                for neighbor, link in graph.neighbors(switch.switch_id):
+                    cost = self.link_weight(link)
+                    if cost < 0:
+                        raise RoutingError(f"negative link weight on link {link.link_id}")
+                    hops.append((neighbor, cost))
+                adjacency[switch.switch_id] = hops
+            self._adjacency = adjacency
+        return adjacency
 
     def set_link_penalty(self, link_id: int, factor: float) -> None:
         """Multiply one link's routing cost (adaptive rerouting around
@@ -113,8 +144,9 @@ class BaseRouter(abc.ABC):
         return total
 
     def clear_cache(self) -> None:
-        """Drop all cached routes (used after topology mutation)."""
+        """Drop all cached routes and lookups (used after topology mutation)."""
         self._cache.clear()
+        self._adjacency = None
 
     @abc.abstractmethod
     def _compute_route(self, src_switch: int, dst_switch: int) -> List[int]:

@@ -11,10 +11,9 @@ chip boundary), path reconstruction breaks ties with a deterministic hash of
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..topology.graph import LinkSpec, TopologyGraph
-from .base import RoutingError
+from .base import RoutingError, WeightedAdjacency
 
 
 def _stable_hash(*values: int) -> int:
@@ -27,20 +26,18 @@ def _stable_hash(*values: int) -> int:
 
 
 class ShortestPathForest:
-    """Single-source shortest paths with *all* equal-cost predecessors kept."""
+    """Single-source shortest paths with *all* equal-cost predecessors kept.
 
-    def __init__(
-        self,
-        graph: TopologyGraph,
-        source: int,
-        weight: Callable[[LinkSpec], float],
-    ) -> None:
-        self._graph = graph
+    ``adjacency`` is a router's :meth:`~repro.routing.base.BaseRouter.weighted_adjacency`.
+    """
+
+    def __init__(self, adjacency: WeightedAdjacency, source: int) -> None:
+        self._num_switches = len(adjacency)
         self._source = source
         self._distance: Dict[int, float] = {source: 0.0}
         # Sorted once here rather than on every :meth:`path_to` hop.
         self._predecessors: Dict[int, Tuple[int, ...]] = {
-            node: tuple(sorted(nodes)) for node, nodes in self._run(weight).items()
+            node: tuple(sorted(nodes)) for node, nodes in self._run(adjacency).items()
         }
 
     @property
@@ -48,9 +45,8 @@ class ShortestPathForest:
         """Source switch the forest is rooted at."""
         return self._source
 
-    def _run(self, weight: Callable[[LinkSpec], float]) -> Dict[int, List[int]]:
+    def _run(self, adjacency: WeightedAdjacency) -> Dict[int, List[int]]:
         """Fill the distances; return every node's equal-cost predecessors."""
-        graph = self._graph
         distance = self._distance
         predecessors: Dict[int, List[int]] = {self._source: []}
         visited = set()
@@ -60,10 +56,7 @@ class ShortestPathForest:
             if node in visited:
                 continue
             visited.add(node)
-            for neighbor, link in graph.neighbors(node):
-                cost = weight(link)
-                if cost < 0:
-                    raise RoutingError(f"negative link weight on link {link.link_id}")
+            for neighbor, cost in adjacency[node]:
                 candidate = dist + cost
                 best = distance.get(neighbor)
                 if best is None or candidate < best - 1e-12:
@@ -88,7 +81,7 @@ class ShortestPathForest:
         seed = selector if selector is not None else destination
         source = self._source
         options_of = self._predecessors
-        limit = self._graph.num_switches + 1
+        limit = self._num_switches + 1
         path = [destination]
         node = destination
         while node != source:

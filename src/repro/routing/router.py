@@ -16,7 +16,7 @@ paths.  Two refinements keep the simulation well behaved:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..topology.graph import LinkKind, TopologyGraph
 from .base import BaseRouter, RoutingError
@@ -36,6 +36,8 @@ class ShortestPathRouter(BaseRouter):
         #: Canonical XY run per (run start, run end); ``None`` when the
         #: rewrite was rejected (a disabled link or a missing grid position).
         self._xy_runs: Dict[Tuple[int, int], Optional[List[int]]] = {}
+        #: Both directions of every in-service intra-region mesh link.
+        self._mesh_hops: Optional[Set[Tuple[int, int]]] = None
 
     @property
     def canonicalize_xy(self) -> bool:
@@ -45,7 +47,7 @@ class ShortestPathRouter(BaseRouter):
     def _forest(self, source: int) -> ShortestPathForest:
         forest = self._forests.get(source)
         if forest is None:
-            forest = ShortestPathForest(self._graph, source, self.link_weight)
+            forest = ShortestPathForest(self.weighted_adjacency(), source)
             self._forests[source] = forest
         return forest
 
@@ -59,32 +61,44 @@ class ShortestPathRouter(BaseRouter):
         return path
 
     def clear_cache(self) -> None:
-        """Drop cached routes, shortest-path forests and XY runs."""
+        """Drop cached routes, shortest-path forests, XY runs and mesh hops."""
         super().clear_cache()
         self._forests.clear()
         self._xy_runs.clear()
+        self._mesh_hops = None
 
     # ------------------------------------------------------------------
     # XY canonicalisation.
     # ------------------------------------------------------------------
 
+    def _in_service_mesh_hops(self) -> Set[Tuple[int, int]]:
+        """The hops a mesh run may take; built once per cache generation."""
+        hops = self._mesh_hops
+        if hops is None:
+            graph = self._graph
+            region_of = self._region_of
+            hops = set()
+            for link in graph.links_of_kind(LinkKind.MESH):
+                if graph.link_enabled(link.link_id) and region_of[link.src] == region_of[link.dst]:
+                    hops.add((link.src, link.dst))
+                    hops.add((link.dst, link.src))
+            self._mesh_hops = hops
+        return hops
+
     def _canonicalize(self, path: List[int]) -> List[int]:
         """Rewrite maximal same-region mesh runs into X-then-Y order."""
-        find_link = self._graph.find_link
-        region_of = self._region_of
-        mesh = LinkKind.MESH
+        mesh_hops = self._in_service_mesh_hops()
         result: List[int] = [path[0]]
         run_start = 0
         index = 1
         while index < len(path):
             prev = path[index - 1]
             here = path[index]
-            link = find_link(prev, here)
-            if link is None:
-                raise RoutingError(f"route uses missing link ({prev}, {here})")
-            if link.kind == mesh and region_of[prev] == region_of[here]:
+            if (prev, here) in mesh_hops:
                 index += 1
                 continue
+            if self._graph.find_link(prev, here) is None:
+                raise RoutingError(f"route uses missing link ({prev}, {here})")
             # The mesh run path[run_start .. index-1] ends here; canonicalise
             # it, then emit the non-mesh hop verbatim.
             self._extend_with_run(result, path, run_start, index - 1)

@@ -48,7 +48,7 @@ class SpanningTreeRouter(BaseRouter):
         if not switches:
             raise RoutingError("cannot build a tree router on an empty topology")
         self._root = root if root is not None else switches[0].switch_id
-        forest = ShortestPathForest(graph, self._root, self.link_weight)
+        forest = ShortestPathForest(self.weighted_adjacency(), self._root)
         self._parent: Dict[int, Optional[int]] = {self._root: None}
         self._depth: Dict[int, int] = {self._root: 0}
         for switch in switches:

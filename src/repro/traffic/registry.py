@@ -81,6 +81,17 @@ def available_patterns() -> List[str]:
     return sorted(PATTERNS)
 
 
+def pattern_factory(name: str) -> PatternFactory:
+    """The factory of the named pattern; raises :class:`UnknownPatternError`."""
+    try:
+        return PATTERNS[name]
+    except KeyError:
+        known = ", ".join(available_patterns())
+        raise UnknownPatternError(
+            f"unknown traffic pattern {name!r}; known patterns: {known}"
+        ) from None
+
+
 def create_pattern(
     name: str,
     topology: TopologyGraph,
@@ -89,11 +100,4 @@ def create_pattern(
     seed: Optional[int] = None,
 ) -> TrafficModel:
     """Build the named traffic pattern for one topology."""
-    try:
-        factory = PATTERNS[name]
-    except KeyError:
-        known = ", ".join(available_patterns())
-        raise UnknownPatternError(
-            f"unknown traffic pattern {name!r}; known patterns: {known}"
-        ) from None
-    return factory(topology, injection_rate, memory_access_fraction, seed)
+    return pattern_factory(name)(topology, injection_rate, memory_access_fraction, seed)

@@ -13,9 +13,9 @@ Covers the contracts the fault subsystem promises:
   partition / dependency cycle (property-tested over single-link failures
   on meshes); the online channel-dependency check agrees with Kahn's
   algorithm and stops at the shortest cyclic prefix; the audit stops at
-  its first cycle with the full route set's verdict, re-tests the last
-  cycle's witness first within a run (never across runs), and a partition
-  skips it; every built-in figure system's pristine audit verdict is
+  its first cycle with the full route set's verdict, also over successive
+  failures, re-tests the last cycle's witness first within a run (never
+  across runs), and a partition skips it; every built-in figure system's pristine audit verdict is
   pinned;
 * faulted runs leave no trace on the shared topology/router (restore);
 * the task schema (v3) carries faults through cache keys and the runner.
@@ -23,6 +23,7 @@ Covers the contracts the fault subsystem promises:
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -616,6 +617,26 @@ def test_recovered_router_matches_a_fresh_one(label):
     assert _all_routes(memo_system.router, switches) == pristine
 
 
+@pytest.mark.parametrize("label", sorted(FIG7_SYSTEMS))
+def test_restored_router_matches_a_fresh_one(label):
+    """The per-generation lookups (weighted adjacency, in-service mesh hops)
+    are rebuilt after ``clear_cache()``: a router that first routed with
+    mesh links down routes like a fresh one once they are back."""
+    graph = build_system(FIG7_SYSTEMS[label]).topology
+    switches = [s.switch_id for s in graph.switches]
+    pristine = _all_routes(ShortestPathRouter(graph), switches)
+    mesh = graph.links_of_kind(LinkKind.MESH)
+    try:
+        for link in (mesh[len(mesh) // 2], mesh[len(mesh) // 3]):
+            graph.disable_link(link.link_id)
+        router = ShortestPathRouter(graph)
+        assert _all_routes(router, switches) != pristine
+    finally:
+        graph.enable_all_links()
+    router.clear_cache()
+    assert _all_routes(router, switches) == pristine
+
+
 def _count_route_calls(monkeypatch, router):
     """Count the router's ``route`` calls from here on; returns the counter."""
     calls = [0]
@@ -781,6 +802,55 @@ def test_recovery_audits_the_last_cycle_witness_first(monkeypatch):
     assert broken is not None and set(witness) <= set(broken)
 
 
+#: Between them these seeds draw a cycle-free pass (interposer, seed 5) and
+#: witnesses that the next failure breaks (mesh, seeds 1 and 5).
+@pytest.mark.parametrize("seed", (1, 5))
+@pytest.mark.parametrize("label", sorted(FIG7_SYSTEMS))
+def test_successive_recoveries_keep_the_full_route_set_verdict(label, seed, monkeypatch):
+    """A seeded run of 2-4 link failures that keep the graph connected, each
+    recovered with the previous pass's witness: every pass has the full
+    route set's verdict, routes no pair twice, and stops short of the full
+    set whenever it finds a cycle."""
+    system = build_system(FIG7_SYSTEMS[label])
+    graph, router = system.topology, system.router
+    rng = random.Random(seed)
+    candidates = graph.links
+    rng.shuffle(candidates)
+    failures = rng.randint(2, 4)
+    calls = _count_pair_routes(monkeypatch, router)
+    witness = ()
+    passes = 0
+    try:
+        for link in candidates:
+            if passes == failures:
+                break
+            graph.disable_link(link.link_id)
+            if len(connected_components(graph)) > 1:
+                graph.enable_link(link.link_id)
+                continue
+            calls.clear()
+            _, report = recover_routing(graph, router, witness)
+            audited = dict(calls)
+            full = [
+                router.route(src, dst)
+                for src in range(graph.num_switches)
+                for dst in range(graph.num_switches)
+                if src != dst
+            ]
+            assert report.used_tree_fallback == (find_channel_dependency_cycle(full) is not None)
+            assert max(audited.values()) == 1
+            if report.used_tree_fallback:
+                assert len(audited) < len(full)
+            else:
+                assert len(audited) == len(full)
+            witness = report.witness
+            passes += 1
+    finally:
+        graph.enable_all_links()
+        router.clear_cache()
+    assert passes == failures
+
+
 def test_each_run_starts_its_recoveries_without_a_witness(monkeypatch):
     """The injector hands each recovery the previous one's witness, but a
     run never inherits one: its first recovery audits from scratch."""
@@ -821,8 +891,9 @@ def test_each_run_starts_its_recoveries_without_a_witness(monkeypatch):
 
 #: The pristine deadlock-audit verdict of every distinct system the built-in
 #: figures build, keyed by the first figure that builds it.  Two wireless
-#: route sets have a channel-dependency cycle today; ROADMAP item 3 step 2
-#: changes their routing and flips both to ``True``.
+#: route sets have a channel-dependency cycle today; step 2 of the ROADMAP
+#: item "Deadlock freedom is audited for every built system, not only after
+#: a fault" changes their routing and flips both to ``True``.
 BUILTIN_SYSTEM_AUDITS = {
     ("fig2", "4C4M (Substrate)"): True,
     ("fig2", "4C4M (Interposer)"): True,

@@ -162,7 +162,8 @@ def _bogus_pattern():
     create_pattern("bogus", topology, injection_rate=0.01)
 
 
-def _bogus_fault_task():
+def _bogus_task(**names):
+    """Constructing the task must raise: before any cache key or system build."""
     SimulationTask(
         kind="synthetic",
         config=small_system_config(Architecture.SUBSTRATE),
@@ -170,7 +171,7 @@ def _bogus_fault_task():
         warmup_cycles=100,
         seed=1,
         load=0.01,
-        faults="bogus",
+        **names,
     )
 
 
@@ -180,9 +181,10 @@ def _bogus_fault_task():
         (_bogus_pattern, UnknownPatternError, available_patterns),
         (lambda: mac_spec("bogus"), UnknownMacError, available_macs),
         (lambda: WirelessConfig(mac="bogus"), ValueError, available_macs),
-        (_bogus_fault_task, UnknownScenarioError, available_fault_scenarios),
+        (lambda: _bogus_task(faults="bogus"), UnknownScenarioError, available_fault_scenarios),
+        (lambda: _bogus_task(pattern="bogus"), UnknownPatternError, available_patterns),
     ],
-    ids=["pattern", "mac", "wireless-config-mac", "faults"],
+    ids=["pattern", "mac", "wireless-config-mac", "faults", "pattern-task"],
 )
 def test_unknown_name_lists_the_known_names(lookup, error, known):
     with pytest.raises(error) as raised:
