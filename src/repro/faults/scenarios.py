@@ -68,6 +68,31 @@ def _connected_without(topology: TopologyGraph, removed: Set[int]) -> bool:
     return len(seen) == topology.num_switches
 
 
+def _joined_without(topology: TopologyGraph, link: LinkSpec, removed: Set[int]) -> bool:
+    """Whether ``link``'s endpoints stay joined with ``removed`` links gone.
+
+    On a topology connected without ``removed - {link}``, this is whether
+    it stays connected without ``removed``: the breadth-first search stops
+    at the far endpoint, usually a few hops away, instead of visiting every
+    switch as :func:`_connected_without` does.
+    """
+    target = link.dst
+    seen = {link.src}
+    frontier = [link.src]
+    while frontier:
+        reached = []
+        for current in frontier:
+            for neighbor, hop in topology.neighbors(current):
+                if hop.link_id in removed or neighbor in seen:
+                    continue
+                if neighbor == target:
+                    return True
+                seen.add(neighbor)
+                reached.append(neighbor)
+        frontier = reached
+    return False
+
+
 def _wired_links(topology: TopologyGraph) -> List[LinkSpec]:
     """All in-service wired (non-wireless) links, in id order."""
     return [
@@ -109,19 +134,21 @@ def _make_random_links(
     """Each wired link fails with probability ``fault_rate`` mid-run.
 
     Failures that would disconnect the topology are skipped
-    (connectivity-preserving).
+    (connectivity-preserving).  Connectivity is checked in full once; the
+    failures taken keep it, so each candidate only needs its endpoints to
+    stay joined.
     """
     rng = make_rng(seed)
     window_lo = max(1, cycles // 10)
     window_hi = max(window_lo + 1, cycles // 2)
     events: List[FaultEvent] = []
     removed: Set[int] = set()
+    connected = _connected_without(topology, removed)
     for link in _wired_links(topology):
         if not bernoulli(rng, fault_rate):
             continue
         at_cycle = rng.randrange(window_lo, window_hi)
-        tentative = removed | {link.link_id}
-        if not _connected_without(topology, tentative):
+        if not connected or not _joined_without(topology, link, removed | {link.link_id}):
             continue
         removed.add(link.link_id)
         events.append(

@@ -66,9 +66,12 @@ class Simulator:
         #: without the fault subsystem.
         self.fault_plan = fault_plan
         #: Optional :class:`~repro.noc.network.Network` to run on, built on
-        #: ``topology`` with ``network_config``; the runner hands in one it
-        #: keeps across tasks.  It is reset to its as-built state before the
-        #: run.  ``None`` (the default) builds a fresh network for every run.
+        #: ``topology`` with a configuration of the same
+        #: :meth:`~repro.noc.network.Network.build_key` as
+        #: ``network_config``; the runner hands in one it keeps across tasks.
+        #: It is reset to its as-built state under ``network_config`` before
+        #: the run.  ``None`` (the default) builds a fresh network for every
+        #: run.
         self.network: Optional[Network] = None
 
     def run(self) -> SimulationResult:
@@ -85,7 +88,7 @@ class Simulator:
         if network is None:
             network = Network(self.topology, net_config)
         else:
-            network.reset()
+            network.reset(net_config)
         accountant = EnergyAccountant(technology=net_config.technology)
         for fabric in network.fabrics:
             fabric.bind_accountant(accountant)

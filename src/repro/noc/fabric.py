@@ -33,17 +33,28 @@ The wireless fabric doubles as the MAC protocols'
 :class:`~repro.wireless.mac.MacDataPlane`: :meth:`WirelessFabric.scan_pending`
 fills preallocated scratch arrays straight from the packet pool's parallel
 arrays and the per-WI occupied-VC ordinal sets — no dataclass, tuple or
-list is created per cycle.
+list is created per cycle — and :meth:`WirelessFabric.holds_flits` tells a
+MAC when a whole channel is empty, so it can skip the scans.
+
+The wireless fabric's per-cycle cost follows what changes.  A transceiver's
+residency is a sequence of asleep/awake runs
+(:class:`~repro.wireless.transceiver.Transceiver`), and the fabric decides
+who sleeps again only on a power-gated channel, and only when a WI died or
+the MAC's ``receiver_changes`` counter moved (it bumps it when a burst is
+announced or released and when a destination's last announced flit
+leaves).  Without sleepy receivers (token, TDMA, FDMA, or the option off)
+every transceiver stays in one awake run; :meth:`WirelessFabric.finalize`
+settles the open runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from ..energy import EnergyAccountant
 from ..wireless.channel import assign_channels
 from ..wireless.mac import MacBuildContext, MacDataPlane, MacProtocol, mac_spec
-from ..wireless.transceiver import Transceiver, TransceiverSpec, TransceiverState
+from ..wireless.transceiver import Transceiver, TransceiverSpec
 from .pool import FLIT_INDEX_BITS, FLIT_INDEX_MASK, PacketPool
 from .port import InputPort, OutputPort
 from .virtual_channel import KernelInvariantError
@@ -160,6 +171,20 @@ class WiredFabric(Fabric):
         return (src_switch_id, dst_switch_id) not in self.failed_pairs
 
 
+class _GatedChannel:
+    """A channel whose receivers may sleep: its MAC, its member
+    transceivers, and the MAC state their asleep flags reflect."""
+
+    __slots__ = ("mac", "members", "seen")
+
+    def __init__(self, mac: MacProtocol, members: List[Tuple[int, Transceiver]]) -> None:
+        self.mac = mac
+        self.members = members
+        #: ``mac.receiver_changes`` when the flags were last set; ``None``
+        #: makes the next update set them again.
+        self.seen: Optional[int] = None
+
+
 class WirelessFabric(Fabric, MacDataPlane):
     """Shared-medium state of the deployed wireless interfaces."""
 
@@ -222,9 +247,12 @@ class WirelessFabric(Fabric, MacDataPlane):
         self.channel_plans = assign_channels(ordered_ids, wireless_cfg.num_channels)
         self.macs: List[MacProtocol] = []
         self._mac_of: Dict[int, MacProtocol] = {}
-        #: Per-MAC member transceivers, precompiled so the per-cycle power
-        #: update iterates flat lists instead of chasing two dictionaries.
-        self._mac_members: List[Tuple[MacProtocol, List[Tuple[int, Transceiver]]]] = []
+        #: Cycles updated so far: the clock of the transceivers' runs.
+        self._cycles = 0
+        #: The channels whose receivers may sleep; empty unless the MAC
+        #: supports sleepy receivers and they are on, so the other MACs'
+        #: transceivers stay awake in one run with no per-cycle work.
+        self._gated: List[_GatedChannel] = []
         for plan in self.channel_plans:
             if not plan.wi_switch_ids:
                 continue
@@ -238,11 +266,11 @@ class WirelessFabric(Fabric, MacDataPlane):
                 ),
             )
             self.macs.append(mac)
-            members = []
             for wi_id in plan.wi_switch_ids:
                 self._mac_of[wi_id] = mac
-                members.append((wi_id, self.transceivers[wi_id]))
-            self._mac_members.append((mac, members))
+            if power_gating:
+                members = [(wi_id, self.transceivers[wi_id]) for wi_id in plan.wi_switch_ids]
+                self._gated.append(_GatedChannel(mac, members))
 
         #: Per-channel energy attribution (settled into
         #: ``SimulationResult.channel_energy_pj`` by :meth:`finalize`).
@@ -334,6 +362,14 @@ class WirelessFabric(Fabric, MacDataPlane):
             count += 1
         return count
 
+    def holds_flits(self, wi_switch_ids: Sequence[int]) -> bool:
+        """Whether any of these WI switches has an occupied VC."""
+        switches = self._switches
+        for wi_switch_id in wi_switch_ids:
+            if switches[wi_switch_id].occupied:
+                return True
+        return False
+
     def record_control_energy(self, energy_pj: float, channel_id: int) -> None:
         """Charge MAC control/token overhead to the current run's accountant."""
         if self._accountant is not None:
@@ -398,33 +434,40 @@ class WirelessFabric(Fabric, MacDataPlane):
         if wi_switch_id not in self._switches:
             raise FabricError(f"switch {wi_switch_id} has no wireless interface")
         self.dead_wis.add(wi_switch_id)
-        self.transceivers[wi_switch_id].set_state(TransceiverState.SLEEPING)
+        for channel in self._gated:
+            channel.seen = None
 
     def update(self, cycle: int) -> None:
-        """Advance every channel's MAC and the transceiver power states."""
+        """Advance every channel's MAC and the transceiver power states.
+
+        A power-gated channel's transceivers change state only when its
+        MAC's ``receiver_changes`` counter moved or a WI died; the new
+        runs begin this cycle.
+        """
         for mac in self.macs:
             mac.update(cycle)
+        now = self._cycles
+        self._cycles = now + 1
+        for channel in self._gated:
+            changes = channel.mac.receiver_changes
+            if channel.seen != changes:
+                channel.seen = changes
+                self._gate_receivers(channel, now)
+
+    def _gate_receivers(self, channel: _GatedChannel, now: int) -> None:
+        """Put to sleep the channel's dead WIs and, during a transmission,
+        every WI that neither transmits nor is an intended receiver."""
+        mac = channel.mac
         dead_wis = self.dead_wis
-        for mac, members in self._mac_members:
-            transmitter = mac.current_transmitter()
-            if transmitter is None:
-                for wi_id, transceiver in members:
-                    if wi_id in dead_wis:
-                        transceiver.set_state(TransceiverState.SLEEPING)
-                    else:
-                        transceiver.set_state(TransceiverState.IDLE)
-                    transceiver.tick()
-                continue
-            for wi_id, transceiver in members:
-                if wi_id in dead_wis:
-                    transceiver.set_state(TransceiverState.SLEEPING)
-                elif wi_id == transmitter:
-                    transceiver.set_state(TransceiverState.TRANSMITTING)
-                elif mac.is_intended_receiver(wi_id):
-                    transceiver.set_state(TransceiverState.RECEIVING)
-                else:
-                    transceiver.set_state(TransceiverState.SLEEPING)
-                transceiver.tick()
+        transmitter = mac.current_transmitter()
+        for wi_id, transceiver in channel.members:
+            if wi_id in dead_wis:
+                asleep = True
+            elif transmitter is None or wi_id == transmitter:
+                asleep = False
+            else:
+                asleep = not mac.is_intended_receiver(wi_id)
+            transceiver.set_asleep(asleep, now)
 
     def grants(
         self, src_switch_id: int, packet_id: int, dst_switch_id: int, is_head: bool
@@ -468,6 +511,8 @@ class WirelessFabric(Fabric, MacDataPlane):
 
     def finalize(self, result: "SimulationResult", accountant: EnergyAccountant) -> None:
         """Charge transceiver static energy and publish the MAC statistics."""
+        for transceiver in self.transceivers.values():
+            transceiver.settle(self._cycles)
         accountant.add_transceiver_static_energy(self.total_transceiver_static_energy_pj())
         for mac in self.macs:
             mac.finalize_stats()

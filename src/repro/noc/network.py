@@ -12,17 +12,21 @@ output port carries a reference to its fabric, so the simulation kernel
 addresses all media uniformly.
 
 A ``Network`` holds mutable per-run state (buffers, arbitration pointers,
-transceiver residency counters), and building one costs thousands of VC
-objects.  :meth:`Network.reset` returns every piece of that state to its
-as-built value in place, so one network serves many runs of the same
-topology and :class:`~repro.noc.config.NetworkConfig`: the simulation
-engine resets the network it is handed before each run, and builds a fresh
-one only when it is handed none.
+transceiver residency), and building one costs thousands of VC objects.
+:meth:`Network.reset` returns every piece of that state to its as-built
+value in place and builds a fresh wireless fabric, so one network serves
+many runs of the same topology: the simulation engine resets the network
+it is handed before each run, and builds a fresh one only when it is
+handed none.  The wireless fabric is built for the configuration the reset
+is given, so runs whose :class:`~repro.noc.config.NetworkConfig` differ only
+in the fabric's fields (MAC, channel count, sleepy receivers) share one
+network: :meth:`Network.build_key` lists the fields the constructor reads,
+and the runner's build memo keys networks by it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..energy import SwitchPowerModel
 from ..topology.graph import LinkKind, LinkSpec, SwitchKind, TopologyGraph
@@ -38,6 +42,27 @@ class NetworkBuildError(ValueError):
 
 class Network:
     """The instantiated simulator network."""
+
+    @staticmethod
+    def build_key(config: NetworkConfig) -> Tuple:
+        """The fields of ``config`` that the constructor reads.
+
+        Everything else configures the wireless fabric, which :meth:`reset`
+        rebuilds for each run, so one network serves every configuration
+        with the same key.  Edit this list with the constructor.
+        """
+        wireless = config.wireless
+        return (
+            config.virtual_channels,
+            config.buffer_depth_flits,
+            config.wi_buffer_depth,
+            config.injection_width_flits,
+            config.ejection_width_per_endpoint,
+            config.switch_pipeline_stages,
+            config.technology,
+            wireless.cycles_per_flit,
+            wireless.extra_latency_cycles,
+        )
 
     def __init__(self, topology: TopologyGraph, config: NetworkConfig) -> None:
         topology.validate()
@@ -174,18 +199,29 @@ class Network:
     # Reuse across runs.
     # ------------------------------------------------------------------
 
-    def reset(self) -> None:
+    def reset(self, config: Optional[NetworkConfig] = None) -> None:
         """Return all per-run state to its as-built value, in place.
 
         Empties every VC and occupied set, rewinds every output port's
         channel occupancy and round-robin pointer, restores the as-built
         link of every port a fault degraded, returns failed wired hops to
         service, and replaces the wireless fabric with a fresh one (new
-        MACs, transceivers and channel counters; dead WIs revived).  A
-        reset network is indistinguishable from a newly built one
-        (``tests/test_build_memo.py``), and the reset allocates nothing
-        per VC.
+        MACs, transceivers and channel counters; dead WIs revived).
+
+        ``config`` (by default the current one) becomes the network's
+        configuration, and the new wireless fabric is built for it; it must
+        have the same :meth:`build_key` as the configuration the network
+        was built with.  A reset network is indistinguishable from one
+        newly built with ``config`` (``tests/test_build_memo.py``), and the
+        reset allocates nothing per VC.
         """
+        if config is not None:
+            if self.build_key(config) != self.build_key(self.config):
+                raise NetworkBuildError(
+                    "a network resets only to a configuration with the same "
+                    "build fields (Network.build_key) as its own"
+                )
+            self.config = config
         for switch in self.switches.values():
             switch.occupied.clear()
         for vc in self._vcs:

@@ -285,12 +285,16 @@ class BuildMemo:
     mostly share a system.  The memo keeps the :attr:`SYSTEMS` most recently
     used built systems (topology plus router, with the router's warm route
     and forest caches) and the :attr:`NETWORKS` most recently used
-    networks, and hands them out again instead of rebuilding.  Systems are keyed by the configuration
-    without its ``network`` field, which :func:`build_system` never reads;
-    networks by the system's topology and the network configuration.  The
-    simulator resets a network before each run, and a faulted run restores
-    the topology and router it mutated, so a served object is
-    indistinguishable from a fresh build (``tests/test_build_memo.py``).
+    networks, and hands them out again instead of rebuilding.  Systems are
+    keyed by the configuration without its ``network`` field, which
+    :func:`build_system` never reads; networks by the system's topology and
+    :meth:`Network.build_key` of the network configuration, the fields the
+    network's constructor reads.  So configurations that differ only in
+    the wireless fabric (MAC, channel count, sleepy receivers) share one
+    network: the simulator resets it to the run's configuration, which
+    builds that run's wireless fabric.  A faulted run restores the topology
+    and router it mutated, so a served object is indistinguishable from a
+    fresh build (``tests/test_build_memo.py``).
 
     Builds go through ``framework.build_system`` and ``engine.Network``,
     looked up at call time.  The least recently used entry is evicted before
@@ -301,16 +305,14 @@ class BuildMemo:
     #: Entries kept of each kind.  Two catch the reuse of every figure:
     #: tasks arrive grouped by configuration, and the interleaved ones
     #: (fig5, fig6) alternate between two.  A sweeps regeneration then
-    #: builds 10 systems and 25 networks for its 100 tasks, against 7 and
-    #: 23 with no bound at all.
+    #: builds 10 systems and 12 networks for its 100 tasks (3 of them for
+    #: fig8's 48), against 7 and 9 with no bound at all.
     SYSTEMS = 2
     NETWORKS = 2
 
     def __init__(self) -> None:
         self._systems: "OrderedDict[SystemConfig, BuiltSystem]" = OrderedDict()
-        self._networks: "OrderedDict[Tuple[TopologyGraph, NetworkConfig], Network]" = (
-            OrderedDict()
-        )
+        self._networks: "OrderedDict[Tuple[TopologyGraph, Tuple], Network]" = OrderedDict()
 
     def system(self, config: SystemConfig) -> BuiltSystem:
         """The built system of ``config``.
@@ -332,13 +334,14 @@ class BuildMemo:
         return BuiltSystem(config=config, multichip=built.multichip, router=built.router)
 
     def network(self, topology: TopologyGraph, config: NetworkConfig) -> Network:
-        """A network on ``topology`` (a memoised system's) under ``config``.
+        """A network on ``topology`` (a memoised system's) for ``config``.
 
-        The network is shared with later tasks: the caller runs it through
-        a :class:`~repro.noc.engine.Simulator`, which resets it first, and
-        keeps it no longer than that run.
+        The network is shared with later tasks whose configurations have
+        the same :meth:`Network.build_key`: the caller runs it through a
+        :class:`~repro.noc.engine.Simulator`, which resets it to ``config``
+        first, and keeps it no longer than that run.
         """
-        key = (topology, config)
+        key = (topology, Network.build_key(config))
         network = self._networks.get(key)
         if network is None:
             if len(self._networks) >= self.NETWORKS:

@@ -14,7 +14,7 @@ from .mac import (
     TokenMac,
     TransmissionPlan,
 )
-from .transceiver import Transceiver, TransceiverSpec, TransceiverState
+from .transceiver import Transceiver, TransceiverSpec
 
 __all__ = [
     "ChannelPlan",
@@ -24,7 +24,6 @@ __all__ = [
     "TokenMac",
     "Transceiver",
     "TransceiverSpec",
-    "TransceiverState",
     "TransmissionPlan",
     "assign_channels",
 ]

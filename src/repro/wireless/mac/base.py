@@ -2,9 +2,10 @@
 
 Multiple WIs share each wireless channel; the MAC serialises their access so
 communication stays contention-free (Section III-D).  The simulator asks the
-MAC two questions every cycle: *may this WI put a flit for that destination
-on the air right now?* (:meth:`MacProtocol.grants`) and *who is transmitting
-/ listening?* (for the sleepy-transceiver power model).  The MAC in turn
+MAC two questions: *may this WI put a flit for that destination on the air
+right now?* (:meth:`MacProtocol.grants`, per flit) and *who is transmitting
+/ listening?* (for the sleepy-transceiver power model, asked only when the
+MAC's :attr:`MacProtocol.receiver_changes` counter moved).  The MAC in turn
 observes the traffic waiting at each WI through a *data plane* interface so
 the protocol logic stays independent of the simulator's internals.
 
@@ -60,6 +61,14 @@ class MacDataPlane(abc.ABC):
         destination carries enough information for the transmitting WI to
         know the destination VC occupancy, so MAC protocols plan only bursts
         the receiver can actually accept.
+        """
+
+    @abc.abstractmethod
+    def holds_flits(self, wi_switch_ids: Sequence[int]) -> bool:
+        """Whether any of these WI switches buffers a flit right now.
+
+        When none does, every :meth:`scan_pending` over them returns 0, so
+        a MAC may skip the scans.
         """
 
     @abc.abstractmethod
@@ -121,6 +130,13 @@ class MacProtocol(abc.ABC):
         self.wi_switch_ids = list(wi_switch_ids)
         self.plane = plane
         self.stats = MacStatistics()
+        #: Change counter of the sleepy-receiver state: bumped whenever
+        #: :meth:`current_transmitter` or :meth:`is_intended_receiver` may
+        #: answer differently.  The wireless fabric recomputes which
+        #: transceivers sleep only when it moves, so a protocol whose spec
+        #: sets ``supports_sleepy_receivers`` must maintain it; the others
+        #: never power-gate and may leave it at zero.
+        self.receiver_changes = 0
 
     # ------------------------------------------------------------------
     # Protocol interface used by the simulator (hot spellings).
@@ -163,9 +179,9 @@ class MacProtocol(abc.ABC):
     def is_intended_receiver(self, wi_switch_id: int) -> bool:
         """Whether a WI must listen to the current transmission (hot path).
 
-        Allocation-free membership test the fabric's per-cycle transceiver
-        update uses instead of materialising :meth:`intended_receivers`.
-        The default says "everyone listens", which models a MAC without
+        Allocation-free membership test the fabric's transceiver update
+        uses instead of materialising :meth:`intended_receivers`.  The
+        default says "everyone listens", which models a MAC without
         receiver power gating.
         """
         return True
@@ -174,8 +190,8 @@ class MacProtocol(abc.ABC):
         """Destination WIs of the current transmission (diagnostic view).
 
         Materialises :meth:`is_intended_receiver` over the channel members;
-        kept for tests and reports — the fabric's per-cycle loop uses the
-        hot membership test directly.
+        kept for tests and reports — the fabric uses the membership test
+        directly.
         """
         return {wi for wi in self.wi_switch_ids if self.is_intended_receiver(wi)}
 

@@ -45,26 +45,27 @@ class TransmissionPlan:
         }
 
     @property
-    def destinations(self) -> Set[int]:
-        """Destination WIs still addressed by this burst."""
-        return {dst for (dst, _), count in self.remaining.items() if count > 0}
-
-    @property
     def exhausted(self) -> bool:
         """Whether every announced flit has been transmitted."""
         return all(count <= 0 for count in self.remaining.values())
 
-    def consume(self, dst_switch: int, packet_id: int) -> None:
-        """Account one transmitted flit against the announcement."""
+    def consume(self, dst_switch: int, packet_id: int) -> bool:
+        """Account one transmitted flit against the announcement.
+
+        Returns whether ``dst_switch`` left :attr:`live_destinations`.
+        """
         key = (dst_switch, packet_id)
         count = self.remaining.get(key)
         if count is None:
-            return
+            return False
         self.remaining[key] = count - 1
-        if count - 1 <= 0 and not any(
+        live = self.live_destinations
+        if count - 1 <= 0 and dst_switch in live and not any(
             c > 0 for (dst, _), c in self.remaining.items() if dst == dst_switch
         ):
-            self.live_destinations.discard(dst_switch)
+            live.discard(dst_switch)
+            return True
+        return False
 
 
 class ControlPacketMac(MacProtocol):
@@ -125,17 +126,24 @@ class ControlPacketMac(MacProtocol):
                 if expired and not self._plan.exhausted:
                     self.stats.forced_releases += 1
                 self._plan = None
+                self.receiver_changes += 1
             else:
                 return
         # The channel is free: let WIs announce in sequence.  At most one
         # full rotation is examined per cycle so an all-idle channel costs
-        # O(#WIs) work but never loops forever.
+        # O(#WIs) work but never loops forever.  When no member buffers a
+        # flit, every scan would come back empty and the rotation would
+        # end at the same holder: count the idle cycle without it.
+        if not self.plane.holds_flits(self.wi_switch_ids):
+            self.stats.idle_grant_cycles += 1
+            return
         for _ in range(len(self.wi_switch_ids)):
             wi = self.wi_switch_ids[self._holder_index]
             plan = self._build_plan(wi, cycle)
             self._holder_index = self.next_wi_index(self._holder_index)
             if plan is not None:
                 self._plan = plan
+                self.receiver_changes += 1
                 self._control_remaining = self._control_cycles
                 self.stats.control_packets += 1
                 self.stats.grants += 1
@@ -170,7 +178,8 @@ class ControlPacketMac(MacProtocol):
         plan = self._plan
         if plan is None or plan.wi_switch_id != wi_switch_id:
             return
-        plan.consume(dst_switch, packet_id)
+        if plan.consume(dst_switch, packet_id):
+            self.receiver_changes += 1
 
     # ------------------------------------------------------------------
     # Internals.

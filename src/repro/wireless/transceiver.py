@@ -5,15 +5,17 @@ The paper adopts the low-power non-coherent OOK transceiver of [6]:
 The proposed control-packet MAC additionally power-gates receivers that are
 not addressed by the current transmission ("sleepy transceivers" [17]).
 
-This module models one WI's operating state (transmitting / receiving /
-idle / asleep) and integrates its energy over a simulation run; the MAC
-drives the state transitions.
+This module integrates one WI's static energy over a simulation run.
+Transmitting, receiving and idling all draw the idle power; only a
+power-gated (asleep) transceiver draws less.  So a transceiver's residency
+is a sequence of asleep and awake *runs*: it keeps the settled totals and
+the cycle its current run began, and the wireless fabric starts a new run
+only when the MAC's transmitter or intended receivers change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from ..energy.technology import (
     WIRELESS_DATA_RATE_GBPS,
@@ -24,15 +26,6 @@ from ..energy.technology import (
     WIRELESS_TRANSCEIVER_AREA_MM2,
     CYCLE_TIME_S,
 )
-
-
-class TransceiverState(str, Enum):
-    """Operating state of a WI transceiver."""
-
-    IDLE = "idle"
-    TRANSMITTING = "transmitting"
-    RECEIVING = "receiving"
-    SLEEPING = "sleeping"
 
 
 @dataclass(frozen=True)
@@ -47,68 +40,53 @@ class TransceiverSpec:
     sleep_power_mw: float = WIRELESS_SLEEP_POWER_MW
     modulation: str = "OOK"
 
-    def transfer_energy_pj(self, bits: int) -> float:
-        """Dynamic energy of transferring ``bits`` over the air [pJ]."""
-        if bits < 0:
-            raise ValueError(f"bits must be non-negative, got {bits}")
-        return bits * self.energy_pj_per_bit
-
 
 @dataclass
 class Transceiver:
-    """One WI's transceiver with state tracking and energy integration."""
+    """One WI's transceiver: asleep/awake runs and their static energy."""
 
     wi_id: int
     spec: TransceiverSpec = field(default_factory=TransceiverSpec)
     power_gating: bool = True
-    state: TransceiverState = TransceiverState.IDLE
-    cycles_in_state: dict = field(default_factory=dict)
-    dynamic_energy_pj: float = 0.0
+    #: Whether the current run is power-gated.
+    asleep: bool = False
+    #: Cycle the current run began; it is not yet in the totals below.
+    run_start: int = 0
+    #: Cycles of the settled runs, and how many of them were asleep.
+    total_cycles: int = 0
+    asleep_cycles: int = 0
 
-    def set_state(self, state: TransceiverState) -> None:
-        """Move to a new operating state.
+    def set_asleep(self, asleep: bool, cycle: int) -> None:
+        """Be asleep (or awake) from ``cycle`` on.
 
-        Power gating must be enabled for the SLEEPING state to be entered;
-        without it (token MAC baseline) a sleep request degrades to IDLE.
+        Settles the current run and starts a new one when the state
+        changes.  Power gating must be enabled to sleep; without it (token
+        MAC baseline) a sleep request keeps the transceiver awake.
         """
-        if state == TransceiverState.SLEEPING and not self.power_gating:
-            state = TransceiverState.IDLE
-        self.state = state
+        asleep = asleep and self.power_gating
+        if asleep != self.asleep:
+            self.settle(cycle)
+            self.asleep = asleep
 
-    def tick(self, cycles: int = 1) -> None:
-        """Account ``cycles`` clock cycles spent in the current state."""
+    def settle(self, cycle: int) -> None:
+        """Move the current run's cycles before ``cycle`` into the totals."""
+        cycles = cycle - self.run_start
         if cycles < 0:
-            raise ValueError(f"cycles must be non-negative, got {cycles}")
-        self.cycles_in_state[self.state] = (
-            self.cycles_in_state.get(self.state, 0) + cycles
-        )
-
-    def record_transfer(self, bits: int) -> float:
-        """Account the dynamic energy of a transfer and return it [pJ]."""
-        energy = self.spec.transfer_energy_pj(bits)
-        self.dynamic_energy_pj += energy
-        return energy
+            raise ValueError(f"cannot settle at cycle {cycle}: the run began at {self.run_start}")
+        self.total_cycles += cycles
+        if self.asleep:
+            self.asleep_cycles += cycles
+        self.run_start = cycle
 
     def static_energy_pj(self, cycle_time_s: float = CYCLE_TIME_S) -> float:
-        """Static energy from the per-state residency counters [pJ]."""
-        idle_like = (
-            self.cycles_in_state.get(TransceiverState.IDLE, 0)
-            + self.cycles_in_state.get(TransceiverState.TRANSMITTING, 0)
-            + self.cycles_in_state.get(TransceiverState.RECEIVING, 0)
-        )
-        sleeping = self.cycles_in_state.get(TransceiverState.SLEEPING, 0)
-        idle_energy = self.spec.idle_power_mw * 1e-3 * idle_like * cycle_time_s * 1e12
-        sleep_energy = self.spec.sleep_power_mw * 1e-3 * sleeping * cycle_time_s * 1e12
+        """Static energy of the settled runs [pJ]."""
+        awake = self.total_cycles - self.asleep_cycles
+        idle_energy = self.spec.idle_power_mw * 1e-3 * awake * cycle_time_s * 1e12
+        sleep_energy = self.spec.sleep_power_mw * 1e-3 * self.asleep_cycles * cycle_time_s * 1e12
         return idle_energy + sleep_energy
 
-    @property
-    def total_cycles(self) -> int:
-        """Total cycles accounted so far."""
-        return sum(self.cycles_in_state.values())
-
     def sleep_fraction(self) -> float:
-        """Fraction of accounted cycles spent power-gated."""
-        total = self.total_cycles
-        if total == 0:
+        """Fraction of the settled cycles spent power-gated."""
+        if self.total_cycles == 0:
             return 0.0
-        return self.cycles_in_state.get(TransceiverState.SLEEPING, 0) / total
+        return self.asleep_cycles / self.total_cycles

@@ -25,7 +25,7 @@ from repro.core.architectures import build_system
 from repro.core.config import Architecture
 from repro.faults import available_fault_scenarios
 from repro.noc.engine import SimulationConfig, Simulator
-from repro.noc.network import Network
+from repro.noc.network import Network, NetworkBuildError
 from repro.parallel import runner
 from repro.parallel.runner import BuildMemo, execute_task, uniform_task
 from repro.routing import RoutingError, ShortestPathRouter
@@ -33,6 +33,8 @@ from repro.testing import small_system_config
 from repro.traffic.registry import create_pattern
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+ALL_MACS = ("control_packet", "fdma", "tdma", "token")
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,28 @@ class TestNetworkReset:
         assert network.wireless_fabric is not fabric
         assert _network_state(network) == _network_state(fresh)
 
+    @pytest.mark.parametrize("mac", ALL_MACS)
+    def test_reset_to_another_variant_equals_a_fresh_build_of_it(self, mac):
+        system, config, network = _saturated_network()
+        variant = replace(
+            config.network,
+            wireless=replace(config.network.wireless, mac=mac, num_channels=1),
+        )
+        assert Network.build_key(variant) == Network.build_key(config.network)
+        network.reset(variant)
+        assert network.config is variant
+        assert _network_state(network) == _network_state(
+            Network(system.topology, variant)
+        )
+
+    def test_reset_refuses_a_config_with_other_build_fields(self):
+        config = small_system_config(Architecture.WIRELESS)
+        network = Network(build_system(config).topology, config.network)
+        deeper = config.with_wireless(wi_buffer_depth_flits=16).network
+        with pytest.raises(NetworkBuildError, match="build_key"):
+            network.reset(deeper)
+        assert network.config is config.network
+
     def test_reset_allocates_no_vc_storage(self):
         _, _, network = _saturated_network()
         buffers = [vc.buf for vc in network._vcs]
@@ -192,16 +216,30 @@ class TestBuildMemo:
         assert network.topology is system.topology
 
     def test_network_variants_share_one_topology(self):
+        """Variants with the same build fields share one network; another
+        WI buffer depth gets its own, on the same topology and router."""
         memo = BuildMemo()
         config = small_system_config(Architecture.WIRELESS)
-        token = small_system_config(Architecture.WIRELESS, mac="token")
+        # The token MAC's whole-packet WI depth (8 flits) equals the
+        # partial-packet MACs' two buffer windows here.
+        variants = (
+            small_system_config(Architecture.WIRELESS, mac="token"),
+            config.with_wireless(num_channels=1, sleepy_receivers=False),
+            small_system_config(Architecture.WIRELESS, mac="fdma"),
+        )
         system, network = _served(memo, config)
-        token_system, token_network = _served(memo, token)
-        assert token_system.router is system.router
-        assert token_system.config is token
         assert system.config is config
-        assert token_network is not network
-        assert token_network.config == token.network
+        for variant in variants:
+            variant_system, variant_network = _served(memo, variant)
+            assert variant_system.router is system.router
+            assert variant_system.config is variant
+            assert variant_network is network
+        deeper = config.with_wireless(wi_buffer_depth_flits=16)
+        deep_system, deep_network = _served(memo, deeper)
+        assert deep_system.router is system.router
+        assert deep_network is not network
+        assert deep_network.topology is network.topology
+        assert deep_network.config == deeper.network
 
     def test_memo_is_bounded_and_frees_what_it_evicts(self):
         memo = BuildMemo()

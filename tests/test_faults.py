@@ -58,6 +58,8 @@ from repro.faults import (
     create_fault_plan,
     rebuild_routes,
 )
+from repro.faults import recovery as recovery_module
+from repro.faults import scenarios as scenarios_module
 from repro.faults.recovery import recover_routing
 from repro.faults.plan import FaultPlanError
 from repro.noc.config import NetworkConfig
@@ -635,6 +637,49 @@ def test_restored_router_matches_a_fresh_one(label):
         graph.enable_all_links()
     router.clear_cache()
     assert _all_routes(router, switches) == pristine
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("label", sorted(FIG7_SYSTEMS))
+def test_endpoint_join_check_matches_the_full_connectivity_check(label, seed):
+    """``random-links`` keeps the graph connected and asks only whether each
+    candidate's endpoints stay joined; over a seeded removal sequence on
+    each fig7 system, that verdict equals the full connectivity check's."""
+    topology = build_system(FIG7_SYSTEMS[label]).topology
+    wired = scenarios_module._wired_links(topology)
+    removed = set()
+    verdicts = Counter()
+    for link in random.Random(seed).sample(wired, len(wired)):
+        tentative = removed | {link.link_id}
+        verdict = scenarios_module._connected_without(topology, tentative)
+        assert scenarios_module._joined_without(topology, link, tentative) is verdict
+        verdicts[verdict] += 1
+        if verdict:
+            removed = tentative
+    assert verdicts[True] and verdicts[False]
+
+
+def test_audit_validates_only_routes_off_the_in_service_hops(monkeypatch):
+    """The recovery audit checks each route against the in-service hops and
+    runs ``validate_route`` only on a miss, which still rejects the route."""
+    graph = mesh_graph(3, 3)
+    router = ShortestPathRouter(graph)
+    dead = graph.find_link(0, 1)
+    graph.disable_link(dead.link_id)
+    route = router.route
+    bad = {(0, 2): [0, 1, 2], (3, 5): [3, 4, 3, 4, 5]}  # a dead hop, a revisit
+    monkeypatch.setattr(router, "route", lambda src, dst: bad.get((src, dst)) or route(src, dst))
+    validated = []
+    validate = recovery_module.validate_route
+    monkeypatch.setattr(
+        recovery_module,
+        "validate_route",
+        lambda topology, path: validated.append(list(path)) or validate(topology, path),
+    )
+    report = rebuild_routes(graph, router, verify_deadlock_freedom=True)
+    assert sorted(report.invalid_routes) == sorted(bad)
+    assert not report.deadlock_free
+    assert sorted(validated) == sorted(bad.values())
 
 
 def _count_route_calls(monkeypatch, router):

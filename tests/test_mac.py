@@ -35,6 +35,9 @@ class ScriptedAdapter(MacDataPlane):
         self.pend_head = [row[5] for row in rows]
         return len(rows)
 
+    def holds_flits(self, wi_switch_ids) -> bool:
+        return any(self.pending_by_wi.get(wi) for wi in wi_switch_ids)
+
     def record_control_energy(self, energy_pj: float, channel_id: int) -> None:
         self.control_energy_pj += energy_pj
 
@@ -69,6 +72,35 @@ class TestControlPacketMac:
         mac.update(0)
         assert mac.current_transmitter() is None
         assert not mac.grants(10, 1, 20, True)
+
+    def test_idle_channel_keeps_its_holder_and_counts_idle_cycles(self, monkeypatch):
+        """With no member holding a flit, no WI is scanned and the rotation
+        stays where it was; each such cycle counts one idle cycle."""
+        adapter = ScriptedAdapter()
+        adapter.set_pending(10, dst=20, packet_id=1, buffered=1, length=1)
+        mac = self._mac(adapter)
+        mac.update(0)
+        mac.update(1)
+        mac.update(2)
+        mac.notify_sent(10, 1, 20, is_tail=True, cycle=2)
+        adapter.clear(10)
+        holder = mac._holder_index
+        idle = mac.stats.idle_grant_cycles
+        scans = []
+        scan = adapter.scan_pending
+        monkeypatch.setattr(adapter, "scan_pending", lambda wi: scans.append(wi) or scan(wi))
+        for cycle in range(3, 13):
+            mac.update(cycle)
+            assert mac.current_transmitter() is None
+        assert scans == []
+        assert mac._holder_index == holder
+        assert mac.stats.idle_grant_cycles == idle + 10
+        # Traffic anywhere on the channel restarts the announce rotation
+        # at the same holder.
+        adapter.set_pending(30, dst=10, packet_id=2, buffered=1, length=1)
+        mac.update(13)
+        assert scans == [20, 30]
+        assert mac.current_transmitter() == 30
 
     def test_grant_follows_pending_traffic(self):
         adapter = ScriptedAdapter()

@@ -4,47 +4,39 @@ import pytest
 
 from repro.wireless import (
     Transceiver,
-    TransceiverSpec,
-    TransceiverState,
     assign_channels,
 )
 
 
 class TestTransceiver:
-    def test_spec_energy_and_time(self):
-        spec = TransceiverSpec()
-        assert spec.transfer_energy_pj(32) == pytest.approx(2.3 * 32)
-
     def test_power_gating_controls_sleep(self):
         gated = Transceiver(wi_id=0, power_gating=True)
-        gated.set_state(TransceiverState.SLEEPING)
-        assert gated.state == TransceiverState.SLEEPING
+        gated.set_asleep(True, cycle=0)
+        assert gated.asleep
         always_on = Transceiver(wi_id=1, power_gating=False)
-        always_on.set_state(TransceiverState.SLEEPING)
-        assert always_on.state == TransceiverState.IDLE
+        always_on.set_asleep(True, cycle=0)
+        assert not always_on.asleep
 
     def test_static_energy_lower_when_sleeping(self):
         asleep = Transceiver(wi_id=0, power_gating=True)
-        asleep.set_state(TransceiverState.SLEEPING)
-        asleep.tick(1000)
+        asleep.set_asleep(True, cycle=0)
+        asleep.settle(1000)
         awake = Transceiver(wi_id=1, power_gating=True)
-        awake.set_state(TransceiverState.IDLE)
-        awake.tick(1000)
+        awake.settle(1000)
         assert asleep.static_energy_pj() < awake.static_energy_pj()
 
     def test_sleep_fraction(self):
         transceiver = Transceiver(wi_id=0, power_gating=True)
-        transceiver.set_state(TransceiverState.SLEEPING)
-        transceiver.tick(30)
-        transceiver.set_state(TransceiverState.IDLE)
-        transceiver.tick(70)
+        transceiver.set_asleep(True, cycle=0)
+        transceiver.set_asleep(True, cycle=10)  # no change: the run goes on
+        transceiver.set_asleep(False, cycle=30)
+        assert (transceiver.total_cycles, transceiver.asleep_cycles) == (30, 30)
+        transceiver.settle(100)
+        transceiver.settle(100)  # settling twice adds nothing
+        assert (transceiver.total_cycles, transceiver.asleep_cycles) == (100, 30)
         assert transceiver.sleep_fraction() == pytest.approx(0.3)
-
-    def test_record_transfer_accumulates(self):
-        transceiver = Transceiver(wi_id=0)
-        transceiver.record_transfer(32)
-        transceiver.record_transfer(32)
-        assert transceiver.dynamic_energy_pj == pytest.approx(2 * 2.3 * 32)
+        with pytest.raises(ValueError):
+            transceiver.settle(99)
 
 
 class TestChannelAssignment:

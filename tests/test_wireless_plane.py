@@ -14,9 +14,16 @@ The contracts:
 * **Per-channel energy** — the per-channel attribution sums exactly to the
   aggregate :class:`EnergyBreakdown` shares; every run checks it when it
   settles, and a doctored attribution fails the run.
+* **Transceiver residency** — the fabric changes a transceiver's
+  asleep/awake run only when its MAC's receiver state changes or a WI dies;
+  the settled runs equal a per-cycle sample of the MAC's transmitter and
+  intended receivers, for every MAC, with sleepy receivers on and off, and
+  across a transceiver death.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +31,11 @@ from hypothesis import strategies as st
 
 from repro.core.architectures import build_system
 from repro.core.config import Architecture
+from repro.faults import create_fault_plan
 from repro.noc import KernelInvariantError, WirelessFabric
 from repro.noc.config import NetworkConfig, WirelessConfig
 from repro.noc.engine import SimulationConfig, Simulator
+from repro.noc.network import Network
 from repro.testing import small_system_config
 from repro.traffic.registry import create_pattern
 from repro.wireless.mac import available_macs, mac_spec
@@ -164,6 +173,86 @@ class TestChannelEnergyAttribution:
             simulation_config=SimulationConfig(cycles=300, warmup_cycles=50),
         ).run()
         assert result.channel_energy_pj == {}
+
+
+class TestTransceiverResidency:
+    """Asleep/awake runs against a per-cycle reference sample."""
+
+    @pytest.mark.parametrize("faults", ("none", "hub-transceiver-loss"))
+    @pytest.mark.parametrize("sleepy", (True, False))
+    @pytest.mark.parametrize("mac", ALL_MACS)
+    def test_runs_match_a_per_cycle_sample(self, mac, sleepy, faults, monkeypatch):
+        # Two WIs per chip, so a transceiver can die without cutting a chip off.
+        config = replace(
+            small_system_config(Architecture.WIRELESS, mac=mac), cores_per_wi=2
+        ).with_wireless(sleepy_receivers=sleepy)
+        gating = sleepy and mac_spec(mac).supports_sleepy_receivers
+        cycles = 600
+        system = build_system(config)
+        simulator = Simulator(
+            topology=system.topology,
+            router=system.router,
+            traffic=create_pattern(
+                "uniform",
+                system.topology,
+                injection_rate=0.1,
+                memory_access_fraction=0.25,
+                seed=3,
+            ),
+            network_config=config.network,
+            simulation_config=SimulationConfig(cycles=cycles, warmup_cycles=100),
+            fault_plan=create_fault_plan(
+                faults, system.topology, fault_rate=0.5, seed=3, cycles=cycles
+            ),
+        )
+        network = simulator.network = Network(system.topology, config.network)
+
+        # The per-cycle rule the runs must reproduce: a power-gated WI
+        # sleeps while it is dead, or while another WI transmits to
+        # receivers other than it.
+        asleep_cycles = {}
+        died = set()
+        update = WirelessFabric.update
+
+        def sampled_update(fabric, cycle):
+            update(fabric, cycle)
+            died.update(fabric.dead_wis)
+            for channel_mac in fabric.macs:
+                transmitter = channel_mac.current_transmitter()
+                for wi in channel_mac.wi_switch_ids:
+                    asleep = gating and (
+                        wi in fabric.dead_wis
+                        or (
+                            transmitter is not None
+                            and wi != transmitter
+                            and not channel_mac.is_intended_receiver(wi)
+                        )
+                    )
+                    asleep_cycles[wi] = asleep_cycles.get(wi, 0) + asleep
+
+        monkeypatch.setattr(WirelessFabric, "update", sampled_update)
+        result = simulator.run()
+
+        fabric = network.wireless_fabric
+        assert result.wireless_flit_hops > 0
+        assert bool(died) == (faults != "none")
+        assert sum(asleep_cycles.values()) > 0 if gating else not any(asleep_cycles.values())
+        spec = next(iter(fabric.transceivers.values())).spec
+        cycle_time = config.network.technology.cycle_time_s
+        static_pj = 0.0
+        fractions = []
+        for wi, transceiver in fabric.transceivers.items():
+            asleep = asleep_cycles[wi]
+            assert (transceiver.total_cycles, transceiver.asleep_cycles) == (cycles, asleep)
+            static_pj += (
+                spec.idle_power_mw * 1e-3 * (cycles - asleep) * cycle_time * 1e12
+                + spec.sleep_power_mw * 1e-3 * asleep * cycle_time * 1e12
+            )
+            fractions.append(asleep / cycles)
+        assert result.energy.transceiver_static_pj == pytest.approx(static_pj, rel=1e-12)
+        assert result.transceiver_sleep_fraction == pytest.approx(
+            sum(fractions) / len(fractions), rel=1e-12
+        )
 
 
 class TestMacTaskThreading:
