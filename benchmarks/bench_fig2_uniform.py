@@ -3,11 +3,9 @@
 from repro.experiments import fig2_uniform
 
 
-def test_fig2_uniform_random(run_once, bench_fidelity, bench_runner, bench_pattern):
+def test_fig2_uniform_random(regenerate, bench_pattern):
     """Regenerate the Fig. 2 rows and check the headline ordering."""
-    result = run_once(
-        fig2_uniform.run, bench_fidelity, runner=bench_runner, pattern=bench_pattern
-    )
+    result = regenerate("fig2", pattern=bench_pattern)
     print()
     print(fig2_uniform.format_report(result))
     # Shape check: the wireless system must deliver the lowest average

@@ -3,11 +3,9 @@
 from repro.experiments import fig3_latency
 
 
-def test_fig3_latency_vs_load(run_once, bench_fidelity, bench_runner, bench_pattern):
+def test_fig3_latency_vs_load(regenerate, bench_pattern):
     """Regenerate the Fig. 3 latency curves and check their shape."""
-    result = run_once(
-        fig3_latency.run, bench_fidelity, runner=bench_runner, pattern=bench_pattern
-    )
+    result = regenerate("fig3", pattern=bench_pattern)
     print()
     print(fig3_latency.format_report(result))
     from repro.core.config import Architecture

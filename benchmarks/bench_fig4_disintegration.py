@@ -3,14 +3,9 @@
 from repro.experiments import fig4_disintegration
 
 
-def test_fig4_disintegration_gains(run_once, bench_fidelity, bench_runner, bench_pattern):
+def test_fig4_disintegration_gains(regenerate, bench_pattern):
     """Regenerate the Fig. 4 gain bars and check the headline claims."""
-    result = run_once(
-        fig4_disintegration.run,
-        bench_fidelity,
-        runner=bench_runner,
-        pattern=bench_pattern,
-    )
+    result = regenerate("fig4", pattern=bench_pattern)
     print()
     print(fig4_disintegration.format_report(result))
     # The wireless system must save packet energy at every disintegration

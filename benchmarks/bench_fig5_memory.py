@@ -3,9 +3,9 @@
 from repro.experiments import fig5_memory_traffic
 
 
-def test_fig5_memory_traffic_gains(run_once, bench_fidelity, bench_runner):
+def test_fig5_memory_traffic_gains(regenerate):
     """Regenerate the Fig. 5 gain bars and check the headline claims."""
-    result = run_once(fig5_memory_traffic.run, bench_fidelity, runner=bench_runner)
+    result = regenerate("fig5")
     print()
     print(fig5_memory_traffic.format_report(result))
     # Energy savings must persist over the whole memory-access sweep.

@@ -3,9 +3,9 @@
 from repro.experiments import fig6_applications
 
 
-def test_fig6_application_gains(run_once, bench_fidelity, bench_runner):
+def test_fig6_application_gains(regenerate):
     """Regenerate the Fig. 6 gain bars and check the headline claim."""
-    result = run_once(fig6_applications.run, bench_fidelity, runner=bench_runner)
+    result = regenerate("fig6")
     print()
     print(fig6_applications.format_report(result))
     # The wireless system must reduce the average packet energy for every

@@ -1,9 +1,11 @@
 """Shared helpers for the figure-regeneration benchmarks.
 
-Each benchmark runs one experiment exactly once (``pedantic`` with a single
-round) — the quantity of interest is the experiment's *output tables*, which
-are printed so the run log contains the regenerated figure data, while
-pytest-benchmark records the wall-clock cost of regenerating it.
+Each benchmark runs one figure's built-in scenario document exactly once
+(``pedantic`` with a single round) and folds the summaries into the
+figure's result — the quantity of interest is the figure's *output
+tables*, which are printed so the run log contains the regenerated figure
+data, while pytest-benchmark records the wall-clock cost of running the
+tasks.
 
 Experiments execute through the parallel orchestration layer
 (:mod:`repro.parallel.runner`).  Set ``REPRO_BENCH_JOBS=8`` to fan the
@@ -18,8 +20,10 @@ import os
 
 import pytest
 
-from repro.scenario.fidelity import get_fidelity
+from repro.experiments import FIGURES
 from repro.parallel.runner import ExperimentRunner
+from repro.scenario import builtin_scenario, compile_scenario
+from repro.scenario.fidelity import get_fidelity
 from repro.traffic.registry import PATTERNS
 
 #: Fidelity used by the benchmark harness; override with
@@ -44,15 +48,19 @@ if BENCH_PATTERN not in PATTERNS:
 
 
 @pytest.fixture
-def run_once(benchmark):
-    """Run a callable exactly once under pytest-benchmark timing."""
+def regenerate(benchmark, bench_fidelity, bench_runner):
+    """Fold figure ``name``'s result; its tasks run once under pytest-benchmark timing.
 
-    def _run(function, *args, **kwargs):
-        return benchmark.pedantic(
-            function, args=args, kwargs=kwargs, rounds=1, iterations=1
-        )
+    ``knobs`` go to the figure's built-in document generator.
+    """
 
-    return _run
+    def _regenerate(name, **knobs):
+        spec = builtin_scenario(name, bench_fidelity, **knobs)
+        tasks = compile_scenario(spec)
+        summaries = benchmark.pedantic(bench_runner.run, args=(tasks,), rounds=1, iterations=1)
+        return FIGURES[name].fold(spec, tasks, summaries)
+
+    return _regenerate
 
 
 @pytest.fixture

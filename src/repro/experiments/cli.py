@@ -14,53 +14,36 @@ Usage::
 
 or, after installation, ``repro-experiments fig3 --fidelity paper --jobs 8``.
 
-Every experiment decomposes into independent, deterministically seeded
-simulation tasks (architecture × load point × application).  ``--jobs``
-fans those tasks out across worker processes — results are bit-identical
-at any job count — and each task's result is cached as JSON under
-``--cache-dir`` (keyed by a content hash of the task), so re-runs only
-simulate what is missing.  See EXPERIMENTS.md for details.
+A figure name and ``--scenario`` take one path: the figure's built-in
+document (:mod:`repro.scenario.builtin`) or the given document goes to
+:func:`repro.experiments.report`, which prints the table of the figure
+the document's ``name`` names (the generic per-task table for any other
+name).  Every document decomposes into independent, deterministically
+seeded simulation tasks (architecture × load point × application).
+``--jobs`` fans those tasks out across worker processes — results are
+bit-identical at any job count — and each task's result is cached as
+JSON under ``--cache-dir`` (keyed by a content hash of the task), so
+re-runs only simulate what is missing.  See EXPERIMENTS.md for details.
 
 Which figure takes which workload flag is read off the signature of its
-built-in document generator (:mod:`repro.scenario.builtin`), the one
-declaration of each figure's knobs; the flags' values go to the figure
-unresolved, and the generator applies its own defaults.
+built-in document generator, the one declaration of each figure's knobs;
+the flags' values go to the generator unresolved, and it applies its own
+defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
-from types import ModuleType
 from typing import Dict, List, Optional, Sequence
 
 from ..api import make_runner, resolve_scenario
 from ..faults.scenarios import DEFAULT_FAULT_RATE, available_fault_scenarios
-from ..scenario import BUILTIN_SCENARIOS, ScenarioError, format_scenario_report, run_scenario
+from ..parallel.runner import DEFAULT_CACHE_DIR, ExperimentRunner
+from ..scenario import BUILTIN_SCENARIOS, ScenarioError, builtin_scenario
 from ..traffic.registry import available_patterns
 from ..wireless.mac.registry import available_macs
-from . import (
-    fig2_uniform,
-    fig3_latency,
-    fig4_disintegration,
-    fig5_memory_traffic,
-    fig6_applications,
-    fig7_resilience,
-    fig8_mac_study,
-)
-from ..parallel.runner import DEFAULT_CACHE_DIR, ExperimentRunner
-
-#: Experiment name -> figure module; each module's ``run(fidelity, runner,
-#: **overrides)`` feeds its ``format_report``.
-EXPERIMENTS: Dict[str, ModuleType] = {
-    "fig2": fig2_uniform,
-    "fig3": fig3_latency,
-    "fig4": fig4_disintegration,
-    "fig5": fig5_memory_traffic,
-    "fig6": fig6_applications,
-    "fig7": fig7_resilience,
-    "fig8": fig8_mac_study,
-}
+from . import FIGURES, report
 
 #: The workload flags a figure may decline, in checking order: (knob, the
 #: error tail for a figure that declines it, the note ``all`` prints when
@@ -82,7 +65,7 @@ def _knobs(name: Optional[str]) -> Dict[str, object]:
 
 def _takers(knob: str) -> List[str]:
     """The figures whose document generator declares ``knob``, sorted."""
-    return [name for name in sorted(EXPERIMENTS) if knob in _knobs(name)]
+    return [name for name in sorted(FIGURES) if knob in _knobs(name)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         nargs="?",
         default=None,
-        choices=sorted(EXPERIMENTS) + ["all"],
+        choices=sorted(FIGURES) + ["all"],
         help=(
             "which figure to regenerate (or 'all' for every figure); "
             "omit when running a declarative --scenario document"
@@ -120,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
             "run a declarative scenario document (YAML/JSON; see "
             "EXPERIMENTS.md) instead of a named figure — or a built-in "
             "scenario name (fig2..fig8) to run that figure's document; "
-            "the named figures compile the same documents, so both "
+            "a document named after a figure prints that figure's table, "
+            "and the named figures run the same documents, so both "
             "forms share the result cache bit for bit"
         ),
     )
@@ -246,7 +230,8 @@ def _run_scenario(
 
     The workload lives in the document, so the per-figure workload flags
     are rejected here; ``--fidelity`` alone carries over and overrides the
-    document's own level.
+    document's own level.  A malformed document, or a figure document
+    whose tasks its table cannot read, is a parser error.
     """
     if args.experiment is not None:
         parser.error("give an experiment name or --scenario, not both")
@@ -257,10 +242,9 @@ def _run_scenario(
                 "scenario document itself declares the workload"
             )
     try:
-        spec = resolve_scenario(args.scenario, args.fidelity)
+        print(report(resolve_scenario(args.scenario, args.fidelity), runner))
     except ScenarioError as error:
         parser.error(f"invalid scenario: {error}")
-    print(format_scenario_report(spec, run_scenario(spec, runner)))
     print()
 
 
@@ -284,9 +268,8 @@ def _run_figures(
                 f"--{knob} only applies to {', '.join(takers)}; {args.experiment} {declined}"
             )
     for name in names:
-        figure = EXPERIMENTS[name]
-        overrides = {knob: getattr(args, knob) for knob in _knobs(name)}
-        print(figure.format_report(figure.run(args.fidelity or "default", runner, **overrides)))
+        knobs = {knob: getattr(args, knob) for knob in _knobs(name)}
+        print(report(builtin_scenario(name, args.fidelity or "default", **knobs), runner))
         print()
 
 
@@ -300,7 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"cannot use cache directory {args.cache_dir!r}: {error}")
     if args.fault_rate is not None and not 0.0 <= args.fault_rate <= 1.0:
         parser.error("--fault-rate must be in [0, 1]")
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    names = sorted(FIGURES) if args.experiment == "all" else [args.experiment]
     if (
         args.fault_rate is not None
         and args.faults == "none"

@@ -1,41 +1,40 @@
-"""Shared plumbing for the figure-reproduction experiments.
+"""Shared plumbing for the figure folds.
 
-Every figure builds its tasks the same way: it compiles its built-in
-scenario document (:mod:`repro.scenario.builtin`), submits the compiled
-list to the runner as one batch, and folds the summaries back into its
-result keyed by task fields (system, load, memory fraction, application,
-fault rate, MAC, channel count), never by list position.
+A figure's ``fold(spec, tasks, summaries)`` reads the summaries of its
+compiled scenario document back into its result, keyed by task fields
+(system, load, memory fraction, application, fault rate, MAC, channel
+count), never by list position; these are the helpers the folds and the
+report headings share.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List
 
 from ..core.comparison import ArchitectureMetrics, GainReport, compare
 from ..core.config import Architecture, SystemConfig
 from ..metrics.saturation import LoadPointSummary, SweepSummary
-from ..parallel.runner import ExperimentRunner, SimulationTask
-from ..scenario import ScenarioSpec, builtin_scenario, compile_scenario
+from ..parallel.runner import SimulationTask
+from ..scenario import ScenarioSpec
 
 #: Runner results: task -> summary.
 Summaries = Dict[SimulationTask, LoadPointSummary]
 
 
-def run_builtin(
-    name: str, fidelity: str, runner: Optional[ExperimentRunner], **overrides
-) -> Tuple[ScenarioSpec, List[SimulationTask], Summaries]:
-    """Compile the built-in ``name`` document and run its tasks as one batch.
+def put_once(entries: Dict, key: Hashable, value: object, source: str) -> None:
+    """``entries[key] = value``, where ``source`` names the task or system read.
 
-    ``overrides`` go straight to the document's generator in
-    :mod:`repro.scenario.builtin`, whose signature is the one declaration
-    of the figure's knobs (``pattern``, ``faults``, ``fault_rate``,
-    ``mac``) and of their defaults.  Returns the spec, the compiled task
-    list in document order and the runner's summaries.
+    A fold keys each distinct task by the fields its table shows, so a
+    second value for one key means the document varies a field the table
+    does not show (a second MAC or channel count, say), and one result
+    would silently hide the other; that raises :class:`ValueError`.
     """
-    spec = builtin_scenario(name, fidelity, **overrides)
-    tasks = compile_scenario(spec)
-    active = runner if runner is not None else ExperimentRunner()
-    return spec, tasks, active.run(tasks)
+    if key in entries:
+        raise ValueError(
+            f"{source}: another task fills the same table entry; "
+            "the document varies a field this table does not show"
+        )
+    entries[key] = value
 
 
 def fold_sweeps(
@@ -46,12 +45,13 @@ def fold_sweeps(
     """One load sweep per ``key(task)``, holding every distinct task of that key.
 
     A sweep orders its points by offered load, so the fold does not depend
-    on the order of ``tasks``; the keys keep their first-seen order.
+    on the order of ``tasks``; the keys keep their first-seen order.  Two
+    tasks of one key at one load raise :class:`ValueError` (:func:`put_once`).
     """
-    points: Dict[Hashable, List[LoadPointSummary]] = {}
+    points: Dict[Hashable, Dict[float, LoadPointSummary]] = {}
     for task in dict.fromkeys(tasks):
-        points.setdefault(key(task), []).append(summaries[task])
-    return {group: SweepSummary(points=sweep) for group, sweep in points.items()}
+        put_once(points.setdefault(key(task), {}), task.load, summaries[task], task.label)
+    return {group: SweepSummary(points=list(sweep.values())) for group, sweep in points.items()}
 
 
 def preset_label(config: SystemConfig) -> str:

@@ -8,15 +8,15 @@ network saturation for the substrate, interposer and wireless architectures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.comparison import ArchitectureMetrics
 from ..core.config import Architecture
 from ..metrics.report import format_heading, format_table
-from ..parallel.runner import ExperimentRunner
+from ..parallel.runner import SimulationTask
 from ..scenario import ScenarioSpec
 from ..scenario.fidelity import architectures_for_comparison
-from .common import fold_sweeps, mac_faults_suffix, run_builtin
+from .common import Summaries, fold_sweeps, mac_faults_suffix, put_once
 
 
 @dataclass
@@ -59,27 +59,16 @@ class Fig2Result:
         )
 
 
-def run(
-    fidelity: str = "default", runner: Optional[ExperimentRunner] = None, **overrides
-) -> Fig2Result:
-    """Run the Fig. 2 experiment at the requested fidelity.
+def fold(spec: ScenarioSpec, tasks: List[SimulationTask], summaries: Summaries) -> Fig2Result:
+    """Fold a ``fig2`` document's summaries into per-architecture metrics.
 
-    The tasks are the compiled built-in ``fig2`` document: all load points
-    of all three architectures, submitted to the runner as one batch, so
-    the whole figure parallelises across ``runner.jobs`` worker processes.
-    ``overrides`` are the document's knobs
-    (:func:`repro.scenario.builtin.fig2`): ``pattern`` swaps the synthetic
-    workload for any registered traffic pattern, ``faults`` /
-    ``fault_rate`` run the whole figure on a degraded fabric (a zero rate
-    runs the pristine tasks) and ``mac`` pins the wireless architecture's
-    MAC protocol by registered name.
+    Each system's load sweep (all its tasks) becomes one
+    :class:`ArchitectureMetrics` at its sustainable saturation point.
     """
-    spec, tasks, summaries = run_builtin("fig2", fidelity, runner, **overrides)
     result = Fig2Result(spec)
     for config, sweep in fold_sweeps(tasks, summaries, lambda task: task.config).items():
-        result.metrics[config.architecture] = ArchitectureMetrics.from_sweep_summary(
-            config.name, sweep
-        )
+        metrics = ArchitectureMetrics.from_sweep_summary(config.name, sweep)
+        put_once(result.metrics, config.architecture, metrics, config.name)
     return result
 
 

@@ -10,15 +10,15 @@ shorter average path lengths due to WIs located inside the chips").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.config import Architecture, SystemConfig
 from ..metrics.report import format_heading, format_table
 from ..metrics.saturation import SweepSummary
-from ..parallel.runner import ExperimentRunner
+from ..parallel.runner import SimulationTask
 from ..scenario import ScenarioSpec
 from ..scenario.fidelity import architectures_for_comparison
-from .common import fold_sweeps, mac_faults_suffix, pattern_suffix, run_builtin
+from .common import Summaries, fold_sweeps, mac_faults_suffix, pattern_suffix
 
 
 @dataclass
@@ -56,17 +56,8 @@ class Fig3Result:
         )
 
 
-def run(
-    fidelity: str = "default", runner: Optional[ExperimentRunner] = None, **overrides
-) -> Fig3Result:
-    """Run the Fig. 3 experiment at the requested fidelity.
-
-    The tasks are the compiled built-in ``fig3`` document (the fig2 sweep
-    grid): every (architecture, load) pair is an independent task, and the
-    whole figure is submitted to the runner as one batch.  ``overrides``
-    are the document's knobs (:func:`repro.scenario.builtin.fig3`).
-    """
-    spec, tasks, summaries = run_builtin("fig3", fidelity, runner, **overrides)
+def fold(spec: ScenarioSpec, tasks: List[SimulationTask], summaries: Summaries) -> Fig3Result:
+    """Fold a ``fig3`` document's summaries into one latency curve per architecture."""
     return Fig3Result(
         spec=spec,
         loads=sorted({task.load for task in tasks}),

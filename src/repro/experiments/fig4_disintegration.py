@@ -12,19 +12,20 @@ reported for each configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.comparison import ArchitectureMetrics, GainReport
 from ..core.config import Architecture
 from ..metrics.report import format_heading, format_percentage, format_table
-from ..parallel.runner import ExperimentRunner
+from ..parallel.runner import SimulationTask
 from ..scenario import ScenarioSpec
 from .common import (
+    Summaries,
     fold_sweeps,
     mac_faults_suffix,
     pattern_suffix,
     preset_label,
-    run_builtin,
+    put_once,
     wireless_gains,
 )
 
@@ -66,21 +67,13 @@ class Fig4Result:
         return all(g.energy_gain_pct > 0 for g in self.gains.values())
 
 
-def run(
-    fidelity: str = "default", runner: Optional[ExperimentRunner] = None, **overrides
-) -> Fig4Result:
-    """Run the Fig. 4 experiment at the requested fidelity.
-
-    The tasks are the compiled built-in ``fig4`` document: all
-    (disintegration level × architecture × load point) tasks, submitted to
-    the runner as one batch.  ``overrides`` are the document's knobs
-    (:func:`repro.scenario.builtin.fig4`).
-    """
-    spec, tasks, summaries = run_builtin("fig4", fidelity, runner, **overrides)
+def fold(spec: ScenarioSpec, tasks: List[SimulationTask], summaries: Summaries) -> Fig4Result:
+    """Fold a ``fig4`` document's summaries into per-preset wireless gains."""
     result = Fig4Result(spec)
     for config, sweep in fold_sweeps(tasks, summaries, lambda task: task.config).items():
         per_arch = result.metrics.setdefault(preset_label(config), {})
-        per_arch[config.architecture] = ArchitectureMetrics.from_sweep_summary(config.name, sweep)
+        metrics = ArchitectureMetrics.from_sweep_summary(config.name, sweep)
+        put_once(per_arch, config.architecture, metrics, config.name)
     result.gains = wireless_gains(result.metrics)
     return result
 

@@ -10,14 +10,14 @@ point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.comparison import ArchitectureMetrics, GainReport
 from ..core.config import Architecture
 from ..metrics.report import format_heading, format_percentage, format_table
-from ..parallel.runner import ExperimentRunner
+from ..parallel.runner import SimulationTask
 from ..scenario import ScenarioSpec
-from .common import fold_sweeps, run_builtin, wireless_gains
+from .common import Summaries, fold_sweeps, put_once, wireless_gains
 
 
 @dataclass
@@ -60,24 +60,16 @@ class Fig5Result:
         return last <= first + 5.0
 
 
-def run(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-) -> Fig5Result:
-    """Run the Fig. 5 experiment at the requested fidelity.
-
-    The tasks are the compiled built-in ``fig5`` document: all (memory
-    fraction × architecture × load point) tasks, submitted to the runner as
-    one batch.
-    """
-    spec, tasks, summaries = run_builtin("fig5", fidelity, runner)
+def fold(spec: ScenarioSpec, tasks: List[SimulationTask], summaries: Summaries) -> Fig5Result:
+    """Fold a ``fig5`` document's summaries into per-memory-fraction wireless gains."""
     result = Fig5Result(spec)
     sweeps = fold_sweeps(
         tasks, summaries, lambda task: (task.memory_access_fraction, task.config)
     )
     for (fraction, config), sweep in sweeps.items():
         per_arch = result.metrics.setdefault(fraction, {})
-        per_arch[config.architecture] = ArchitectureMetrics.from_sweep_summary(config.name, sweep)
+        metrics = ArchitectureMetrics.from_sweep_summary(config.name, sweep)
+        put_once(per_arch, config.architecture, metrics, config.name)
     result.gains = wireless_gains(result.metrics)
     return result
 

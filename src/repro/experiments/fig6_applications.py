@@ -11,14 +11,14 @@ is not saturated in steady state, the headline metrics are the percentage
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.comparison import ArchitectureMetrics, GainReport
 from ..core.config import Architecture
 from ..metrics.report import format_heading, format_percentage, format_table
-from ..parallel.runner import ExperimentRunner
+from ..parallel.runner import SimulationTask
 from ..scenario import ScenarioSpec
-from .common import run_builtin, wireless_gains
+from .common import Summaries, put_once, wireless_gains
 
 
 @dataclass
@@ -72,23 +72,13 @@ class Fig6Result:
         )
 
 
-def run(
-    fidelity: str = "default",
-    runner: Optional[ExperimentRunner] = None,
-) -> Fig6Result:
-    """Run the Fig. 6 experiment at the requested fidelity.
-
-    The tasks are the compiled built-in ``fig6`` document: every
-    (application × architecture) pair is one independent task, and the
-    whole application set is submitted to the runner as one batch.
-    """
-    spec, tasks, summaries = run_builtin("fig6", fidelity, runner)
+def fold(spec: ScenarioSpec, tasks: List[SimulationTask], summaries: Summaries) -> Fig6Result:
+    """Fold a ``fig6`` document's summaries into per-application wireless gains."""
     result = Fig6Result(spec)
-    for task in tasks:
+    for task in dict.fromkeys(tasks):
         per_arch = result.metrics.setdefault(task.application, {})
-        per_arch[task.config.architecture] = ArchitectureMetrics.from_point_summary(
-            task.config.name, summaries[task]
-        )
+        metrics = ArchitectureMetrics.from_point_summary(task.config.name, summaries[task])
+        put_once(per_arch, task.config.architecture, metrics, task.label)
     result.gains = wireless_gains(result.metrics)
     return result
 

@@ -19,13 +19,13 @@ baseline, bit-identical to a fault-free run of the same task.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..metrics.report import format_heading, format_table
 from ..metrics.saturation import LoadPointSummary
-from ..parallel.runner import ExperimentRunner
+from ..parallel.runner import SimulationTask
 from ..scenario import ScenarioSpec, system_config
-from .common import pattern_suffix, run_builtin
+from .common import Summaries, pattern_suffix, put_once
 
 
 @dataclass
@@ -74,26 +74,14 @@ class Fig7Result:
         return rows
 
 
-def run(
-    fidelity: str = "default", runner: Optional[ExperimentRunner] = None, **overrides
-) -> Fig7Result:
-    """Run the resilience sweep at the requested fidelity.
-
-    ``overrides`` are the knobs of the built-in ``fig7`` document
-    (:func:`repro.scenario.builtin.fig7`): ``faults`` selects the scenario
-    to sweep (``none`` is promoted to the default scenario — a resilience
-    sweep of a pristine fabric would be a flat line), and ``fault_rate``
-    restricts the sweep to the baseline plus that single severity instead
-    of the fidelity's ``fault_rates`` grid.  The tasks are the compiled
-    document, one runner batch.
-    """
-    spec, tasks, summaries = run_builtin("fig7", fidelity, runner, **overrides)
+def fold(spec: ScenarioSpec, tasks: List[SimulationTask], summaries: Summaries) -> Fig7Result:
+    """Fold a ``fig7`` document's summaries into one fault-rate curve per system label."""
     labels = {
         system_config(system, index): system.label for index, system in enumerate(spec.systems)
     }
     curves: Dict[str, Dict[float, LoadPointSummary]] = {label: {} for label in labels.values()}
-    for task in tasks:
-        curves[labels[task.config]][task.fault_rate] = summaries[task]
+    for task in dict.fromkeys(tasks):
+        put_once(curves[labels[task.config]], task.fault_rate, summaries[task], task.label)
     return Fig7Result(
         spec=spec,
         fault_rates=sorted({task.fault_rate for task in tasks}),

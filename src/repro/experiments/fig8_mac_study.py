@@ -32,9 +32,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..metrics.report import format_heading, format_table
 from ..metrics.saturation import LoadPointSummary
-from ..parallel.runner import ExperimentRunner
+from ..parallel.runner import SimulationTask
 from ..scenario import ScenarioSpec
-from .common import pattern_suffix, preset_label, run_builtin
+from .common import Summaries, pattern_suffix, preset_label, put_once
 
 #: One study combination: (system label, mac, channels, load).
 StudyKey = Tuple[str, str, int, float]
@@ -87,28 +87,18 @@ class Fig8Result:
         return best
 
 
-def run(
-    fidelity: str = "default", runner: Optional[ExperimentRunner] = None, **overrides
-) -> Fig8Result:
-    """Run the MAC study at the requested fidelity.
-
-    ``overrides`` are the knobs of the built-in ``fig8`` document
-    (:func:`repro.scenario.builtin.fig8`): ``mac`` pins the study to one
-    registered protocol; by default every registered protocol is swept.
-    The tasks are the compiled document, one runner batch, so the study
-    parallelises across ``runner.jobs``.
-    """
-    spec, tasks, summaries = run_builtin("fig8", fidelity, runner, **overrides)
+def fold(spec: ScenarioSpec, tasks: List[SimulationTask], summaries: Summaries) -> Fig8Result:
+    """Fold a ``fig8`` document's summaries into one point per study combination."""
     study = Fig8Result(
         spec=spec,
         macs=list(dict.fromkeys(task.mac for task in tasks)),
         channel_counts=sorted({task.config.network.wireless.num_channels for task in tasks}),
         loads=sorted({task.load for task in tasks}),
     )
-    for task in tasks:
+    for task in dict.fromkeys(tasks):
         channels = task.config.network.wireless.num_channels
         key = (preset_label(task.config), task.mac, channels, task.load)
-        study.points[key] = summaries[task]
+        put_once(study.points, key, summaries[task], task.label)
     return study
 
 

@@ -216,9 +216,13 @@ class WirelessFabric(Fabric, MacDataPlane):
             else 0.0
         )
         #: WIs whose transceiver has died (fault injection).  A dead WI
-        #: reports no pending traffic, accepts nothing, grants no new
-        #: packets and is permanently power-gated; in-flight bursts drain
-        #: (transceiver failures are packet-atomic, like link failures).
+        #: reports no pending traffic, accepts nothing and grants no new
+        #: packets; in-flight bursts drain (transceiver failures are
+        #: packet-atomic, like link failures).  On a power-gated channel a
+        #: dead WI sleeps from the next fabric update on.  Without power
+        #: gating (token, TDMA, FDMA, or sleepy receivers off) it stays
+        #: awake like every transceiver there, drawing idle static power
+        #: until the run ends.
         self.dead_wis: Set[int] = set()
 
         #: Scratch arrays of the hot pending scan (:meth:`scan_pending`);

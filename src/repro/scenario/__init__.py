@@ -14,7 +14,7 @@ runner and never imports the experiments:
 * :mod:`repro.scenario.spec` — the document schema and its validator
   (field-path error messages, stable round-trips);
 * :mod:`repro.scenario.compiler` — spec → ordered task list, runner
-  execution and a generic report;
+  execution and the generic report of a document that names no figure;
 * :mod:`repro.scenario.builtin` — fig2–fig8 as built-in documents, the
   only home of the figures' workloads;
 * :mod:`repro.scenario.fuzz` — the seeded random-scenario generator and

@@ -3,14 +3,16 @@
 Each ``figN`` generator returns the *raw document* (a plain dict, exactly
 what a YAML/JSON file would parse to) describing that figure's workload at
 a given fidelity.  Its signature is the one declaration of the figure's
-workload knobs and their defaults: ``figN.run(**overrides)`` passes its
-overrides straight through, and the experiments CLI reads the signature
-to learn which of ``--pattern``, ``--faults``/``--fault-rate`` and
-``--mac`` the figure takes.  These documents are the only home of the
-figures' workloads: each figure's ``run`` compiles its document through
-:func:`repro.scenario.compiler.compile_scenario` and submits exactly that
-task list, so ``--scenario figN`` and the figure share cache keys.  The
-dict form keeps the documents copyable straight into ``examples/`` files.
+workload knobs and their defaults: :func:`builtin_scenario` passes its
+keyword arguments straight through, and the experiments CLI reads the
+signature to learn which of ``--pattern``, ``--faults``/``--fault-rate``
+and ``--mac`` the figure takes.  These documents are the only home of the
+figures' workloads: ``python -m repro.experiments figN`` runs exactly the
+document ``--scenario figN`` runs, through
+:func:`repro.scenario.compiler.run_scenario`, and each figure's ``fold``
+reads the results back, so both forms print the same table from the same
+cache keys.  The dict form keeps the documents copyable straight into
+``examples/`` files.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional
 from ..core.config import Architecture
 from ..faults.scenarios import DEFAULT_FAULT_RATE, DEFAULT_SCENARIO
 from .fidelity import architectures_for_comparison
-from .spec import ScenarioSpec, parse_scenario
+from .spec import ScenarioError, ScenarioSpec, parse_scenario
 
 __all__ = ["BUILTIN_SCENARIOS", "builtin_scenario", "builtin_scenario_names"]
 
@@ -228,5 +230,5 @@ def builtin_scenario(name: str, fidelity: str = "default", **kwargs) -> Scenario
         generator = BUILTIN_SCENARIOS[name]
     except KeyError:
         known = ", ".join(BUILTIN_SCENARIOS)
-        raise KeyError(f"unknown built-in scenario {name!r}; known: {known}") from None
+        raise ScenarioError("name", f"unknown built-in scenario {name!r}; known: {known}") from None
     return parse_scenario(generator(fidelity, **kwargs))

@@ -202,7 +202,7 @@ def compile_scenario(spec: ScenarioSpec) -> List[SimulationTask]:
 
 
 # ----------------------------------------------------------------------
-# Running and reporting (the CLI's ``--scenario`` path).
+# Running and the generic report (for documents that name no figure).
 # ----------------------------------------------------------------------
 
 

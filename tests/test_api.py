@@ -12,7 +12,8 @@ The contracts:
   a working fidelity override; :func:`~repro.api.compile_scenario` runs
   nothing and agrees with the scenario layer.
 * **Import hygiene** — importing ``repro.experiments`` and ``repro.api``
-  raises no :class:`DeprecationWarning`.
+  raises no :class:`DeprecationWarning`, and ``repro.api`` and
+  ``repro.scenario`` load no ``repro.experiments`` module.
 * **CLI routing** — the CLI builds its runner through the facade, so it
   is a plain :class:`~repro.parallel.runner.ExperimentRunner`.
 """
@@ -152,6 +153,25 @@ class TestImportHygiene:
             check=True,
         )
         assert output.stdout.strip() == "clean"
+
+    def test_api_and_scenario_load_no_experiments_module(self):
+        """The figure folds sit above the scenario layer: experiments → scenario → parallel."""
+        script = (
+            "import sys\n"
+            "import repro.api\n"
+            "import repro.scenario\n"
+            "repro.api.compile_scenario('fig2', 'fast')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        output = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+            check=True,
+        )
+        assert output.stdout.strip() == "[]"
 
 
 class TestPurePython:

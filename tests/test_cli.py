@@ -10,17 +10,26 @@ declined flags are pinned word for word.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from repro import api
-from repro.experiments import cli
+from repro.experiments import FIGURES as FIGURE_MODULES
+from repro.experiments import cli, report
 from repro.metrics.saturation import LoadPointSummary
 from repro.parallel.runner import ExperimentRunner
-from repro.scenario import BUILTIN_SCENARIOS, builtin_scenario, compile_scenario
+from repro.scenario import (
+    BUILTIN_SCENARIOS,
+    ScenarioError,
+    builtin_scenario,
+    compile_scenario,
+    dump_scenario,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -376,7 +385,7 @@ def test_parser_errors(argv, message, monkeypatch, capsys):
 def test_help_names_the_figures_whose_generator_takes_the_flag(knob, figures):
     declared = [
         name
-        for name in sorted(cli.EXPERIMENTS)
+        for name in sorted(FIGURE_MODULES)
         if knob in inspect.signature(BUILTIN_SCENARIOS[name]).parameters
     ]
     assert figures == "/".join(declared)
@@ -395,3 +404,112 @@ def test_unreadable_scenario_file_is_a_parser_error(monkeypatch, capsys, tmp_pat
     assert "repro-experiments: error: invalid scenario: " in err
     assert f"cannot read scenario file {str(missing)!r}" in err
     assert runner.batches == []
+
+
+# ----------------------------------------------------------------------
+# A figure name and ``--scenario`` print through one report path.
+# ----------------------------------------------------------------------
+
+
+def _report_lines(lines):
+    return [line for line in lines if not line.startswith("[runner]")]
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_scenario_form_prints_the_figure_table(figure, monkeypatch, capsys):
+    """``--scenario figN`` prints what ``figN`` prints, from the same batch."""
+    flag_lines, flag_batches = _drive(monkeypatch, capsys, [figure, "--fidelity", "fast"])
+    spec_lines, spec_batches = _drive(
+        monkeypatch, capsys, ["--scenario", figure, "--fidelity", "fast"]
+    )
+    assert spec_batches == flag_batches == [_compiled(figure, {})]
+    assert _report_lines(spec_lines) == _report_lines(flag_lines)
+    assert spec_lines[0] == HEADINGS[figure, ""]
+
+
+def test_edited_figure_document_prints_the_figure_table(monkeypatch, capsys, tmp_path):
+    """fig2's document with another seed, run from a JSON file, prints fig2's table."""
+    raw = json.loads(dump_scenario(builtin_scenario("fig2", "fast")))
+    raw["fidelity"]["seed"] = 1
+    path = tmp_path / "fig2-seed1.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    lines, batches = _drive(monkeypatch, capsys, ["--scenario", str(path)])
+    assert batches == [api.compile_scenario(raw)]
+    assert {task.seed for task in batches[0]} == {1}
+    assert lines[0] == HEADINGS["fig2", ""]
+    assert lines[2].startswith("Configuration ")
+
+
+def _wireless_only(raw):
+    raw["systems"] = [s for s in raw["systems"] if s["architecture"] == "wireless"]
+
+
+def _all_macs(raw):
+    raw["macs"] = "all"
+
+
+def _two_channel_counts(raw):
+    raw["channels"] = [1, 2]
+
+
+def _load_sweep(raw):
+    raw["traffic"]["loads"] = "fidelity"
+
+
+def _two_memory_fractions(raw):
+    raw["traffic"]["memory_fractions"] = [0.2, 0.4]
+
+
+_VARIES = "the document varies a field this table does not show)"
+
+
+@pytest.mark.parametrize(
+    "figure, edit, cause",
+    [
+        ("fig2", _wireless_only, "(KeyError: "),
+        ("fig2", _all_macs, _VARIES),
+        ("fig6", _two_channel_counts, _VARIES),
+        ("fig7", _load_sweep, _VARIES),
+        ("fig8", _two_memory_fractions, _VARIES),
+    ],
+    ids=[
+        "fig2-wireless-only",
+        "fig2-all-macs",
+        "fig6-two-channel-counts",
+        "fig7-load-sweep",
+        "fig8-two-memory-fractions",
+    ],
+)
+def test_figure_document_its_table_cannot_read(
+    figure, edit, cause, monkeypatch, capsys, tmp_path
+):
+    """A figure's name on tasks its fold cannot read is a typed ``name`` error.
+
+    The document lacks a system the table needs, or varies a field the
+    table does not show, so one task would hide another.  ``report``
+    raises the error, and the CLI prints it as its ``invalid scenario``
+    parser error after the tasks ran (their results stay cached).
+    """
+    raw = builtin_scenario(figure, "fast").to_dict()
+    edit(raw)
+    spec = api.resolve_scenario(raw)
+    with pytest.raises(ScenarioError) as error_info:
+        report(spec, RecordingRunner())
+    assert error_info.value.path == "name"
+    assert cause in error_info.value.reason
+
+    path = tmp_path / f"{figure}.json"
+    path.write_text(dump_scenario(spec), encoding="utf-8")
+    runner = RecordingRunner()
+    monkeypatch.setattr(cli, "runner_from_args", lambda args: runner)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--scenario", str(path)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert err.endswith(f"repro-experiments: error: invalid scenario: {error_info.value}\n")
+    assert out == ""
+    assert runner.batches == [compile_scenario(spec)]
+
+    # Under any other name the same tasks print the generic per-task table.
+    renamed = dataclasses.replace(spec, name="my-study")
+    assert report(renamed, runner).startswith("Scenario 'my-study'")

@@ -1075,9 +1075,12 @@ def test_runner_executes_and_caches_faulted_tasks(tmp_path):
 
 def test_fig7_runs_at_fast_fidelity(tmp_path):
     from repro.experiments import fig7_resilience
+    from repro.scenario import builtin_scenario, compile_scenario
 
+    spec = builtin_scenario("fig7", "fast", fault_rate=0.3)
+    tasks = compile_scenario(spec)
     runner = ExperimentRunner(cache_dir=str(tmp_path))
-    result = fig7_resilience.run("fast", runner=runner, fault_rate=0.3)
+    result = fig7_resilience.fold(spec, tasks, runner.run(tasks))
     assert result.spec.faults.scenario == "random-links"
     assert set(result.curves) == {"mesh", "interposer", "wireless"}
     for label in result.curves:
@@ -1087,6 +1090,6 @@ def test_fig7_runs_at_fast_fidelity(tmp_path):
         assert 0.0 < result.throughput_retention(label) <= 1.0
     # Warm re-run is served entirely from the cache and is identical.
     warm_runner = ExperimentRunner(cache_dir=str(tmp_path))
-    warm = fig7_resilience.run("fast", runner=warm_runner, fault_rate=0.3)
+    warm = fig7_resilience.fold(spec, tasks, warm_runner.run(tasks))
     assert warm_runner.tasks_executed == 0
     assert warm.rows() == result.rows()

@@ -443,6 +443,16 @@ def test_builtin_fault_knobs_resolve_like_the_cli():
     assert builtin_scenario("fig7", faults="none").faults.scenario == DEFAULT_SCENARIO
 
 
+def test_unknown_builtin_scenario_is_a_scenario_error():
+    with pytest.raises(ScenarioError) as error_info:
+        builtin_scenario("fig9")
+    assert error_info.value.path == "name"
+    assert str(error_info.value) == (
+        "name: unknown built-in scenario 'fig9'; "
+        "known: fig2, fig3, fig4, fig5, fig6, fig7, fig8"
+    )
+
+
 def test_traffic_spec_defaults_round_trip_through_sections():
     assert TrafficSpec().to_dict()["kind"] == "synthetic"
     assert FaultSpec().to_dict() == {"scenario": "none", "rates": [0.0]}

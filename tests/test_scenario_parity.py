@@ -1,12 +1,13 @@
-"""Every figure submits its compiled built-in document and reads it all back.
+"""Every figure is a fold over its compiled built-in document.
 
-A figure experiment builds no tasks of its own: it compiles its built-in
-scenario document and submits that list, so ``--scenario figN`` and the
-figure share cache keys bit for bit.  These tests drive each figure with a
-stub runner that records the submitted list and answers every task with a
-distinct canned summary — nothing is simulated — and check both halves of
-the contract: the submitted list is the compiled document, and the fold
-reads every distinct task into the result exactly once.
+A figure builds no tasks of its own: :func:`repro.experiments.report`
+submits the compiled document and the figure's ``fold`` reads the
+summaries back, so ``--scenario figN`` and the figure share cache keys bit
+for bit.  These tests drive each figure with a stub runner that records
+the submitted list and answers every task with a distinct canned summary —
+nothing is simulated — and check both halves of the contract: the
+submitted list is the compiled document, and the fold reads every distinct
+task into the result exactly once.
 """
 
 from __future__ import annotations
@@ -17,30 +18,12 @@ from collections import Counter
 import pytest
 
 from repro.core.comparison import ArchitectureMetrics
-from repro.experiments import (
-    fig2_uniform,
-    fig3_latency,
-    fig4_disintegration,
-    fig5_memory_traffic,
-    fig6_applications,
-    fig7_resilience,
-    fig8_mac_study,
-)
+from repro.experiments import FIGURES, report
 from repro.metrics.saturation import LoadPointSummary, SweepSummary
 from repro.parallel.runner import ExperimentRunner
 from repro.scenario import builtin_scenario, builtin_scenario_names, compile_scenario
 
 FIDELITY = "fast"
-
-FIGURES = {
-    "fig2": fig2_uniform,
-    "fig3": fig3_latency,
-    "fig4": fig4_disintegration,
-    "fig5": fig5_memory_traffic,
-    "fig6": fig6_applications,
-    "fig7": fig7_resilience,
-    "fig8": fig8_mac_study,
-}
 
 
 class CannedRunner(ExperimentRunner):
@@ -75,7 +58,7 @@ class CannedRunner(ExperimentRunner):
 
 
 def test_every_figure_has_a_builtin_spec():
-    assert builtin_scenario_names() == sorted(FIGURES)
+    assert builtin_scenario_names() == list(FIGURES)
 
 
 # ----------------------------------------------------------------------
@@ -102,23 +85,24 @@ FORMS = [pytest.param(name, {}, id=name) for name in sorted(FIGURES)] + [
 
 @pytest.mark.parametrize("name, flags", FORMS)
 def test_builtin_spec_matches_default_flag_form(name, flags):
-    """The tasks a figure submits equal its compiled document, flags and all."""
+    """A figure's report submits its compiled document, flags and all, and
+    prints the figure's table."""
     runner = CannedRunner()
-    figure = FIGURES[name]
-    figure.format_report(figure.run(FIDELITY, runner, **flags))
-    assert runner.submitted == compile_scenario(builtin_scenario(name, FIDELITY, **flags))
+    spec = builtin_scenario(name, FIDELITY, **flags)
+    text = report(spec, runner)
+    assert runner.submitted == compile_scenario(spec)
+    assert text.startswith(f"Fig. {name[-1]} - ")
 
 
 def test_zero_fault_rate_submits_the_pristine_tasks():
     """``--faults X --fault-rate 0`` is served by the pristine cache entries."""
     pristine = CannedRunner()
-    fig2_uniform.run(FIDELITY, runner=pristine)
+    report(builtin_scenario("fig2", FIDELITY), pristine)
     zero = CannedRunner()
-    result = fig2_uniform.run(FIDELITY, zero, faults="random-links", fault_rate=0.0)
-    report = fig2_uniform.format_report(result)
+    text = report(builtin_scenario("fig2", FIDELITY, faults="random-links", fault_rate=0.0), zero)
     assert zero.submitted == pristine.submitted
     assert all(task.faults == "none" for task in zero.submitted)
-    assert "faults=random-links@0 [" in report
+    assert "faults=random-links@0 [" in text
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +153,9 @@ def test_fold_reads_every_task_exactly_once(name, monkeypatch):
     recording("from_sweep_summary", _sweep_points)
     recording("from_point_summary", lambda point: [point])
     runner = CannedRunner()
-    result = FIGURES[name].run(FIDELITY, runner=runner)
+    spec = builtin_scenario(name, FIDELITY)
+    tasks = compile_scenario(spec)
+    result = FIGURES[name].fold(spec, tasks, runner.run(tasks))
 
     read = Counter(id(point) for point in _summaries_in(result, built))
     assert read == Counter(id(point) for point in runner.canned.values())
