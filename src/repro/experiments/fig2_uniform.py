@@ -88,6 +88,6 @@ def format_report(result: Fig2Result) -> str:
         workload = f"{traffic.pattern} traffic, 4C4M"
     heading = format_heading(
         f"Fig. 2 - {workload}{mac_faults_suffix(result.spec)} "
-        f"[fidelity={result.spec.fidelity_level}]"
+        f"{result.spec.fidelity_tag()}"
     )
     return f"{heading}\n{table}"

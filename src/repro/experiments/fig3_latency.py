@@ -75,6 +75,6 @@ def format_report(result: Fig3Result) -> str:
     heading = format_heading(
         "Fig. 3 - average packet latency (cycles) vs injection load, "
         f"4C4M{pattern_suffix(spec)}{mac_faults_suffix(spec)} "
-        f"[fidelity={spec.fidelity_level}]"
+        f"{spec.fidelity_tag()}"
     )
     return f"{heading}\n{table}"

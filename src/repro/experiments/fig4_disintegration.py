@@ -87,6 +87,6 @@ def format_report(result: Fig4Result) -> str:
     spec = result.spec
     heading = format_heading(
         "Fig. 4 - wireless vs interposer gains under disintegration"
-        f"{pattern_suffix(spec)}{mac_faults_suffix(spec)} [fidelity={spec.fidelity_level}]"
+        f"{pattern_suffix(spec)}{mac_faults_suffix(spec)} {spec.fidelity_tag()}"
     )
     return f"{heading}\n{table}"

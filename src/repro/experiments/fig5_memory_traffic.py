@@ -82,6 +82,6 @@ def format_report(result: Fig5Result) -> str:
     )
     heading = format_heading(
         "Fig. 5 - wireless vs interposer gains while varying memory accesses, 4C4M "
-        f"[fidelity={result.spec.fidelity_level}]"
+        f"{result.spec.fidelity_tag()}"
     )
     return f"{heading}\n{table}"

@@ -91,6 +91,6 @@ def format_report(result: Fig6Result) -> str:
     )
     heading = format_heading(
         "Fig. 6 - wireless vs interposer gains with application traffic, 4C4M "
-        f"[fidelity={result.spec.fidelity_level}]"
+        f"{result.spec.fidelity_tag()}"
     )
     return f"{heading}\n{table}"

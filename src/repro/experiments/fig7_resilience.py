@@ -108,7 +108,7 @@ def format_report(result: Fig7Result) -> str:
     spec = result.spec
     heading = format_heading(
         f"Fig. 7 - resilience under '{spec.faults.scenario}' faults{pattern_suffix(spec)} "
-        f"(load={spec.traffic.loads[0]:g}) [fidelity={spec.fidelity_level}]"
+        f"(load={spec.traffic.loads[0]:g}) {spec.fidelity_tag()}"
     )
     retention = "\n".join(
         f"  {label}: worst-case throughput retention "

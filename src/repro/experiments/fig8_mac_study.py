@@ -121,7 +121,7 @@ def format_report(result: Fig8Result) -> str:
     heading = format_heading(
         f"Fig. 8 - MAC study: {'/'.join(result.macs)} x channels "
         f"{result.channel_counts}{pattern_suffix(result.spec)} "
-        f"[fidelity={result.spec.fidelity_level}]"
+        f"{result.spec.fidelity_tag()}"
     )
     best_lines = []
     for system in sorted({key[0] for key in result.points}):

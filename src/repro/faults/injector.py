@@ -307,14 +307,16 @@ class FaultInjector:
                 for vc in port.vcs:
                     if not vc.count:
                         continue
-                    front = vc.buf[vc.head]
+                    front = vc.front
                     handle = front >> FLIT_INDEX_BITS
                     packets[pool_pid[handle]] = handle
                     if not front & FLIT_INDEX_MASK:  # head flit in front
                         head_vcs[pool_pid[handle]] = (vc, switch)
+        # An in-flight flit's target VC is owned by its packet, whose head
+        # set the VC's front.
         for entries in state.arrivals.values():
-            for _, flit in entries:
-                handle = flit >> FLIT_INDEX_BITS
+            for target in entries:
+                handle = target.front >> FLIT_INDEX_BITS
                 packets[pool_pid[handle]] = handle
 
         for packet_id in sorted(packets):
@@ -369,12 +371,14 @@ class FaultInjector:
         for cycle_key in sorted(state.arrivals):
             entries = state.arrivals[cycle_key]
             kept = []
-            for target_vc, flit in entries:
-                if flit >> FLIT_INDEX_BITS == handle:
+            for target_vc in entries:
+                # A VC with a flit in flight towards it is owned by that
+                # flit's packet until the packet's tail leaves it.
+                if target_vc.allocated_packet_id == packet_id:
                     target_vc.in_flight -= 1
                     removed += 1
                 else:
-                    kept.append((target_vc, flit))
+                    kept.append(target_vc)
             if len(kept) != len(entries):
                 if kept:
                     state.arrivals[cycle_key] = kept

@@ -335,7 +335,7 @@ class WirelessFabric(Fabric, MacDataPlane):
         count = 0
         for ordinal in sorted(occupied):
             vc = vc_by_ordinal[ordinal]
-            front = vc.buf[vc.head]
+            front = vc.front
             handle = front >> FLIT_INDEX_BITS
             current_output = vc.current_output
             if current_output is None:

@@ -28,17 +28,21 @@ fault-free runs execute exactly the five phases above.
 
 The data plane is array-backed (see :mod:`repro.noc.pool`): packets live in
 a :class:`~repro.noc.pool.PacketPool` of parallel arrays addressed by
-integer handles, flits are packed ``(handle, index)`` integers, VC buffers
-are fixed-capacity rings of those integers, and per-packet routes are
-compiled once into dense per-hop output-port tables.  The hot phase bodies
-below inline the ring and pool arithmetic — no flit or packet object is
-created, hashed, or attribute-chased anywhere on the per-flit path.  Only
-traffic delivery callbacks see an object: a
-:class:`~repro.noc.pool.PacketView` of the delivered packet.
+integer handles, flits are packed ``(handle, index)`` integers, and
+per-packet routes are compiled once into dense per-hop output-port tables.
+A VC holds a run of consecutive flits of one packet, so its buffer is its
+packed front flit and a count (see :mod:`repro.noc.virtual_channel`): a
+push bumps the count, a pop advances ``front`` by one, and an arrival event
+is just the target VC.  The hot phase bodies below inline the run and pool
+arithmetic — no flit or packet object is created, hashed, or
+attribute-chased anywhere on the per-flit path.  Only traffic delivery
+callbacks see an object: a :class:`~repro.noc.pool.PacketView` of the
+delivered packet.
 
 The injection and allocation phase loops are run by a :class:`Scheduler`
 (``run_injection`` / ``run_allocation``), which calls the per-switch
-:meth:`KernelState.inject` and :meth:`KernelState.allocate` bodies.  The
+:meth:`KernelState.inject` body and, once per cycle, the
+:meth:`KernelState.allocate` pass over a list of switch ids.  The
 :class:`DenseScheduler` visits every switch every cycle — a faithful
 transliteration of the original monolithic engine loop — while the
 :class:`ActiveSetScheduler` keeps *wake sets* of switches that can possibly
@@ -79,7 +83,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from ..energy import EnergyAccountant
 from ..routing.base import BaseRouter, RoutingError
@@ -174,7 +178,7 @@ class Scheduler:
 
         Flits joining a non-empty VC need no notification: they change
         neither the switch's ``occupied`` VC set (maintained by the kernel's
-        ring operations) nor the front flit a visit arbitrates for, and a
+        buffer operations) nor the front flit a visit arbitrates for, and a
         scheduler lets a switch holding flits sleep only on a condition of
         those front flits (see :meth:`on_space_freed`), so draining and
         refilling cost the schedulers nothing per flit.
@@ -207,7 +211,7 @@ class DenseScheduler(Scheduler):
     name = "dense"
 
     def bind(self, switches: List[Switch], injecting: List[Switch]) -> None:
-        self._switches = switches
+        self._switch_ids = [switch.switch_id for switch in switches]
         self._injecting = injecting
 
     def run_injection(self, state: "KernelState", cycle: int) -> None:
@@ -216,9 +220,7 @@ class DenseScheduler(Scheduler):
             inject(switch, cycle)
 
     def run_allocation(self, state: "KernelState", cycle: int) -> None:
-        allocate = state.allocate
-        for switch in self._switches:
-            allocate(switch, cycle)
+        state.allocate(self._switch_ids, cycle)
 
 
 class ActiveSetScheduler(Scheduler):
@@ -277,20 +279,10 @@ class ActiveSetScheduler(Scheduler):
             active.update(due)
         if not active:
             return
-        switch_of = self._switch_of
-        allocate = state.allocate
-        # A list iterator reads the list by index, so switches that
-        # on_space_freed inserts past the current one are visited this pass.
-        order = self._pass = sorted(active)
-        for switch_id in order:
-            switch = switch_of[switch_id]
-            if allocate(switch, cycle):
-                active.discard(switch_id)
-                self._sleep(switch, cycle)
-            elif not switch.occupied:
-                # The switch's occupied-VC set is authoritative: empty means
-                # the dense pass would find nothing here either.
-                active.discard(switch_id)
+        # The pass reads the list by index, so switches that on_space_freed
+        # inserts past the current one are visited this pass.
+        self._pass = sorted(active)
+        state.allocate(self._pass, cycle, active, self._sleep)
         self._pass = None
 
     def _sleep(self, switch: Switch, cycle: int) -> None:
@@ -375,9 +367,8 @@ class KernelState:
     """Mutable per-run state shared by the kernel's phases.
 
     Owns the run's :class:`~repro.noc.pool.PacketPool`; source queues hold
-    packet handles, arrival events hold ``(target VC, flit integer)``
-    pairs, and the phase bodies below manipulate the VC rings and pool
-    arrays directly.
+    packet handles, arrival events hold target VCs, and the phase bodies
+    below manipulate the VC runs and pool arrays directly.
     """
 
     def __init__(
@@ -413,7 +404,9 @@ class KernelState:
         self.source_queues: Dict[int, Deque[int]] = {
             endpoint_id: deque() for endpoint_id in network.endpoint_switch
         }
-        self.arrivals: Dict[int, List[Tuple[VirtualChannel, int]]] = {}
+        #: Cycle -> target VC of each flit whose traversal completes then.
+        #: The flit is the VC's next one, so the VC is all an arrival needs.
+        self.arrivals: Dict[int, List[VirtualChannel]] = {}
         self.switch_energy_pj = network.switch_dynamic_energy_pj_per_flit
         # Hot-loop caches.  The pooled arrays are stable list objects (the
         # pool grows them in place with ``extend``) and the breakdown is a
@@ -437,13 +430,13 @@ class KernelState:
         if not due:
             return
         scheduler = self.scheduler
-        for vc, flit in due:
-            # The send reserved this slot: append the flit to the ring.
+        for vc in due:
+            # The send reserved this slot.  The flit is the next one of the
+            # VC's run, so buffering it only extends the run.
             if vc.in_flight <= 0:
                 raise KernelInvariantError("flit arrived at a VC without a matching reservation")
             vc.in_flight -= 1
             count = vc.count
-            vc.buf[(vc.head + count) % vc.capacity] = flit
             vc.count = count + 1
             if not count:
                 switch = vc.port.switch
@@ -542,7 +535,6 @@ class KernelState:
             if count + vc.in_flight >= vc.capacity:
                 continue
             index = vc.source_flits_emitted
-            vc.buf[(vc.head + count) % vc.capacity] = (handle << FLIT_INDEX_BITS) | index
             vc.count = count + 1
             if not count:
                 switch.occupied.add(vc.ordinal)
@@ -573,7 +565,7 @@ class KernelState:
             vc.source_packet = handle
             # A free VC is empty by definition, so this is a 0 -> 1 flit
             # transition: the VC joins the occupied set.
-            vc.buf[vc.head] = handle << FLIT_INDEX_BITS
+            vc.front = handle << FLIT_INDEX_BITS
             vc.count = 1
             switch.occupied.add(vc.ordinal)
             scheduler.on_flit_buffered(switch)
@@ -600,47 +592,39 @@ class KernelState:
     # Phase 5: switch allocation and traversal.
     # ------------------------------------------------------------------
 
-    def allocate(self, switch: Switch, cycle: int) -> bool:
-        """Arbitrate this switch's output ports and move the winning flits.
+    def allocate(
+        self, order: List[int], cycle: int, active: Optional[set] = None, sleep=None
+    ) -> int:
+        """One allocation pass: arbitrate and move flits at each switch of ``order``.
 
-        One inlined pass over the compiled VC table: request collection
-        (per-output scratch lists instead of a hashed dict), downstream VC
-        lookup, flow-control and fabric admission, round-robin winner
-        selection, and the send itself (ring pop, downstream reservation,
-        arrival scheduling, energy attribution) all happen here on packed
-        flit integers and pool arrays.  The structure and ordering mirror
-        the historical ``_can_send``/``_send`` helpers exactly — the
-        per-output processing order is first-request order, eligibility is
-        evaluated in VC-table order, and every float is accumulated in the
-        same sequence — so results are bit-identical to the object-based
-        engine, several times faster.
+        ``order`` lists switch ids in ascending order; the pass reads it by
+        index, so ids inserted past the current one while it runs are
+        visited too.  Each visit is one inlined pass over the switch's
+        occupied VCs: request collection (per-output scratch lists instead
+        of a hashed dict), downstream VC lookup, flow-control and fabric
+        admission, round-robin winner selection, and the send itself (pop
+        of the VC run, downstream reservation, arrival scheduling, energy
+        attribution) all happen here on packed flit integers and pool
+        arrays.  The per-output processing order is first-request order,
+        eligibility is evaluated in VC-table order, and every float is
+        accumulated in the same sequence under every scheduler, so results
+        are bit-identical.  A switch with one occupied VC, most visits at
+        the figures' loads, takes a branch that makes the same checks and
+        the same send without the scratch lists.
 
-        Returns whether the visit was *blocked*: nothing moved and every
-        request waits on a busy output or on buffer space downstream, so
-        another visit finds the same until one of those changes (see
-        :class:`ActiveSetScheduler`).  A request that reached a fabric
-        grant check, or an ejection request, never counts as blocked.
+        A visit is *blocked* when nothing moved and every request waits on
+        a busy output or on buffer space downstream, so another visit finds
+        the same until one of those changes.  A request that reached a
+        fabric grant check, or an ejection request, never counts as
+        blocked.  With ``active`` (the :class:`ActiveSetScheduler`'s wake
+        set), a blocked switch leaves it and ``sleep(switch, cycle)``
+        registers its wake-up conditions, and a drained switch leaves it,
+        each at the end of its own visit: a later switch of the same pass
+        may pop a flit the sleeper waits on.  Returns how many visits were
+        blocked.
         """
-        occupied = switch.occupied
-        if not occupied:
-            return False
-        req_outputs = None
+        switches = self.network.switches
         assign = self._assign_output
-        vc_by_ordinal = switch.vc_by_ordinal
-        for ordinal in occupied if len(occupied) == 1 else sorted(occupied):
-            vc = vc_by_ordinal[ordinal]
-            output = vc.current_output
-            if output is None:
-                output = assign(switch, vc)
-            scratch = output.request_scratch
-            if not scratch:
-                if req_outputs is None:
-                    req_outputs = [output]
-                else:
-                    req_outputs.append(output)
-            scratch.append(vc)
-        if req_outputs is None:
-            return False
         pool_pid = self._pid
         pool_length = self._length_flits
         pool_head_hop = self._head_hop
@@ -649,150 +633,302 @@ class KernelState:
         arrivals = self.arrivals
         switch_energy = self.switch_energy_pj
         result = self.result
-        rr_modulus = switch.rr_modulus
-        switch_id = switch.switch_id
         space_waiters = self._space_waiters
-        blocked = True
+        on_space_freed = self.scheduler.on_space_freed
+        blocked_visits = 0
+        req_outputs = None
         try:
-            for output in req_outputs:
-                vcs = output.request_scratch
-                if output.is_ejection:
-                    self._serve_ejection(switch, output, vcs, cycle)
+            for switch_id in order:
+                switch = switches[switch_id]
+                occupied = switch.occupied
+                if not occupied:
+                    if active is not None:
+                        active.discard(switch_id)
+                    continue
+                vc_by_ordinal = switch.vc_by_ordinal
+                if len(occupied) == 1:
+                    (ordinal,) = occupied
+                    winner = vc_by_ordinal[ordinal]
+                    output = winner.current_output
+                    if output is None:
+                        output = assign(switch, winner)
+                    # The same checks as the general path below, for its one
+                    # requester.
                     blocked = False
-                    continue
-                if output.busy_until > cycle:
-                    continue
-                fabric = output.fabric
-                check_grant = not fabric.always_grants
-                eligible = None
-                for vc in vcs:
-                    downstream = vc.downstream_port
-                    if downstream is None:
-                        blocked = False
-                        continue
-                    flit = vc.buf[vc.head]
-                    if flit & FLIT_INDEX_MASK:
-                        # A body flit follows its head into the VC the head
-                        # was sent to.
-                        target = vc.send_target
-                        if target is None:
+                    target = None
+                    if output.is_ejection:
+                        output.rr_pointer = (ordinal + 1) % switch.rr_modulus
+                        self._eject(switch, winner, cycle)
+                    elif output.busy_until > cycle:
+                        blocked = True
+                    elif winner.downstream_port is not None:
+                        flit = winner.front
+                        if flit & FLIT_INDEX_MASK:
+                            target = winner.send_target
+                            if (
+                                target is not None
+                                and target.count + target.in_flight >= target.capacity
+                            ):
+                                target = None
+                                blocked = True
+                        else:
+                            for target in winner.downstream_port.vcs:
+                                if (
+                                    target.allocated_packet_id is None
+                                    and target.count == 0
+                                    and target.in_flight == 0
+                                ):
+                                    winner.send_target = target
+                                    break
+                            else:
+                                target = None
+                                blocked = True
+                        fabric = output.fabric
+                        if (
+                            target is not None
+                            and not fabric.always_grants
+                            and not fabric.grants(
+                                switch_id,
+                                pool_pid[flit >> FLIT_INDEX_BITS],
+                                winner.downstream_switch,
+                                not flit & FLIT_INDEX_MASK,
+                            )
+                        ):
+                            target = None
+                    if target is not None:
+                        output.rr_pointer = (ordinal + 1) % switch.rr_modulus
+                        # Send the front flit, as the general path does.
+                        downstream_switch = winner.downstream_switch
+                        winner.front = flit + 1
+                        count = winner.count - 1
+                        winner.count = count
+                        if not count:
+                            occupied.discard(ordinal)
+                        handle = flit >> FLIT_INDEX_BITS
+                        index = flit & FLIT_INDEX_MASK
+                        is_head = index == 0
+                        is_tail = index == pool_length[handle] - 1
+                        if is_tail:
+                            winner.allocated_packet_id = None
+                            winner.current_output = None
+                            winner.downstream_port = None
+                            winner.downstream_switch = None
+                            winner.send_target = None
+                        if (
+                            space_waiters
+                            and (is_tail or count + winner.in_flight + 1 >= winner.capacity)
+                            and winner.port in space_waiters
+                        ):
+                            on_space_freed(winner.port, switch_id)
+                        pid = pool_pid[handle]
+                        owner = target.allocated_packet_id
+                        if is_head:
+                            if owner is not None and owner != pid:
+                                raise KernelInvariantError(
+                                    f"VC already allocated to packet {owner}, cannot "
+                                    f"accept head of packet {pid}"
+                                )
+                            target.allocated_packet_id = pid
+                            # The head starts the run the target VC will hold.
+                            target.front = flit
+                        elif owner != pid:
+                            raise KernelInvariantError(
+                                f"body flit of packet {pid} sent to VC owned by {owner}"
+                            )
+                        target.in_flight += 1
+                        link = output.link
+                        arrival_cycle = cycle + link.latency_cycles
+                        entry = arrivals.get(arrival_cycle)
+                        if entry is None:
+                            arrivals[arrival_cycle] = [target]
+                        else:
+                            entry.append(target)
+                        output.busy_until = cycle + link.cycles_per_flit
+                        breakdown.switch_dynamic_pj += switch_energy
+                        link_energy = link.energy_pj_per_flit
+                        if fabric.is_wireless:
+                            breakdown.wireless_pj += link_energy
+                        else:
+                            breakdown.link_pj += link_energy
+                        # Two rounded additions, in the order the packet crossed them.
+                        pool_energy[handle] = pool_energy[handle] + switch_energy + link_energy
+                        result.flit_hops += 1
+                        if fabric.tracks_sends:
+                            fabric.notify_sent(switch_id, pid, downstream_switch, is_tail, cycle)
+                        if is_head:
+                            pool_head_hop[handle] += 1
+                        self.last_progress_cycle = cycle
+                else:
+                    for ordinal in sorted(occupied):
+                        vc = vc_by_ordinal[ordinal]
+                        output = vc.current_output
+                        if output is None:
+                            output = assign(switch, vc)
+                        scratch = output.request_scratch
+                        if not scratch:
+                            if req_outputs is None:
+                                req_outputs = [output]
+                            else:
+                                req_outputs.append(output)
+                        scratch.append(vc)
+                    rr_modulus = switch.rr_modulus
+                    blocked = True
+                    for output in req_outputs:
+                        vcs = output.request_scratch
+                        if output.is_ejection:
+                            self._serve_ejection(switch, output, vcs, cycle)
                             blocked = False
                             continue
-                        if target.count + target.in_flight >= target.capacity:
+                        if output.busy_until > cycle:
                             continue
-                    else:
-                        # A head flit needs a free VC: its packet owns none
-                        # at the next switch, since routes never revisit one.
-                        for target in downstream.vcs:
-                            if (
-                                target.allocated_packet_id is None
-                                and target.count == 0
-                                and target.in_flight == 0
-                            ):
-                                break
-                        else:
+                        fabric = output.fabric
+                        check_grant = not fabric.always_grants
+                        eligible = None
+                        for vc in vcs:
+                            downstream = vc.downstream_port
+                            if downstream is None:
+                                blocked = False
+                                continue
+                            flit = vc.front
+                            if flit & FLIT_INDEX_MASK:
+                                # A body flit follows its head into the VC the
+                                # head was sent to.
+                                target = vc.send_target
+                                if target is None:
+                                    blocked = False
+                                    continue
+                                if target.count + target.in_flight >= target.capacity:
+                                    continue
+                            else:
+                                # A head flit needs a free VC: its packet owns
+                                # none at the next switch, since routes never
+                                # revisit one.
+                                for target in downstream.vcs:
+                                    if (
+                                        target.allocated_packet_id is None
+                                        and target.count == 0
+                                        and target.in_flight == 0
+                                    ):
+                                        break
+                                else:
+                                    continue
+                                vc.send_target = target
+                            if check_grant:
+                                # A grant can change with the fabric's own state.
+                                blocked = False
+                                if not fabric.grants(
+                                    switch_id,
+                                    pool_pid[flit >> FLIT_INDEX_BITS],
+                                    vc.downstream_switch,
+                                    not flit & FLIT_INDEX_MASK,
+                                ):
+                                    continue
+                            if eligible is None:
+                                eligible = [vc]
+                            else:
+                                eligible.append(vc)
+                        if eligible is None:
                             continue
-                        vc.send_target = target
-                    if check_grant:
-                        # A grant can change with the fabric's own state.
                         blocked = False
-                        if not fabric.grants(
-                            switch_id,
-                            pool_pid[flit >> FLIT_INDEX_BITS],
-                            vc.downstream_switch,
-                            not flit & FLIT_INDEX_MASK,
+                        # Round-robin winner (inline Switch.select_round_robin).
+                        if len(eligible) == 1:
+                            winner = eligible[0]
+                        else:
+                            pointer = output.rr_pointer
+                            winner = None
+                            best_rank = rr_modulus
+                            for vc in eligible:
+                                rank = (vc.ordinal - pointer) % rr_modulus
+                                if rank < best_rank:
+                                    winner = vc
+                                    best_rank = rank
+                        output.rr_pointer = (winner.ordinal + 1) % rr_modulus
+                        # Send the winner's front flit: pop it off the run and
+                        # reserve its slot downstream.
+                        target = winner.send_target
+                        downstream_switch = winner.downstream_switch
+                        flit = winner.front
+                        winner.front = flit + 1
+                        count = winner.count - 1
+                        winner.count = count
+                        if not count:
+                            occupied.discard(winner.ordinal)
+                        handle = flit >> FLIT_INDEX_BITS
+                        index = flit & FLIT_INDEX_MASK
+                        is_head = index == 0
+                        is_tail = index == pool_length[handle] - 1
+                        if is_tail:
+                            winner.allocated_packet_id = None
+                            winner.current_output = None
+                            winner.downstream_port = None
+                            winner.downstream_switch = None
+                            winner.send_target = None
+                        if (
+                            space_waiters
+                            and (is_tail or count + winner.in_flight + 1 >= winner.capacity)
+                            and winner.port in space_waiters
                         ):
-                            continue
-                    if eligible is None:
-                        eligible = [vc]
-                    else:
-                        eligible.append(vc)
-                if eligible is None:
-                    continue
-                blocked = False
-                # Round-robin winner (inline Switch.select_round_robin).
-                if len(eligible) == 1:
-                    winner = eligible[0]
-                else:
-                    pointer = output.rr_pointer
-                    winner = None
-                    best_rank = rr_modulus
-                    for vc in eligible:
-                        rank = (vc.ordinal - pointer) % rr_modulus
-                        if rank < best_rank:
-                            winner = vc
-                            best_rank = rank
-                output.rr_pointer = (winner.ordinal + 1) % rr_modulus
-                # Send the winner's front flit (ring pop + downstream reservation).
-                target = winner.send_target
-                downstream_switch = winner.downstream_switch
-                head = winner.head
-                flit = winner.buf[head]
-                winner.head = (head + 1) % winner.capacity
-                winner.count -= 1
-                if not winner.count:
-                    occupied.discard(winner.ordinal)
-                handle = flit >> FLIT_INDEX_BITS
-                index = flit & FLIT_INDEX_MASK
-                is_head = index == 0
-                is_tail = index == pool_length[handle] - 1
-                if is_tail:
-                    winner.allocated_packet_id = None
-                    winner.current_output = None
-                    winner.downstream_port = None
-                    winner.downstream_switch = None
-                    winner.send_target = None
-                if (
-                    space_waiters
-                    and (is_tail or winner.count + winner.in_flight + 1 >= winner.capacity)
-                    and winner.port in space_waiters
-                ):
-                    self.scheduler.on_space_freed(winner.port, switch_id)
-                pid = pool_pid[handle]
-                owner = target.allocated_packet_id
-                if is_head:
-                    if owner is not None and owner != pid:
-                        raise KernelInvariantError(
-                            f"VC already allocated to packet {owner}, cannot "
-                            f"accept head of packet {pid}"
-                        )
-                    target.allocated_packet_id = pid
-                elif owner != pid:
-                    raise KernelInvariantError(
-                        f"body flit of packet {pid} sent to VC owned by {owner}"
-                    )
-                target.in_flight += 1
-                link = output.link
-                arrival_cycle = cycle + link.latency_cycles
-                entry = arrivals.get(arrival_cycle)
-                if entry is None:
-                    arrivals[arrival_cycle] = [(target, flit)]
-                else:
-                    entry.append((target, flit))
-                output.busy_until = cycle + link.cycles_per_flit
-                breakdown.switch_dynamic_pj += switch_energy
-                pool_energy[handle] += switch_energy
-                link_energy = link.energy_pj_per_flit
-                if fabric.is_wireless:
-                    breakdown.wireless_pj += link_energy
-                else:
-                    breakdown.link_pj += link_energy
-                pool_energy[handle] += link_energy
-                result.flit_hops += 1
-                if fabric.tracks_sends:
-                    fabric.notify_sent(switch_id, pid, downstream_switch, is_tail, cycle)
-                if is_head:
-                    pool_head_hop[handle] += 1
-                self.last_progress_cycle = cycle
+                            on_space_freed(winner.port, switch_id)
+                        pid = pool_pid[handle]
+                        owner = target.allocated_packet_id
+                        if is_head:
+                            if owner is not None and owner != pid:
+                                raise KernelInvariantError(
+                                    f"VC already allocated to packet {owner}, cannot "
+                                    f"accept head of packet {pid}"
+                                )
+                            target.allocated_packet_id = pid
+                            # The head starts the run the target VC will hold.
+                            target.front = flit
+                        elif owner != pid:
+                            raise KernelInvariantError(
+                                f"body flit of packet {pid} sent to VC owned by {owner}"
+                            )
+                        target.in_flight += 1
+                        link = output.link
+                        arrival_cycle = cycle + link.latency_cycles
+                        entry = arrivals.get(arrival_cycle)
+                        if entry is None:
+                            arrivals[arrival_cycle] = [target]
+                        else:
+                            entry.append(target)
+                        output.busy_until = cycle + link.cycles_per_flit
+                        breakdown.switch_dynamic_pj += switch_energy
+                        link_energy = link.energy_pj_per_flit
+                        if fabric.is_wireless:
+                            breakdown.wireless_pj += link_energy
+                        else:
+                            breakdown.link_pj += link_energy
+                        # Two rounded additions, in the order the packet crossed them.
+                        pool_energy[handle] = pool_energy[handle] + switch_energy + link_energy
+                        result.flit_hops += 1
+                        if fabric.tracks_sends:
+                            fabric.notify_sent(switch_id, pid, downstream_switch, is_tail, cycle)
+                        if is_head:
+                            pool_head_hop[handle] += 1
+                        self.last_progress_cycle = cycle
+                    for output in req_outputs:
+                        output.request_scratch.clear()
+                    req_outputs = None
+                if blocked:
+                    blocked_visits += 1
+                    if active is not None:
+                        active.discard(switch_id)
+                        sleep(switch, cycle)
+                elif active is not None and not occupied:
+                    # The switch's occupied-VC set is authoritative: empty
+                    # means the dense pass would find nothing here either.
+                    active.discard(switch_id)
         finally:
-            for output in req_outputs:
-                output.request_scratch.clear()
-        return blocked
+            if req_outputs is not None:
+                for output in req_outputs:
+                    output.request_scratch.clear()
+        return blocked_visits
 
     def _assign_output(self, switch: Switch, vc: VirtualChannel):
         """Route the head flit at the front of ``vc`` (first visit only)."""
         pool = self.pool
-        flit = vc.buf[vc.head]
+        flit = vc.front
         handle = flit >> FLIT_INDEX_BITS
         if flit & FLIT_INDEX_MASK:
             raise KernelInvariantError(
@@ -839,9 +975,8 @@ class KernelState:
 
     def _eject(self, switch: Switch, vc: VirtualChannel, cycle: int) -> None:
         pool = self.pool
-        head = vc.head
-        flit = vc.buf[head]
-        vc.head = (head + 1) % vc.capacity
+        flit = vc.front
+        vc.front = flit + 1
         vc.count -= 1
         if not vc.count:
             switch.occupied.discard(vc.ordinal)

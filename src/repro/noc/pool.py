@@ -13,8 +13,10 @@ A flit is fully determined by *(packet handle, flit index)*, so flits need
 no storage at all: a flit is the two fields packed into one integer,
 ``handle << FLIT_INDEX_BITS | index``.  A flit is the head when its index
 is 0 and the tail when its index is ``length_flits[handle] - 1``.  The
-simulator moves these bare integers between VC ring buffers — no
-allocation, no GC pressure, no attribute chases.
+same packing makes a VC buffer two integers: a VC holds a run of
+consecutive flits of one packet, so it keeps only its front flit and a
+count (see :mod:`repro.noc.virtual_channel`), and a pop is ``front + 1`` —
+no allocation, no GC pressure, no attribute chases.
 
 Traffic-model delivery callbacks (``on_packet_delivered``) receive a
 :class:`PacketView`, a read view of the few fields they react to.

@@ -9,13 +9,22 @@ the upstream switch, the simulator tracks ``in_flight`` reservations on the
 downstream VC itself, which is equivalent and keeps the bookkeeping in one
 place.
 
-The buffer is a fixed-capacity ring of packed flit integers (see
-:mod:`repro.noc.pool`): a preallocated list of ``capacity`` slots plus a
-``head`` cursor and a ``count``.  The simulation kernel owns every ring
-operation and inlines it (read ``buf[head]``, advance ``head``, bump
-``count``), so the per-flit hot path never crosses a method boundary.  The
-methods here are the cold paths: occupancy, a FIFO snapshot for
-diagnostics, the fault purge, and state resets.
+Because a VC holds the flits of exactly one packet, and they arrive in the
+order they were sent, its buffer needs no storage: the buffered flits are
+always a run of consecutive flits of the owning packet.  The buffer is
+``front``, the packed flit integer at its head (see :mod:`repro.noc.pool`),
+plus a ``count``; the run is ``front .. front + count - 1``.  A push only
+bumps ``count``, a pop reads ``front`` and advances it by one, and the head
+send that claims a VC sets its ``front``.  The invariant is enforced where
+VCs are claimed: a head flit takes only a VC with no owner, no buffered
+flit and no reservation (the kernel's eligibility scan and
+:meth:`~repro.noc.port.InputPort.find_free_vc` use the same rule), and a
+packet's flits all cross one upstream VC and one fixed-latency link.
+
+The simulation kernel owns every buffer operation and inlines it, so the
+per-flit hot path never crosses a method boundary.  The methods here are
+the cold paths: occupancy, a FIFO snapshot for diagnostics, the fault
+purge, and state resets.
 """
 
 from __future__ import annotations
@@ -47,8 +56,7 @@ class VirtualChannel:
         "index",
         "ordinal",
         "capacity",
-        "buf",
-        "head",
+        "front",
         "count",
         "in_flight",
         "allocated_packet_id",
@@ -68,10 +76,10 @@ class VirtualChannel:
         #: Switch-wide unique ordinal used for round-robin arbitration.
         self.ordinal = ordinal
         self.capacity = capacity
-        #: Fixed-capacity ring storage; ``buf[head]`` is the front flit,
-        #: ``buf[(head + count - 1) % capacity]`` the most recent arrival.
-        self.buf: List[Optional[int]] = [None] * capacity
-        self.head = 0
+        #: Packed front flit; the buffered flits are ``front .. front +
+        #: count - 1``, consecutive flits of the owning packet.  Meaningless
+        #: while ``count`` is 0 until the packet's head claims the VC.
+        self.front = 0
         self.count = 0
         #: Flits sent towards this VC but not yet arrived (reserve buffer space).
         self.in_flight = 0
@@ -109,16 +117,13 @@ class VirtualChannel:
     def buffer(self) -> List[int]:
         """The buffered flits in FIFO order (a snapshot, not live storage).
 
-        Cold-path/diagnostic accessor; the kernel reads the ring directly.
+        Cold-path/diagnostic accessor; the kernel reads ``front`` directly.
         """
-        buf, head, capacity = self.buf, self.head, self.capacity
-        return [buf[(head + i) % capacity] for i in range(self.count)]
+        return list(range(self.front, self.front + self.count))
 
     def clear_buffer(self) -> int:
         """Drop every buffered flit (fault purge); returns how many."""
         dropped = self.count
-        self.buf = [None] * self.capacity
-        self.head = 0
         self.count = 0
         self.port.switch.occupied.discard(self.ordinal)
         return dropped
@@ -134,10 +139,10 @@ class VirtualChannel:
     def reset(self) -> None:
         """Return the VC to its as-built state (network reuse across runs).
 
-        The ring keeps its storage: only the cursors move back, so the
-        stale slots behind them are unreadable and nothing is allocated.
+        The VC has no buffer storage to keep or allocate: resetting
+        ``front``, ``count`` and ``in_flight`` empties it.
         """
-        self.head = 0
+        self.front = 0
         self.count = 0
         self.in_flight = 0
         self.allocated_packet_id = None

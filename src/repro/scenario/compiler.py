@@ -258,5 +258,5 @@ def format_scenario_report(
     title = f"Scenario '{spec.name}'"
     if spec.description:
         title += f" - {spec.description}"
-    heading = format_heading(f"{title} [fidelity={spec.fidelity_level}]")
+    heading = format_heading(f"{title} {spec.fidelity_tag()}")
     return f"{heading}\n{table}"

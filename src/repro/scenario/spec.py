@@ -285,6 +285,14 @@ class ScenarioSpec:
     channels: Union[None, str, List[int]] = None
     faults: FaultSpec = field(default_factory=FaultSpec)
 
+    def fidelity_tag(self) -> str:
+        """The report headings' run tag: the level, then each override in key
+        order, e.g. ``[fidelity=fast seed=1]``."""
+        overrides = "".join(
+            f" {key}={self.fidelity_overrides[key]}" for key in sorted(self.fidelity_overrides)
+        )
+        return f"[fidelity={self.fidelity_level}{overrides}]"
+
     def to_dict(self) -> Dict[str, object]:
         """The canonical document form (``parse_scenario`` round-trips it)."""
         fidelity: Dict[str, object] = {"level": self.fidelity_level}

@@ -55,7 +55,7 @@ def _network_state(network):
         vcs = [
             (
                 vc.buffer,
-                vc.head,
+                vc.front,
                 vc.count,
                 vc.in_flight,
                 vc.allocated_packet_id,
@@ -179,10 +179,14 @@ class TestNetworkReset:
         assert network.config is config.network
 
     def test_reset_allocates_no_vc_storage(self):
+        """A VC's buffer is its front flit and counts: reset reuses every VC."""
         _, _, network = _saturated_network()
-        buffers = [vc.buf for vc in network._vcs]
+        vcs = list(network._vcs)
+        assert any(vc.count or vc.in_flight for vc in vcs)
         network.reset()
-        assert all(vc.buf is buf for vc, buf in zip(network._vcs, buffers))
+        assert len(network._vcs) == len(vcs)
+        assert all(vc is before for vc, before in zip(network._vcs, vcs))
+        assert all((vc.front, vc.count, vc.in_flight) == (0, 0, 0) for vc in vcs)
 
     def test_dispose_frees_the_network_without_the_cycle_collector(self):
         _, _, network = _saturated_network()

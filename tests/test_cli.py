@@ -436,8 +436,28 @@ def test_edited_figure_document_prints_the_figure_table(monkeypatch, capsys, tmp
     lines, batches = _drive(monkeypatch, capsys, ["--scenario", str(path)])
     assert batches == [api.compile_scenario(raw)]
     assert {task.seed for task in batches[0]} == {1}
-    assert lines[0] == HEADINGS["fig2", ""]
+    assert lines[0] == HEADINGS["fig2", ""].replace("[fidelity=fast]", "[fidelity=fast seed=1]")
     assert lines[2].startswith("Configuration ")
+
+
+def test_fidelity_overrides_are_named_in_the_heading(monkeypatch, capsys, tmp_path):
+    """EXPERIMENTS.md's seed-1 fig2 document says ``seed=1`` in its heading.
+
+    A renamed copy with a run length prints the generic table under a tag
+    that names every override in key order.
+    """
+    raw = json.loads(dump_scenario(builtin_scenario("fig2", "fast")))
+    raw["fidelity"] = {"level": "fast", "seed": 1}
+    path = tmp_path / "fig2-seed1.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    lines, _ = _drive(monkeypatch, capsys, ["--scenario", str(path)])
+    assert lines[0] == f"{_FIG2} [fidelity=fast seed=1]"
+    raw["name"] = "fig2-seed1"
+    raw["fidelity"].update(warmup_cycles=120, cycles=600)
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    lines, _ = _drive(monkeypatch, capsys, ["--scenario", str(path)])
+    assert lines[0].startswith("Scenario 'fig2-seed1'")
+    assert lines[0].endswith(" [fidelity=fast cycles=600 seed=1 warmup_cycles=120]")
 
 
 def _wireless_only(raw):

@@ -15,6 +15,7 @@ ownership or routing state ends a run in a ``KernelInvariantError``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -31,6 +32,7 @@ from repro.noc.engine import SCHEDULERS, SimulationConfig, Simulator
 from repro.noc.kernel import (
     ActiveSetScheduler,
     DenseScheduler,
+    KernelState,
     SimulationKernel,
     SimulationStallError,
     make_scheduler,
@@ -287,7 +289,7 @@ class TestActiveSetBookkeeping:
         )
         traffic.reset()
         visited = []
-        kernel.state.allocate = lambda switch, cycle: visited.append(switch)
+        kernel.state.allocate = lambda order, cycle, *rest: visited.extend(order)
         kernel.state.inject = lambda switch, cycle: visited.append(switch)
         kernel.run()
         assert not visited
@@ -355,8 +357,7 @@ def _front_flits(network):
     for switch in network.switches.values():
         for vc in switch.vc_list:
             if vc.count:
-                flit = vc.buf[vc.head]
-                yield vc, flit >> FLIT_INDEX_BITS, flit & FLIT_INDEX_MASK
+                yield vc, vc.front >> FLIT_INDEX_BITS, vc.front & FLIT_INDEX_MASK
 
 
 def assert_send_targets_consistent(state):
@@ -429,10 +430,10 @@ class TestBlockedSwitchesSleep:
             allocate = kernel.state.allocate
             outcomes = []
 
-            def counting(switch, cycle, allocate=allocate, outcomes=outcomes):
-                outcome = allocate(switch, cycle)
-                outcomes.append(outcome)
-                return outcome
+            def counting(order, cycle, *rest, allocate=allocate, outcomes=outcomes):
+                blocked_visits = allocate(order, cycle, *rest)
+                outcomes.append(blocked_visits)
+                return blocked_visits
 
             kernel.state.allocate = counting
             kernel.run()
@@ -485,7 +486,7 @@ class TestKernelInvariants:
     def test_arrival_without_a_reservation(self):
         kernel = _saturated_kernel(Architecture.INTERPOSER)
         arrivals = kernel.state.arrivals
-        target, _ = arrivals[min(arrivals)][0]
+        target = arrivals[min(arrivals)][0]
         target.in_flight = 0
         with pytest.raises(KernelInvariantError, match="without a matching reservation"):
             _continue(kernel, 10)
@@ -516,16 +517,138 @@ class TestKernelInvariants:
         kernel = _saturated_kernel(Architecture.INTERPOSER)
         state = kernel.state
         pool = state.pool
+        # A target VC with nothing buffered and a head at the front of its
+        # run has that head in flight.
         handle = next(
-            flit >> FLIT_INDEX_BITS
+            target.front >> FLIT_INDEX_BITS
             for entries in state.arrivals.values()
-            for target, flit in entries
-            if not flit & FLIT_INDEX_MASK
-            and target.port.switch.switch_id != pool.dst_switch[flit >> FLIT_INDEX_BITS]
+            for target in entries
+            if not target.count
+            and not target.front & FLIT_INDEX_MASK
+            and target.port.switch.switch_id != pool.dst_switch[target.front >> FLIT_INDEX_BITS]
         )
         pool.head_hop[handle] += 1
         with pytest.raises(KernelInvariantError, match="head expected at switch"):
             _continue(kernel, 10)
+
+
+def assert_vc_runs(state):
+    """Every VC holds one run of consecutive flits of the packet that owns it.
+
+    A buffered VC's front flit belongs to its owner (the packet that claimed
+    it, or on a local VC the packet being serialised into it), and the
+    run's flits, buffered and in flight, fit in that packet.  Every arrival
+    targets an owned VC, as many times as the VC has flits in flight.
+    Returns how many buffered VCs were checked.
+    """
+    pool = state.pool
+    checked = 0
+    for switch in state.network.switches.values():
+        for ordinal in switch.occupied:
+            vc = switch.vc_by_ordinal[ordinal]
+            owner = vc.allocated_packet_id
+            if owner is None and vc.source_packet is not None:
+                owner = pool.pid[vc.source_packet]
+            handle = vc.front >> FLIT_INDEX_BITS
+            index = vc.front & FLIT_INDEX_MASK
+            assert vc.count and owner is not None
+            assert pool.pid[handle] == owner
+            assert index + vc.count + vc.in_flight <= pool.length_flits[handle]
+            if vc.source_packet is not None:
+                assert handle == vc.source_packet
+                assert index + vc.count == vc.source_flits_emitted
+            checked += 1
+    arriving = Counter(target for entries in state.arrivals.values() for target in entries)
+    for target, flits in arriving.items():
+        assert target.allocated_packet_id is not None
+        assert target.in_flight == flits
+    return checked
+
+
+class TestVcRuns:
+    """A VC's buffer is a run of one packet's flits, after every cycle.
+
+    The fuzzed scenarios' synthetic loads are raised to 0.1, which congests
+    their small networks, so heads wait for free VCs and, with faults,
+    packets are rerouted and purged mid-flight.
+    """
+
+    SEEDS = range(6)
+
+    @pytest.mark.parametrize("faults", ["none", "random-links"])
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_every_cycle_keeps_one_run_per_vc(self, monkeypatch, scheduler, faults):
+        checked = []
+        watchdog = KernelState.check_watchdog
+
+        def checking(state, cycle):
+            checked.append(assert_vc_runs(state))
+            if cycle == state.config.cycles - 1:
+                # The occupied sets the per-cycle check walks are complete.
+                for switch in state.network.switches.values():
+                    held = {vc.ordinal for vc in switch.vc_list if vc.count}
+                    assert held == switch.occupied
+            watchdog(state, cycle)
+
+        monkeypatch.setattr(KernelState, "check_watchdog", checking)
+        rerouted = purged = 0
+        for seed in self.SEEDS:
+            (task,) = compile_scenario(parse_scenario(random_scenario(seed)))
+            cycles = min(task.cycles, 300)
+            task = replace(
+                task,
+                cycles=cycles,
+                warmup_cycles=cycles // 4,
+                load=task.load and 0.1,
+                faults=faults,
+                fault_rate=0.3 if faults != "none" else 0.0,
+            )
+            simulator = task_simulator(task)
+            simulator.simulation_config = replace(
+                simulator.simulation_config, scheduler=scheduler
+            )
+            result = simulator.run()
+            rerouted += result.packets_rerouted
+            purged += result.flits_dropped_unroutable
+        assert sum(checked) > 0
+        assert bool(rerouted and purged) == (faults != "none")
+
+    def test_purge_removes_exactly_the_packets_arrivals(self):
+        kernel = _saturated_kernel(Architecture.INTERPOSER)
+        state = kernel.state
+        # Each arrival with the packet that owned its target before the purge.
+        before = {
+            key: [(target, target.allocated_packet_id) for target in entries]
+            for key, entries in state.arrivals.items()
+        }
+        owners = Counter(owner for entries in before.values() for _, owner in entries)
+        assert len(owners) > 1
+        pid = max(owners, key=lambda owner: (owners[owner], owner))
+        handle = next(
+            target.front >> FLIT_INDEX_BITS
+            for entries in before.values()
+            for target, owner in entries
+            if owner == pid
+        )
+        assert state.pool.pid[handle] == pid != handle
+        in_flight = {
+            target: target.in_flight for entries in before.values() for target, _ in entries
+        }
+        buffered = sum(vc.count for vc in state.network._vcs if vc.allocated_packet_id == pid)
+        dropped = state.result.flits_dropped_unroutable
+        plan = FaultPlan(scenario="none", fault_rate=0.0, seed=0, events=())
+        injector = FaultInjector(plan, state.network, state.router, state.result)
+        injector._purge_packet(handle, state)
+        expected = {}
+        for key, entries in before.items():
+            kept = [target for target, owner in entries if owner != pid]
+            if kept:
+                expected[key] = kept
+        assert state.arrivals == expected
+        for target, flits in in_flight.items():
+            assert target.in_flight == (0 if target.allocated_packet_id is None else flits)
+        assert state.result.flits_dropped_unroutable == dropped + owners[pid] + buffered
+        assert_vc_runs(state)
 
 
 class TestFuzzedParity:

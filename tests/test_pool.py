@@ -7,7 +7,7 @@ The pooled core's contract (see :mod:`repro.noc.pool`):
 * **no handle ever leaks** — after any run (including faulted runs with
   purged packets), the pool's books (``allocated == freed + live``, free
   list + live = capacity) reconcile exactly with the handles reachable
-  from the simulation state (source queues, VC rings, serialisation state,
+  from the simulation state (source queues, VC runs, serialisation state,
   in-flight arrivals), and the flit-conservation counters of the fault
   subsystem still hold.  Property-tested over load, seed, and fault
   scenario;
@@ -267,11 +267,12 @@ def reachable_handles(state):
             for vc in port.vcs:
                 if vc.source_packet is not None:
                     reachable.add(vc.source_packet)
-                for flit in vc.buffer:
-                    reachable.add(flit >> FLIT_INDEX_BITS)
+                if vc.count:
+                    reachable.add(vc.front >> FLIT_INDEX_BITS)
+    # An arrival's target VC holds the run of the flit's packet.
     for entries in state.arrivals.values():
-        for _, flit in entries:
-            reachable.add(flit >> FLIT_INDEX_BITS)
+        for target in entries:
+            reachable.add(target.front >> FLIT_INDEX_BITS)
     return reachable
 
 
