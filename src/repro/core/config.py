@@ -9,6 +9,7 @@ parameters shared by every architecture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
@@ -63,6 +64,9 @@ class SystemConfig:
             raise ValueError("vaults_per_stack must be positive")
         if self.cores_per_wi <= 0:
             raise ValueError("cores_per_wi must be positive")
+        area = self.total_processing_area_mm2
+        if area is not None and not 0 < area < math.inf:
+            raise ValueError("total_processing_area_mm2 must be positive and finite")
         if self.interposer_links_per_boundary < 0:
             raise ValueError("interposer_links_per_boundary must be non-negative")
         if self.substrate_serial_links <= 0:

@@ -76,8 +76,12 @@ class WirelessConfig:
             raise ValueError("num_channels must be positive")
         if self.cycles_per_flit <= 0:
             raise ValueError("cycles_per_flit must be positive")
+        if self.extra_latency_cycles < 0:
+            raise ValueError("extra_latency_cycles must be non-negative")
         if self.control_packet_cycles <= 0:
             raise ValueError("control_packet_cycles must be positive")
+        if self.control_packet_bits < 0:
+            raise ValueError("control_packet_bits must be non-negative")
         if self.max_control_tuples <= 0:
             raise ValueError("max_control_tuples must be positive")
         if self.tdma_slot_cycles is not None and self.tdma_slot_cycles <= 0:
@@ -121,6 +125,8 @@ class NetworkConfig:
             raise ValueError("buffer_depth_flits must be positive")
         if self.packet_length_flits <= 0:
             raise ValueError("packet_length_flits must be positive")
+        if self.switch_pipeline_stages <= 0:
+            raise ValueError("switch_pipeline_stages must be positive")
         if self.packet_length_flits > MAX_PACKET_LENGTH_FLITS:
             # The packed flit representation reserves FLIT_INDEX_BITS for
             # the flit index; reject oversized packets at configuration

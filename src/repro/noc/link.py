@@ -71,13 +71,12 @@ def characterize_link(
     (``switch_pipeline_stages``) so a hop's zero-load cost is fully captured
     by the link the flit crosses to get there.
     """
-    pipeline = max(1, switch_pipeline_stages)
     if spec.kind == LinkKind.MESH or spec.kind == LinkKind.TSV:
         wire = WireModel(technology).characterize(spec.length_mm)
         return LinkCharacteristics(
             kind=spec.kind,
             cycles_per_flit=1,
-            latency_cycles=pipeline + wire.latency_cycles,
+            latency_cycles=switch_pipeline_stages + wire.latency_cycles,
             energy_pj_per_flit=wire.energy_pj_per_flit
             if spec.kind == LinkKind.MESH
             else technology.flit_energy_pj(technology.tsv_energy_pj_per_bit),
@@ -88,7 +87,7 @@ def characterize_link(
         return LinkCharacteristics(
             kind=spec.kind,
             cycles_per_flit=1,
-            latency_cycles=pipeline + 1 + INTERPOSER_LINK_EXTRA_LATENCY_CYCLES,
+            latency_cycles=switch_pipeline_stages + 1 + INTERPOSER_LINK_EXTRA_LATENCY_CYCLES,
             energy_pj_per_flit=energy,
             length_mm=spec.length_mm,
         )
@@ -97,7 +96,7 @@ def characterize_link(
         return LinkCharacteristics(
             kind=spec.kind,
             cycles_per_flit=io.cycles_per_flit,
-            latency_cycles=pipeline + 1 + io.extra_latency_cycles,
+            latency_cycles=switch_pipeline_stages + 1 + io.extra_latency_cycles,
             energy_pj_per_flit=io.energy_pj_per_flit,
             length_mm=spec.length_mm,
         )
@@ -106,7 +105,7 @@ def characterize_link(
         return LinkCharacteristics(
             kind=spec.kind,
             cycles_per_flit=io.cycles_per_flit,
-            latency_cycles=pipeline + 1 + io.extra_latency_cycles,
+            latency_cycles=switch_pipeline_stages + 1 + io.extra_latency_cycles,
             energy_pj_per_flit=io.energy_pj_per_flit,
             length_mm=spec.length_mm,
         )
@@ -115,7 +114,7 @@ def characterize_link(
         return LinkCharacteristics(
             kind=spec.kind,
             cycles_per_flit=wireless.cycles_per_flit,
-            latency_cycles=pipeline + 1 + wireless.extra_latency_cycles,
+            latency_cycles=switch_pipeline_stages + 1 + wireless.extra_latency_cycles,
             energy_pj_per_flit=energy,
             length_mm=spec.length_mm,
         )

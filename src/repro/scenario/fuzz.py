@@ -92,7 +92,9 @@ def random_scenario(seed: int) -> Dict[str, object]:
     short packets, a few hundred cycles) so a 25-document battery runs in
     seconds, while still crossing every registry: all traffic patterns,
     all MAC protocols, all fault scenarios and all three architectures
-    appear across seeds.
+    appear across seeds.  Synthetic loads run from nearly idle to well
+    past saturation (0.1–0.3 packets per core per cycle), where heads wait
+    for VCs and faulted runs reroute and purge packets mid-flight.
     """
     rng = make_rng(derive_seed(seed, "scenario-fuzz"))
 
@@ -139,7 +141,7 @@ def random_scenario(seed: int) -> Dict[str, object]:
             "kind": "synthetic",
             "pattern": rng.choice(available_patterns()),
             "memory_fractions": [rng.choice([0.0, 0.2, 0.5])],
-            "loads": [rng.choice([0.005, 0.01, 0.03, 0.06])],
+            "loads": [rng.choice([0.005, 0.01, 0.03, 0.06, 0.1, 0.2, 0.3])],
         }
         if architecture == "wireless":
             raw["macs"] = [rng.choice(available_macs())]

@@ -19,6 +19,14 @@ Design rules:
   architectures, MACs, applications and fault scenarios purely by
   registered name, so anything pluggable through a registry is reachable
   from a document with no schema change.
+* **The config classes are the schema.**  A system entry and its
+  ``network``/``wireless`` sections take exactly the scalar fields of
+  :class:`~repro.core.config.SystemConfig`,
+  :class:`~repro.noc.config.NetworkConfig` and
+  :class:`~repro.noc.config.WirelessConfig`, each checked against its
+  annotation (``int``, ``float``, which also takes an integer, ``bool``
+  or ``str``), with ``null`` only where the annotation is ``Optional``.
+  A scalar field added to a config class is a document key at once.
 * **Stable round-trips.**  ``parse(spec.to_dict()) == spec`` for every
   valid spec, so documents can be normalised, stored and re-loaded
   without drift (the fuzzer and the CI artifact dump rely on this).
@@ -31,10 +39,23 @@ not an ``ImportError`` traceback — when it is absent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+    Union,
+    get_args,
+    get_type_hints,
+)
 
-from ..core.config import Architecture
+from ..core.config import Architecture, SystemConfig
+from ..noc.config import NetworkConfig, WirelessConfig
 from ..faults.scenarios import available_fault_scenarios
 from ..traffic.applications import APPLICATION_PROFILES
 from ..traffic.registry import available_patterns
@@ -62,45 +83,6 @@ STUDY_SENTINEL = "saturation-study"
 
 #: System presets resolvable by name (the paper's ``XCYM`` configurations).
 SYSTEM_PRESETS = ("1C4M", "4C4M", "8C4M")
-
-#: ``SystemConfig`` scalar fields a system entry may override.
-_SYSTEM_INT_FIELDS = (
-    "num_chips",
-    "cores_per_chip",
-    "num_memory_stacks",
-    "vaults_per_stack",
-    "cores_per_wi",
-    "interposer_links_per_boundary",
-    "substrate_serial_links",
-    "wide_io_links_per_stack",
-)
-_SYSTEM_FLOAT_FIELDS = ("total_processing_area_mm2",)
-
-#: ``NetworkConfig`` fields a system's ``network`` section may override.
-_NETWORK_INT_FIELDS = (
-    "virtual_channels",
-    "buffer_depth_flits",
-    "packet_length_flits",
-    "switch_pipeline_stages",
-    "injection_width_flits",
-    "ejection_width_per_endpoint",
-)
-_NETWORK_BOOL_FIELDS = ("include_static_energy",)
-
-#: ``WirelessConfig`` fields a system's ``wireless`` section may override.
-_WIRELESS_INT_FIELDS = (
-    "num_channels",
-    "cycles_per_flit",
-    "extra_latency_cycles",
-    "control_packet_cycles",
-    "control_packet_bits",
-    "max_control_tuples",
-    "token_pass_latency_cycles",
-    "tdma_slot_cycles",
-    "tdma_guard_cycles",
-    "wi_buffer_depth_flits",
-)
-_WIRELESS_BOOL_FIELDS = ("sleepy_receivers",)
 
 
 class ScenarioError(ValueError):
@@ -137,12 +119,6 @@ def _expect_mapping(value: object, path: str) -> Mapping:
     return value
 
 
-def _expect_list(value: object, path: str) -> List[object]:
-    if isinstance(value, (str, bytes)) or not isinstance(value, Sequence):
-        raise ScenarioError(path, f"expected a list, got {_type_name(value)}")
-    return list(value)
-
-
 def _expect_str(value: object, path: str) -> str:
     if not isinstance(value, str):
         raise ScenarioError(path, f"expected a string, got {_type_name(value)}")
@@ -167,7 +143,7 @@ def _expect_float(value: object, path: str) -> float:
     return float(value)
 
 
-def _reject_unknown_keys(raw: Mapping, allowed: Sequence[str], path: str) -> None:
+def _reject_unknown_keys(raw: Mapping, allowed: Collection[str], path: str) -> None:
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
         raise ScenarioError(
@@ -185,6 +161,101 @@ def _expect_registry_name(value: object, path: str, known: Sequence[str], what: 
     return name
 
 
+def _expect_mac(value: object, path: str) -> str:
+    return _expect_registry_name(value, path, available_macs(), "MAC protocol")
+
+
+def _at_least(minimum: int, value, path: str):
+    if value < minimum:
+        raise ScenarioError(path, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _expect_fraction(value: object, path: str) -> float:
+    value = _expect_float(value, path)
+    if not 0.0 <= value <= 1.0:
+        raise ScenarioError(path, f"must be in [0, 1], got {value}")
+    return value
+
+
+_Check = Callable[[object, str], object]
+
+
+def _parse_grid(
+    raw: object, path: str, item: str, check: _Check, sentinels: Sequence[str] = ()
+) -> Union[str, List[object]]:
+    """One of ``sentinels``, or a non-empty list of ``item``s each passing ``check``."""
+    if isinstance(raw, str) and raw in sentinels:
+        return raw
+    if isinstance(raw, (str, bytes)) or not isinstance(raw, Sequence):
+        accepted = " or ".join(["a list", *map(repr, sentinels)])
+        got = repr(raw) if isinstance(raw, str) else _type_name(raw)
+        raise ScenarioError(path, f"expected {accepted}, got {got}")
+    if not raw:
+        raise ScenarioError(path, f"needs at least one {item}")
+    return [check(entry, f"{path}[{index}]") for index, entry in enumerate(raw)]
+
+
+# ----------------------------------------------------------------------
+# The config classes as the schema of a system entry.
+# ----------------------------------------------------------------------
+
+#: The validator of each scalar annotation, matched exactly: ``Architecture``
+#: is a ``str`` enum, not ``str``, so it and the nested config sections are
+#: structural fields that no table has to name.
+_CHECKS: Dict[type, _Check] = {
+    int: _expect_int,
+    float: _expect_float,
+    bool: _expect_bool,
+    str: _expect_str,
+}
+
+
+def _nullable(check: _Check) -> _Check:
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _scalar_fields(config: type) -> Dict[str, _Check]:
+    """``config``'s scalar fields in declaration order, each with its validator.
+
+    ``Optional[X]`` takes ``X``'s validator plus ``null``; any other
+    annotation without a validator marks a structural field, which is left
+    out.
+    """
+    hints = get_type_hints(config)
+    checks: Dict[str, _Check] = {}
+    for item in fields(config):
+        hint = hints[item.name]
+        args = get_args(hint)
+        if len(args) == 2 and type(None) in args:
+            (inner,) = (arg for arg in args if arg is not type(None))
+            if inner in _CHECKS:
+                checks[item.name] = _nullable(_CHECKS[inner])
+        elif hint in _CHECKS:
+            checks[item.name] = _CHECKS[hint]
+    return checks
+
+
+#: The document keys of a system entry, and of its ``network`` and
+#: ``wireless`` sections, with their validators.  ``wireless.mac`` is the
+#: one ``str`` field; it must name a registered MAC protocol.
+_SYSTEM_FIELDS = _scalar_fields(SystemConfig)
+_NETWORK_FIELDS = _scalar_fields(NetworkConfig)
+_WIRELESS_FIELDS = {**_scalar_fields(WirelessConfig), "mac": _expect_mac}
+
+
+def _parse_fields(mapping: Mapping, checks: Mapping[str, _Check], path: str) -> Dict[str, object]:
+    return {
+        key: check(mapping[key], f"{path}.{key}") for key, check in checks.items() if key in mapping
+    }
+
+
+def _parse_section(raw: object, checks: Mapping[str, _Check], path: str) -> Dict[str, object]:
+    mapping = _expect_mapping(raw, path)
+    _reject_unknown_keys(mapping, checks, path)
+    return _parse_fields(mapping, checks, path)
+
+
 # ----------------------------------------------------------------------
 # Spec sections.
 # ----------------------------------------------------------------------
@@ -197,7 +268,8 @@ class SystemSpec:
     architecture: str
     preset: str = ""
     label: str = ""
-    #: ``SystemConfig`` scalar overrides, in document order of appearance.
+    #: ``SystemConfig`` scalar overrides; ``network`` and ``wireless`` hold
+    #: the ``NetworkConfig`` and ``WirelessConfig`` ones.
     overrides: Dict[str, object] = field(default_factory=dict)
     network: Dict[str, object] = field(default_factory=dict)
     wireless: Dict[str, object] = field(default_factory=dict)
@@ -320,31 +392,25 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 
 
+def _expect_level(value: object, path: str) -> str:
+    level = _expect_str(value, path)
+    if level not in FIDELITIES:
+        known = ", ".join(sorted(FIDELITIES))
+        raise ScenarioError(path, f"unknown fidelity level {level!r} (known: {known})")
+    return level
+
+
 def _parse_fidelity(raw: object, path: str) -> Tuple[str, Dict[str, int]]:
-    levels = sorted(FIDELITIES)
     if isinstance(raw, str):
-        if raw not in levels:
-            raise ScenarioError(
-                path, f"unknown fidelity level {raw!r} (known: {', '.join(levels)})"
-            )
-        return raw, {}
+        return _expect_level(raw, path), {}
     mapping = _expect_mapping(raw, path)
     _reject_unknown_keys(mapping, ("level", "cycles", "warmup_cycles", "seed"), path)
-    level = "default"
-    if "level" in mapping:
-        level = _expect_str(mapping["level"], f"{path}.level")
-        if level not in levels:
-            raise ScenarioError(
-                f"{path}.level",
-                f"unknown fidelity level {level!r} (known: {', '.join(levels)})",
-            )
-    overrides: Dict[str, int] = {}
-    for key, minimum in (("cycles", 1), ("warmup_cycles", 0), ("seed", 0)):
-        if key in mapping:
-            value = _expect_int(mapping[key], f"{path}.{key}")
-            if value < minimum:
-                raise ScenarioError(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-            overrides[key] = value
+    level = _expect_level(mapping.get("level", "default"), f"{path}.level")
+    overrides = {
+        key: _at_least(minimum, _expect_int(mapping[key], f"{path}.{key}"), f"{path}.{key}")
+        for key, minimum in (("cycles", 1), ("warmup_cycles", 0), ("seed", 0))
+        if key in mapping
+    }
     if "cycles" in overrides and overrides.get("warmup_cycles", 0) >= overrides["cycles"]:
         raise ScenarioError(f"{path}.warmup_cycles", "must be smaller than cycles")
     return level, overrides
@@ -352,11 +418,7 @@ def _parse_fidelity(raw: object, path: str) -> Tuple[str, Dict[str, int]]:
 
 def _parse_system(raw: object, path: str) -> SystemSpec:
     mapping = _expect_mapping(raw, path)
-    allowed = (
-        ("architecture", "preset", "label", "network", "wireless")
-        + _SYSTEM_INT_FIELDS
-        + _SYSTEM_FLOAT_FIELDS
-    )
+    allowed = ("architecture", "preset", "label", "network", "wireless", *_SYSTEM_FIELDS)
     _reject_unknown_keys(mapping, allowed, path)
     if "architecture" not in mapping:
         raise ScenarioError(f"{path}.architecture", "required field is missing")
@@ -375,81 +437,14 @@ def _parse_system(raw: object, path: str) -> SystemSpec:
                 f"unknown preset {preset!r} (known: {', '.join(SYSTEM_PRESETS)})",
             )
     label = _expect_str(mapping.get("label", ""), f"{path}.label")
-
-    overrides: Dict[str, object] = {}
-    for key in _SYSTEM_INT_FIELDS:
-        if key in mapping:
-            overrides[key] = _expect_int(mapping[key], f"{path}.{key}")
-    for key in _SYSTEM_FLOAT_FIELDS:
-        if key in mapping and mapping[key] is not None:
-            overrides[key] = _expect_float(mapping[key], f"{path}.{key}")
-        elif key in mapping:
-            overrides[key] = None
-
-    network: Dict[str, object] = {}
-    if "network" in mapping:
-        sub = _expect_mapping(mapping["network"], f"{path}.network")
-        _reject_unknown_keys(
-            sub, _NETWORK_INT_FIELDS + _NETWORK_BOOL_FIELDS, f"{path}.network"
-        )
-        for key in _NETWORK_INT_FIELDS:
-            if key in sub:
-                network[key] = _expect_int(sub[key], f"{path}.network.{key}")
-        for key in _NETWORK_BOOL_FIELDS:
-            if key in sub:
-                network[key] = _expect_bool(sub[key], f"{path}.network.{key}")
-
-    wireless: Dict[str, object] = {}
-    if "wireless" in mapping:
-        sub = _expect_mapping(mapping["wireless"], f"{path}.wireless")
-        _reject_unknown_keys(
-            sub,
-            ("mac",) + _WIRELESS_INT_FIELDS + _WIRELESS_BOOL_FIELDS,
-            f"{path}.wireless",
-        )
-        if "mac" in sub:
-            wireless["mac"] = _expect_registry_name(
-                sub["mac"], f"{path}.wireless.mac", available_macs(), "MAC protocol"
-            )
-        for key in _WIRELESS_INT_FIELDS:
-            # tdma_slot_cycles / wi_buffer_depth_flits accept an explicit null.
-            if key in sub and sub[key] is not None:
-                wireless[key] = _expect_int(sub[key], f"{path}.wireless.{key}")
-            elif key in sub:
-                wireless[key] = None
-        for key in _WIRELESS_BOOL_FIELDS:
-            if key in sub:
-                wireless[key] = _expect_bool(sub[key], f"{path}.wireless.{key}")
-
+    overrides = _parse_fields(mapping, _SYSTEM_FIELDS, path)
+    sections = {
+        key: _parse_section(mapping[key], checks, f"{path}.{key}") if key in mapping else {}
+        for key, checks in (("network", _NETWORK_FIELDS), ("wireless", _WIRELESS_FIELDS))
+    }
     return SystemSpec(
-        architecture=architecture,
-        preset=preset,
-        label=label,
-        overrides=overrides,
-        network=network,
-        wireless=wireless,
+        architecture=architecture, preset=preset, label=label, overrides=overrides, **sections
     )
-
-
-def _parse_loads(raw: object, path: str) -> Union[str, List[float]]:
-    if isinstance(raw, str):
-        if raw not in (FIDELITY_SENTINEL, STUDY_SENTINEL):
-            raise ScenarioError(
-                path,
-                f"expected a list of loads, {FIDELITY_SENTINEL!r} or "
-                f"{STUDY_SENTINEL!r}, got {raw!r}",
-            )
-        return raw
-    loads = _expect_list(raw, path)
-    if not loads:
-        raise ScenarioError(path, "needs at least one load point")
-    parsed = []
-    for index, load in enumerate(loads):
-        value = _expect_float(load, f"{path}[{index}]")
-        if value < 0:
-            raise ScenarioError(f"{path}[{index}]", f"must be >= 0, got {value}")
-        parsed.append(value)
-    return parsed
 
 
 def _parse_traffic(raw: object, path: str) -> TrafficSpec:
@@ -470,89 +465,37 @@ def _parse_traffic(raw: object, path: str) -> TrafficSpec:
             )
         fractions = [0.2]
         if "memory_fractions" in mapping:
-            entries = _expect_list(mapping["memory_fractions"], f"{path}.memory_fractions")
-            if not entries:
-                raise ScenarioError(
-                    f"{path}.memory_fractions", "needs at least one fraction"
-                )
-            fractions = []
-            for index, entry in enumerate(entries):
-                value = _expect_float(entry, f"{path}.memory_fractions[{index}]")
-                if not 0.0 <= value <= 1.0:
-                    raise ScenarioError(
-                        f"{path}.memory_fractions[{index}]",
-                        f"must be in [0, 1], got {value}",
-                    )
-                fractions.append(value)
-        loads = FIDELITY_SENTINEL
-        if "loads" in mapping:
-            loads = _parse_loads(mapping["loads"], f"{path}.loads")
+            fractions = _parse_grid(
+                mapping["memory_fractions"],
+                f"{path}.memory_fractions",
+                "fraction",
+                _expect_fraction,
+            )
+        loads = _parse_grid(
+            mapping.get("loads", FIDELITY_SENTINEL),
+            f"{path}.loads",
+            "load point",
+            lambda load, at: _at_least(0, _expect_float(load, at), at),
+            (FIDELITY_SENTINEL, STUDY_SENTINEL),
+        )
         return TrafficSpec(
             kind="synthetic", pattern=pattern, memory_fractions=fractions, loads=loads
         )
 
     _reject_unknown_keys(mapping, ("kind", "applications", "rate_scale"), path)
-    applications: Union[str, List[str]] = FIDELITY_SENTINEL
-    if "applications" in mapping and mapping["applications"] != FIDELITY_SENTINEL:
-        entries = _expect_list(mapping["applications"], f"{path}.applications")
-        if not entries:
-            raise ScenarioError(f"{path}.applications", "needs at least one application")
-        applications = [
-            _expect_registry_name(
-                entry,
-                f"{path}.applications[{index}]",
-                sorted(APPLICATION_PROFILES),
-                "application",
-            )
-            for index, entry in enumerate(entries)
-        ]
+    applications = _parse_grid(
+        mapping.get("applications", FIDELITY_SENTINEL),
+        f"{path}.applications",
+        "application",
+        partial(_expect_registry_name, known=sorted(APPLICATION_PROFILES), what="application"),
+        (FIDELITY_SENTINEL,),
+    )
     rate_scale: Union[str, float] = FIDELITY_SENTINEL
     if "rate_scale" in mapping and mapping["rate_scale"] != FIDELITY_SENTINEL:
         rate_scale = _expect_float(mapping["rate_scale"], f"{path}.rate_scale")
         if rate_scale <= 0:
             raise ScenarioError(f"{path}.rate_scale", f"must be > 0, got {rate_scale}")
     return TrafficSpec(kind="application", applications=applications, rate_scale=rate_scale)
-
-
-def _parse_macs(raw: object, path: str) -> Union[str, List[str]]:
-    if isinstance(raw, str):
-        if raw != "all":
-            raise ScenarioError(
-                path, f"expected 'all' or a list of MAC names, got {raw!r}"
-            )
-        return "all"
-    entries = _expect_list(raw, path)
-    if not entries:
-        raise ScenarioError(path, "needs at least one entry ('' keeps the system's MAC)")
-    macs = []
-    for index, entry in enumerate(entries):
-        name = _expect_str(entry, f"{path}[{index}]")
-        if name:
-            _expect_registry_name(name, f"{path}[{index}]", available_macs(), "MAC protocol")
-        macs.append(name)
-    return macs
-
-
-def _parse_channels(raw: object, path: str) -> Union[None, str, List[int]]:
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        if raw != FIDELITY_SENTINEL:
-            raise ScenarioError(
-                path,
-                f"expected {FIDELITY_SENTINEL!r} or a list of channel counts, got {raw!r}",
-            )
-        return FIDELITY_SENTINEL
-    entries = _expect_list(raw, path)
-    if not entries:
-        raise ScenarioError(path, "needs at least one channel count")
-    channels = []
-    for index, entry in enumerate(entries):
-        value = _expect_int(entry, f"{path}[{index}]")
-        if value <= 0:
-            raise ScenarioError(f"{path}[{index}]", f"must be >= 1, got {value}")
-        channels.append(value)
-    return channels
 
 
 def _parse_faults(raw: object, path: str) -> FaultSpec:
@@ -570,26 +513,12 @@ def _parse_faults(raw: object, path: str) -> FaultSpec:
         raise ScenarioError(f"{path}.rate", "give either 'rates' or 'rate', not both")
     rates: Union[str, List[float]] = [0.0]
     if "rate" in mapping:
-        value = _expect_float(mapping["rate"], f"{path}.rate")
-        if not 0.0 <= value <= 1.0:
-            raise ScenarioError(f"{path}.rate", f"must be in [0, 1], got {value}")
         # The fig7 pinned-rate form: the pristine baseline plus one severity.
-        rates = sorted({0.0, value})
+        rates = sorted({0.0, _expect_fraction(mapping["rate"], f"{path}.rate")})
     elif "rates" in mapping:
-        if mapping["rates"] == FIDELITY_SENTINEL:
-            rates = FIDELITY_SENTINEL
-        else:
-            entries = _expect_list(mapping["rates"], f"{path}.rates")
-            if not entries:
-                raise ScenarioError(f"{path}.rates", "needs at least one severity")
-            rates = []
-            for index, entry in enumerate(entries):
-                value = _expect_float(entry, f"{path}.rates[{index}]")
-                if not 0.0 <= value <= 1.0:
-                    raise ScenarioError(
-                        f"{path}.rates[{index}]", f"must be in [0, 1], got {value}"
-                    )
-                rates.append(value)
+        rates = _parse_grid(
+            mapping["rates"], f"{path}.rates", "severity", _expect_fraction, (FIDELITY_SENTINEL,)
+        )
     if scenario == "none":
         explicit = rates if isinstance(rates, list) else []
         if rates == FIDELITY_SENTINEL or any(rate > 0 for rate in explicit):
@@ -637,12 +566,7 @@ def parse_scenario(raw: object) -> ScenarioSpec:
 
     if "systems" not in mapping:
         raise ScenarioError("systems", "required field is missing")
-    entries = _expect_list(mapping["systems"], "systems")
-    if not entries:
-        raise ScenarioError("systems", "needs at least one system")
-    systems = [
-        _parse_system(entry, f"systems[{index}]") for index, entry in enumerate(entries)
-    ]
+    systems = _parse_grid(mapping["systems"], "systems", "system", _parse_system)
 
     if "traffic" not in mapping:
         raise ScenarioError("traffic", "required field is missing")
@@ -654,9 +578,23 @@ def parse_scenario(raw: object) -> ScenarioSpec:
             raise ScenarioError(
                 "macs", "application traffic does not take a MAC override sweep"
             )
-        macs = _parse_macs(mapping["macs"], "macs")
+        macs = _parse_grid(
+            mapping["macs"],
+            "macs",
+            "entry ('' keeps the system's MAC)",
+            lambda name, at: name if name == "" else _expect_mac(name, at),
+            ("all",),
+        )
 
-    channels = _parse_channels(mapping.get("channels"), "channels")
+    channels = mapping.get("channels")
+    if channels is not None:
+        channels = _parse_grid(
+            channels,
+            "channels",
+            "channel count",
+            lambda count, at: _at_least(1, _expect_int(count, at), at),
+            (FIDELITY_SENTINEL,),
+        )
 
     faults = FaultSpec()
     if "faults" in mapping:

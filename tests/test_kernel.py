@@ -655,19 +655,20 @@ class TestFuzzedParity:
     """The fuzzer's scenarios also run identically under both schedulers.
 
     The first 64 seeds (about 2 s of simulation) cross every MAC protocol,
-    multi-channel wireless fabrics, in-flight rerouting and fault purges,
-    which the hand-picked matrix above does not; the test asserts that
-    coverage so a generator change cannot quietly shrink it.
+    multi-channel wireless fabrics, congested loads, in-flight rerouting
+    and fault purges, which the hand-picked matrix above does not; the test
+    asserts that coverage so a generator change cannot quietly shrink it.
     """
 
     SEEDS = range(64)
 
     def test_fuzzed_scenarios_match_across_schedulers(self):
-        macs, channels, rerouted, purged = set(), set(), 0, 0
+        macs, channels, loads, rerouted, purged = set(), set(), set(), 0, 0
         for seed in self.SEEDS:
             raw = random_scenario(seed)
             macs.update(raw.get("macs", ()))
             channels.update(raw.get("channels", ()))
+            loads.update(raw["traffic"].get("loads", ()))
             for task in compile_scenario(parse_scenario(raw)):
                 cycles = min(task.cycles, 300)
                 task = replace(
@@ -686,7 +687,10 @@ class TestFuzzedParity:
                 purged += results[0].flits_dropped_unroutable
         assert macs == set(available_macs())
         assert max(channels) > 1
-        assert rerouted and purged
+        # Congested runs reroute around faults many times more often than
+        # the light loads alone (11 packets over these seeds).
+        assert max(loads) >= 0.2
+        assert rerouted >= 100 and purged
 
 
 class TestWatchdog:

@@ -11,12 +11,15 @@ to expand fidelity sentinels exactly like the figure experiments do.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 
 import pytest
 
 from repro.core.config import Architecture, SystemConfig, paper_8c4m
 from repro.faults.scenarios import DEFAULT_FAULT_RATE, DEFAULT_SCENARIO
+from repro.noc.config import NetworkConfig, WirelessConfig
 from repro.scenario.fidelity import get_fidelity
 from repro.scenario import (
     ScenarioError,
@@ -29,7 +32,14 @@ from repro.scenario import (
     scenario_fidelity,
     system_config,
 )
-from repro.scenario.spec import FaultSpec, SystemSpec, TrafficSpec
+from repro.scenario.spec import (
+    _NETWORK_FIELDS,
+    _SYSTEM_FIELDS,
+    _WIRELESS_FIELDS,
+    FaultSpec,
+    SystemSpec,
+    TrafficSpec,
+)
 
 
 def minimal_document(**extra):
@@ -80,6 +90,20 @@ ROUND_TRIP_DOCUMENTS = [
     ),
     minimal_document(traffic={"kind": "synthetic", "loads": "saturation-study"}, macs="all"),
     minimal_document(faults={"scenario": "cascading", "rate": 0.3}),
+    # null is a value exactly where the config annotation is Optional.
+    minimal_document(
+        systems=[
+            {
+                "architecture": "wireless",
+                "total_processing_area_mm2": None,
+                "wireless": {
+                    "mac": "tdma",
+                    "tdma_slot_cycles": None,
+                    "wi_buffer_depth_flits": None,
+                },
+            }
+        ]
+    ),
 ]
 
 
@@ -118,6 +142,15 @@ def test_load_scenario_reads_json_and_yaml(tmp_path):
     yaml_path = tmp_path / "scenario.yaml"
     yaml_path.write_text(dump_scenario(spec, format="yaml"), encoding="utf-8")
     assert load_scenario(str(yaml_path)) == spec
+
+
+def test_yaml_without_pyyaml_is_a_scenario_error(monkeypatch):
+    spec = parse_scenario(minimal_document())
+    monkeypatch.setitem(sys.modules, "yaml", None)
+    with pytest.raises(ScenarioError, match="PyYAML is not installed"):
+        loads_scenario("name: unit", format="yaml")
+    with pytest.raises(ScenarioError, match="PyYAML is not installed"):
+        dump_scenario(spec, format="yaml")
 
 
 def test_load_scenario_missing_file_is_a_scenario_error(tmp_path):
@@ -191,6 +224,28 @@ INVALID_DOCUMENTS = [
             systems=[{"architecture": "wireless", "wireless": {"sleepy_receivers": "yes"}}]
         ),
         "systems[0].wireless.sleepy_receivers",
+    ),
+    # null only where the config annotation is Optional.
+    (
+        minimal_document(
+            systems=[{"architecture": "wireless", "wireless": {"num_channels": None}}]
+        ),
+        "systems[0].wireless.num_channels",
+    ),
+    (
+        minimal_document(
+            systems=[{"architecture": "wireless", "wireless": {"extra_latency_cycles": None}}]
+        ),
+        "systems[0].wireless.extra_latency_cycles",
+    ),
+    (
+        minimal_document(
+            systems=[
+                {"architecture": "wireless"},
+                {"architecture": "interposer", "network": {"virtual_channels": None}},
+            ]
+        ),
+        "systems[1].network.virtual_channels",
     ),
     ({"name": "u", "systems": [{"architecture": "wireless"}]}, "traffic"),
     (minimal_document(traffic={"kind": "telepathy"}), "traffic.kind"),
@@ -322,14 +377,83 @@ def test_system_config_applies_overrides_in_layers():
 
 @pytest.mark.parametrize(
     "fields",
-    [{"overrides": {"num_chips": -1}}, {"wireless": {"wi_buffer_depth_flits": 0}}],
-    ids=["num_chips", "wi_buffer_depth_flits"],
+    [
+        {"overrides": {"num_chips": -1}},
+        {"wireless": {"wi_buffer_depth_flits": 0}},
+        {"overrides": {"total_processing_area_mm2": 0.0}},
+        {"overrides": {"total_processing_area_mm2": float("inf")}},
+        {"network": {"switch_pipeline_stages": 0}},
+        {"wireless": {"extra_latency_cycles": -1}},
+        {"wireless": {"control_packet_bits": -1}},
+    ],
+    ids=[
+        "num_chips",
+        "wi_buffer_depth_flits",
+        "total_processing_area_mm2",
+        "total_processing_area_mm2-inf",
+        "switch_pipeline_stages",
+        "extra_latency_cycles",
+        "control_packet_bits",
+    ],
 )
 def test_system_config_constraint_violations_carry_the_entry_path(fields):
     spec = SystemSpec(architecture="wireless", **fields)
     with pytest.raises(ScenarioError) as excinfo:
         system_config(spec, index=3)
     assert excinfo.value.path == "systems[3]"
+
+
+# ----------------------------------------------------------------------
+# The config classes are the schema of a system entry.
+# ----------------------------------------------------------------------
+
+#: Each section of a system entry: its config class and its document keys.
+SECTIONS = {
+    "": (SystemConfig, _SYSTEM_FIELDS),
+    "network": (NetworkConfig, _NETWORK_FIELDS),
+    "wireless": (WirelessConfig, _WIRELESS_FIELDS),
+}
+
+
+def test_section_keys_are_the_config_scalar_fields():
+    """Every config field is a key except the structural ones, which the
+    annotations alone leave out (``Architecture`` is a ``str`` enum)."""
+    structural = {"": {"architecture", "network"}, "network": {"wireless", "technology"}}
+    for section, (config_class, keys) in SECTIONS.items():
+        names = [item.name for item in dataclasses.fields(config_class)]
+        assert list(keys) == [name for name in names if name not in structural.get(section, ())]
+
+
+def _non_default(value):
+    """A valid value for a field whose default is ``value``, other than it."""
+    if isinstance(value, bool):
+        return not value
+    if value is None:
+        return 8
+    if isinstance(value, str):
+        return "token"
+    return value + 1
+
+
+@pytest.mark.parametrize(
+    "section, name",
+    [(section, name) for section, (_, keys) in SECTIONS.items() for name in keys],
+    ids=lambda value: value or "system",
+)
+def test_every_scalar_field_reaches_the_system_config(section, name):
+    config_class = SECTIONS[section][0]
+    default = getattr(config_class(), name)
+    value = _non_default(default)
+    entry = {"architecture": "wireless"}
+    if section:
+        entry[section] = {name: value}
+    else:
+        entry[name] = value
+    spec = parse_scenario(minimal_document(systems=[entry]))
+    assert parse_scenario(json.loads(dump_scenario(spec))) == spec
+    config = system_config(spec.systems[0])
+    owner = {"": config, "network": config.network, "wireless": config.network.wireless}
+    assert getattr(owner[section], name) == value != default
 
 
 def test_scenario_fidelity_applies_overrides():
