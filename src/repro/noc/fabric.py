@@ -3,6 +3,7 @@
 A :class:`Fabric` is the transmission medium behind a set of output ports.
 The simulation kernel talks to every medium through the same questions —
 *where does this hop land?* (:meth:`Fabric.resolve_downstream`), *may this
+switch send at all now?* (:meth:`Fabric.may_transmit`), *may this
 flit go now?* (:meth:`Fabric.grants`), *a flit just went*
 (:meth:`Fabric.notify_sent`), *advance your per-cycle state*
 (:meth:`Fabric.update`) and *settle your end-of-run accounting*
@@ -100,6 +101,15 @@ class Fabric:
     def resolve_downstream(self, output: OutputPort, dst_switch_id: int) -> InputPort:
         """The input port a hop over ``output`` towards ``dst_switch_id`` lands on."""
         raise NotImplementedError
+
+    def may_transmit(self, src_switch_id: int) -> bool:
+        """Whether :meth:`grants` may grant any flit from this switch now.
+
+        A necessary condition of every grant, cheap enough to ask once per
+        output before its requesters are examined: ``False`` means every
+        :meth:`grants` call from ``src_switch_id`` this cycle refuses.
+        """
+        return True
 
     def grants(
         self, src_switch_id: int, packet_id: int, dst_switch_id: int, is_head: bool
@@ -472,6 +482,12 @@ class WirelessFabric(Fabric, MacDataPlane):
             else:
                 asleep = not mac.is_intended_receiver(wi_id)
             transceiver.set_asleep(asleep, now)
+
+    def may_transmit(self, src_switch_id: int) -> bool:
+        """Whether the WI holds its channel: every MAC grants only the WI it
+        names as :meth:`~repro.wireless.mac.MacProtocol.current_transmitter`."""
+        mac = self._mac_of.get(src_switch_id)
+        return mac is not None and mac.current_transmitter() == src_switch_id
 
     def grants(
         self, src_switch_id: int, packet_id: int, dst_switch_id: int, is_head: bool

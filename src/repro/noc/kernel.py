@@ -17,9 +17,9 @@ Each simulated cycle executes five explicit phases, in order:
 4. :class:`FabricPhase` — every fabric with time-dependent state advances
    (the wireless fabric's channel arbitration and transceiver power states).
 5. :class:`AllocationPhase` — switches arbitrate their output ports among
-   the VCs requesting them (round-robin), move the winning flits onto their
-   fabric or the ejection port, perform credit-equivalent space reservation
-   downstream, and charge energy.
+   the VCs requesting them (round-robin, stopping at each output's winner),
+   move the winning flits onto their fabric or the ejection port, perform
+   credit-equivalent space reservation downstream, and charge energy.
 
 Runs carrying a non-empty fault plan prepend a :class:`FaultPhase` that
 applies due fault events and triggers routing recovery (see
@@ -600,28 +600,36 @@ class KernelState:
         ``order`` lists switch ids in ascending order; the pass reads it by
         index, so ids inserted past the current one while it runs are
         visited too.  Each visit is one inlined pass over the switch's
-        occupied VCs: request collection (per-output scratch lists instead
-        of a hashed dict), downstream VC lookup, flow-control and fabric
-        admission, round-robin winner selection, and the send itself (pop
-        of the VC run, downstream reservation, arrival scheduling, energy
-        attribution) all happen here on packed flit integers and pool
-        arrays.  The per-output processing order is first-request order,
-        eligibility is evaluated in VC-table order, and every float is
-        accumulated in the same sequence under every scheduler, so results
-        are bit-identical.  A switch with one occupied VC, most visits at
-        the figures' loads, takes a branch that makes the same checks and
-        the same send without the scratch lists.
+        occupied VCs: request collection (per-output scratch lists, in
+        ascending ordinal order), then per output its round-robin
+        arbitration and the send itself (pop of the VC run, downstream
+        reservation, arrival scheduling, energy attribution), all on packed
+        flit integers and pool arrays.  An output examines its requesters
+        in round-robin order, from the first ordinal at or past its
+        ``rr_pointer`` round to the one before it, checks each for
+        downstream space (a free VC for a head, room in its head's VC for a
+        body flit) and fabric admission, and sends the first that passes:
+        the eligible VC of minimum rank ``(ordinal - rr_pointer) %
+        rr_modulus``.  The requesters after it are not examined.  An output
+        whose fabric may refuse sends asks :meth:`Fabric.may_transmit
+        <repro.noc.fabric.Fabric.may_transmit>` first and examines none of
+        them when the switch may not transmit.  Outputs are served in
+        first-request order and every float is accumulated in the same
+        sequence under every scheduler, so results are bit-identical.  A
+        switch with one occupied VC, most visits at the figures' loads,
+        takes a branch that makes the same checks and the same send
+        without the scratch lists.
 
         A visit is *blocked* when nothing moved and every request waits on
         a busy output or on buffer space downstream, so another visit finds
         the same until one of those changes.  A request that reached a
-        fabric grant check, or an ejection request, never counts as
-        blocked.  With ``active`` (the :class:`ActiveSetScheduler`'s wake
-        set), a blocked switch leaves it and ``sleep(switch, cycle)``
-        registers its wake-up conditions, and a drained switch leaves it,
-        each at the end of its own visit: a later switch of the same pass
-        may pop a flit the sleeper waits on.  Returns how many visits were
-        blocked.
+        fabric grant check, an output whose switch may not transmit, and an
+        ejection request never count as blocked.  With ``active`` (the
+        :class:`ActiveSetScheduler`'s wake set), a blocked switch leaves it
+        and ``sleep(switch, cycle)`` registers its wake-up conditions, and a
+        drained switch leaves it, each at the end of its own visit: a later
+        switch of the same pass may pop a flit the sleeper waits on.
+        Returns how many visits were blocked.
         """
         switches = self.network.switches
         assign = self._assign_output
@@ -783,7 +791,23 @@ class KernelState:
                             continue
                         fabric = output.fabric
                         check_grant = not fabric.always_grants
-                        eligible = None
+                        if check_grant and not fabric.may_transmit(switch_id):
+                            # The fabric grants this switch nothing this
+                            # cycle, and its own state decides when it will.
+                            blocked = False
+                            continue
+                        # Round-robin: the requesters are in ascending
+                        # ordinal order, so the scan starts at the first one
+                        # at or past the pointer, wraps around, and the first
+                        # eligible VC has the minimum rank.
+                        pointer = output.rr_pointer
+                        start = 0
+                        for vc in vcs:
+                            if vc.ordinal >= pointer:
+                                break
+                            start += 1
+                        if start:
+                            vcs = vcs[start:] + vcs[:start]
                         for vc in vcs:
                             downstream = vc.downstream_port
                             if downstream is None:
@@ -813,41 +837,25 @@ class KernelState:
                                 else:
                                     continue
                                 vc.send_target = target
-                            if check_grant:
+                            if check_grant and not fabric.grants(
+                                switch_id,
+                                pool_pid[flit >> FLIT_INDEX_BITS],
+                                vc.downstream_switch,
+                                not flit & FLIT_INDEX_MASK,
+                            ):
                                 # A grant can change with the fabric's own state.
                                 blocked = False
-                                if not fabric.grants(
-                                    switch_id,
-                                    pool_pid[flit >> FLIT_INDEX_BITS],
-                                    vc.downstream_switch,
-                                    not flit & FLIT_INDEX_MASK,
-                                ):
-                                    continue
-                            if eligible is None:
-                                eligible = [vc]
-                            else:
-                                eligible.append(vc)
-                        if eligible is None:
-                            continue
-                        blocked = False
-                        # Round-robin winner (inline Switch.select_round_robin).
-                        if len(eligible) == 1:
-                            winner = eligible[0]
+                                continue
+                            break
                         else:
-                            pointer = output.rr_pointer
-                            winner = None
-                            best_rank = rr_modulus
-                            for vc in eligible:
-                                rank = (vc.ordinal - pointer) % rr_modulus
-                                if rank < best_rank:
-                                    winner = vc
-                                    best_rank = rank
+                            continue
+                        winner = vc
+                        blocked = False
                         output.rr_pointer = (winner.ordinal + 1) % rr_modulus
-                        # Send the winner's front flit: pop it off the run and
-                        # reserve its slot downstream.
-                        target = winner.send_target
+                        # Send the winner's front flit (``flit``, bound for
+                        # ``target``): pop it off the run and reserve its slot
+                        # downstream.
                         downstream_switch = winner.downstream_switch
-                        flit = winner.front
                         winner.front = flit + 1
                         count = winner.count - 1
                         winner.count = count
@@ -959,19 +967,30 @@ class KernelState:
         return output
 
     def _serve_ejection(self, switch: Switch, output, vcs, cycle: int) -> None:
+        """Eject from up to ``output.width`` requesters in round-robin order.
+
+        Each VC ejects at most one flit per cycle, and the pointer moves
+        past each winner, so the winners are the first ``width`` requesters
+        of the scan that starts at the pointer and wraps around.  Every
+        requester holds a flit: it is occupied, and no other output of the
+        visit pops it.
+        """
+        rr_modulus = switch.rr_modulus
         if len(vcs) == 1:
             # One requester (always buffered): it wins the round-robin.
             winner = vcs[0]
-            output.rr_pointer = (winner.ordinal + 1) % switch.rr_modulus
+            output.rr_pointer = (winner.ordinal + 1) % rr_modulus
             self._eject(switch, winner, cycle)
             return
-        budget = output.width
-        candidates = [vc for vc in vcs if vc.count]
-        while budget > 0 and candidates:
-            winner = switch.select_round_robin(output, candidates)
+        pointer = output.rr_pointer
+        start = 0
+        for vc in vcs:
+            if vc.ordinal >= pointer:
+                break
+            start += 1
+        for winner in (vcs[start:] + vcs[:start])[: output.width]:
+            output.rr_pointer = (winner.ordinal + 1) % rr_modulus
             self._eject(switch, winner, cycle)
-            candidates.remove(winner)
-            budget -= 1
 
     def _eject(self, switch: Switch, vc: VirtualChannel, cycle: int) -> None:
         pool = self.pool

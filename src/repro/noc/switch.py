@@ -4,8 +4,10 @@ Each switch is a three-stage pipelined wormhole router [18] with 8 VCs of
 16 flits on every input port.  The pipeline latency is folded into the link
 characterisation (see :mod:`repro.noc.link`); the switch object holds the
 structural state — ports, VC buffers, arbitration pointers — and the small
-amount of per-cycle logic that does not need a global view (route lookup for
-a VC's current packet, round-robin winner selection).
+amount of per-cycle logic that does not need a global view (the output port
+towards a neighbour, buffered-flit counts).  Round-robin arbitration runs
+inline in the kernel's allocation pass
+(:meth:`repro.noc.kernel.KernelState.allocate`).
 
 Ports are registered during construction through the keyed dictionaries
 (``input_ports`` / ``output_ports``) and then *compiled* once by the
@@ -186,24 +188,6 @@ class Switch:
     # it reads this switch's occupied-VC ordinal set and the packet pool's
     # parallel arrays directly, so the switch needs no wireless-specific
     # per-cycle logic of its own.
-
-    def select_round_robin(
-        self, output: OutputPort, candidates: List[VirtualChannel]
-    ) -> VirtualChannel:
-        """Pick the next winner for an output port among eligible VCs."""
-        if not candidates:
-            raise SwitchConfigError("select_round_robin called with no candidates")
-        total = self.rr_modulus
-        best = None
-        best_rank = None
-        pointer = output.rr_pointer
-        for vc in candidates:
-            rank = (vc.ordinal - pointer) % total
-            if best_rank is None or rank < best_rank:
-                best = vc
-                best_rank = rank
-        output.rr_pointer = (best.ordinal + 1) % total
-        return best
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -39,6 +39,7 @@ not an ``ImportError`` traceback — when it is absent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import (
@@ -140,7 +141,10 @@ def _expect_int(value: object, path: str) -> int:
 def _expect_float(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(path, f"expected a number, got {_type_name(value)}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ScenarioError(path, f"expected a finite number, got {value}")
+    return value
 
 
 def _reject_unknown_keys(raw: Mapping, allowed: Collection[str], path: str) -> None:

@@ -68,7 +68,9 @@ class SynfullApplicationTraffic(TrafficModel):
                 endpoint.endpoint_id
             )
         self._stack_ids = sorted(self._vaults_by_stack)
-        self._burst_remaining: Dict[int, int] = {}
+        self._phases = profile.effective_phases
+        #: Burst cycles left per core, aligned with ``self._cores``.
+        self._burst_remaining: List[int] = [0] * len(self._cores)
         self._phase_index = 0
         self._phase_elapsed = 0
 
@@ -90,7 +92,7 @@ class SynfullApplicationTraffic(TrafficModel):
     def reset(self) -> None:
         """Restore all Markov state and the RNG."""
         self._rng = make_rng(self._seed)
-        self._burst_remaining.clear()
+        self._burst_remaining = [0] * len(self._cores)
         self._phase_index = 0
         self._phase_elapsed = 0
 
@@ -103,11 +105,11 @@ class SynfullApplicationTraffic(TrafficModel):
     # ------------------------------------------------------------------
 
     def _current_phase(self):
-        phases = self._profile.effective_phases
+        phases = self._phases
         return phases[self._phase_index % len(phases)]
 
     def _advance_phase(self) -> None:
-        phases = self._profile.effective_phases
+        phases = self._phases
         if len(phases) == 1:
             return
         phase = self._current_phase()
@@ -175,15 +177,15 @@ class SynfullApplicationTraffic(TrafficModel):
         burst_remaining = self._burst_remaining
         has_stacks = bool(self._stack_ids)
         random = self._rng.random
-        for core in self._cores:
-            remaining = burst_remaining.get(core, 0)
+        for index, core in enumerate(self._cores):
+            remaining = burst_remaining[index]
             if remaining > 0:
-                burst_remaining[core] = remaining - 1
+                burst_remaining[index] = remaining - 1
                 probability = burst_rate
             elif burst_probability > 0 and (
                 burst_probability >= 1.0 or random() < burst_probability
             ):
-                burst_remaining[core] = burst_duration
+                burst_remaining[index] = burst_duration
                 probability = burst_rate
             else:
                 probability = plain_rate

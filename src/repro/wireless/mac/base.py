@@ -150,7 +150,12 @@ class MacProtocol(abc.ABC):
     def grants(
         self, wi_switch_id: int, packet_id: int, dst_switch: int, is_head: bool
     ) -> bool:
-        """Whether the WI may put this flit on the channel this cycle."""
+        """Whether the WI may put this flit on the channel this cycle.
+
+        Only while :meth:`current_transmitter` is ``wi_switch_id``: the
+        wireless fabric's ``may_transmit`` skips every other WI's requests
+        on that condition alone.
+        """
 
     def notify_sent(
         self,

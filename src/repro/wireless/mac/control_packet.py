@@ -38,16 +38,20 @@ class TransmissionPlan:
     #: incrementally as flits are consumed so the per-cycle sleepy-receiver
     #: check is a set lookup, never a rebuild.
     live_destinations: Set[int] = field(default_factory=set)
+    #: Announced flits still owed: the sum of the positive counts of
+    #: :attr:`remaining`, kept by :meth:`consume`.
+    outstanding: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.live_destinations = {
             dst for (dst, _), count in self.remaining.items() if count > 0
         }
+        self.outstanding = sum(count for count in self.remaining.values() if count > 0)
 
     @property
     def exhausted(self) -> bool:
         """Whether every announced flit has been transmitted."""
-        return all(count <= 0 for count in self.remaining.values())
+        return self.outstanding <= 0
 
     def consume(self, dst_switch: int, packet_id: int) -> bool:
         """Account one transmitted flit against the announcement.
@@ -59,6 +63,8 @@ class TransmissionPlan:
         if count is None:
             return False
         self.remaining[key] = count - 1
+        if count > 0:
+            self.outstanding -= 1
         live = self.live_destinations
         if count - 1 <= 0 and dst_switch in live and not any(
             c > 0 for (dst, _), c in self.remaining.items() if dst == dst_switch

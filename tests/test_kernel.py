@@ -10,11 +10,14 @@ oracle of the one kernel the simulator has.
 
 The kernel's per-VC allocation state is pinned too: body flits follow the
 downstream VC their head claimed (``send_target``), and corrupted VC
-ownership or routing state ends a run in a ``KernelInvariantError``.
+ownership or routing state ends a run in a ``KernelInvariantError``.  Both
+schedulers share the round-robin arbitration, so parity cannot check it;
+``TestArbitration`` compares its winners with the rank rule directly.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -29,6 +32,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.scenarios import create_fault_plan
 from repro.noc import KernelInvariantError
 from repro.noc.engine import SCHEDULERS, SimulationConfig, Simulator
+from repro.noc.fabric import Fabric
 from repro.noc.kernel import (
     ActiveSetScheduler,
     DenseScheduler,
@@ -467,6 +471,250 @@ class TestSendTarget:
         assert_send_targets_consistent(state)
         network.reset()
         assert all(vc.send_target is None for vc in network._vcs)
+
+
+class _StubFabric(Fabric):
+    """A point-to-point fabric whose admission the test sets."""
+
+    always_grants = False
+
+    def __init__(self, transmit, refused):
+        self.transmit = transmit
+        self.refused = refused
+
+    def may_transmit(self, src_switch_id):
+        return self.transmit
+
+    def grants(self, src_switch_id, packet_id, dst_switch_id, is_head):
+        return packet_id not in self.refused
+
+
+class TestArbitration:
+    """Each output sends the eligible requester of minimum round-robin rank.
+
+    The active and dense schedulers share :meth:`KernelState.allocate`, so
+    their parity cannot catch a wrong winner.  These tests build the
+    requests of one switch by hand, run one allocation visit, and compare
+    the winners and the new pointer with the rank rule computed here:
+    ``(ordinal - rr_pointer) % rr_modulus``, lowest first.
+    """
+
+    TRIALS = 300
+    CYCLE = 10
+    LENGTH = 4
+
+    @pytest.fixture
+    def bench(self):
+        config = small_system_config(Architecture.SUBSTRATE)
+        system = build_system(config)
+        traffic = create_pattern(
+            "uniform", system.topology, injection_rate=0.1, memory_access_fraction=0.0, seed=1
+        )
+        kernel, _ = make_kernel(
+            system, config, traffic, SimulationConfig(cycles=100, warmup_cycles=0)
+        )
+        state = kernel.state
+        # The switch with the most VCs arbitrates among the most requesters.
+        switch = max(state.network.switches.values(), key=lambda s: s.rr_modulus)
+        return state, switch
+
+    @staticmethod
+    def _packet(state, switch, front_index, next_switch):
+        """A pooled packet whose flit ``front_index`` is at the front of a VC."""
+        pool = state.pool
+        handle = pool.alloc(
+            pid=state.next_packet_id,
+            src_endpoint=0,
+            dst_endpoint=0,
+            src_switch=switch.switch_id,
+            dst_switch=switch.switch_id if next_switch is None else next_switch,
+            length_flits=TestArbitration.LENGTH,
+            generation_cycle=0,
+            route=[switch.switch_id] + ([] if next_switch is None else [next_switch]),
+            is_memory_access=False,
+            is_reply=False,
+            measured=True,
+            traffic_class="test",
+        )
+        state.next_packet_id += 1
+        return handle, (handle << FLIT_INDEX_BITS) | front_index
+
+    def _request(self, state, switch, vc, output, front_index):
+        """Make ``vc`` hold one flit of a fresh packet routed over ``output``."""
+        handle, flit = self._packet(state, switch, front_index, output.downstream_switch)
+        vc.front = flit
+        vc.count = 1
+        vc.allocated_packet_id = state.pool.pid[handle]
+        vc.current_output = output
+        vc.downstream_port = output.downstream_port
+        vc.downstream_switch = output.downstream_switch
+        switch.occupied.add(vc.ordinal)
+        return state.pool.pid[handle]
+
+    @staticmethod
+    def _ranked(vcs, pointer, modulus):
+        return sorted(vcs, key=lambda vc: (vc.ordinal - pointer) % modulus)
+
+    @staticmethod
+    def _reset(state):
+        state.network.reset()
+        state.arrivals.clear()
+
+    def test_an_output_sends_the_eligible_requester_of_minimum_rank(self, bench):
+        state, switch = bench
+        rng = random.Random(36)
+        modulus = switch.rr_modulus
+        outputs = [o for o in switch.output_port_list if not o.is_ejection]
+        seen = Counter()
+        for _ in range(self.TRIALS):
+            self._reset(state)
+            output = rng.choice(outputs)
+            built_fabric = output.fabric
+            downstream = output.downstream_port.vcs
+            free_vc = rng.random() < 0.6
+            stub = None
+            if rng.random() < 0.5:
+                stub = _StubFabric(transmit=rng.random() < 0.8, refused=set())
+            requesters = rng.sample(switch.vc_list, rng.randint(2, 8))
+            # Each body flit's head claimed its own downstream VC; a free VC
+            # is left over only when heads may claim one.
+            bodies = rng.randint(0, min(len(requesters), len(downstream) - free_vc))
+            eligible, passed_space = [], []
+            for position, vc in enumerate(requesters):
+                if position < bodies:
+                    pid = self._request(state, switch, vc, output, front_index=1)
+                    target = downstream[position]
+                    target.allocated_packet_id = pid
+                    vc.send_target = target
+                    full = rng.random() < 0.4
+                    target.in_flight = target.capacity if full else 0
+                    has_space = not full
+                    kind = "space-blocked" if full else "body"
+                else:
+                    pid = self._request(state, switch, vc, output, front_index=0)
+                    has_space = free_vc
+                    kind = "head" if free_vc else "no-free-vc"
+                refused = stub is not None and rng.random() < 0.3
+                if refused:
+                    stub.refused.add(pid)
+                if has_space:
+                    passed_space.append(vc)
+                    if not refused:
+                        eligible.append(vc)
+                seen["grant-refused" if has_space and refused else kind] += 1
+            for taken in downstream[bodies:]:
+                if not free_vc:
+                    taken.allocated_packet_id = -1 - taken.index
+            if stub is not None:
+                output.fabric = stub
+                if not stub.transmit:
+                    eligible = []
+            if eligible and rng.random() < 0.5:
+                # The pointer on an eligible requester: it must win.
+                pointer = rng.choice(eligible).ordinal
+            else:
+                pointer = rng.randrange(modulus)
+            output.rr_pointer = pointer
+            before = {vc: vc.count for vc in requesters}
+            try:
+                blocked = state.allocate([switch.switch_id], self.CYCLE)
+            finally:
+                output.fabric = built_fabric
+            sent = [vc for vc in requesters if vc.count < before[vc]]
+            if eligible:
+                winner = self._ranked(eligible, pointer, modulus)[0]
+                assert sent == [winner]
+                assert output.rr_pointer == (winner.ordinal + 1) % modulus
+                assert blocked == 0
+                seen["pointer on winner" if winner.ordinal == pointer else "pointer elsewhere"] += 1
+                seen["contested" if len(eligible) > 1 else "single"] += 1
+            else:
+                assert sent == []
+                assert output.rr_pointer == pointer
+                # Blocked only when every request waits on downstream space
+                # and none reached the fabric's admission control.
+                reached_fabric = stub is not None and (not stub.transmit or passed_space)
+                assert blocked == (not reached_fabric)
+                seen["nothing eligible"] += 1
+        # Every kind of requester and outcome occurred.
+        for case in (
+            "body", "head", "space-blocked", "no-free-vc", "grant-refused",
+            "pointer on winner", "pointer elsewhere", "contested", "nothing eligible",
+        ):
+            assert seen[case] >= 10, (case, seen)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_an_ejection_port_serves_its_first_width_requesters(self, bench, width):
+        state, switch = bench
+        rng = random.Random(width)
+        modulus = switch.rr_modulus
+        output = switch.ejection_port
+        contested = 0
+        try:
+            for _ in range(self.TRIALS // 3):
+                self._reset(state)
+                output.width = width
+                requesters = rng.sample(switch.vc_list, rng.randint(2, 8))
+                for vc in requesters:
+                    self._request(state, switch, vc, output, front_index=0)
+                    vc.downstream_port = None
+                    vc.downstream_switch = None
+                pointer = rng.choice([rng.choice(requesters).ordinal, rng.randrange(modulus)])
+                output.rr_pointer = pointer
+                state.allocate([switch.switch_id], self.CYCLE)
+                winners = self._ranked(requesters, pointer, modulus)[:width]
+                ejected = [vc for vc in requesters if vc.count == 0]
+                assert set(ejected) == set(winners)
+                assert output.rr_pointer == (winners[-1].ordinal + 1) % modulus
+                contested += len(requesters) > width
+        finally:
+            output.width = 1
+        assert contested >= 10
+
+    @pytest.mark.parametrize("mac", available_macs())
+    def test_every_grant_goes_to_a_wi_that_may_transmit(self, mac):
+        """``may_transmit`` is a necessary condition of ``grants``.
+
+        After every fabric update, each WI's pending packets are offered to
+        ``grants`` directly (not only the ones the kernel asks about), and
+        every grant, the kernel's and the probe's, must find
+        ``may_transmit`` true for its WI.
+        """
+        config = small_system_config(Architecture.WIRELESS, mac=mac)
+        system = build_system(config)
+        traffic = create_pattern(
+            "uniform", system.topology, injection_rate=0.1, memory_access_fraction=0.25, seed=3
+        )
+        kernel, _ = make_kernel(
+            system, config, traffic, SimulationConfig(cycles=400, warmup_cycles=100)
+        )
+        (fabric,) = [f for f in kernel.state.network.fabrics if f.is_wireless]
+        grants, update = fabric.grants, fabric.update
+        granted = []
+
+        def checked_grants(src_switch_id, packet_id, dst_switch_id, is_head):
+            answer = grants(src_switch_id, packet_id, dst_switch_id, is_head)
+            if answer:
+                assert fabric.may_transmit(src_switch_id), (mac, src_switch_id)
+                granted.append(src_switch_id)
+            return answer
+
+        def probed_update(cycle):
+            update(cycle)
+            for wi in fabric.wi_switch_ids:
+                rows = range(fabric.scan_pending(wi))
+                pending = [
+                    (fabric.pend_pid[row], fabric.pend_dst[row], bool(fabric.pend_head[row]))
+                    for row in rows
+                ]
+                for packet_id, dst, is_head in pending:
+                    checked_grants(wi, packet_id, dst, is_head)
+
+        fabric.grants = checked_grants
+        fabric.update = probed_update
+        kernel.run()
+        # Grants went to several WIs over the run.
+        assert len(set(granted)) > 1
 
 
 class TestKernelInvariants:

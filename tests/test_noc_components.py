@@ -90,14 +90,6 @@ class TestSwitchStructure:
         with pytest.raises(Exception):
             switch.output_towards(3)
 
-    def test_round_robin_rotates(self):
-        switch = _switch(num_vcs=4)
-        vcs = switch.local_input.vcs
-        output = switch.ejection_port
-        first = switch.select_round_robin(output, vcs)
-        second = switch.select_round_robin(output, vcs)
-        assert first is not second
-
     def test_network_config_wi_buffer_depth(self):
         token = NetworkConfig(
             packet_length_flits=64, wireless=WirelessConfig(mac="token")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 
 import pytest
@@ -311,6 +312,28 @@ INVALID_DOCUMENTS = [
     (minimal_document(faults={"rates": [0.2]}), "faults.rates"),
     (minimal_document(faults={"rates": "fidelity"}), "faults.rates"),
     (minimal_document(faults={"severity": 0.2}), "faults.severity"),
+    # JSON's NaN/Infinity and YAML's .nan/.inf are numbers no field takes.
+    # Each row's path is one no earlier row has, so every row keeps its id.
+    (
+        minimal_document(traffic={"kind": "synthetic", "loads": [0.001, 0.002, math.nan]}),
+        "traffic.loads[2]",
+    ),
+    (
+        minimal_document(
+            traffic={"kind": "synthetic", "loads": [0.001, 0.002, 0.004, math.inf]}
+        ),
+        "traffic.loads[3]",
+    ),
+    (
+        minimal_document(traffic={"kind": "application", "rate_scale": math.inf}),
+        "traffic.rate_scale",
+    ),
+    (
+        minimal_document(
+            systems=[{"architecture": "wireless", "total_processing_area_mm2": math.nan}]
+        ),
+        "systems[0].total_processing_area_mm2",
+    ),
 ]
 
 

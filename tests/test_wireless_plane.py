@@ -119,6 +119,9 @@ class TestGrantExclusivity:
             assert result.wireless_flit_hops > 0, "expected wireless traffic at this load"
 
     def test_a_mac_that_grants_everyone_fails_the_run(self, monkeypatch):
+        # Both admission questions say yes to every WI: the kernel asks
+        # ``may_transmit`` once per output before any ``grants``.
+        monkeypatch.setattr(WirelessFabric, "may_transmit", lambda self, src: True)
         monkeypatch.setattr(WirelessFabric, "grants", lambda self, *args: True)
         simulator = _build_simulator("control_packet", channels=1, rate=0.3)
         with pytest.raises(KernelInvariantError, match="two transmitters on channel 0"):
