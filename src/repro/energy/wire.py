@@ -63,26 +63,3 @@ class WireModel:
             energy_pj_per_flit=energy,
             latency_cycles=latency,
         )
-
-    def mesh_link_length_mm(self, chip_edge_mm: float, mesh_dimension: int) -> float:
-        """Length of one hop of a mesh laid out on a square die.
-
-        A ``k x k`` mesh on a die of edge ``chip_edge_mm`` places switches on
-        a regular grid, so neighbouring switches are ``edge / k`` apart.
-        """
-        if mesh_dimension <= 0:
-            raise ValueError(
-                f"mesh_dimension must be positive, got {mesh_dimension}"
-            )
-        if chip_edge_mm <= 0:
-            raise ValueError(f"chip_edge_mm must be positive, got {chip_edge_mm}")
-        return chip_edge_mm / mesh_dimension
-
-    def is_single_cycle(self, length_mm: float) -> bool:
-        """Whether a wire of this length meets single-cycle timing.
-
-        The paper assumes "all intra-chip wired links are single-cycle links";
-        this predicate lets tests confirm that the assumption holds for the
-        link lengths produced by the default geometry.
-        """
-        return self.characterize(length_mm).latency_cycles <= 1

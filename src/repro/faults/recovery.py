@@ -15,17 +15,20 @@ enumerated in full.
 
 The same rule makes a cycle cheap to find again.  A report that found one
 names its *witness*: the (src, dst) pairs whose routes first contributed
-each dependency of the cycle (4 to 11 pairs on the fig7 fault tasks of
+each dependency of the cycle (4 to 12 pairs on the fig7 fault tasks of
 the ``resilience`` benchmark at seeds 7, 11 and 23).  A later recovery of
 the same run re-routes and tests those pairs before any other; if they still
 close a cycle on the degraded graph, the verdict is in after a few routes.
 Otherwise the audit goes on over the remaining pairs, routing no pair
-twice, source by source in order of BFS hop distance from the nearest
-endpoint of any disabled link (ties by switch id): a failed link pushes the
-routes near it off the XY form, so a new cycle usually runs there.  Over the
-30 recoveries of ``resilience`` at seeds 7, 11 and 23 this order routes
-6,432, 4,922 and 7,280 pairs, against 6,804, 9,072 and 14,496 in plain
-source-id order.
+twice, in order of the sum of both ends' BFS hop distances from the nearest
+endpoint of any disabled link: a failed link pushes the routes near it off
+the XY form, so a new cycle usually runs there.  Over the 30 recoveries of
+``resilience`` at seeds 7, 11 and 23 this order routes 4,274, 1,666 and
+4,438 pairs, against 6,432, 4,922 and 7,280 when whole sources are taken
+by their own distance and 6,804, 9,072 and 14,496 in plain source-id
+order.  It spreads the early routes over many sources, which is cheap
+because each source's Dijkstra forest settles only as far as its
+destinations need (:mod:`repro.routing.dijkstra`).
 
 The router makes each audited route cheap: its weighted in-service
 adjacency and its set of in-service mesh hops are built once per cache
@@ -52,8 +55,8 @@ partition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..routing.base import BaseRouter, RoutingError
@@ -164,7 +167,15 @@ def _rebuild(
     witness: Tuple[Tuple[int, int], ...] = (),
 ) -> RecoveryReport:
     """:func:`rebuild_routes` given the in-service ``components``, auditing
-    the ``witness`` pairs (all within one component) first."""
+    the ``witness`` pairs (all within one component) first.
+
+    After the witness the audit takes each component's other ordered pairs
+    by the sum of their two ends' :func:`_fault_distances`, then by source
+    distance, source id and destination id.  It buckets the switches by
+    distance and walks the bucket pairs in that order, so it never sorts
+    the pairs themselves.  Without a disabled link every switch shares one
+    distance, and the order is source-major by id.
+    """
     router.clear_cache()
     report = RecoveryReport(components=components)
     if not verify_deadlock_freedom:
@@ -176,14 +187,15 @@ def _rebuild(
         yield from witness
         done = set(witness)
         distance = _fault_distances(topology)
-        sources = sorted(
-            ((src, component) for component in components for src in component),
-            key=lambda item: (distance.get(item[0], math.inf), item[0]),
-        )
-        for src, component in sources:
-            for dst in component:
-                if src != dst and (src, dst) not in done:
-                    yield src, dst
+        for component in components:
+            buckets: Dict[int, List[int]] = {}
+            for switch in component:
+                buckets.setdefault(distance[switch], []).append(switch)
+            for a, b in sorted(product(buckets, repeat=2), key=lambda ab: (sum(ab), ab[0])):
+                for src in buckets[a]:
+                    for dst in buckets[b]:
+                        if src != dst and (src, dst) not in done:
+                            yield src, dst
 
     # The in-service hops of this cache generation: a route that visits
     # no switch twice and takes only these is valid, so validate_route
@@ -221,17 +233,20 @@ def _rebuild(
 
 def _fault_distances(topology: TopologyGraph) -> Dict[int, int]:
     """BFS hop distance over the in-service links from the nearest endpoint
-    of a disabled link, for every switch that reaches one."""
+    of a disabled link, for every switch; a switch that reaches none (every
+    switch, when no link is disabled) gets the switch count, which is
+    farther than any switch that does."""
     disabled = [topology.link(link_id) for link_id in topology.disabled_links]
     frontier = list({switch for link in disabled for switch in link.endpoints()})
-    distance = dict.fromkeys(frontier, 0)
+    distance = dict.fromkeys((s.switch_id for s in topology.switches), topology.num_switches)
+    distance.update(dict.fromkeys(frontier, 0))
     hops = 0
     while frontier:
         hops += 1
         reached = []
         for switch in frontier:
             for neighbor, _ in topology.neighbors(switch):
-                if neighbor not in distance:
+                if distance[neighbor] > hops:
                     distance[neighbor] = hops
                     reached.append(neighbor)
         frontier = reached

@@ -166,16 +166,6 @@ class SimulationResult:
             return 0.0
         return sum(self.network_latencies_cycles) / len(self.network_latencies_cycles)
 
-    def latency_percentile_cycles(self, percentile: float) -> float:
-        """Latency percentile (0-100) over measured packets [cycles]."""
-        if not 0 <= percentile <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {percentile}")
-        if not self.latencies_cycles:
-            return 0.0
-        ordered = sorted(self.latencies_cycles)
-        index = int(round((percentile / 100.0) * (len(ordered) - 1)))
-        return float(ordered[index])
-
     def average_hop_count(self) -> float:
         """Mean number of link traversals of measured packets."""
         if not self.packet_hops:

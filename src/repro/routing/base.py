@@ -16,6 +16,7 @@ length according to the shortest path routing" (Section IV-C).
 from __future__ import annotations
 
 import abc
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ..topology.graph import LinkKind, LinkSpec, TopologyGraph
@@ -66,6 +67,8 @@ class BaseRouter(abc.ABC):
         self._link_penalties: Dict[int, float] = {}
         self._cache: Dict[Tuple[int, int], List[int]] = {}
         self._adjacency: Optional[WeightedAdjacency] = None
+        #: The smallest hop cost in ``_adjacency`` (infinite with no hop).
+        self._cheapest_hop = math.inf
 
     @property
     def graph(self) -> TopologyGraph:
@@ -93,15 +96,19 @@ class BaseRouter(abc.ABC):
         if adjacency is None:
             graph = self._graph
             adjacency = {}
+            cheapest = math.inf
             for switch in graph.switches:
                 hops = []
                 for neighbor, link in graph.neighbors(switch.switch_id):
                     cost = self.link_weight(link)
                     if cost < 0:
                         raise RoutingError(f"negative link weight on link {link.link_id}")
+                    if cost < cheapest:
+                        cheapest = cost
                     hops.append((neighbor, cost))
                 adjacency[switch.switch_id] = hops
             self._adjacency = adjacency
+            self._cheapest_hop = cheapest
         return adjacency
 
     def set_link_penalty(self, link_id: int, factor: float) -> None:

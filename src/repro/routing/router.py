@@ -47,7 +47,8 @@ class ShortestPathRouter(BaseRouter):
     def _forest(self, source: int) -> ShortestPathForest:
         forest = self._forests.get(source)
         if forest is None:
-            forest = ShortestPathForest(self.weighted_adjacency(), source)
+            adjacency = self.weighted_adjacency()  # notes this generation's cheapest hop
+            forest = ShortestPathForest(adjacency, source, cheapest_hop=self._cheapest_hop)
             self._forests[source] = forest
         return forest
 

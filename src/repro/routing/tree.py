@@ -48,16 +48,30 @@ class SpanningTreeRouter(BaseRouter):
         if not switches:
             raise RoutingError("cannot build a tree router on an empty topology")
         self._root = root if root is not None else switches[0].switch_id
-        forest = ShortestPathForest(self.weighted_adjacency(), self._root)
+        parents = ShortestPathForest(self.weighted_adjacency(), self._root).parents(0)
         self._parent: Dict[int, Optional[int]] = {self._root: None}
-        self._depth: Dict[int, int] = {self._root: 0}
         for switch in switches:
             sid = switch.switch_id
             if sid == self._root:
                 continue
-            path = forest.path_to(sid, selector=0)
-            self._parent[sid] = path[-2]
-            self._depth[sid] = len(path) - 1
+            if sid not in parents:
+                raise RoutingError(f"switch {sid} unreachable from {self._root}")
+            self._parent[sid] = parents[sid]
+        # path_to(sid, selector=0) is sid's chain of parents, so a switch
+        # sits one hop below its parent.
+        self._depth: Dict[int, int] = {self._root: 0}
+        limit = len(self._parent)
+        for sid in self._parent:
+            chain = []
+            while sid not in self._depth:
+                chain.append(sid)
+                sid = self._parent[sid]
+                if len(chain) > limit:
+                    raise RoutingError("predecessor chain contains a cycle")
+            depth = self._depth[sid]
+            for node in reversed(chain):
+                depth += 1
+                self._depth[node] = depth
 
     @property
     def root(self) -> int:
@@ -75,32 +89,20 @@ class SpanningTreeRouter(BaseRouter):
         """(child, parent) pairs of the routing tree."""
         return [(c, p) for c, p in self._parent.items() if p is not None]
 
-    def _ancestors(self, switch_id: int) -> List[int]:
-        chain = [switch_id]
-        node = switch_id
-        while self._parent[node] is not None:
-            node = self._parent[node]
-            chain.append(node)
-        return chain
-
     def _compute_route(self, src_switch: int, dst_switch: int) -> List[int]:
-        if src_switch == dst_switch:
-            return [src_switch]
-        up = self._ancestors(src_switch)
-        down = self._ancestors(dst_switch)
-        up_set = {node: i for i, node in enumerate(up)}
-        # Walk the destination chain until it meets the source chain: that
-        # node is the lowest common ancestor.
-        meet_index_down = None
-        for i, node in enumerate(down):
-            if node in up_set:
-                meet_index_down = i
-                break
-        if meet_index_down is None:
-            raise RoutingError(
-                f"no common ancestor for switches {src_switch} and {dst_switch}"
-            )
-        lca = down[meet_index_down]
-        ascent = up[: up_set[lca] + 1]
-        descent = down[:meet_index_down]
-        return ascent + list(reversed(descent))
+        # Climb from the deeper end, then from both, until they meet at the
+        # lowest common ancestor.
+        parent, depth = self._parent, self._depth
+        up, down = [src_switch], [dst_switch]
+        a, b = src_switch, dst_switch
+        while depth[a] > depth[b]:
+            a = parent[a]
+            up.append(a)
+        while depth[b] > depth[a]:
+            b = parent[b]
+            down.append(b)
+        while a != b:
+            a, b = parent[a], parent[b]
+            up.append(a)
+            down.append(b)
+        return up + down[-2::-1]

@@ -207,12 +207,3 @@ class MacProtocol(abc.ABC):
     def next_wi_index(self, index: int) -> int:
         """Index of the WI after ``index`` in the fixed sequence."""
         return (index + 1) % len(self.wi_switch_ids)
-
-    def member_index(self, wi_switch_id: int) -> int:
-        """Position of a WI in the channel's sequence."""
-        try:
-            return self.wi_switch_ids.index(wi_switch_id)
-        except ValueError:
-            raise ValueError(
-                f"WI {wi_switch_id} is not a member of channel {self.channel_id}"
-            ) from None

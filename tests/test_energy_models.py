@@ -21,14 +21,9 @@ class TestWireModel:
         long = model.characterize(4.0)
         assert long.energy_pj_per_flit == pytest.approx(4 * short.energy_pj_per_flit)
 
-    def test_mesh_link_length(self):
-        model = WireModel()
-        assert model.mesh_link_length_mm(10.0, 4) == pytest.approx(2.5)
-
     def test_default_mesh_links_are_single_cycle(self):
         """The paper assumes single-cycle intra-chip links; a 2.5 mm hop is."""
-        model = WireModel()
-        assert model.is_single_cycle(2.5)
+        assert WireModel().characterize(2.5).latency_cycles <= 1
 
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):

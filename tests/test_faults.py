@@ -24,7 +24,7 @@ Covers the contracts the fault subsystem promises:
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -845,6 +845,66 @@ def test_recovery_audits_the_last_cycle_witness_first(monkeypatch):
     assert set(far) <= set(witness)
     # Some fault breaks the witness; the audit then enumerated further.
     assert broken is not None and set(witness) <= set(broken)
+
+
+def _fault_sums(graph):
+    """(src, dst) -> the sum of both ends' BFS hop distances from the nearest
+    endpoint of a disabled link; a switch that reaches none is farthest."""
+    frontier = {s for link_id in graph.disabled_links for s in graph.link(link_id).endpoints()}
+    distance = dict.fromkeys(frontier, 0)
+    hops = 0
+    while frontier:
+        hops += 1
+        frontier = {n for s in frontier for n, _ in graph.neighbors(s)} - set(distance)
+        distance.update(dict.fromkeys(frontier, hops))
+    far = float("inf")
+    return lambda pair: distance.get(pair[0], far) + distance.get(pair[1], far)
+
+
+def _cycle_free(routes):
+    """A dependency-cycle check that takes every route and finds no cycle."""
+    deque(routes, maxlen=0)
+    return None
+
+
+@pytest.mark.parametrize("faults", ("pristine", "witness", "partition"))
+def test_audit_takes_the_witness_then_pairs_by_fault_distance_sum(faults, monkeypatch):
+    """The audit routes the witness first, then every other ordered pair of
+    each component exactly once, component by component, with
+    non-decreasing fault-distance sums; the pristine audit has no disabled
+    link, so all its sums are equal."""
+    system = build_system(FIG7_SYSTEMS["mesh"])
+    graph, router = system.topology, system.router
+    mesh = graph.links_of_kind(LinkKind.MESH)
+    witness = ()
+    if faults == "witness":
+        graph.disable_link(mesh[0].link_id)
+        witness = recover_routing(graph, router)[1].witness
+        assert witness
+        graph.disable_link(next(_connected_mesh_failures(graph, mesh[0])).link_id)
+    elif faults == "partition":
+        corner = graph.grid_index()[(0, 0)]
+        for _, link in graph.neighbors(corner):
+            graph.disable_link(link.link_id)
+    components = connected_components(graph)
+    assert (len(components) > 1) == (faults == "partition")
+    # A full pass: the test consumes every route the audit feeds it.
+    monkeypatch.setattr(recovery_module, "find_channel_dependency_cycle", _cycle_free)
+    calls = _count_pair_routes(monkeypatch, router)
+    recovery_module._rebuild(graph, router, components, True, witness)
+    audited = list(calls)
+    assert max(calls.values()) == 1
+    assert audited[: len(witness)] == list(witness)
+    rest = audited[len(witness) :]
+    expected = [
+        [(a, b) for a in c for b in c if a != b and (a, b) not in witness] for c in components
+    ]
+    sums = _fault_sums(graph)
+    for component in expected:
+        taken, rest = rest[: len(component)], rest[len(component) :]
+        assert sorted(taken) == sorted(component)
+        assert [sums(pair) for pair in taken] == sorted(sums(pair) for pair in taken)
+    assert rest == []
 
 
 #: Between them these seeds draw a cycle-free pass (interposer, seed 5) and

@@ -223,12 +223,6 @@ class TestTokenMac:
         mac = self._mac(adapter)
         assert mac.intended_receivers() == {10, 20}
 
-    def test_member_index_validation(self):
-        adapter = ScriptedAdapter()
-        mac = self._mac(adapter)
-        with pytest.raises(ValueError):
-            mac.member_index(99)
-
 
 class TestTdmaMac:
     def _mac(self, adapter, wis=(10, 20), slot_cycles=4, guard_cycles=1):

@@ -46,16 +46,6 @@ class TestSimulationResultMetrics:
         expected = 0.1 * 32 * 2.5e9 / 1e9
         assert result.bandwidth_gbps_per_core() == pytest.approx(expected, rel=0.01)
 
-    def test_latency_percentile(self):
-        result = _result(latency=200)
-        assert result.latency_percentile_cycles(50) == 200
-        with pytest.raises(ValueError):
-            result.latency_percentile_cycles(150)
-        empty = SimulationResult(cycles=100, warmup_cycles=10, num_cores=4)
-        assert empty.latency_percentile_cycles(50) == 0.0
-        with pytest.raises(ValueError):
-            empty.latency_percentile_cycles(150)
-
     def test_summary_keys(self):
         summary = _result().summary()
         assert "bandwidth_gbps_per_core" in summary
