@@ -14,20 +14,18 @@ architecture is one more enum member and one more entry in that table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
+from ..energy.technology import WIRELESS_TRANSCEIVER_AREA_MM2
 from ..routing import BaseRouter, ShortestPathRouter
 from ..topology import (
-    InterposerOverlayConfig,
+    LinkSpec,
     MultichipSystem,
-    SubstrateOverlayConfig,
     TopologyGraph,
-    WirelessOverlayConfig,
     apply_interposer_overlay,
     apply_substrate_overlay,
     apply_wireless_overlay,
     build_multichip_base,
-    wireless_area_overhead_mm2,
 )
 from .config import Architecture, SystemConfig
 
@@ -61,8 +59,12 @@ class BuiltSystem:
         return len(self.topology.wireless_switches)
 
     def wireless_area_overhead_mm2(self) -> float:
-        """Total transceiver area overhead of the system [mm^2]."""
-        return wireless_area_overhead_mm2(self.topology)
+        """Total active-area overhead of the deployed transceivers [mm^2].
+
+        The paper reports "negligible active area overhead of 0.3 mm^2 per
+        transceiver"; this is the total for the system.
+        """
+        return self.num_wireless_interfaces * WIRELESS_TRANSCEIVER_AREA_MM2
 
     def link_inventory(self) -> Dict[str, int]:
         """Number of links of each kind (useful in reports and tests)."""
@@ -80,42 +82,14 @@ class BuiltSystem:
 # Overlay builders.
 # ----------------------------------------------------------------------
 
-#: Overlay-builder signature: mutate ``multichip`` in place so its graph
-#: carries the architecture's inter-die interconnect.
-OverlayBuilder = Callable[[MultichipSystem, SystemConfig], None]
-
-
-def _apply_substrate(multichip: MultichipSystem, config: SystemConfig) -> None:
-    apply_substrate_overlay(
-        multichip,
-        SubstrateOverlayConfig(
-            serial_links_per_boundary=config.substrate_serial_links,
-            wide_io_links_per_stack=config.wide_io_links_per_stack,
-        ),
-    )
-
-
-def _apply_interposer(multichip: MultichipSystem, config: SystemConfig) -> None:
-    apply_interposer_overlay(
-        multichip,
-        InterposerOverlayConfig(
-            links_per_boundary=config.interposer_links_per_boundary,
-            wide_io_links_per_stack=config.wide_io_links_per_stack,
-        ),
-    )
-
-
-def _apply_wireless(multichip: MultichipSystem, config: SystemConfig) -> None:
-    apply_wireless_overlay(
-        multichip,
-        WirelessOverlayConfig(cores_per_wi=config.cores_per_wi),
-    )
-
+#: Overlay-builder signature: add the architecture's inter-die interconnect
+#: to ``multichip``'s graph, in place, and return the links it created.
+OverlayBuilder = Callable[[MultichipSystem, SystemConfig], List[LinkSpec]]
 
 _OVERLAYS: Dict[Architecture, OverlayBuilder] = {
-    Architecture.SUBSTRATE: _apply_substrate,
-    Architecture.INTERPOSER: _apply_interposer,
-    Architecture.WIRELESS: _apply_wireless,
+    Architecture.SUBSTRATE: apply_substrate_overlay,
+    Architecture.INTERPOSER: apply_interposer_overlay,
+    Architecture.WIRELESS: apply_wireless_overlay,
 }
 
 

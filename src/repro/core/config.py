@@ -44,7 +44,9 @@ class SystemConfig:
     #: Combined active processing area kept constant under disintegration
     #: (Section IV-C); ``None`` uses a 10 mm die edge per chip instead.
     total_processing_area_mm2: Optional[float] = 400.0
-    #: Parallel interposer links per adjacent chip boundary (0 = one per row).
+    #: Parallel interposer links between each pair of adjacent chips.  ``0``
+    #: means "one per boundary row" (a full mesh extension); the default of 1
+    #: models a micro-bump-pitch-limited boundary (see DESIGN.md section 4).
     interposer_links_per_boundary: int = 1
     #: Serial I/O links per adjacent chip boundary in the substrate system.
     substrate_serial_links: int = 1

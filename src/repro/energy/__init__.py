@@ -7,28 +7,20 @@ component for the average-packet-energy metric reported in the evaluation.
 """
 
 from .accounting import EnergyAccountant, EnergyBreakdown
-from .io import IoCharacteristics, SerialIoModel, WideIoModel
-from .switch_power import SwitchPowerModel, SwitchPowerProfile
+from .switch_power import switch_static_power_mw
 from .technology import (
     DEFAULT_TECHNOLOGY,
     Technology,
     bits_per_cycle,
     cycles_per_flit,
 )
-from .wire import WireCharacteristics, WireModel
 
 __all__ = [
     "DEFAULT_TECHNOLOGY",
     "EnergyAccountant",
     "EnergyBreakdown",
-    "IoCharacteristics",
-    "SerialIoModel",
-    "SwitchPowerModel",
-    "SwitchPowerProfile",
     "Technology",
-    "WideIoModel",
-    "WireCharacteristics",
-    "WireModel",
     "bits_per_cycle",
     "cycles_per_flit",
+    "switch_static_power_mw",
 ]

@@ -38,12 +38,7 @@ class EnergyBreakdown:
     @property
     def dynamic_pj(self) -> float:
         """Total dynamic (data-dependent) energy."""
-        return (
-            self.switch_dynamic_pj
-            + self.link_pj
-            + self.wireless_pj
-            + self.mac_control_pj
-        )
+        return self.switch_dynamic_pj + self.link_pj + self.wireless_pj + self.mac_control_pj
 
     @property
     def static_pj(self) -> float:

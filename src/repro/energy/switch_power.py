@@ -2,94 +2,48 @@
 
 The paper synthesises its switches from RTL with 65 nm standard cells and
 feeds the resulting dynamic and static power into the cycle-accurate
-simulator.  This module is the analytical substitute: it exposes a per-flit
-dynamic traversal energy and a static power that scales with the amount of
-buffering a switch instance carries, so architectures that need deeper
-buffers (e.g. the token-MAC wireless interface) pay for them.
+simulator.  This module is the analytical substitute for the static part:
+a static power that scales with the amount of buffering a switch instance
+carries, so architectures that need deeper buffers (e.g. the token-MAC
+wireless interface) pay for them.  The per-flit dynamic traversal energy is
+:attr:`Technology.switch_dynamic_energy_pj_per_flit` itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .technology import Technology
 
-from .technology import DEFAULT_TECHNOLOGY, Technology
-
-
-@dataclass(frozen=True)
-class SwitchPowerProfile:
-    """Static power and per-flit dynamic energy of one switch instance."""
-
-    dynamic_energy_pj_per_flit: float
-    static_power_mw: float
-    num_ports: int
-    total_buffer_flits: int
-
-    def static_energy_pj(self, cycles: int, cycle_time_s: float) -> float:
-        """Leakage energy burnt over ``cycles`` clock cycles [pJ]."""
-        if cycles < 0:
-            raise ValueError(f"cycles must be non-negative, got {cycles}")
-        return self.static_power_mw * 1e-3 * cycles * cycle_time_s * 1e12
+#: Number of ports of the reference switch the static figure was taken for.
+REFERENCE_PORTS = 5
 
 
-class SwitchPowerModel:
-    """Produces :class:`SwitchPowerProfile` objects for switch instances."""
+def switch_static_power_mw(
+    technology: Technology,
+    num_ports: int,
+    virtual_channels: int,
+    buffer_depth_flits: int,
+) -> float:
+    """Static power of a switch with the given port/buffer organisation [mW].
 
-    #: Number of ports of the reference switch the static figure was taken for.
-    REFERENCE_PORTS = 5
-
-    def __init__(self, technology: Technology = DEFAULT_TECHNOLOGY) -> None:
-        self._technology = technology
-
-    @property
-    def technology(self) -> Technology:
-        """Technology constants used by this model."""
-        return self._technology
-
-    def profile(
-        self,
-        num_ports: int,
-        virtual_channels: int,
-        buffer_depth_flits: int,
-    ) -> SwitchPowerProfile:
-        """Characterise a switch with the given port/buffer organisation.
-
-        Static power scales linearly with the number of ports (crossbar and
-        allocators) and with the total buffered flits (registers/SRAM), around
-        the reference 5-port, 8 VC x 16 flit configuration of the paper.
-        """
-        if num_ports <= 0:
-            raise ValueError(f"num_ports must be positive, got {num_ports}")
-        if virtual_channels <= 0:
-            raise ValueError(
-                f"virtual_channels must be positive, got {virtual_channels}"
-            )
-        if buffer_depth_flits <= 0:
-            raise ValueError(
-                f"buffer_depth_flits must be positive, got {buffer_depth_flits}"
-            )
-        tech = self._technology
-        total_buffer_flits = num_ports * virtual_channels * buffer_depth_flits
-        reference_buffer_flits = self.REFERENCE_PORTS * 8 * 16
-        port_scale = num_ports / self.REFERENCE_PORTS
-        # Half of the reference static power is attributed to port logic and
-        # half to buffering; each part scales with its own driver.
-        base = tech.switch_static_power_mw
-        static_mw = 0.5 * base * port_scale + 0.5 * base * (
-            total_buffer_flits / reference_buffer_flits
-        )
-        # Extra buffering beyond the reference also pays the explicit
-        # per-flit leakage figure so oversized WI buffers are not free.
-        extra_flits = max(0, total_buffer_flits - reference_buffer_flits)
-        static_mw += extra_flits * tech.buffer_static_power_uw_per_flit * 1e-3
-        return SwitchPowerProfile(
-            dynamic_energy_pj_per_flit=tech.switch_dynamic_energy_pj_per_flit,
-            static_power_mw=static_mw,
-            num_ports=num_ports,
-            total_buffer_flits=total_buffer_flits,
-        )
-
-    def traversal_energy_pj(self, flits: int = 1) -> float:
-        """Dynamic energy for ``flits`` flit traversals of one switch [pJ]."""
-        if flits < 0:
-            raise ValueError(f"flits must be non-negative, got {flits}")
-        return flits * self._technology.switch_dynamic_energy_pj_per_flit
+    Static power scales linearly with the number of ports (crossbar and
+    allocators) and with the total buffered flits (registers/SRAM), around
+    the reference 5-port, 8 VC x 16 flit configuration of the paper.
+    """
+    if num_ports <= 0:
+        raise ValueError(f"num_ports must be positive, got {num_ports}")
+    if virtual_channels <= 0:
+        raise ValueError(f"virtual_channels must be positive, got {virtual_channels}")
+    if buffer_depth_flits <= 0:
+        raise ValueError(f"buffer_depth_flits must be positive, got {buffer_depth_flits}")
+    total_buffer_flits = num_ports * virtual_channels * buffer_depth_flits
+    reference_buffer_flits = REFERENCE_PORTS * 8 * 16
+    port_scale = num_ports / REFERENCE_PORTS
+    # Half of the reference static power is attributed to port logic and
+    # half to buffering; each part scales with its own driver.
+    base = technology.switch_static_power_mw
+    static_mw = 0.5 * base * port_scale + 0.5 * base * (total_buffer_flits / reference_buffer_flits)
+    # Extra buffering beyond the reference also pays the explicit
+    # per-flit leakage figure so oversized WI buffers are not free.
+    extra_flits = max(0, total_buffer_flits - reference_buffer_flits)
+    static_mw += extra_flits * technology.buffer_static_power_uw_per_flit * 1e-3
+    return static_mw

@@ -16,7 +16,7 @@ from .kernel import (
     SimulationKernel,
     make_scheduler,
 )
-from .link import LinkCharacteristics, WirelessLinkSettings, characterize_link
+from .link import LinkCharacteristics, characterize_link
 from .network import Network, NetworkBuildError
 from .pool import PacketPool, PacketView
 from .port import LOCAL_PORT, WIRELESS_PORT, InputPort, OutputPort
@@ -52,7 +52,6 @@ __all__ = [
     "WiredFabric",
     "WirelessConfig",
     "WirelessFabric",
-    "WirelessLinkSettings",
     "characterize_link",
     "make_scheduler",
 ]

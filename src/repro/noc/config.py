@@ -40,8 +40,26 @@ class WirelessConfig:
     #: One 16 GHz-wide channel is the paper's literal physical layer; the
     #: multichip experiments use several channels so the aggregate wireless
     #: bisection is comparable to the interposer baseline (DESIGN.md §4).
+    #:
+    #: WIs are assigned round-robin in id order, which interleaves the WIs of
+    #: different chips over different channels so that chip pairs
+    #: communicating heavily do not all contend on one channel.  A channel
+    #: left without a WI gets no MAC.
+    #:
+    #: Note that two WIs can only exchange flits when they share a channel, so
+    #: the routing layer must be aware of the assignment when ``num_channels``
+    #: exceeds 1.  The simulator sidesteps this by treating the channel
+    #: assignment as a *time/frequency slicing of the shared medium*: every WI
+    #: can reach every other WI, but at most ``num_channels`` transmissions are
+    #: in the air simultaneously.  This models a multi-band transceiver front
+    #: end and is the calibration point discussed in DESIGN.md section 4.
     num_channels: int = 6
-    #: Channel occupancy per transferred flit (1 = flit-clock granularity).
+    #: ``cycles_per_flit`` is the number of clock cycles the channel is
+    #: occupied per transferred flit.  The physical transceiver sustains
+    #: 16 Gb/s, i.e. 5 network cycles per 32-bit flit; the authors' simulator
+    #: (like the WiNoC simulators it builds on [6][7][11]) services the
+    #: wireless port at flit granularity, so the default here is 1.  See
+    #: DESIGN.md section 4.
     cycles_per_flit: int = 1
     #: Extra latency of a wireless hop beyond the switch pipeline.
     extra_latency_cycles: int = 1

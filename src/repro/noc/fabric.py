@@ -53,9 +53,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from ..energy import EnergyAccountant
-from ..wireless.channel import assign_channels
 from ..wireless.mac import MacBuildContext, MacDataPlane, MacProtocol, mac_spec
-from ..wireless.transceiver import Transceiver, TransceiverSpec
+from ..wireless.transceiver import Transceiver
 from .pool import FLIT_INDEX_BITS, FLIT_INDEX_MASK, PacketPool
 from .port import InputPort, OutputPort
 from .virtual_channel import KernelInvariantError
@@ -245,20 +244,19 @@ class WirelessFabric(Fabric, MacDataPlane):
         self.pend_remaining: List[int] = []
         self.pend_head: List[int] = []
 
-        spec = TransceiverSpec(
-            data_rate_gbps=config.technology.wireless_data_rate_gbps,
-            energy_pj_per_bit=config.technology.wireless_energy_pj_per_bit,
-            idle_power_mw=config.technology.wireless_idle_power_mw,
-            sleep_power_mw=config.technology.wireless_sleep_power_mw,
-        )
+        technology = config.technology
         protocol = mac_spec(wireless_cfg.mac)
         power_gating = wireless_cfg.sleepy_receivers and protocol.supports_sleepy_receivers
         self.transceivers: Dict[int, Transceiver] = {
-            wi_id: Transceiver(wi_id=wi_id, spec=spec, power_gating=power_gating)
+            wi_id: Transceiver(
+                wi_id=wi_id,
+                idle_power_mw=technology.wireless_idle_power_mw,
+                sleep_power_mw=technology.wireless_sleep_power_mw,
+                power_gating=power_gating,
+            )
             for wi_id in ordered_ids
         }
 
-        self.channel_plans = assign_channels(ordered_ids, wireless_cfg.num_channels)
         self.macs: List[MacProtocol] = []
         self._mac_of: Dict[int, MacProtocol] = {}
         #: Cycles updated so far: the clock of the transceivers' runs.
@@ -267,24 +265,28 @@ class WirelessFabric(Fabric, MacDataPlane):
         #: supports sleepy receivers and they are on, so the other MACs'
         #: transceivers stay awake in one run with no per-cycle work.
         self._gated: List[_GatedChannel] = []
-        for plan in self.channel_plans:
-            if not plan.wi_switch_ids:
+        # WIs join the channels round-robin in id order (see
+        # WirelessConfig.num_channels); a channel left without a WI gets no MAC.
+        num_channels = wireless_cfg.num_channels
+        for channel_id in range(num_channels):
+            members = ordered_ids[channel_id::num_channels]
+            if not members:
                 continue
             mac = protocol.factory(
                 MacBuildContext(
-                    channel_id=plan.channel_id,
-                    wi_switch_ids=list(plan.wi_switch_ids),
+                    channel_id=channel_id,
+                    wi_switch_ids=members,
                     plane=self,
                     wireless=wireless_cfg,
                     packet_length_flits=config.packet_length_flits,
                 ),
             )
             self.macs.append(mac)
-            for wi_id in plan.wi_switch_ids:
+            for wi_id in members:
                 self._mac_of[wi_id] = mac
             if power_gating:
-                members = [(wi_id, self.transceivers[wi_id]) for wi_id in plan.wi_switch_ids]
-                self._gated.append(_GatedChannel(mac, members))
+                gated = [(wi_id, self.transceivers[wi_id]) for wi_id in members]
+                self._gated.append(_GatedChannel(mac, gated))
 
         #: Per-channel energy attribution (settled into
         #: ``SimulationResult.channel_energy_pj`` by :meth:`finalize`).
@@ -562,14 +564,12 @@ class WirelessFabric(Fabric, MacDataPlane):
         every run checks when it settles.
         """
         cycle_time = self._config.technology.cycle_time_s
-        channel_static: Dict[int, float] = {mac.channel_id: 0.0 for mac in self.macs}
-        for plan in self.channel_plans:
-            if plan.channel_id not in channel_static:
-                continue
-            channel_static[plan.channel_id] = sum(
-                self.transceivers[wi_id].static_energy_pj(cycle_time)
-                for wi_id in plan.wi_switch_ids
+        channel_static: Dict[int, float] = {
+            mac.channel_id: sum(
+                self.transceivers[wi_id].static_energy_pj(cycle_time) for wi_id in mac.wi_switch_ids
             )
+            for mac in self.macs
+        }
         breakdown: Dict[int, Dict[str, float]] = {}
         channels = set(self._channel_flit_hops) | set(self._channel_control_pj)
         for channel_id in sorted(channels):

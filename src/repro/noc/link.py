@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..energy import SerialIoModel, Technology, WideIoModel, WireModel
 from ..energy.technology import (
-    DEFAULT_TECHNOLOGY,
     INTERPOSER_LINK_EXTRA_LATENCY_CYCLES,
-    SWITCH_PIPELINE_STAGES,
+    SERIAL_IO_EXTRA_LATENCY_CYCLES,
+    WIDE_IO_EXTRA_LATENCY_CYCLES,
+    cycles_per_flit,
 )
 from ..topology.graph import LinkKind, LinkSpec
+from .config import NetworkConfig
 
 
 @dataclass(frozen=True)
@@ -44,78 +45,47 @@ class LinkCharacteristics:
         return self.kind == LinkKind.WIRELESS
 
 
-@dataclass(frozen=True)
-class WirelessLinkSettings:
-    """Calibration of the wireless channel's simulator-facing service rate.
-
-    ``cycles_per_flit`` is the number of clock cycles the channel is occupied
-    per transferred flit.  The physical transceiver sustains 16 Gb/s, i.e.
-    5 network cycles per 32-bit flit; the authors' simulator (like the WiNoC
-    simulators it builds on [6][7][11]) services the wireless port at flit
-    granularity, so the default here is 1.  See DESIGN.md section 4.
-    """
-
-    cycles_per_flit: int = 1
-    extra_latency_cycles: int = 1
-
-
-def characterize_link(
-    spec: LinkSpec,
-    technology: Technology = DEFAULT_TECHNOLOGY,
-    wireless: WirelessLinkSettings = WirelessLinkSettings(),
-    switch_pipeline_stages: int = SWITCH_PIPELINE_STAGES,
-) -> LinkCharacteristics:
+def characterize_link(spec: LinkSpec, config: NetworkConfig) -> LinkCharacteristics:
     """Characterise a topology link for the simulator.
 
-    The latency figure includes the downstream switch pipeline
-    (``switch_pipeline_stages``) so a hop's zero-load cost is fully captured
-    by the link the flit crosses to get there.
+    Every figure comes from ``config.technology``, except the wireless
+    channel's service rate and extra latency (``config.wireless``).  On-chip
+    wire and TSV hops take the repeated-wire delay of their length; the
+    off-chip hops take one cycle plus their extra latency.  The latency
+    figure includes the downstream switch pipeline
+    (``config.switch_pipeline_stages``) so a hop's zero-load cost is fully
+    captured by the link the flit crosses to get there.
     """
-    if spec.kind == LinkKind.MESH or spec.kind == LinkKind.TSV:
-        wire = WireModel(technology).characterize(spec.length_mm)
-        return LinkCharacteristics(
-            kind=spec.kind,
-            cycles_per_flit=1,
-            latency_cycles=switch_pipeline_stages + wire.latency_cycles,
-            energy_pj_per_flit=wire.energy_pj_per_flit
-            if spec.kind == LinkKind.MESH
-            else technology.flit_energy_pj(technology.tsv_energy_pj_per_bit),
-            length_mm=spec.length_mm,
-        )
-    if spec.kind == LinkKind.INTERPOSER:
-        energy = technology.flit_energy_pj(technology.interposer_link_energy_pj_per_bit)
-        return LinkCharacteristics(
-            kind=spec.kind,
-            cycles_per_flit=1,
-            latency_cycles=switch_pipeline_stages + 1 + INTERPOSER_LINK_EXTRA_LATENCY_CYCLES,
-            energy_pj_per_flit=energy,
-            length_mm=spec.length_mm,
-        )
-    if spec.kind == LinkKind.SERIAL_IO:
-        io = SerialIoModel(technology).characterize()
-        return LinkCharacteristics(
-            kind=spec.kind,
-            cycles_per_flit=io.cycles_per_flit,
-            latency_cycles=switch_pipeline_stages + 1 + io.extra_latency_cycles,
-            energy_pj_per_flit=io.energy_pj_per_flit,
-            length_mm=spec.length_mm,
-        )
-    if spec.kind == LinkKind.WIDE_IO:
-        io = WideIoModel(technology).characterize()
-        return LinkCharacteristics(
-            kind=spec.kind,
-            cycles_per_flit=io.cycles_per_flit,
-            latency_cycles=switch_pipeline_stages + 1 + io.extra_latency_cycles,
-            energy_pj_per_flit=io.energy_pj_per_flit,
-            length_mm=spec.length_mm,
-        )
-    if spec.kind == LinkKind.WIRELESS:
-        energy = technology.flit_energy_pj(technology.wireless_energy_pj_per_bit)
-        return LinkCharacteristics(
-            kind=spec.kind,
-            cycles_per_flit=wireless.cycles_per_flit,
-            latency_cycles=switch_pipeline_stages + 1 + wireless.extra_latency_cycles,
-            energy_pj_per_flit=energy,
-            length_mm=spec.length_mm,
-        )
-    raise ValueError(f"unknown link kind {spec.kind!r}")
+    tech = config.technology
+    kind = spec.kind
+    cycles = 1
+    if kind == LinkKind.MESH or kind == LinkKind.TSV:
+        latency = tech.wire_delay_cycles(spec.length_mm)
+        if kind == LinkKind.MESH:
+            energy = tech.wire_energy_pj_per_flit(spec.length_mm)
+        else:
+            energy = tech.flit_energy_pj(tech.tsv_energy_pj_per_bit)
+    elif kind == LinkKind.INTERPOSER:
+        latency = 1 + INTERPOSER_LINK_EXTRA_LATENCY_CYCLES
+        energy = tech.flit_energy_pj(tech.interposer_link_energy_pj_per_bit)
+    elif kind == LinkKind.SERIAL_IO:
+        cycles = cycles_per_flit(tech.serial_io_rate_gbps, tech.flit_width_bits)
+        latency = 1 + SERIAL_IO_EXTRA_LATENCY_CYCLES
+        energy = tech.flit_energy_pj(tech.serial_io_energy_pj_per_bit)
+    elif kind == LinkKind.WIDE_IO:
+        cycles = cycles_per_flit(tech.wide_io_rate_gbps(), tech.flit_width_bits)
+        latency = 1 + WIDE_IO_EXTRA_LATENCY_CYCLES
+        energy = tech.flit_energy_pj(tech.wide_io_energy_pj_per_bit)
+    elif kind == LinkKind.WIRELESS:
+        cycles = config.wireless.cycles_per_flit
+        latency = 1 + config.wireless.extra_latency_cycles
+        energy = tech.flit_energy_pj(tech.wireless_energy_pj_per_bit)
+    else:
+        raise ValueError(f"unknown link kind {kind!r}")
+    return LinkCharacteristics(
+        kind=kind,
+        cycles_per_flit=cycles,
+        latency_cycles=config.switch_pipeline_stages + latency,
+        energy_pj_per_flit=energy,
+        length_mm=spec.length_mm,
+    )

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..energy import SwitchPowerModel
+from ..energy import switch_static_power_mw
 from ..topology.graph import LinkKind, LinkSpec, SwitchKind, TopologyGraph
 from .config import NetworkConfig
 from .fabric import Fabric, WiredFabric, WirelessFabric
-from .link import WirelessLinkSettings, characterize_link
+from .link import characterize_link
 from .switch import Switch
 
 
@@ -70,7 +70,6 @@ class Network:
         self.config = config
         self.switches: Dict[int, Switch] = {}
         self.endpoint_switch: Dict[int, Switch] = {}
-        self._power_model = SwitchPowerModel(config.technology)
         self._static_power_mw = 0.0
 
         self.wired_fabric = WiredFabric()
@@ -127,11 +126,7 @@ class Network:
         for link in self.topology.links:
             if link.kind == LinkKind.WIRELESS:
                 continue
-            characteristics = characterize_link(
-                link,
-                technology=self.config.technology,
-                switch_pipeline_stages=self.config.switch_pipeline_stages,
-            )
+            characteristics = characterize_link(link, self.config)
             src_switch = self.switches[link.src]
             dst_switch = self.switches[link.dst]
             src_in, src_out = src_switch.add_wired_port(link.dst, characteristics)
@@ -145,17 +140,8 @@ class Network:
         wireless_specs = self.topology.wireless_switches
         if not wireless_specs:
             return []
-        settings = WirelessLinkSettings(
-            cycles_per_flit=self.config.wireless.cycles_per_flit,
-            extra_latency_cycles=self.config.wireless.extra_latency_cycles,
-        )
         pseudo_link = LinkSpec(link_id=-1, src=-1, dst=-2, kind=LinkKind.WIRELESS, length_mm=0.0)
-        characteristics = characterize_link(
-            pseudo_link,
-            technology=self.config.technology,
-            wireless=settings,
-            switch_pipeline_stages=self.config.switch_pipeline_stages,
-        )
+        characteristics = characterize_link(pseudo_link, self.config)
         wi_switches = []
         for spec in wireless_specs:
             switch = self.switches[spec.switch_id]
@@ -187,12 +173,12 @@ class Network:
     def _profile_power(self) -> None:
         total = 0.0
         for switch in self.switches.values():
-            profile = self._power_model.profile(
+            total += switch_static_power_mw(
+                self.config.technology,
                 num_ports=max(1, len(switch.output_ports)),
                 virtual_channels=self.config.virtual_channels,
                 buffer_depth_flits=switch.buffer_depth,
             )
-            total += profile.static_power_mw
         self._static_power_mw = total
 
     # ------------------------------------------------------------------

@@ -62,6 +62,8 @@ class ShortestPathForest:
         source: int,
         cheapest_hop: Optional[float] = None,
     ) -> None:
+        if source not in adjacency:
+            raise RoutingError(f"switch {source} is not in the topology")
         self._num_switches = len(adjacency)
         self._source = source
         #: Settled switch -> its equal-cost predecessors, sorted.

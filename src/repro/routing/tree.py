@@ -93,6 +93,9 @@ class SpanningTreeRouter(BaseRouter):
         # Climb from the deeper end, then from both, until they meet at the
         # lowest common ancestor.
         parent, depth = self._parent, self._depth
+        for sid in (src_switch, dst_switch):
+            if sid not in depth:
+                raise RoutingError(f"switch {sid} is not part of the tree")
         up, down = [src_switch], [dst_switch]
         a, b = src_switch, dst_switch
         while depth[a] > depth[b]:

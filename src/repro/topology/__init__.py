@@ -27,7 +27,7 @@ from .graph import (
     TopologyError,
     TopologyGraph,
 )
-from .interposer import InterposerOverlayConfig, apply_interposer_overlay
+from .interposer import apply_interposer_overlay
 from .mesh import boundary_switches, build_processor_chip, cluster_centers, evenly_spaced
 from .multichip import (
     MultichipSystem,
@@ -35,20 +35,13 @@ from .multichip import (
     build_multichip_base,
     memory_anchor_switch,
 )
-from .substrate import SubstrateOverlayConfig, apply_substrate_overlay
-from .wireless_overlay import (
-    WirelessOverlayConfig,
-    apply_wireless_overlay,
-    connect_wireless_interfaces,
-    wireless_area_overhead_mm2,
-    wireless_interface_count,
-)
+from .substrate import apply_substrate_overlay
+from .wireless_overlay import apply_wireless_overlay, connect_wireless_interfaces
 
 __all__ = [
     "ChipPlacement",
     "EndpointKind",
     "EndpointSpec",
-    "InterposerOverlayConfig",
     "LinkKind",
     "LinkSpec",
     "MemoryPlacement",
@@ -56,12 +49,10 @@ __all__ = [
     "PackageLayout",
     "RegionKind",
     "RegionSpec",
-    "SubstrateOverlayConfig",
     "SwitchKind",
     "SwitchSpec",
     "TopologyError",
     "TopologyGraph",
-    "WirelessOverlayConfig",
     "apply_interposer_overlay",
     "apply_substrate_overlay",
     "apply_wireless_overlay",
@@ -77,6 +68,4 @@ __all__ = [
     "mesh_shape_for_cores",
     "plan_package",
     "switch_position_mm",
-    "wireless_area_overhead_mm2",
-    "wireless_interface_count",
 ]

@@ -135,9 +135,7 @@ def plan_package(
     if num_chips <= 0:
         raise ValueError(f"num_chips must be positive, got {num_chips}")
     if num_memory_stacks < 0:
-        raise ValueError(
-            f"num_memory_stacks must be non-negative, got {num_memory_stacks}"
-        )
+        raise ValueError(f"num_memory_stacks must be non-negative, got {num_memory_stacks}")
     gap = INTER_CHIP_GAP_MM if gap_mm is None else gap_mm
     if total_processing_area_mm2 is not None:
         edge = math.sqrt(total_processing_area_mm2 / num_chips)

@@ -308,9 +308,7 @@ class TopologyGraph:
         except KeyError:
             raise TopologyError(f"unknown link {link_id}") from None
 
-    def find_link(
-        self, a: int, b: int, include_disabled: bool = False
-    ) -> Optional[LinkSpec]:
+    def find_link(self, a: int, b: int, include_disabled: bool = False) -> Optional[LinkSpec]:
         """The *in-service* link between switches ``a`` and ``b``, or ``None``.
 
         ``include_disabled`` also finds links taken out of service by fault
@@ -434,9 +432,7 @@ class TopologyGraph:
             raise TopologyError("topology has no switches")
         for endpoint in self.endpoints:
             if endpoint.switch_id not in self._switches:
-                raise TopologyError(
-                    f"endpoint {endpoint.endpoint_id} attached to unknown switch"
-                )
+                raise TopologyError(f"endpoint {endpoint.endpoint_id} attached to unknown switch")
         # Connectivity via BFS over links (wireless links included).
         start = next(iter(self._switches))
         seen = {start}

@@ -6,90 +6,35 @@ links between *adjacent* chips, "extending the mesh NoC over two separate
 layers of silicon spanning multiple chips" (Section IV-A, architecture 2).
 
 The number of parallel links that can cross one chip boundary is limited by
-the micro-bump pitch; it is exposed as ``links_per_boundary`` and is one of
-the two calibration knobs discussed in DESIGN.md section 4.
+the micro-bump pitch; it is exposed as
+``SystemConfig.interposer_links_per_boundary`` and is one of the two
+calibration knobs discussed in DESIGN.md section 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from .geometry import euclidean_mm
 from .graph import LinkKind, LinkSpec
 from .mesh import evenly_spaced
-from .multichip import MultichipSystem, memory_anchor_switch
+from .multichip import MultichipSystem, add_boundary_links, add_wide_io_links
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.config import SystemConfig
 
 
-@dataclass(frozen=True)
-class InterposerOverlayConfig:
-    """Parameters of the interposer inter-chip connectivity."""
+def apply_interposer_overlay(system: MultichipSystem, config: "SystemConfig") -> List[LinkSpec]:
+    """Add interposer C-C links and wide I/O M-C links; return created links.
 
-    #: Parallel interposer links between each pair of adjacent chips.  ``0``
-    #: means "one per boundary row" (a full mesh extension); the default of 1
-    #: models a micro-bump-pitch-limited boundary (see DESIGN.md section 4).
-    links_per_boundary: int = 1
-    #: Wide I/O channels per memory stack (identical to the substrate case,
-    #: as the paper keeps the memory interface the same across wired
-    #: configurations).
-    wide_io_links_per_stack: int = 1
+    Each adjacent chip pair gets ``config.interposer_links_per_boundary``
+    interposer links at evenly spaced boundary rows (one per row for 0),
+    and each memory stack ``config.wide_io_links_per_stack`` wide I/O
+    channels.
+    """
+    links = config.interposer_links_per_boundary
 
+    def spread(rows: int, _left_rows: int) -> List[int]:
+        return evenly_spaced(list(range(rows)), rows if links == 0 else min(links, rows))
 
-def apply_interposer_overlay(
-    system: MultichipSystem,
-    config: InterposerOverlayConfig = InterposerOverlayConfig(),
-) -> List[LinkSpec]:
-    """Add interposer C-C links and wide I/O M-C links; return created links."""
-    if config.links_per_boundary < 0:
-        raise ValueError("links_per_boundary must be non-negative")
-    if config.wide_io_links_per_stack <= 0:
-        raise ValueError("wide_io_links_per_stack must be positive")
-
-    graph = system.graph
-    created: List[LinkSpec] = []
-
-    for left_index, right_index in system.adjacent_chip_pairs():
-        right_boundary = system.chip_boundary(left_index, "right")
-        left_boundary = system.chip_boundary(right_index, "left")
-        rows = len(right_boundary)
-        count = rows if config.links_per_boundary == 0 else min(
-            config.links_per_boundary, rows
-        )
-        picked = evenly_spaced(list(range(rows)), count)
-        for row in picked:
-            src = right_boundary[row]
-            dst = left_boundary[min(row, len(left_boundary) - 1)]
-            length = euclidean_mm(
-                graph.switch(src).position_mm, graph.switch(dst).position_mm
-            )
-            created.append(
-                graph.add_link(src, dst, LinkKind.INTERPOSER, length_mm=length)
-            )
-
-    for memory_index in range(system.num_memory_stacks):
-        memory_switch = system.memory_switch(memory_index)
-        anchor = memory_anchor_switch(system, memory_index)
-        length = euclidean_mm(
-            graph.switch(memory_switch).position_mm, graph.switch(anchor).position_mm
-        )
-        created.append(
-            graph.add_link(memory_switch, anchor, LinkKind.WIDE_IO, length_mm=length)
-        )
-        extra = config.wide_io_links_per_stack - 1
-        if extra > 0:
-            placement = system.layout.memories[memory_index]
-            boundary = system.chip_boundary(
-                placement.adjacent_chip_index, placement.side
-            )
-            candidates = [s for s in boundary if s != anchor]
-            for target in candidates[:extra]:
-                length = euclidean_mm(
-                    graph.switch(memory_switch).position_mm,
-                    graph.switch(target).position_mm,
-                )
-                created.append(
-                    graph.add_link(
-                        memory_switch, target, LinkKind.WIDE_IO, length_mm=length
-                    )
-                )
-    return created
+    created = add_boundary_links(system, LinkKind.INTERPOSER, spread)
+    return created + add_wide_io_links(system, config.wide_io_links_per_stack)

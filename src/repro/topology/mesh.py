@@ -64,19 +64,13 @@ def build_processor_chip(
         for col in range(cols):
             here = local_index[(col, row)]
             if col + 1 < cols:
-                graph.add_link(
-                    here, local_index[(col + 1, row)], LinkKind.MESH, length_mm=pitch_x
-                )
+                graph.add_link(here, local_index[(col + 1, row)], LinkKind.MESH, length_mm=pitch_x)
             if row + 1 < rows:
-                graph.add_link(
-                    here, local_index[(col, row + 1)], LinkKind.MESH, length_mm=pitch_y
-                )
+                graph.add_link(here, local_index[(col, row + 1)], LinkKind.MESH, length_mm=pitch_y)
     return region
 
 
-def boundary_switches(
-    graph: TopologyGraph, region_id: int, side: str
-) -> List[int]:
+def boundary_switches(graph: TopologyGraph, region_id: int, side: str) -> List[int]:
     """Switch ids on the ``side`` ("left"/"right"/"top"/"bottom") boundary.
 
     Ordered by row (for left/right) or by column (for top/bottom) so callers
@@ -124,9 +118,7 @@ def evenly_spaced(items: List[int], count: int) -> List[int]:
     return picked
 
 
-def cluster_centers(
-    graph: TopologyGraph, region_id: int, num_clusters: int
-) -> List[int]:
+def cluster_centers(graph: TopologyGraph, region_id: int, num_clusters: int) -> List[int]:
     """Switch ids at the centres of ``num_clusters`` equal tiles of a chip mesh.
 
     Implements the WI deployment strategy of Section III-A: a single WI is

@@ -4,17 +4,20 @@
 topology: the chip array (each an intra-chip mesh with one core per switch)
 and the memory stacks (each a base logic die switch with its DRAM vaults).
 The three architecture overlays (substrate, interposer, wireless) then add
-their inter-die connectivity on top of this base.
+their inter-die connectivity on top of this base; the two wired ones share
+the boundary and wide I/O link builders at the end of this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .geometry import PackageLayout, plan_package
+from .geometry import PackageLayout, euclidean_mm, plan_package
 from .graph import (
     EndpointKind,
+    LinkKind,
+    LinkSpec,
     RegionKind,
     SwitchKind,
     TopologyGraph,
@@ -145,9 +148,7 @@ def build_multichip_base(
         while (memory.grid_x, grid_y) in used_grid:
             grid_y += 1
         placement = memory if grid_y == memory.grid_y else _with_row(memory, grid_y)
-        region_id, switch_id = build_memory_stack_die(
-            graph, placement, vaults=vaults_per_stack
-        )
+        region_id, switch_id = build_memory_stack_die(graph, placement, vaults=vaults_per_stack)
         used_grid.add((placement.grid_x, placement.grid_y))
         system.memory_region_ids.append(region_id)
         system.memory_switch_ids[region_id] = switch_id
@@ -183,8 +184,58 @@ def memory_anchor_switch(system: MultichipSystem, memory_index: int) -> int:
     chip_index = placement.adjacent_chip_index
     boundary = system.chip_boundary(chip_index, placement.side)
     if not boundary:
-        raise ValueError(
-            f"chip {chip_index} has no {placement.side} boundary switches"
-        )
+        raise ValueError(f"chip {chip_index} has no {placement.side} boundary switches")
     column = min(placement.adjacent_chip_column, len(boundary) - 1)
     return boundary[column]
+
+
+def add_boundary_links(
+    system: MultichipSystem,
+    kind: LinkKind,
+    pick_rows: Callable[[int, int], List[int]],
+) -> List[LinkSpec]:
+    """Link every adjacent chip pair across their shared boundary.
+
+    ``pick_rows(right_rows, left_rows)`` picks the rows of the left chip's
+    right boundary that get a link; each lands on the same row of the right
+    chip's left boundary (its last row if it has fewer).
+    """
+    graph = system.graph
+    created: List[LinkSpec] = []
+    for left_index, right_index in system.adjacent_chip_pairs():
+        right_boundary = system.chip_boundary(left_index, "right")
+        left_boundary = system.chip_boundary(right_index, "left")
+        for row in pick_rows(len(right_boundary), len(left_boundary)):
+            src = right_boundary[row]
+            dst = left_boundary[min(row, len(left_boundary) - 1)]
+            created.append(_add_link(graph, src, dst, kind))
+    return created
+
+
+def add_wide_io_links(system: MultichipSystem, links_per_stack: int) -> List[LinkSpec]:
+    """Attach every memory stack to its neighbouring chip over wide I/O.
+
+    The first channel lands on the stack's anchor switch; further
+    (non-default) channels attach to further boundary switches of the same
+    chip side.  Both wired architectures use this memory interface, as the
+    paper keeps it the same across wired configurations.
+    """
+    graph = system.graph
+    created: List[LinkSpec] = []
+    for memory_index in range(system.num_memory_stacks):
+        memory_switch = system.memory_switch(memory_index)
+        anchor = memory_anchor_switch(system, memory_index)
+        targets = [anchor]
+        if links_per_stack > 1:
+            placement = system.layout.memories[memory_index]
+            boundary = system.chip_boundary(placement.adjacent_chip_index, placement.side)
+            targets += [s for s in boundary if s != anchor][: links_per_stack - 1]
+        for target in targets:
+            created.append(_add_link(graph, memory_switch, target, LinkKind.WIDE_IO))
+    return created
+
+
+def _add_link(graph: TopologyGraph, src: int, dst: int, kind: LinkKind) -> LinkSpec:
+    """Add a link as long as the distance between its two switches."""
+    length = euclidean_mm(graph.switch(src).position_mm, graph.switch(dst).position_mm)
+    return graph.add_link(src, dst, kind, length_mm=length)

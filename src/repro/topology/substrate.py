@@ -10,73 +10,29 @@ traffic uses the 128-bit wide I/O channel of the neighbouring chip
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from .graph import LinkKind, LinkSpec
-from .multichip import MultichipSystem, memory_anchor_switch
+from .multichip import MultichipSystem, add_boundary_links, add_wide_io_links
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.config import SystemConfig
 
 
-@dataclass(frozen=True)
-class SubstrateOverlayConfig:
-    """Parameters of the substrate inter-chip connectivity."""
+def apply_substrate_overlay(system: MultichipSystem, config: "SystemConfig") -> List[LinkSpec]:
+    """Add substrate C-C and M-C links; return the created links.
 
-    #: Serial I/O links between each pair of adjacent chips (paper: 1).
-    serial_links_per_boundary: int = 1
-    #: Wide I/O channels per memory stack (paper: 1 x 128-bit channel).
-    wide_io_links_per_stack: int = 1
+    Each adjacent chip pair gets ``config.substrate_serial_links`` serial
+    I/O links at its central boundary rows, and each memory stack
+    ``config.wide_io_links_per_stack`` wide I/O channels.
+    """
+    links = config.substrate_serial_links
 
+    def central(right_rows: int, left_rows: int) -> List[int]:
+        return _central_rows(right_rows, min(links, right_rows, left_rows))
 
-def apply_substrate_overlay(
-    system: MultichipSystem,
-    config: SubstrateOverlayConfig = SubstrateOverlayConfig(),
-) -> List[LinkSpec]:
-    """Add substrate C-C and M-C links; return the created links."""
-    if config.serial_links_per_boundary <= 0:
-        raise ValueError("serial_links_per_boundary must be positive")
-    if config.wide_io_links_per_stack <= 0:
-        raise ValueError("wide_io_links_per_stack must be positive")
-
-    graph = system.graph
-    created: List[LinkSpec] = []
-
-    for left_index, right_index in system.adjacent_chip_pairs():
-        right_boundary = system.chip_boundary(left_index, "right")
-        left_boundary = system.chip_boundary(right_index, "left")
-        count = min(
-            config.serial_links_per_boundary, len(right_boundary), len(left_boundary)
-        )
-        rows = _central_rows(len(right_boundary), count)
-        for row in rows:
-            src = right_boundary[row]
-            dst = left_boundary[min(row, len(left_boundary) - 1)]
-            length = _link_length(graph, src, dst)
-            created.append(
-                graph.add_link(src, dst, LinkKind.SERIAL_IO, length_mm=length)
-            )
-
-    for memory_index in range(system.num_memory_stacks):
-        memory_switch = system.memory_switch(memory_index)
-        anchor = memory_anchor_switch(system, memory_index)
-        length = _link_length(graph, memory_switch, anchor)
-        created.append(
-            graph.add_link(memory_switch, anchor, LinkKind.WIDE_IO, length_mm=length)
-        )
-        # Additional wide I/O channels (non-default) attach to further
-        # boundary switches of the same chip side.
-        extra = config.wide_io_links_per_stack - 1
-        if extra > 0:
-            placement = system.layout.memories[memory_index]
-            boundary = system.chip_boundary(placement.adjacent_chip_index, placement.side)
-            candidates = [s for s in boundary if s != anchor]
-            for target in candidates[:extra]:
-                length = _link_length(graph, memory_switch, target)
-                created.append(
-                    graph.add_link(
-                        memory_switch, target, LinkKind.WIDE_IO, length_mm=length
-                    )
-                )
-    return created
+    created = add_boundary_links(system, LinkKind.SERIAL_IO, central)
+    return created + add_wide_io_links(system, config.wide_io_links_per_stack)
 
 
 def _central_rows(total_rows: int, count: int) -> List[int]:
@@ -94,10 +50,3 @@ def _central_rows(total_rows: int, count: int) -> List[int]:
             rows.append(centre - offset)
         offset += 1
     return sorted(rows[:count])
-
-
-def _link_length(graph, src: int, dst: int) -> float:
-    """Euclidean distance between two switches [mm]."""
-    from .geometry import euclidean_mm
-
-    return euclidean_mm(graph.switch(src).position_mm, graph.switch(dst).position_mm)

@@ -16,43 +16,29 @@ WI port and enforces the shared-medium constraint through the MAC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from .geometry import euclidean_mm
 from .graph import LinkKind, LinkSpec, TopologyGraph
 from .mesh import cluster_centers
 from .multichip import MultichipSystem
 
-
-@dataclass(frozen=True)
-class WirelessOverlayConfig:
-    """Parameters of the WI deployment."""
-
-    #: Number of cores serviced by one WI inside each processing chip
-    #: ("wireless deployment density of 1WI per 16 cores").  A chip with
-    #: fewer cores still gets one WI, which inter-chip connectivity needs.
-    cores_per_wi: int = 16
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.config import SystemConfig
 
 
-def apply_wireless_overlay(
-    system: MultichipSystem,
-    config: WirelessOverlayConfig = WirelessOverlayConfig(),
-) -> List[LinkSpec]:
+def apply_wireless_overlay(system: MultichipSystem, config: "SystemConfig") -> List[LinkSpec]:
     """Deploy WIs and add pairwise wireless links; return created links.
 
-    Every chip gets at least one WI and every memory stack's base logic die
-    carries one (the paper's deployment).
+    Each chip gets one WI per ``config.cores_per_wi`` cores, and at least
+    one, which inter-chip connectivity needs; every memory stack's base
+    logic die carries one (the paper's deployment).
     """
-    if config.cores_per_wi <= 0:
-        raise ValueError("cores_per_wi must be positive")
-
     graph = system.graph
 
     for region_id in system.chip_region_ids:
         cores_in_chip = sum(
-            len(graph.endpoints_at(s.switch_id))
-            for s in graph.switches_in_region(region_id)
+            len(graph.endpoints_at(s.switch_id)) for s in graph.switches_in_region(region_id)
         )
         num_wis = max(1, cores_in_chip // config.cores_per_wi)
         for switch_id in cluster_centers(graph, region_id, num_wis):
@@ -88,20 +74,3 @@ def connect_wireless_interfaces(graph: TopologyGraph) -> List[LinkSpec]:
             )
     return created
 
-
-def wireless_interface_count(graph: TopologyGraph) -> int:
-    """Number of deployed WIs (used for area-overhead reporting)."""
-    return len(graph.wireless_switches)
-
-
-def wireless_area_overhead_mm2(
-    graph: TopologyGraph, transceiver_area_mm2: float = 0.3
-) -> float:
-    """Total active-area overhead of the deployed transceivers [mm^2].
-
-    The paper reports "negligible active area overhead of 0.3 mm^2 per
-    transceiver"; this helper lets reports quote the total for a system.
-    """
-    if transceiver_area_mm2 < 0:
-        raise ValueError("transceiver_area_mm2 must be non-negative")
-    return wireless_interface_count(graph) * transceiver_area_mm2

@@ -1,12 +1,11 @@
 """mm-wave wireless interconnect: physical layer and MAC protocols.
 
 Models the 60 GHz OOK transceivers (including the power-gated "sleepy"
-mode), the channel organisation, and the two MAC protocols compared in the
-paper (baseline token passing and the proposed control-packet MAC with
-partial-packet transmission).
+mode) and the MAC protocols that arbitrate each channel: the two compared
+in the paper (baseline token passing and the proposed control-packet MAC
+with partial-packet transmission) plus static TDMA and FDMA schedules.
 """
 
-from .channel import ChannelPlan, assign_channels
 from .mac import (
     ControlPacketMac,
     MacProtocol,
@@ -14,16 +13,13 @@ from .mac import (
     TokenMac,
     TransmissionPlan,
 )
-from .transceiver import Transceiver, TransceiverSpec
+from .transceiver import Transceiver
 
 __all__ = [
-    "ChannelPlan",
     "ControlPacketMac",
     "MacProtocol",
     "MacStatistics",
     "TokenMac",
     "Transceiver",
-    "TransceiverSpec",
     "TransmissionPlan",
-    "assign_channels",
 ]

@@ -15,30 +15,9 @@ only when the MAC's transmitter or intended receivers change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..energy.technology import (
-    WIRELESS_DATA_RATE_GBPS,
-    WIRELESS_ENERGY_PJ_PER_BIT,
-    WIRELESS_IDLE_POWER_MW,
-    WIRELESS_SLEEP_POWER_MW,
-    WIRELESS_TARGET_BER,
-    WIRELESS_TRANSCEIVER_AREA_MM2,
-    CYCLE_TIME_S,
-)
-
-
-@dataclass(frozen=True)
-class TransceiverSpec:
-    """Published macro-parameters of the OOK transceiver [6]."""
-
-    data_rate_gbps: float = WIRELESS_DATA_RATE_GBPS
-    energy_pj_per_bit: float = WIRELESS_ENERGY_PJ_PER_BIT
-    area_mm2: float = WIRELESS_TRANSCEIVER_AREA_MM2
-    target_ber: float = WIRELESS_TARGET_BER
-    idle_power_mw: float = WIRELESS_IDLE_POWER_MW
-    sleep_power_mw: float = WIRELESS_SLEEP_POWER_MW
-    modulation: str = "OOK"
+from ..energy.technology import CYCLE_TIME_S, WIRELESS_IDLE_POWER_MW, WIRELESS_SLEEP_POWER_MW
 
 
 @dataclass
@@ -46,7 +25,9 @@ class Transceiver:
     """One WI's transceiver: asleep/awake runs and their static energy."""
 
     wi_id: int
-    spec: TransceiverSpec = field(default_factory=TransceiverSpec)
+    #: Power drawn awake (transmitting, receiving or idle) and power-gated [mW].
+    idle_power_mw: float = WIRELESS_IDLE_POWER_MW
+    sleep_power_mw: float = WIRELESS_SLEEP_POWER_MW
     power_gating: bool = True
     #: Whether the current run is power-gated.
     asleep: bool = False
@@ -81,8 +62,8 @@ class Transceiver:
     def static_energy_pj(self, cycle_time_s: float = CYCLE_TIME_S) -> float:
         """Static energy of the settled runs [pJ]."""
         awake = self.total_cycles - self.asleep_cycles
-        idle_energy = self.spec.idle_power_mw * 1e-3 * awake * cycle_time_s * 1e12
-        sleep_energy = self.spec.sleep_power_mw * 1e-3 * self.asleep_cycles * cycle_time_s * 1e12
+        idle_energy = self.idle_power_mw * 1e-3 * awake * cycle_time_s * 1e12
+        sleep_energy = self.sleep_power_mw * 1e-3 * self.asleep_cycles * cycle_time_s * 1e12
         return idle_energy + sleep_energy
 
     def sleep_fraction(self) -> float:

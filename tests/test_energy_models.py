@@ -1,99 +1,74 @@
-"""Tests of the wire / switch / I/O energy models and accounting."""
+"""Tests of the link / switch energy models and accounting."""
 
 import pytest
 
-from repro.energy import (
-    EnergyAccountant,
-    SerialIoModel,
-    SwitchPowerModel,
-    WideIoModel,
-    WireModel,
-)
+from repro.energy import EnergyAccountant, switch_static_power_mw
 from repro.energy.technology import DEFAULT_TECHNOLOGY
+from repro.noc.config import NetworkConfig
 from repro.noc.link import characterize_link
 from repro.topology.graph import LinkKind, LinkSpec
+
+CONFIG = NetworkConfig()
+
+
+def _link(kind, length_mm=0.0):
+    spec = LinkSpec(link_id=0, src=0, dst=1, kind=kind, length_mm=length_mm)
+    return characterize_link(spec, CONFIG)
 
 
 class TestWireModel:
     def test_energy_proportional_to_length(self):
-        model = WireModel()
-        short = model.characterize(1.0)
-        long = model.characterize(4.0)
+        short = _link(LinkKind.MESH, 1.0)
+        long = _link(LinkKind.MESH, 4.0)
         assert long.energy_pj_per_flit == pytest.approx(4 * short.energy_pj_per_flit)
 
     def test_default_mesh_links_are_single_cycle(self):
         """The paper assumes single-cycle intra-chip links; a 2.5 mm hop is."""
-        assert WireModel().characterize(2.5).latency_cycles <= 1
+        link = _link(LinkKind.MESH, 2.5)
+        assert link.latency_cycles == CONFIG.switch_pipeline_stages + 1
 
     def test_rejects_negative_length(self):
-        with pytest.raises(ValueError):
-            WireModel().characterize(-1.0)
+        for kind in (LinkKind.MESH, LinkKind.TSV):
+            with pytest.raises(ValueError):
+                _link(kind, -1.0)
 
     def test_interposer_link_energy_above_mesh_hop(self):
-        mesh = WireModel().characterize(2.5)
-        interposer = characterize_link(
-            LinkSpec(link_id=0, src=0, dst=1, kind=LinkKind.INTERPOSER, length_mm=3.0)
-        )
+        mesh = _link(LinkKind.MESH, 2.5)
+        interposer = _link(LinkKind.INTERPOSER, 3.0)
         assert interposer.energy_pj_per_flit > mesh.energy_pj_per_flit
 
 
 class TestSwitchPowerModel:
     def test_reference_profile(self):
-        profile = SwitchPowerModel().profile(5, 8, 16)
-        assert profile.dynamic_energy_pj_per_flit == pytest.approx(
-            DEFAULT_TECHNOLOGY.switch_dynamic_energy_pj_per_flit
-        )
-        assert profile.static_power_mw == pytest.approx(
-            DEFAULT_TECHNOLOGY.switch_static_power_mw, rel=0.01
-        )
+        static_mw = switch_static_power_mw(DEFAULT_TECHNOLOGY, 5, 8, 16)
+        assert static_mw == pytest.approx(DEFAULT_TECHNOLOGY.switch_static_power_mw, rel=0.01)
 
     def test_bigger_buffers_cost_more_static_power(self):
-        model = SwitchPowerModel()
-        small = model.profile(5, 8, 16)
-        big = model.profile(5, 8, 64)
-        assert big.static_power_mw > small.static_power_mw
-
-    def test_static_energy_scales_with_cycles(self):
-        profile = SwitchPowerModel().profile(5, 8, 16)
-        one = profile.static_energy_pj(1000, 0.4e-9)
-        two = profile.static_energy_pj(2000, 0.4e-9)
-        assert two == pytest.approx(2 * one)
+        small = switch_static_power_mw(DEFAULT_TECHNOLOGY, 5, 8, 16)
+        big = switch_static_power_mw(DEFAULT_TECHNOLOGY, 5, 8, 64)
+        assert big > small
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            SwitchPowerModel().profile(0, 8, 16)
-        with pytest.raises(ValueError):
-            SwitchPowerModel().traversal_energy_pj(-1)
+        for ports, vcs, depth in [(0, 8, 16), (5, 0, 16), (5, 8, 0)]:
+            with pytest.raises(ValueError):
+                switch_static_power_mw(DEFAULT_TECHNOLOGY, ports, vcs, depth)
 
 
 class TestIoModels:
     def test_serial_io_figures(self):
-        io = SerialIoModel().characterize()
-        assert io.energy_pj_per_flit == pytest.approx(5.0 * 32)
-        assert io.cycles_per_flit == 6
-        assert io.rate_gbps == pytest.approx(15.0)
-
-    def test_serial_io_lane_bonding(self):
-        bonded = SerialIoModel(lanes=4).characterize()
-        assert bonded.rate_gbps == pytest.approx(60.0)
-        assert bonded.cycles_per_flit < SerialIoModel().characterize().cycles_per_flit
+        link = _link(LinkKind.SERIAL_IO)
+        assert link.energy_pj_per_flit == pytest.approx(5.0 * 32)
+        assert link.cycles_per_flit == 6
 
     def test_wide_io_figures(self):
-        io = WideIoModel().characterize()
-        assert io.energy_pj_per_flit == pytest.approx(6.5 * 32)
-        assert io.cycles_per_flit == 1
-        assert io.rate_gbps == pytest.approx(128.0)
-
-    def test_rejects_invalid_lanes(self):
-        with pytest.raises(ValueError):
-            SerialIoModel(lanes=0)
+        link = _link(LinkKind.WIDE_IO)
+        assert link.energy_pj_per_flit == pytest.approx(6.5 * 32)
+        assert link.cycles_per_flit == 1
 
 
 class TestWirelessEnergyModel:
     def test_per_flit_energy(self):
-        link = characterize_link(
-            LinkSpec(link_id=0, src=0, dst=1, kind=LinkKind.WIRELESS, length_mm=10.0)
-        )
+        link = _link(LinkKind.WIRELESS, 10.0)
         # 2.3 pJ/bit over a 32-bit flit: the transceiver figure of the paper.
         assert link.energy_pj_per_flit == pytest.approx(2.3 * 32)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.noc.config import NetworkConfig, WirelessConfig
-from repro.noc.link import LinkCharacteristics, WirelessLinkSettings, characterize_link
+from repro.noc.link import LinkCharacteristics, characterize_link
 from repro.noc.switch import Switch
 from repro.topology.graph import LinkKind, LinkSpec, SwitchKind, SwitchSpec
 
@@ -24,30 +24,32 @@ class TestLinkCharacterisation:
     def _spec(self, kind, length=2.5):
         return LinkSpec(link_id=0, src=0, dst=1, kind=kind, length_mm=length)
 
+    def _link(self, kind, config=NetworkConfig()):
+        return characterize_link(self._spec(kind), config)
+
     def test_mesh_link(self):
-        link = characterize_link(self._spec(LinkKind.MESH))
+        link = self._link(LinkKind.MESH)
         assert link.cycles_per_flit == 1
         assert link.latency_cycles >= 3
         assert link.energy_pj_per_flit > 0
 
     def test_serial_io_is_slowest(self):
-        serial = characterize_link(self._spec(LinkKind.SERIAL_IO))
-        wide = characterize_link(self._spec(LinkKind.WIDE_IO))
-        mesh = characterize_link(self._spec(LinkKind.MESH))
+        serial = self._link(LinkKind.SERIAL_IO)
+        wide = self._link(LinkKind.WIDE_IO)
+        mesh = self._link(LinkKind.MESH)
         assert serial.cycles_per_flit > wide.cycles_per_flit == mesh.cycles_per_flit
 
     def test_wireless_settings_respected(self):
-        link = characterize_link(
-            self._spec(LinkKind.WIRELESS),
-            wireless=WirelessLinkSettings(cycles_per_flit=5, extra_latency_cycles=2),
-        )
+        config = NetworkConfig(wireless=WirelessConfig(cycles_per_flit=5, extra_latency_cycles=2))
+        link = self._link(LinkKind.WIRELESS, config)
         assert link.is_wireless
         assert link.cycles_per_flit == 5
+        assert link.latency_cycles == config.switch_pipeline_stages + 1 + 2
 
     def test_energy_ordering_per_flit(self):
-        wireless = characterize_link(self._spec(LinkKind.WIRELESS))
-        serial = characterize_link(self._spec(LinkKind.SERIAL_IO))
-        wide = characterize_link(self._spec(LinkKind.WIDE_IO))
+        wireless = self._link(LinkKind.WIRELESS)
+        serial = self._link(LinkKind.SERIAL_IO)
+        wide = self._link(LinkKind.WIDE_IO)
         assert wireless.energy_pj_per_flit < serial.energy_pj_per_flit
         assert serial.energy_pj_per_flit < wide.energy_pj_per_flit
 
@@ -66,7 +68,7 @@ class TestSwitchStructure:
         a = _switch(0)
         b = _switch(1)
         link = characterize_link(
-            LinkSpec(link_id=0, src=0, dst=1, kind=LinkKind.MESH, length_mm=1.0)
+            LinkSpec(link_id=0, src=0, dst=1, kind=LinkKind.MESH, length_mm=1.0), NetworkConfig()
         )
         a_in, a_out = a.add_wired_port(1, link)
         b_in, b_out = b.add_wired_port(0, link)
@@ -77,7 +79,7 @@ class TestSwitchStructure:
     def test_wireless_port(self):
         switch = _switch()
         link = characterize_link(
-            LinkSpec(link_id=0, src=0, dst=1, kind=LinkKind.WIRELESS)
+            LinkSpec(link_id=0, src=0, dst=1, kind=LinkKind.WIRELESS), NetworkConfig()
         )
         wi_in, wi_out = switch.add_wireless_port(link)
         assert switch.has_wireless

@@ -11,7 +11,6 @@ from repro.routing import ShortestPathRouter, validate_route
 from repro.routing.xy import manhattan_distance
 from repro.topology import build_multichip_base, apply_wireless_overlay
 from repro.topology.geometry import mesh_shape_for_cores
-from repro.topology.wireless_overlay import WirelessOverlayConfig
 from repro.traffic.uniform import UniformRandomTraffic
 
 
@@ -47,7 +46,7 @@ def test_multichip_base_structure(num_chips, cores_per_chip, stacks):
 @settings(max_examples=15, deadline=None)
 def test_wireless_routes_always_valid(num_chips, cores_per_chip, stacks, cores_per_wi):
     system = build_multichip_base(num_chips, cores_per_chip, stacks, vaults_per_stack=2)
-    apply_wireless_overlay(system, WirelessOverlayConfig(cores_per_wi=cores_per_wi))
+    apply_wireless_overlay(system, SystemConfig(cores_per_wi=cores_per_wi))
     graph = system.graph
     graph.validate()
     router = ShortestPathRouter(graph)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.architectures import build_system
-from repro.core.config import Architecture
+from repro.core.config import Architecture, SystemConfig
 from repro.faults import connected_components
 from repro.noc.config import NetworkConfig
 from repro.routing import (
@@ -22,14 +22,13 @@ from repro.routing import (
 )
 from repro.scenario import builtin_scenario, builtin_scenario_names, compile_scenario, system_config
 from repro.topology import LinkKind, build_multichip_base, apply_wireless_overlay
-from repro.topology.wireless_overlay import WirelessOverlayConfig
 
 from repro.testing import small_system_config
 
 
 def _wireless_topology():
     system = build_multichip_base(2, 4, 2, vaults_per_stack=2)
-    apply_wireless_overlay(system, WirelessOverlayConfig(cores_per_wi=4))
+    apply_wireless_overlay(system, SystemConfig(cores_per_wi=4))
     return system.graph
 
 
@@ -112,6 +111,14 @@ class TestSpanningTreeRouter:
         router = SpanningTreeRouter(graph)
         with pytest.raises(RoutingError):
             router.parent(9999)
+
+    @pytest.mark.parametrize("router_class", [ShortestPathRouter, SpanningTreeRouter])
+    @pytest.mark.parametrize("src, dst", [(0, 999), (999, 0)])
+    def test_route_to_or_from_an_unknown_switch(self, router_class, src, dst):
+        """A switch outside the topology fails with the typed routing error."""
+        router = router_class(build_multichip_base(1, 16, 0).graph)
+        with pytest.raises(RoutingError, match="switch 999"):
+            router.route(src, dst)
 
 
 class TestRouteValidation:

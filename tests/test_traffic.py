@@ -5,11 +5,10 @@ import hashlib
 import pytest
 
 from repro.core.architectures import build_system
-from repro.core.config import Architecture
+from repro.core.config import Architecture, SystemConfig
 from repro.scenario.fidelity import FIDELITIES
 from repro.testing import small_system_config
 from repro.topology import apply_wireless_overlay, build_multichip_base
-from repro.topology.wireless_overlay import WirelessOverlayConfig
 from repro.traffic import (
     APPLICATION_PROFILES,
     ApplicationPhase,
@@ -28,7 +27,7 @@ from repro.traffic import (
 
 def _topology(num_chips=2, cores_per_chip=8, stacks=2):
     system = build_multichip_base(num_chips, cores_per_chip, stacks, vaults_per_stack=2)
-    apply_wireless_overlay(system, WirelessOverlayConfig(cores_per_wi=8))
+    apply_wireless_overlay(system, SystemConfig(cores_per_wi=8))
     return system.graph
 
 

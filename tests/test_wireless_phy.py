@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.wireless import (
-    Transceiver,
-    assign_channels,
-)
+from repro.noc import NetworkConfig, Switch, WirelessConfig, WirelessFabric, characterize_link
+from repro.topology.graph import LinkKind, LinkSpec, SwitchKind, SwitchSpec
+from repro.wireless import Transceiver
 
 
 class TestTransceiver:
@@ -39,24 +38,44 @@ class TestTransceiver:
             transceiver.settle(99)
 
 
+def _fabric(wi_ids, num_channels):
+    """A wireless fabric over bare WI switches with the given ids."""
+    config = NetworkConfig(wireless=WirelessConfig(num_channels=num_channels))
+    link = characterize_link(LinkSpec(link_id=-1, src=-1, dst=-2, kind=LinkKind.WIRELESS), config)
+    switches = []
+    for wi in wi_ids:
+        spec = SwitchSpec(
+            switch_id=wi,
+            kind=SwitchKind.CORE,
+            region_id=0,
+            grid_x=wi,
+            grid_y=0,
+            position_mm=(0.0, 0.0),
+        )
+        switch = Switch(spec, num_vcs=2, buffer_depth=4)
+        switch.add_wireless_port(link)
+        switches.append(switch)
+    return WirelessFabric(switches, config)
+
+
 class TestChannelAssignment:
     def test_round_robin_assignment(self):
-        plans = assign_channels([1, 2, 3, 4, 5], num_channels=2)
-        assert len(plans) == 2
-        assert plans[0].wi_switch_ids == (1, 3, 5)
-        assert plans[1].wi_switch_ids == (2, 4)
+        fabric = _fabric([5, 3, 1, 4, 2], num_channels=2)
+        assert [(mac.channel_id, mac.wi_switch_ids) for mac in fabric.macs] == [
+            (0, [1, 3, 5]),
+            (1, [2, 4]),
+        ]
 
     def test_every_wi_gets_exactly_one_channel(self):
         wis = list(range(10, 22))
-        plans = assign_channels(wis, num_channels=5)
-        assigned = [wi for plan in plans for wi in plan.wi_switch_ids]
-        assert sorted(assigned) == sorted(wis)
+        fabric = _fabric(wis, num_channels=5)
+        assigned = [wi for mac in fabric.macs for wi in mac.wi_switch_ids]
+        assert sorted(assigned) == wis
 
-    def test_channel_frequencies_distinct(self):
-        plans = assign_channels([1, 2, 3], num_channels=3)
-        centres = {plan.centre_frequency_hz for plan in plans}
-        assert len(centres) == 3
+    def test_channel_without_a_wi_gets_no_mac(self):
+        fabric = _fabric([1, 2, 3], num_channels=5)
+        assert [mac.channel_id for mac in fabric.macs] == [0, 1, 2]
 
     def test_invalid_channel_count(self):
         with pytest.raises(ValueError):
-            assign_channels([1, 2], 0)
+            WirelessConfig(num_channels=0)

@@ -240,7 +240,6 @@ class TestTransceiverResidency:
         assert result.wireless_flit_hops > 0
         assert bool(died) == (faults != "none")
         assert sum(asleep_cycles.values()) > 0 if gating else not any(asleep_cycles.values())
-        spec = next(iter(fabric.transceivers.values())).spec
         cycle_time = config.network.technology.cycle_time_s
         static_pj = 0.0
         fractions = []
@@ -248,8 +247,8 @@ class TestTransceiverResidency:
             asleep = asleep_cycles[wi]
             assert (transceiver.total_cycles, transceiver.asleep_cycles) == (cycles, asleep)
             static_pj += (
-                spec.idle_power_mw * 1e-3 * (cycles - asleep) * cycle_time * 1e12
-                + spec.sleep_power_mw * 1e-3 * asleep * cycle_time * 1e12
+                transceiver.idle_power_mw * 1e-3 * (cycles - asleep) * cycle_time * 1e12
+                + transceiver.sleep_power_mw * 1e-3 * asleep * cycle_time * 1e12
             )
             fractions.append(asleep / cycles)
         assert result.energy.transceiver_static_pj == pytest.approx(static_pj, rel=1e-12)
