@@ -168,15 +168,17 @@ def bits_per_cycle(rate_gbps: float, clock_hz: float = CLOCK_FREQUENCY_HZ) -> fl
     return rate_gbps * 1e9 / clock_hz
 
 
-def cycles_per_flit(rate_gbps: float, flit_bits: int = FLIT_WIDTH_BITS) -> int:
-    """Whole clock cycles needed to serialise one flit over a channel.
+def cycles_per_flit(
+    rate_gbps: float, flit_bits: int = FLIT_WIDTH_BITS, clock_hz: float = CLOCK_FREQUENCY_HZ
+) -> int:
+    """Whole cycles of a ``clock_hz`` clock needed to serialise one flit.
 
     The result is never less than one cycle: even an over-provisioned channel
-    is clocked by the 2.5 GHz network clock.
+    is clocked by the network clock.
     """
     if rate_gbps <= 0:
         raise ValueError(f"rate_gbps must be positive, got {rate_gbps}")
-    per_cycle = bits_per_cycle(rate_gbps)
+    per_cycle = bits_per_cycle(rate_gbps, clock_hz)
     import math
 
     return max(1, math.ceil(flit_bits / per_cycle))

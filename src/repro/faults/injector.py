@@ -300,18 +300,15 @@ class FaultInjector:
         pool = state.pool
         pool_pid = pool.pid
         packets: Dict[int, int] = {}  # packet id -> pool handle
-        head_vcs: Dict[int, Tuple[object, object]] = {}
-        for switch_id in sorted(self.network.switches):
-            switch = self.network.switches[switch_id]
-            for port in switch.input_port_list or switch.input_ports.values():
-                for vc in port.vcs:
-                    if not vc.count:
-                        continue
-                    front = vc.front
-                    handle = front >> FLIT_INDEX_BITS
-                    packets[pool_pid[handle]] = handle
-                    if not front & FLIT_INDEX_MASK:  # head flit in front
-                        head_vcs[pool_pid[handle]] = (vc, switch)
+        head_vcs: Dict[int, object] = {}  # packet id -> VC holding its head
+        for vc in self.network.vcs:
+            if not vc.count:
+                continue
+            front = vc.front
+            handle = front >> FLIT_INDEX_BITS
+            packets[pool_pid[handle]] = handle
+            if not front & FLIT_INDEX_MASK:  # head flit in front
+                head_vcs[pool_pid[handle]] = vc
         # An in-flight flit's target VC is owned by its packet, whose head
         # set the VC's front.
         for entries in state.arrivals.values():
@@ -357,11 +354,10 @@ class FaultInjector:
             pool.route[handle] = new_route
             state.compile_route_ports(handle)
             self.result.packets_rerouted += 1
-            holder = head_vcs.get(packet_id)
-            if holder is not None:
-                vc, switch = holder
+            vc = head_vcs.get(packet_id)
+            if vc is not None:
                 vc.reset_routing()
-                state.scheduler.on_fault(switch)
+                state.scheduler.on_fault(vc.port.switch)
 
     def _purge_packet(self, handle: int, state: "KernelState") -> None:
         """Remove a stranded packet from the network, counting every flit."""
@@ -384,19 +380,16 @@ class FaultInjector:
                     state.arrivals[cycle_key] = kept
                 else:
                     del state.arrivals[cycle_key]
-        for switch_id in sorted(self.network.switches):
-            switch = self.network.switches[switch_id]
-            for port in switch.input_port_list or switch.input_ports.values():
-                for vc in port.vcs:
-                    if vc.source_packet == handle:
-                        vc.source_packet = None
-                        vc.source_flits_emitted = 0
-                    if vc.allocated_packet_id != packet_id:
-                        continue
-                    removed += vc.clear_buffer()
-                    vc.in_flight = 0
-                    vc.release()
-                    state.scheduler.on_fault(switch)
+        for vc in self.network.vcs:
+            if vc.source_packet == handle:
+                vc.source_packet = None
+                vc.source_flits_emitted = 0
+            if vc.allocated_packet_id != packet_id:
+                continue
+            removed += vc.clear_buffer()
+            vc.in_flight = 0
+            vc.release()
+            state.scheduler.on_fault(vc.port.switch)
         for queue in state.source_queues.values():
             if handle in queue:
                 queue.remove(handle)

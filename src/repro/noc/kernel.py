@@ -5,26 +5,34 @@ Mirrors the simulator described in Section IV of the paper: it
 flits over the switches and links per cycle accounting for those flits that
 reach the destination as well as those that are stalled".
 
-Each simulated cycle executes five explicit phases, in order:
+Each simulated cycle runs five phases, in order:
 
-1. :class:`ArrivalPhase` — flits whose fabric traversal completes this
-   cycle are appended to their reserved downstream VC buffers.
-2. :class:`GenerationPhase` — the traffic model emits new packets into the
-   per-endpoint source queues; routes are assigned from the pre-computed
-   shortest paths.
-3. :class:`InjectionPhase` — source queues feed flits into free local-port
-   VCs (one flit per cycle per switch, more for multi-endpoint memory dies).
-4. :class:`FabricPhase` — every fabric with time-dependent state advances
-   (the wireless fabric's channel arbitration and transceiver power states).
-5. :class:`AllocationPhase` — switches arbitrate their output ports among
-   the VCs requesting them (round-robin, stopping at each output's winner),
-   move the winning flits onto their fabric or the ejection port, perform
-   credit-equivalent space reservation downstream, and charge energy.
+1. ``arrival`` (:meth:`KernelState.process_arrivals`) — flits whose fabric
+   traversal completes this cycle are appended to their reserved
+   downstream VC buffers.
+2. ``generation`` (:meth:`KernelState.generate_traffic`) — the traffic
+   model emits new packets into the per-endpoint source queues; routes are
+   assigned from the pre-computed shortest paths.
+3. ``injection`` (:meth:`Scheduler.run_injection`) — source queues feed
+   flits into free local-port VCs (one flit per cycle per switch, more for
+   multi-endpoint memory dies).
+4. ``fabric`` (:meth:`Fabric.update <repro.noc.fabric.Fabric.update>`) —
+   every fabric with time-dependent state advances (the wireless fabric's
+   channel arbitration and transceiver power states).
+5. ``allocation`` (:meth:`Scheduler.run_allocation`) — switches arbitrate
+   their output ports among the VCs requesting them (round-robin, stopping
+   at each output's winner), move the winning flits onto their fabric or
+   the ejection port, perform credit-equivalent space reservation
+   downstream, and charge energy.
 
-Runs carrying a non-empty fault plan prepend a :class:`FaultPhase` that
-applies due fault events and triggers routing recovery (see
-:mod:`repro.faults.injector`) before anything else moves in the cycle;
-fault-free runs execute exactly the five phases above.
+Runs carrying a non-empty fault plan run a ``faults`` phase first
+(:meth:`FaultInjector.advance <repro.faults.injector.FaultInjector.advance>`),
+which applies due fault events and triggers routing recovery before
+anything else moves in the cycle; fault-free runs execute exactly the five
+phases above.  :class:`SimulationKernel` binds each phase's method once,
+when it is built, into its list of ``(name, step)`` pairs, and each cycle
+calls the steps in order; the names key the per-phase wall clock of
+profiled runs.
 
 The data plane is array-backed (see :mod:`repro.noc.pool`): packets live in
 a :class:`~repro.noc.pool.PacketPool` of parallel arrays addressed by
@@ -82,6 +90,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Deque, Dict, List, Optional
 
@@ -97,6 +106,10 @@ from .virtual_channel import KernelInvariantError, VirtualChannel
 
 #: The scheduler names accepted by :class:`SimulationConfig`.
 SCHEDULERS = ("active", "dense")
+
+#: The names of the kernel's per-cycle steps, in order; fault-free runs
+#: have no ``faults`` step.
+PHASES = ("faults", "arrival", "generation", "injection", "fabric", "allocation")
 
 
 class SimulationStallError(RuntimeError):
@@ -1068,99 +1081,12 @@ class KernelState:
 
 
 # ----------------------------------------------------------------------
-# Phases.
-# ----------------------------------------------------------------------
-
-
-class Phase:
-    """One step of the per-cycle pipeline."""
-
-    name = "phase"
-
-    def __init__(self, state: KernelState) -> None:
-        self.state = state
-
-    def run(self, cycle: int) -> None:
-        raise NotImplementedError
-
-
-class FaultPhase(Phase):
-    """Apply due fault events and recover routing around them.
-
-    Present only when the run carries a non-empty fault plan, so fault-free
-    simulations execute exactly the same five-phase pipeline (and produce
-    bit-identical results) as before the fault subsystem existed.  Runs
-    first in the cycle: a component that dies at cycle *c* is gone before
-    any flit moves in cycle *c*.
-    """
-
-    name = "faults"
-
-    def __init__(self, state: KernelState, injector) -> None:
-        super().__init__(state)
-        self.injector = injector
-
-    def run(self, cycle: int) -> None:
-        self.injector.advance(cycle, self.state)
-
-
-class ArrivalPhase(Phase):
-    """Deliver flits whose fabric traversal completes this cycle."""
-
-    name = "arrival"
-
-    def run(self, cycle: int) -> None:
-        self.state.process_arrivals(cycle)
-
-
-class GenerationPhase(Phase):
-    """Let the traffic model emit new packets into the source queues."""
-
-    name = "generation"
-
-    def run(self, cycle: int) -> None:
-        self.state.generate_traffic(cycle)
-
-
-class InjectionPhase(Phase):
-    """Serialise queued packets into free local-port VCs."""
-
-    name = "injection"
-
-    def run(self, cycle: int) -> None:
-        self.state.scheduler.run_injection(self.state, cycle)
-
-
-class FabricPhase(Phase):
-    """Advance every fabric with time-dependent state (MAC, transceivers)."""
-
-    name = "fabric"
-
-    def __init__(self, state: KernelState) -> None:
-        super().__init__(state)
-        self._fabrics = [f for f in state.network.fabrics if f.needs_update]
-
-    def run(self, cycle: int) -> None:
-        for fabric in self._fabrics:
-            fabric.update(cycle)
-
-
-class AllocationPhase(Phase):
-    """Arbitrate output ports and move winning flits onto their fabric."""
-
-    name = "allocation"
-
-    def run(self, cycle: int) -> None:
-        self.state.scheduler.run_allocation(self.state, cycle)
-
-
-# ----------------------------------------------------------------------
 # The kernel.
 # ----------------------------------------------------------------------
 
 
 class SimulationKernel:
-    """Drives the five per-cycle phases over one network instance."""
+    """Drives the per-cycle steps over one network instance."""
 
     def __init__(
         self,
@@ -1178,7 +1104,7 @@ class SimulationKernel:
         injecting = [s for s in switches if s.endpoints]
         self.scheduler = scheduler or make_scheduler(config.scheduler)
         self.scheduler.bind(switches, injecting)
-        self.state = KernelState(
+        self.state = state = KernelState(
             network=network,
             router=router,
             traffic=traffic,
@@ -1189,42 +1115,49 @@ class SimulationKernel:
             scheduler=self.scheduler,
         )
         for fabric in network.fabrics:
-            fabric.bind_pool(self.state.pool)
-        self.phases = [
-            ArrivalPhase(self.state),
-            GenerationPhase(self.state),
-            InjectionPhase(self.state),
-            FabricPhase(self.state),
-            AllocationPhase(self.state),
+            fabric.bind_pool(state.pool)
+        #: The cycle's ``(name, step)`` pairs, run in order as ``step(cycle)``.
+        #: ``name`` keys :attr:`SimulationResult.phase_seconds` on profiled
+        #: runs; each fabric with time-dependent state is its own step.
+        self.steps = [
+            ("arrival", state.process_arrivals),
+            ("generation", state.generate_traffic),
+            ("injection", partial(self.scheduler.run_injection, state)),
+            *[("fabric", fabric.update) for fabric in network.fabrics if fabric.needs_update],
+            ("allocation", partial(self.scheduler.run_allocation, state)),
         ]
         if fault_injector is not None:
-            self.state.faults_active = True
-            self.phases.insert(0, FaultPhase(self.state, fault_injector))
+            state.faults_active = True
+            # Faults come first: a component that dies at cycle c is gone
+            # before any flit moves in cycle c.
+            self.steps.insert(0, ("faults", partial(fault_injector.advance, state=state)))
 
     def run(self) -> KernelState:
         """Execute cycles ``0 .. cycles-1`` and return the state."""
         state = self.state
         config = state.config
-        phases = self.phases
+        steps = self.steps
         profile = config.profile_phases
         phase_seconds = state.result.phase_seconds
         if profile:
-            for phase in phases:
-                phase_seconds.setdefault(phase.name, 0.0)
-        phase_runs = [phase.run for phase in phases]
+            # Every phase is reported, a fabric phase with no fabric to
+            # advance included.
+            for name in PHASES if state.faults_active else PHASES[1:]:
+                phase_seconds.setdefault(name, 0.0)
+        calls = [step for _, step in steps]
         phase_token = state.traffic.phase_token()
         for cycle in range(config.cycles):
             state.cycle = cycle
             if cycle == config.warmup_cycles:
                 state.anchor_watchdog(cycle)
             if profile:
-                for phase in phases:
+                for name, step in steps:
                     started = perf_counter()
-                    phase.run(cycle)
-                    phase_seconds[phase.name] += perf_counter() - started
+                    step(cycle)
+                    phase_seconds[name] += perf_counter() - started
             else:
-                for run in phase_runs:
-                    run(cycle)
+                for step in calls:
+                    step(cycle)
             token = state.traffic.phase_token()
             if token != phase_token:
                 phase_token = token

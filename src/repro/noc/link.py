@@ -69,11 +69,15 @@ def characterize_link(spec: LinkSpec, config: NetworkConfig) -> LinkCharacterist
         latency = 1 + INTERPOSER_LINK_EXTRA_LATENCY_CYCLES
         energy = tech.flit_energy_pj(tech.interposer_link_energy_pj_per_bit)
     elif kind == LinkKind.SERIAL_IO:
-        cycles = cycles_per_flit(tech.serial_io_rate_gbps, tech.flit_width_bits)
+        cycles = cycles_per_flit(
+            tech.serial_io_rate_gbps, tech.flit_width_bits, tech.clock_frequency_hz
+        )
         latency = 1 + SERIAL_IO_EXTRA_LATENCY_CYCLES
         energy = tech.flit_energy_pj(tech.serial_io_energy_pj_per_bit)
     elif kind == LinkKind.WIDE_IO:
-        cycles = cycles_per_flit(tech.wide_io_rate_gbps(), tech.flit_width_bits)
+        cycles = cycles_per_flit(
+            tech.wide_io_rate_gbps(), tech.flit_width_bits, tech.clock_frequency_hz
+        )
         latency = 1 + WIDE_IO_EXTRA_LATENCY_CYCLES
         energy = tech.flit_energy_pj(tech.wide_io_energy_pj_per_bit)
     elif kind == LinkKind.WIRELESS:

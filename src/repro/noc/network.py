@@ -77,19 +77,17 @@ class Network:
         self._build_wired_links()
         self._wi_switches = self._build_wireless_ports()
         self.wireless_fabric: Optional[WirelessFabric] = self._new_wireless_fabric()
-        #: Dense network-wide port tables, indexed by ``port_id`` (assigned
-        #: in ascending switch-id order, construction order within a
-        #: switch).  The kernel and the fault injector address ports through
-        #: these indices; the per-switch keyed dictionaries remain for
-        #: construction and neighbour lookup.
-        self.input_port_table: List = []
-        self.output_port_table: List = []
-        self._compile_port_tables()
-        #: Every VC and the as-built link of every output port, in port-id
-        #: order: what :meth:`reset` walks and restores (fault injection
-        #: degrades ports by replacing their link).
-        self._vcs = tuple(vc for port in self.input_port_table for vc in port.vcs)
-        self._built_links = tuple(port.link for port in self.output_port_table)
+        switches = [self.switches[switch_id] for switch_id in sorted(self.switches)]
+        #: Every VC of the network, in ascending switch id and ordinal order:
+        #: what :meth:`reset` empties and the fault injector's whole-network
+        #: walks visit.
+        self.vcs = tuple(vc for switch in switches for vc in switch.vc_by_ordinal)
+        #: Every output port with its as-built link, in ascending switch id
+        #: and construction order: :meth:`reset` restores them (fault
+        #: injection degrades ports by replacing their link).
+        self._built_links = tuple(
+            (port, port.link) for switch in switches for port in switch.output_ports.values()
+        )
         self._profile_power()
 
     # ------------------------------------------------------------------
@@ -158,18 +156,6 @@ class Network:
             switch.wireless_output.fabric = fabric
         return fabric
 
-    def _compile_port_tables(self) -> None:
-        """Assign dense integer port ids and freeze per-switch tables."""
-        for switch_id in sorted(self.switches):
-            switch = self.switches[switch_id]
-            switch.compile_tables()
-            for port in switch.input_port_list:
-                port.port_id = len(self.input_port_table)
-                self.input_port_table.append(port)
-            for port in switch.output_port_list:
-                port.port_id = len(self.output_port_table)
-                self.output_port_table.append(port)
-
     def _profile_power(self) -> None:
         total = 0.0
         for switch in self.switches.values():
@@ -210,9 +196,9 @@ class Network:
             self.config = config
         for switch in self.switches.values():
             switch.occupied.clear()
-        for vc in self._vcs:
+        for vc in self.vcs:
             vc.reset()
-        for port, link in zip(self.output_port_table, self._built_links):
+        for port, link in self._built_links:
             port.link = link
             port.busy_until = 0
             port.rr_pointer = 0
@@ -241,12 +227,11 @@ class Network:
         one after another (the runner's memo) calls this first, and
         reference counting then frees the network as soon as it is dropped.
         """
-        for vc in self._vcs:
+        for vc in self.vcs:
             vc.reset()
+            vc.port.switch = None
             vc.port = None
-        for port in self.input_port_table:
-            port.switch = None
-        for port in self.output_port_table:
+        for port, _ in self._built_links:
             port.switch = None
             port.fabric = None
         self._drop_wireless_fabric()
@@ -282,7 +267,7 @@ class Network:
 
     def total_buffered_flits(self) -> int:
         """Flits currently buffered anywhere in the network."""
-        return sum(switch.buffered_flits() for switch in self.switches.values())
+        return sum(vc.count for vc in self.vcs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         wireless = len(self.wireless_fabric.wi_switch_ids) if self.wireless_fabric else 0

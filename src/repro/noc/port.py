@@ -12,10 +12,10 @@ input port.  The wireless output port has no fixed downstream — the
 destination WI differs per packet — so its downstream is resolved per packet
 by the simulator via the wireless fabric.
 
-Every port carries a network-wide dense integer ``port_id`` (assigned by
-the network builder when it compiles the per-switch port tables), so the
-kernel and the fault injector can address ports by index instead of by the
-string/neighbour keys, which remain for construction and debugging only.
+A port's ``key`` names what it faces: the neighbour switch id of a wired
+port, ``"local"`` or ``"wi"``.  Its switch keeps it in a list (input ports)
+or under that key (output ports); the kernel holds direct references to
+ports and VCs and never looks a port up by key on the per-flit path.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ WIRELESS_PORT = "wi"
 class InputPort:
     """An input port with its virtual-channel buffers."""
 
-    __slots__ = ("switch", "key", "port_id", "vcs")
+    __slots__ = ("switch", "key", "vcs")
 
     def __init__(
         self,
@@ -51,8 +51,6 @@ class InputPort:
             raise ValueError(f"num_vcs must be positive, got {num_vcs}")
         self.switch = switch
         self.key = key
-        #: Network-wide dense index (assigned by the network builder).
-        self.port_id = -1
         self.vcs: List[VirtualChannel] = [
             VirtualChannel(self, i, ordinal_base + i, buffer_depth)
             for i in range(num_vcs)
@@ -72,11 +70,6 @@ class InputPort:
                 return vc
         return None
 
-    @property
-    def buffered_flits(self) -> int:
-        """Total flits currently buffered at this port."""
-        return sum(vc.count for vc in self.vcs)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"InputPort(switch={self.switch.switch_id}, key={self.key!r})"
 
@@ -87,7 +80,6 @@ class OutputPort:
     __slots__ = (
         "switch",
         "key",
-        "port_id",
         "link",
         "fabric",
         "downstream_switch",
@@ -115,8 +107,6 @@ class OutputPort:
             raise ValueError(f"width must be positive, got {width}")
         self.switch = switch
         self.key = key
-        #: Network-wide dense index (assigned by the network builder).
-        self.port_id = -1
         self.link = link
         #: The :class:`~repro.noc.fabric.Fabric` this port transmits over
         #: (set by the network builder; ``None`` for ejection ports, whose

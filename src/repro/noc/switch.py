@@ -5,17 +5,16 @@ Each switch is a three-stage pipelined wormhole router [18] with 8 VCs of
 characterisation (see :mod:`repro.noc.link`); the switch object holds the
 structural state — ports, VC buffers, arbitration pointers — and the small
 amount of per-cycle logic that does not need a global view (the output port
-towards a neighbour, buffered-flit counts).  Round-robin arbitration runs
-inline in the kernel's allocation pass
-(:meth:`repro.noc.kernel.KernelState.allocate`).
+towards a neighbour).  Round-robin arbitration runs inline in the kernel's
+allocation pass (:meth:`repro.noc.kernel.KernelState.allocate`).
 
-Ports are registered during construction through the keyed dictionaries
-(``input_ports`` / ``output_ports``) and then *compiled* once by the
-network builder (:meth:`Switch.compile_tables`) into dense tables — flat
-port lists and a flat VC tuple in deterministic construction order — that
-the simulation kernel iterates without dictionary views or hashing.  The
-keyed dictionaries stay authoritative for construction, lookup by
-neighbour id, and debugging.
+A switch keeps three tables, each filled as the network builder adds
+ports: ``input_ports``, its input ports in construction order (local port
+first, then neighbours in link-construction order, then the WI port);
+``output_ports``, its output ports keyed by neighbour switch id (or
+``"local"`` / ``"wi"``), which neighbour lookups read; and
+``vc_by_ordinal``, every VC of the input ports indexed by its switch-wide
+ordinal, which the kernel reads when it visits the occupied VCs.
 """
 
 from __future__ import annotations
@@ -48,11 +47,15 @@ class Switch:
         self.num_vcs = num_vcs
         self.buffer_depth = buffer_depth
         self.injection_width = max(1, injection_width)
-        self.input_ports: Dict[object, InputPort] = {}
+        #: Input ports in construction order.
+        self.input_ports: List[InputPort] = []
+        #: Output ports keyed by neighbour switch id (or port key).
         self.output_ports: Dict[object, OutputPort] = {}
-        self._ordinal_base = 0
-        #: Modulus of the round-robin rank arithmetic (``max(1, #VCs)``),
-        #: kept current as input ports are added.
+        #: Ordinal -> VC table (``vc_by_ordinal[vc.ordinal] is vc``): the VCs
+        #: of the input ports in construction order.
+        self.vc_by_ordinal: List[VirtualChannel] = []
+        #: Modulus of the round-robin rank arithmetic (the switch's VC
+        #: count), kept current as input ports are added.
         self.rr_modulus = 1
 
         self.local_input = self._add_input_port(LOCAL_PORT, buffer_depth)
@@ -68,12 +71,6 @@ class Switch:
         self.wireless_output: Optional[OutputPort] = None
         #: Endpoint ids attached to this switch (filled by the network builder).
         self.endpoints: List[int] = []
-        #: Dense tables compiled by :meth:`compile_tables`.
-        self.input_port_list: List[InputPort] = []
-        self.output_port_list: List[OutputPort] = []
-        self.vc_list: Tuple[VirtualChannel, ...] = ()
-        #: Ordinal -> VC table (``vc_by_ordinal[vc.ordinal] is vc``).
-        self.vc_by_ordinal: Tuple[VirtualChannel, ...] = ()
         #: Ordinals of the VCs currently holding at least one flit.  Every
         #: buffer transition (0 -> 1 flit, last flit out) updates this set,
         #: so the allocation phase visits exactly the occupied VCs — in
@@ -86,13 +83,14 @@ class Switch:
     # ------------------------------------------------------------------
 
     def _add_input_port(self, key, buffer_depth: Optional[int] = None) -> InputPort:
-        if key in self.input_ports:
+        if any(port.key == key for port in self.input_ports):
             raise SwitchConfigError(f"switch {self.switch_id} already has input port {key!r}")
         depth = buffer_depth if buffer_depth is not None else self.buffer_depth
-        port = InputPort(self, key, self.num_vcs, depth, self._ordinal_base)
-        self._ordinal_base += self.num_vcs
-        self.rr_modulus = max(1, self._ordinal_base)
-        self.input_ports[key] = port
+        vcs = self.vc_by_ordinal
+        port = InputPort(self, key, self.num_vcs, depth, len(vcs))
+        vcs.extend(port.vcs)
+        self.rr_modulus = len(vcs)
+        self.input_ports.append(port)
         return port
 
     def add_wired_port(
@@ -133,22 +131,6 @@ class Switch:
         self.output_ports[WIRELESS_PORT] = self.wireless_output
         return self.wireless_input, self.wireless_output
 
-    def compile_tables(self) -> None:
-        """Freeze the dense port/VC tables the kernel iterates.
-
-        Called by the network builder once every port exists.  List order
-        matches the keyed dictionaries' insertion order (local port first,
-        then neighbours in link-construction order, then the WI port), so
-        compiled iteration is bit-identical to the historical dict-view
-        iteration.
-        """
-        self.input_port_list = list(self.input_ports.values())
-        self.output_port_list = list(self.output_ports.values())
-        self.vc_list = tuple(vc for port in self.input_port_list for vc in port.vcs)
-        # Ordinals are assigned densely in port-construction order, so the
-        # vc_list is already ordinal-sorted and doubles as the lookup table.
-        self.vc_by_ordinal = self.vc_list
-
     # ------------------------------------------------------------------
     # Per-cycle helpers used by the engine.
     # ------------------------------------------------------------------
@@ -157,12 +139,6 @@ class Switch:
     def has_wireless(self) -> bool:
         """Whether this switch carries a wireless interface."""
         return self.wireless_output is not None
-
-    def all_vcs(self) -> List[VirtualChannel]:
-        """All VC buffers of the switch (every input port)."""
-        if self.vc_list:
-            return list(self.vc_list)
-        return [vc for port in self.input_ports.values() for vc in port.vcs]
 
     def output_towards(self, next_switch_id: int) -> OutputPort:
         """The output port a packet must take to reach ``next_switch_id``.
@@ -178,10 +154,6 @@ class Switch:
         raise SwitchConfigError(
             f"switch {self.switch_id} has no port towards switch {next_switch_id}"
         )
-
-    def buffered_flits(self) -> int:
-        """Total flits buffered anywhere in this switch."""
-        return sum(vc.count for vc in self.all_vcs())
 
     # The per-WI pending scan the MAC protocols plan from lives on the
     # wireless fabric (:meth:`repro.noc.fabric.WirelessFabric.scan_pending`):

@@ -53,6 +53,9 @@ class ShortestPathRouter(BaseRouter):
         return forest
 
     def _compute_route(self, src_switch: int, dst_switch: int) -> List[int]:
+        for sid in (src_switch, dst_switch):
+            if sid not in self._region_of:
+                raise RoutingError(f"switch {sid} is not in the topology")
         if src_switch == dst_switch:
             return [src_switch]
         forest = self._forest(src_switch)

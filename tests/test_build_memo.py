@@ -66,7 +66,7 @@ def _network_state(network):
                 vc.source_packet,
                 vc.source_flits_emitted,
             )
-            for vc in switch.vc_list
+            for vc in switch.vc_by_ordinal
         ]
         outputs = [
             (
@@ -77,7 +77,7 @@ def _network_state(network):
                 type(port.fabric).__name__,
                 list(port.request_scratch),
             )
-            for port in switch.output_port_list
+            for port in switch.output_ports.values()
         ]
         switches[switch_id] = (sorted(switch.occupied), vcs, outputs)
     wired = network.wired_fabric
@@ -129,7 +129,11 @@ def _saturated_network(architecture=Architecture.WIRELESS):
     simulator.network = network
     result = simulator.run()
     assert result.flits_residual_end > 0
-    assert any(port.busy_until for port in network.output_port_table)
+    assert any(
+        port.busy_until
+        for switch in network.switches.values()
+        for port in switch.output_ports.values()
+    )
     return system, config, network
 
 
@@ -181,11 +185,11 @@ class TestNetworkReset:
     def test_reset_allocates_no_vc_storage(self):
         """A VC's buffer is its front flit and counts: reset reuses every VC."""
         _, _, network = _saturated_network()
-        vcs = list(network._vcs)
+        vcs = list(network.vcs)
         assert any(vc.count or vc.in_flight for vc in vcs)
         network.reset()
-        assert len(network._vcs) == len(vcs)
-        assert all(vc is before for vc, before in zip(network._vcs, vcs))
+        assert len(network.vcs) == len(vcs)
+        assert all(vc is before for vc, before in zip(network.vcs, vcs))
         assert all((vc.front, vc.count, vc.in_flight) == (0, 0, 0) for vc in vcs)
 
     def test_dispose_frees_the_network_without_the_cycle_collector(self):

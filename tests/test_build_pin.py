@@ -56,8 +56,13 @@ def _build_digest(config) -> str:
 
     for link in system.topology.links:
         feed(link.link_id, link.src, link.dst, link.kind.value, link.length_mm)
-    for port in network.output_port_table:
-        feed(port.port_id, port.switch.switch_id, port.key, port.link)
+    ports = [
+        port
+        for switch_id in sorted(network.switches)
+        for port in network.switches[switch_id].output_ports.values()
+    ]
+    for index, port in enumerate(ports):
+        feed(index, port.switch.switch_id, port.key, port.link)
     feed(network.total_switch_static_power_mw)
     fabric = network.wireless_fabric
     if fabric is not None:

@@ -95,7 +95,9 @@ def result_fingerprint(result):
     }
 
 
-def run_with_scheduler(config, traffic_factory, scheduler, cycles=500, faults=None, memo=None):
+def run_with_scheduler(
+    config, traffic_factory, scheduler, cycles=500, faults=None, memo=None, profile=False
+):
     """One run on a fresh build, or on the system and network ``memo`` serves."""
     network = None
     if memo is None:
@@ -119,6 +121,7 @@ def run_with_scheduler(config, traffic_factory, scheduler, cycles=500, faults=No
             cycles=cycles,
             warmup_cycles=cycles // 4,
             scheduler=scheduler,
+            profile_phases=profile,
         ),
         fault_plan=fault_plan,
     )
@@ -277,6 +280,42 @@ class TestSchedulerSelection:
         assert SimulationConfig().scheduler == "active"
 
 
+class TestProfiledPhases:
+    """The names and order of the profiled phases.
+
+    The end-to-end benchmark's per-phase metrics read these keys of
+    ``phase_seconds`` (``benchmarks/e2e/layers.py::KERNEL_PHASES``).
+    """
+
+    PRISTINE = ["arrival", "generation", "injection", "fabric", "allocation"]
+
+    # The substrate system has no fabric to advance and still reports the
+    # fabric phase.
+    @pytest.mark.parametrize("name", ["substrate", "wireless"])
+    def test_a_pristine_run_reports_the_five_phases_in_order(self, name):
+        result = run_with_scheduler(
+            ARCHITECTURES[name](), uniform_factory(), "active", cycles=200, profile=True
+        )
+        assert list(result.phase_seconds) == self.PRISTINE
+
+    def test_a_faulted_run_reports_the_faults_phase_first(self):
+        result = run_with_scheduler(
+            ARCHITECTURES["wireless"](),
+            uniform_factory(),
+            "active",
+            cycles=200,
+            faults="random-links",
+            profile=True,
+        )
+        assert list(result.phase_seconds) == ["faults", *self.PRISTINE]
+
+    def test_an_unprofiled_run_reports_no_phases(self):
+        result = run_with_scheduler(
+            ARCHITECTURES["mesh"](), uniform_factory(), "active", cycles=200
+        )
+        assert result.phase_seconds == {}
+
+
 class TestActiveSetBookkeeping:
     def test_idle_network_visits_no_switches(self):
         """At zero load the wake sets stay empty for the whole run."""
@@ -351,15 +390,15 @@ def _continue(kernel, cycles):
     state = kernel.state
     for cycle in range(state.cycle + 1, state.cycle + 1 + cycles):
         state.cycle = cycle
-        for phase in kernel.phases:
-            phase.run(cycle)
+        for _, step in kernel.steps:
+            step(cycle)
         state.check_watchdog(cycle)
 
 
 def _front_flits(network):
     """``(vc, handle, index)`` for every VC holding a flit."""
     for switch in network.switches.values():
-        for vc in switch.vc_list:
+        for vc in switch.vc_by_ordinal:
             if vc.count:
                 yield vc, vc.front >> FLIT_INDEX_BITS, vc.front & FLIT_INDEX_MASK
 
@@ -374,7 +413,7 @@ def assert_send_targets_consistent(state):
             assert vc.send_target.allocated_packet_id == pid[handle]
             assert vc.send_target.port is vc.downstream_port
             bodies += 1
-    for vc in state.network._vcs:
+    for vc in state.network.vcs:
         if vc.allocated_packet_id is None:
             assert vc.send_target is None
     return bodies
@@ -462,7 +501,7 @@ class TestSendTarget:
             if index and vc.send_target is not None
         )
         pid = state.pool.pid[handle]
-        holders = [vc for vc in network._vcs if vc.allocated_packet_id == pid]
+        holders = [vc for vc in network.vcs if vc.allocated_packet_id == pid]
         assert any(vc.send_target is not None for vc in holders)
         plan = FaultPlan(scenario="none", fault_rate=0.0, seed=0, events=())
         injector = FaultInjector(plan, network, state.router, state.result)
@@ -470,7 +509,7 @@ class TestSendTarget:
         assert all(vc.send_target is None for vc in holders)
         assert_send_targets_consistent(state)
         network.reset()
-        assert all(vc.send_target is None for vc in network._vcs)
+        assert all(vc.send_target is None for vc in network.vcs)
 
 
 class _StubFabric(Fabric):
@@ -564,7 +603,7 @@ class TestArbitration:
         state, switch = bench
         rng = random.Random(36)
         modulus = switch.rr_modulus
-        outputs = [o for o in switch.output_port_list if not o.is_ejection]
+        outputs = [o for o in switch.output_ports.values() if not o.is_ejection]
         seen = Counter()
         for _ in range(self.TRIALS):
             self._reset(state)
@@ -575,7 +614,7 @@ class TestArbitration:
             stub = None
             if rng.random() < 0.5:
                 stub = _StubFabric(transmit=rng.random() < 0.8, refused=set())
-            requesters = rng.sample(switch.vc_list, rng.randint(2, 8))
+            requesters = rng.sample(switch.vc_by_ordinal, rng.randint(2, 8))
             # Each body flit's head claimed its own downstream VC; a free VC
             # is left over only when heads may claim one.
             bodies = rng.randint(0, min(len(requesters), len(downstream) - free_vc))
@@ -654,7 +693,7 @@ class TestArbitration:
             for _ in range(self.TRIALS // 3):
                 self._reset(state)
                 output.width = width
-                requesters = rng.sample(switch.vc_list, rng.randint(2, 8))
+                requesters = rng.sample(switch.vc_by_ordinal, rng.randint(2, 8))
                 for vc in requesters:
                     self._request(state, switch, vc, output, front_index=0)
                     vc.downstream_port = None
@@ -749,7 +788,7 @@ class TestKernelInvariants:
         def grants_then_claim(switch_id, packet_id, downstream_switch, is_head):
             granted = grants(switch_id, packet_id, downstream_switch, is_head)
             if granted and is_head:
-                for vc in network.switches[switch_id].vc_list:
+                for vc in network.switches[switch_id].vc_by_ordinal:
                     target = vc.send_target
                     if target is not None and target.allocated_packet_id is None:
                         target.allocated_packet_id = -1
@@ -834,7 +873,7 @@ class TestVcRuns:
             if cycle == state.config.cycles - 1:
                 # The occupied sets the per-cycle check walks are complete.
                 for switch in state.network.switches.values():
-                    held = {vc.ordinal for vc in switch.vc_list if vc.count}
+                    held = {vc.ordinal for vc in switch.vc_by_ordinal if vc.count}
                     assert held == switch.occupied
             watchdog(state, cycle)
 
@@ -882,7 +921,7 @@ class TestVcRuns:
         in_flight = {
             target: target.in_flight for entries in before.values() for target, _ in entries
         }
-        buffered = sum(vc.count for vc in state.network._vcs if vc.allocated_packet_id == pid)
+        buffered = sum(vc.count for vc in state.network.vcs if vc.allocated_packet_id == pid)
         dropped = state.result.flits_dropped_unroutable
         plan = FaultPlan(scenario="none", fault_rate=0.0, seed=0, events=())
         injector = FaultInjector(plan, state.network, state.router, state.result)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.energy.technology import Technology
 from repro.noc.config import NetworkConfig, WirelessConfig
 from repro.noc.link import LinkCharacteristics, characterize_link
 from repro.noc.switch import Switch
@@ -38,6 +39,13 @@ class TestLinkCharacterisation:
         wide = self._link(LinkKind.WIDE_IO)
         mesh = self._link(LinkKind.MESH)
         assert serial.cycles_per_flit > wide.cycles_per_flit == mesh.cycles_per_flit
+
+    def test_serial_io_serialises_at_the_technology_clock(self):
+        # 15 Gb/s: 6 bits per 2.5 GHz cycle (6 cycles per 32-bit flit),
+        # 15 bits per 1 GHz cycle (3 cycles).
+        assert self._link(LinkKind.SERIAL_IO).cycles_per_flit == 6
+        slow_clock = NetworkConfig(technology=Technology(clock_frequency_hz=1e9))
+        assert self._link(LinkKind.SERIAL_IO, slow_clock).cycles_per_flit == 3
 
     def test_wireless_settings_respected(self):
         config = NetworkConfig(wireless=WirelessConfig(cycles_per_flit=5, extra_latency_cycles=2))

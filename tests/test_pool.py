@@ -263,7 +263,7 @@ def reachable_handles(state):
     for queue in state.source_queues.values():
         reachable.update(queue)
     for switch in state.network.switches.values():
-        for port in switch.input_port_list:
+        for port in switch.input_ports:
             for vc in port.vcs:
                 if vc.source_packet is not None:
                     reachable.add(vc.source_packet)

@@ -113,7 +113,7 @@ class TestSpanningTreeRouter:
             router.parent(9999)
 
     @pytest.mark.parametrize("router_class", [ShortestPathRouter, SpanningTreeRouter])
-    @pytest.mark.parametrize("src, dst", [(0, 999), (999, 0)])
+    @pytest.mark.parametrize("src, dst", [(0, 999), (999, 0), (999, 999)])
     def test_route_to_or_from_an_unknown_switch(self, router_class, src, dst):
         """A switch outside the topology fails with the typed routing error."""
         router = router_class(build_multichip_base(1, 16, 0).graph)

@@ -47,6 +47,8 @@ class TestHelpers:
         assert tech.cycles_per_flit(128.0) == 1
         # Even an over-provisioned channel takes at least one cycle.
         assert tech.cycles_per_flit(1000.0) == 1
+        # At 1 GHz the serial lane moves 15 bits a cycle: ceil(32 / 15) = 3.
+        assert tech.cycles_per_flit(15.0, clock_hz=1e9) == 3
 
     def test_cycles_per_flit_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
